@@ -23,17 +23,12 @@ from .compose import (
     MINMAX,
     OPERAD_KINDS,
     SQUARE,
-    boxed_insert,
     compose,
     insert,
     kind_name,
-    max_compose,
     max_mask,
-    min_compose,
     min_mask,
-    minmax_compose,
     parse_kind,
-    square_compose,
 )
 from .duality import dual, dual_index_set, is_self_dual, semi_equidual
 from .enumeration import IsoClass, canonical_form, classes, generate_all

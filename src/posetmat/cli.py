@@ -65,7 +65,9 @@ def _parse_json_matrix(text: str) -> BinaryMatrix:
     if not isinstance(data, dict) or "n" not in data or "rows" not in data:
         raise ParseError(1, 1, 'JSON matrix needs keys "n" and "rows"')
     n, rows = data["n"], data["rows"]
-    if not isinstance(n, int) or not isinstance(rows, list) or len(rows) != n:
+    if type(n) is not int:  # JSON true would pass as an int
+        raise ParseError(1, 1, f'"n" must be an integer, got {json.dumps(n)}')
+    if not isinstance(rows, list) or len(rows) != n:
         raise ParseError(1, 1, f'"rows" must list exactly n={n} strings')
     grid = []
     for r, row in enumerate(rows):

@@ -3,20 +3,25 @@
 All of them replace the diagonal entry at position i of an order-n matrix A
 with an order-m matrix B, producing an order n+m-1 matrix; they differ only
 in how the m x (i-1) block U left of B and the (n-i) x m block V below B are
-filled:
+filled.  _RULES is the definition: it maps each kind to its U-fill, its
+V-fill and its precondition on A, and compose reads nothing else.
 
-  square    U = m stacked copies of A's row prefix, V = m copies of its
-            column suffix (full replication; an operad).
-  min       U replicated, V copies the column only at B's minimal elements
-            (an operad).
-  max       U copies the row only at B's maximal elements, V replicated
-            (an operad).
-  minmax    U at maximal elements, V at minimal elements (closed, but not
-            an operad: nested associativity fails).
+  U-fill    ROW        m stacked copies of A's row prefix at i
+            ROW_AT_MAX that prefix in the rows of B's maximal elements, 0 elsewhere
+            0 or 1     the constant
+  V-fill    COL        m side-by-side copies of A's column suffix at i
+            COL_AT_MIN that suffix in the columns of B's minimal elements, 0 elsewhere
+            0 or 1     the constant
+
+  square    (ROW, COL), an operad.
+  min       (ROW, COL_AT_MIN), an operad.
+  max       (ROW_AT_MAX, COL), an operad.
+  minmax    (ROW_AT_MAX, COL_AT_MIN): closed, but not an operad (nested
+            associativity fails).
   boxed(u, a21, v)
-            U and V are constant fills, legal only when A's lower-left block
-            has the constant fill a21; seven of the eight fill triples are
-            admissible, (1,0,1) being the non-transitive forbidden pattern.
+            (u, v), legal only when A's lower-left block has the constant
+            fill a21; seven of the eight fill triples are admissible,
+            (1,0,1) being the non-transitive forbidden pattern.
 """
 
 from __future__ import annotations
@@ -25,9 +30,6 @@ from dataclasses import dataclass
 
 from .core import BinaryMatrix, PosetMatrix, maximal_elements, minimal_elements
 from .errors import DimensionMismatch, IndexOutOfRange, PreconditionViolated
-
-# Masks are ordinary bit grids; the mask builders below give them their shape.
-MaskMatrix = BinaryMatrix
 
 SQUARE = "square"
 MIN = "min"
@@ -67,6 +69,20 @@ ALL_KINDS = MASK_KINDS + ALL_BOXED
 
 OPERAD_KINDS = (SQUARE, MIN, MAX)  # the three proven operads
 
+ROW = "row"
+ROW_AT_MAX = "row@max"
+COL = "col"
+COL_AT_MIN = "col@min"
+
+# kind -> (U-fill, V-fill, constant a21 required of A's lower-left block or None)
+_RULES = {
+    SQUARE: (ROW, COL, None),
+    MIN: (ROW, COL_AT_MIN, None),
+    MAX: (ROW_AT_MAX, COL, None),
+    MINMAX: (ROW_AT_MAX, COL_AT_MIN, None),
+    **{k: (k.u, k.v, k.a21) for k in ALL_BOXED},
+}
+
 
 def kind_name(kind) -> str:
     if isinstance(kind, Boxed):
@@ -81,6 +97,13 @@ def parse_kind(name: str):
     if name.startswith("boxed:") and len(name) == 9 and set(name[6:]) <= {"0", "1"}:
         return Boxed(int(name[6]), int(name[7]), int(name[8]))
     raise ValueError(f"unknown composition kind {name!r}")
+
+
+def _rule(kind):
+    try:
+        return _RULES[kind]
+    except (KeyError, TypeError):
+        raise ValueError(f"unknown composition kind {kind!r}") from None
 
 
 def _check_position(a: PosetMatrix, i: int) -> None:
@@ -109,96 +132,89 @@ def _assemble(a: PosetMatrix, i: int, b: PosetMatrix, u_rows, v_rows):
     return tuple(out)
 
 
-def _row_prefix(a: PosetMatrix, i: int):
-    return a.rows[i - 1][: i - 1]
-
-
-def _col_suffix(a: PosetMatrix, i: int):
-    return tuple(a.rows[s][i - 1] for s in range(i, a.n))
-
-
-def min_mask(a: PosetMatrix, i: int, b: PosetMatrix) -> BinaryMatrix:
-    """(n-i) x m mask whose column j copies A's column suffix at B's minimal j."""
-    _check_position(a, i)
-    col = _col_suffix(a, i)
-    mins = set(minimal_elements(b))
-    rows = tuple(
-        tuple(col[r] if j + 1 in mins else 0 for j in range(b.n))
-        for r in range(len(col))
-    )
-    return BinaryMatrix(rows)
-
-
-def max_mask(a: PosetMatrix, i: int, b: PosetMatrix) -> BinaryMatrix:
-    """m x (i-1) mask whose row j copies A's row prefix at B's maximal j."""
-    _check_position(a, i)
-    row = _row_prefix(a, i)
-    zero = (0,) * len(row)
-    maxs = set(maximal_elements(b))
-    rows = tuple(row if j + 1 in maxs else zero for j in range(b.n))
-    return BinaryMatrix(rows)
-
-
-def square_compose(a: PosetMatrix, i: int, b: PosetMatrix) -> PosetMatrix:
-    _check_position(a, i)
-    m = b.n
-    row = _row_prefix(a, i)
-    v_rows = tuple((c,) * m for c in _col_suffix(a, i))
-    return PosetMatrix._wrap(_assemble(a, i, b, (row,) * m, v_rows))
-
-
-def min_compose(a: PosetMatrix, i: int, b: PosetMatrix) -> PosetMatrix:
-    _check_position(a, i)
-    m = b.n
-    row = _row_prefix(a, i)
-    return PosetMatrix._wrap(_assemble(a, i, b, (row,) * m, min_mask(a, i, b).rows))
-
-
-def max_compose(a: PosetMatrix, i: int, b: PosetMatrix) -> PosetMatrix:
-    _check_position(a, i)
-    m = b.n
-    v_rows = tuple((c,) * m for c in _col_suffix(a, i))
-    return PosetMatrix._wrap(_assemble(a, i, b, max_mask(a, i, b).rows, v_rows))
-
-
-def minmax_compose(a: PosetMatrix, i: int, b: PosetMatrix) -> PosetMatrix:
-    _check_position(a, i)
-    return PosetMatrix._wrap(
-        _assemble(a, i, b, max_mask(a, i, b).rows, min_mask(a, i, b).rows)
-    )
-
-
-def boxed_insert(a: PosetMatrix, i: int, b: PosetMatrix, kind: Boxed) -> PosetMatrix:
-    """Constant-fill insertion; A's lower-left block must match kind.a21.
+def _check_lower_left(a: PosetMatrix, i: int, a21: int) -> None:
+    """A's lower-left block at i must be constantly a21.
 
     The precondition is a condition on A, not a rewrite of it: a mismatched
     block is an error, never silently overwritten.  Empty blocks (i = 1 or
     i = n) satisfy either fill.
     """
-    _check_position(a, i)
-    n, m = a.n, b.n
-    for s in range(i, n):
+    for s in range(i, a.n):
         for q in range(i - 1):
-            if a.rows[s][q] != kind.a21:
+            if a.rows[s][q] != a21:
                 raise PreconditionViolated(
                     f"lower-left block of A at position {i} has entry "
-                    f"{a.rows[s][q]} at ({s + 1},{q + 1}), expected constant {kind.a21}"
+                    f"{a.rows[s][q]} at ({s + 1},{q + 1}), expected constant {a21}"
                 )
-    u_row = ((kind.u,) * (i - 1),) * m
-    v_rows = (((kind.v,) * m),) * (n - i)
-    return PosetMatrix._wrap(_assemble(a, i, b, u_row, v_rows))
+
+
+def _u_rows(fill, a: PosetMatrix, i: int, b: PosetMatrix) -> tuple:
+    """The m x (i-1) block U left of B under a U-fill, as m rows."""
+    if fill == ROW:
+        return (a.rows[i - 1][: i - 1],) * b.n
+    if fill == ROW_AT_MAX:
+        row, zero, maxs = a.rows[i - 1][: i - 1], (0,) * (i - 1), maximal_elements(b)
+        return tuple(row if j in maxs else zero for j in range(1, b.n + 1))
+    return ((fill,) * (i - 1),) * b.n
+
+
+def _v_rows(fill, a: PosetMatrix, i: int, b: PosetMatrix) -> tuple:
+    """The (n-i) x m block V below B under a V-fill, as n-i rows."""
+    m = b.n
+    col = tuple(a.rows[s][i - 1] for s in range(i, a.n))
+    if fill == COL:
+        return tuple((x,) * m for x in col)
+    if fill == COL_AT_MIN:
+        mins = minimal_elements(b)
+        at_min, zero = tuple(1 if j in mins else 0 for j in range(1, m + 1)), (0,) * m
+        return tuple(at_min if x else zero for x in col)
+    return ((fill,) * m,) * len(col)
+
+
+def min_mask(a: PosetMatrix, i: int, b: PosetMatrix) -> BinaryMatrix:
+    """(n-i) x m mask whose column j copies A's column suffix at B's minimal j."""
+    _check_position(a, i)
+    return BinaryMatrix(_v_rows(COL_AT_MIN, a, i, b))
+
+
+def max_mask(a: PosetMatrix, i: int, b: PosetMatrix) -> BinaryMatrix:
+    """m x (i-1) mask whose row j copies A's row prefix at B's maximal j."""
+    _check_position(a, i)
+    return BinaryMatrix(_u_rows(ROW_AT_MAX, a, i, b))
 
 
 def compose(kind, a: PosetMatrix, i: int, b: PosetMatrix) -> PosetMatrix:
-    """Dispatch over the eleven composition kinds."""
-    if kind == SQUARE:
-        return square_compose(a, i, b)
-    if kind == MIN:
-        return min_compose(a, i, b)
-    if kind == MAX:
-        return max_compose(a, i, b)
-    if kind == MINMAX:
-        return minmax_compose(a, i, b)
-    if isinstance(kind, Boxed):
-        return boxed_insert(a, i, b, kind)
-    raise ValueError(f"unknown composition kind {kind!r}")
+    """A with B inserted at position i under kind.
+
+    _RULES is the definition of every kind: compose looks up the kind's
+    U-fill, V-fill and precondition there and builds nothing else.  An
+    unknown kind raises ValueError, then a position outside [1, n]
+    IndexOutOfRange, then a failed precondition PreconditionViolated.
+    """
+    u_fill, v_fill, a21 = _rule(kind)
+    _check_position(a, i)
+    if a21 is not None:
+        _check_lower_left(a, i, a21)
+    u_rows = _u_rows(u_fill, a, i, b)
+    return PosetMatrix._wrap(_assemble(a, i, b, u_rows, _v_rows(v_fill, a, i, b)))
+
+
+def host_fills(kind, c: PosetMatrix, i: int, b: PosetMatrix) -> tuple:
+    """A's row prefix and column suffix at i, as c = compose(kind, A, i, B) shows them.
+
+    A copied fill puts the whole prefix in the row of every maximal element
+    of B and the whole suffix in the column of every minimal one, so both
+    are read there (element 1 of B is always minimal).  A constant fill
+    hides them; the constant is returned in their place.
+    """
+    u_fill, v_fill, _ = _rule(kind)
+    m = b.n
+    if u_fill in (0, 1):
+        prefix = (u_fill,) * (i - 1)
+    else:
+        prefix = c.rows[i + maximal_elements(b)[0] - 2][: i - 1]
+    if v_fill in (0, 1):
+        suffix = (v_fill,) * (c.n - m - i + 1)
+    else:
+        suffix = tuple(c.rows[s][i - 1] for s in range(i + m - 1, c.n))
+    return prefix, suffix

@@ -90,7 +90,7 @@ def self_dual_closure_counterexamples(max_order: int) -> list:
     square composition at a fixed position and fixed orders is injective,
     a self-dual composite forces A = A* and B = B*.
     """
-    from .compose import square_compose
+    from .compose import SQUARE, compose
     from .enumeration import generate_all
 
     found = []
@@ -100,7 +100,7 @@ def self_dual_closure_counterexamples(max_order: int) -> list:
         for b in pool:
             both = sd_a and is_self_dual(b)
             for i in range(1, a.n + 1):
-                comp = square_compose(a, i, b)
+                comp = compose(SQUARE, a, i, b)
                 if is_self_dual(comp) != both:
                     direction = "composite self-dual, factors not" if not both else (
                         "factors self-dual, composite not"

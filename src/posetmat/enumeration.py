@@ -103,14 +103,6 @@ def relabel(a: PosetMatrix, order) -> PosetMatrix:
     return PosetMatrix._wrap(rows)
 
 
-def conjugate(a: PosetMatrix, sigma):
-    """Q^T A Q as a row grid for an arbitrary permutation sigma (1-based listing)."""
-    idx = [x - 1 for x in sigma]
-    n = a.n
-    return tuple(tuple(a.rows[idx[p]][idx[q]] for q in range(n)) for p in range(n))
-
-
-@lru_cache(maxsize=None)
 def canonical_form(a: PosetMatrix) -> PosetMatrix:
     """Lexicographically least member of a's permutation-equivalence class."""
     n = a.n

@@ -78,15 +78,55 @@ class LawReport:
         return out
 
 
+def _try(kind, a, i, b):
+    """compose, or None when the composition is undefined."""
+    try:
+        return compose(kind, a, i, b)
+    except PreconditionViolated:
+        return None
+
+
+@lru_cache(maxsize=1 << 18)
+def _try_cached(kind, a, i, b):
+    return _try(kind, a, i, b)
+
+
+def _verdict(left, right, target=None):
+    """(holds, left, right), holding when both sides equal target (by default
+    each other); None when a side is undefined."""
+    if left is None or right is None:
+        return None
+    target = left if target is None else target
+    return left.rows == right.rows == target.rows, left, right
+
+
+# One function per law evaluates one case.  comp makes the compositions:
+# compose, which raises when one is undefined, or _try, which gives None.
+
+
+def _nested(comp, kind, a, b, c, i, j, ab, bc):
+    """(A o_i B) o_{i+j-1} C = A o_i (B o_j C), given ab = A o_i B and bc = B o_j C."""
+    return _verdict(comp(kind, ab, i + j - 1, c), comp(kind, a, i, bc))
+
+
+def _parallel(comp, kind, a, b, c, i, j, ab, ac):
+    """(A o_i B) o_{j+m-1} C = (A o_j C) o_i B for i < j, given ab = A o_i B and ac = A o_j C."""
+    return _verdict(comp(kind, ab, j + b.n - 1, c), comp(kind, ac, i, b))
+
+
+def _unit(comp, kind, a, i):
+    """[1] o_1 A = A = A o_i [1]."""
+    return _verdict(comp(kind, UNIT, 1, a), comp(kind, a, i, UNIT), a)
+
+
 def check_nested(kind, a, b, c, i, j):
     """Evaluate both sides of nested associativity; return (equal, left, right)."""
     if not 1 <= i <= a.n:
         raise IndexOutOfRange(f"i={i} outside [1,{a.n}]")
     if not 1 <= j <= b.n:
         raise IndexOutOfRange(f"j={j} outside [1,{b.n}]")
-    left = compose(kind, compose(kind, a, i, b), i + j - 1, c)
-    right = compose(kind, a, i, compose(kind, b, j, c))
-    return left.rows == right.rows, left, right
+    ab, bc = compose(kind, a, i, b), compose(kind, b, j, c)
+    return _nested(compose, kind, a, b, c, i, j, ab, bc)
 
 
 def check_parallel(kind, a, b, c, i, j):
@@ -95,19 +135,15 @@ def check_parallel(kind, a, b, c, i, j):
         raise IndexOutOfRange(f"(i,j)=({i},{j}) outside [1,{a.n}]")
     if i >= j:
         raise RequiresDistinctIndices(f"need i < j, got i={i}, j={j}")
-    left = compose(kind, compose(kind, a, i, b), j + b.n - 1, c)
-    right = compose(kind, compose(kind, a, j, c), i, b)
-    return left.rows == right.rows, left, right
+    ab, ac = compose(kind, a, i, b), compose(kind, a, j, c)
+    return _parallel(compose, kind, a, b, c, i, j, ab, ac)
 
 
 def check_unit(kind, a, i) -> bool:
     """True iff [1] o_1 A = A and A o_i [1] = A under kind."""
     if not 1 <= i <= a.n:
         raise IndexOutOfRange(f"i={i} outside [1,{a.n}]")
-    return (
-        compose(kind, UNIT, 1, a).rows == a.rows
-        and compose(kind, a, i, UNIT).rows == a.rows
-    )
+    return _unit(compose, kind, a, i)[0]
 
 
 def _enc(m) -> str:
@@ -124,88 +160,41 @@ class _Tally:
         self.skipped = 0
         self.failures = []
 
-
-def _run_case(kind, law, a, b, c, i, j, tally) -> None:
-    try:
-        if law == NESTED:
-            equal, left, right = check_nested(kind, a, b, c, i, j)
-        elif law == PARALLEL:
-            equal, left, right = check_parallel(kind, a, b, c, i, j)
-        else:
-            equal = check_unit(kind, a, i)
-            left = right = None
-    except PreconditionViolated:
-        tally.skipped += 1
-        return
-    tally.checked += 1
-    if not equal:
-        if law == UNIT_LAW:
-            left = compose(kind, UNIT, 1, a)
-            right = compose(kind, a, i, UNIT)
-            tally.failures.append(Witness(a, None, None, i, None, left, right))
-        else:
-            tally.failures.append(Witness(a, b, c, i, j, left, right))
+    def add(self, a, b, c, i, j, case) -> None:
+        """Count one case: a law function's result, None when undefined."""
+        if case is None:
+            self.skipped += 1
+            return
+        self.checked += 1
+        holds, left, right = case
+        if not holds:
+            self.failures.append(Witness(a, b, c, i, j, left, right))
 
 
-def _try(kind, a, i, b):
-    try:
-        return compose(kind, a, i, b)
-    except PreconditionViolated:
-        return None
+def _scan(kind, law, As, Bs, Cs, n, m, tally) -> None:
+    """Every associativity case with A, B, C drawn from As, Bs, Cs.
 
-
-@lru_cache(maxsize=1 << 18)
-def _try_cached(kind, a, i, b):
-    return _try(kind, a, i, b)
-
-
-def _scan_nested(kind, As, Bs, Cs, n, m, tally) -> None:
+    A o_i B is composed once per (A, i, B); the other inner composite,
+    B o_j C (nested) or A o_j C (parallel), comes from the cache.
+    """
+    nested = law == NESTED
+    evaluate = _nested if nested else _parallel
     for a in As:
-        for i in range(1, n + 1):
+        for i in range(1, n + 1 if nested else n):
+            js = range(1, m + 1) if nested else range(i + 1, n + 1)
             for b in Bs:
                 ab = _try(kind, a, i, b)
-                for j in range(1, m + 1):
+                if ab is None:
+                    tally.skipped += len(js) * len(Cs)
+                    continue
+                x = b if nested else a
+                for j in js:
                     for c in Cs:
-                        if ab is None:
-                            tally.skipped += 1
-                            continue
-                        bc = _try_cached(kind, b, j, c)
-                        if bc is None:
-                            tally.skipped += 1
-                            continue
-                        left = _try(kind, ab, i + j - 1, c)
-                        right = _try(kind, a, i, bc)
-                        if left is None or right is None:
-                            tally.skipped += 1
-                            continue
-                        tally.checked += 1
-                        if left.rows != right.rows:
-                            tally.failures.append(Witness(a, b, c, i, j, left, right))
-
-
-def _scan_parallel(kind, As, Bs, Cs, n, m, tally) -> None:
-    for a in As:
-        for i in range(1, n):
-            for b in Bs:
-                ab = _try(kind, a, i, b)
-                for j in range(i + 1, n + 1):
-                    pos = j + m - 1
-                    for c in Cs:
-                        if ab is None:
-                            tally.skipped += 1
-                            continue
-                        ac = _try_cached(kind, a, j, c)
-                        if ac is None:
-                            tally.skipped += 1
-                            continue
-                        left = _try(kind, ab, pos, c)
-                        right = _try(kind, ac, i, b)
-                        if left is None or right is None:
-                            tally.skipped += 1
-                            continue
-                        tally.checked += 1
-                        if left.rows != right.rows:
-                            tally.failures.append(Witness(a, b, c, i, j, left, right))
+                        inner = _try_cached(kind, x, j, c)
+                        case = None if inner is None else evaluate(
+                            _try, kind, a, b, c, i, j, ab, inner
+                        )
+                        tally.add(a, b, c, i, j, case)
 
 
 def _exhaustive(kind, law, pools) -> LawReport:
@@ -215,11 +204,10 @@ def _exhaustive(kind, law, pools) -> LawReport:
         for n in orders:
             for a in pools[n]:
                 for i in range(1, n + 1):
-                    _run_case(kind, law, a, None, None, i, None, tally)
+                    tally.add(a, None, None, i, None, _unit(_try, kind, a, i))
             if tally.failures:
                 break
     else:
-        scan = _scan_nested if law == NESTED else _scan_parallel
         top = orders[-1]
         for total in range(3, 3 * top + 1):
             for n in orders:
@@ -227,7 +215,7 @@ def _exhaustive(kind, law, pools) -> LawReport:
                     k = total - n - m
                     if k not in pools:
                         continue
-                    scan(kind, pools[n], pools[m], pools[k], n, m, tally)
+                    _scan(kind, law, pools[n], pools[m], pools[k], n, m, tally)
             if tally.failures:
                 break
     return _report(kind, law, tally)
@@ -240,20 +228,25 @@ def _random(kind, law, pools, trials, seed) -> LawReport:
     for _ in range(trials):
         a = rng.choice(flat)
         if law == UNIT_LAW:
-            _run_case(kind, law, a, None, None, rng.randint(1, a.n), None, tally)
+            i = rng.randint(1, a.n)
+            tally.add(a, None, None, i, None, _unit(_try, kind, a, i))
             continue
         b = rng.choice(flat)
         c = rng.choice(flat)
         if law == NESTED:
-            _run_case(
-                kind, law, a, b, c, rng.randint(1, a.n), rng.randint(1, b.n), tally
-            )
+            i, j = rng.randint(1, a.n), rng.randint(1, b.n)
+            evaluate, x = _nested, b
+        elif a.n < 2:
+            tally.skipped += 1
+            continue
         else:
-            if a.n < 2:
-                tally.skipped += 1
-                continue
             i, j = sorted(rng.sample(range(1, a.n + 1), 2))
-            _run_case(kind, law, a, b, c, i, j, tally)
+            evaluate, x = _parallel, a
+        ab, inner = _try(kind, a, i, b), _try(kind, x, j, c)
+        case = None
+        if ab is not None and inner is not None:
+            case = evaluate(_try, kind, a, b, c, i, j, ab, inner)
+        tally.add(a, b, c, i, j, case)
     return _report(kind, law, tally)
 
 
@@ -280,6 +273,8 @@ def verify_laws(kind, max_order, trials=None, seed=0):
     """
     if max_order < 1:
         raise ValueError("max_order must be at least 1")
+    if trials is not None and trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     _try_cached.cache_clear()
     pools = {n: generate_all(n) for n in range(1, max_order + 1)}
     if trials is None:

@@ -10,7 +10,7 @@ row and column deleted.
 from __future__ import annotations
 
 from .core import PosetMatrix, principal_subposet
-from .compose import square_compose
+from .compose import SQUARE, compose
 
 
 def pascal_matrix(n: int) -> PosetMatrix:
@@ -29,4 +29,4 @@ def pascal_decomposition_check(n: int) -> bool:
         raise ValueError("needs order at least 2")
     p_n = pascal_matrix(n)
     trimmed = principal_subposet(p_n, range(2, n + 1))
-    return square_compose(pascal_matrix(2), 2, trimmed) == p_n
+    return compose(SQUARE, pascal_matrix(2), 2, trimmed) == p_n

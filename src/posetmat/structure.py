@@ -10,15 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .compose import MAX, MINMAX, Boxed, compose, square_compose
-from .core import (
-    BinaryMatrix,
-    PosetMatrix,
-    maximal_elements,
-    principal_subposet,
-    submatrix,
-    validate,
-)
+from .compose import SQUARE, compose, host_fills
+from .core import BinaryMatrix, PosetMatrix, principal_subposet, submatrix, validate
 from .errors import PreconditionViolated, ValidationError
 
 
@@ -115,8 +108,8 @@ def insertion_invariance_class(a: PosetMatrix, alpha, b: PosetMatrix) -> bool:
         raise PreconditionViolated(
             "a[alpha] and b must both be totally connected or both totally disconnected"
         )
-    first = square_compose(a, alpha[0], b)
-    return all(square_compose(a, i, b) == first for i in alpha[1:])
+    first = compose(SQUARE, a, alpha[0], b)
+    return all(compose(SQUARE, a, i, b) == first for i in alpha[1:])
 
 
 def insertion_invariance_condition(a: PosetMatrix, alpha) -> bool:
@@ -176,8 +169,8 @@ def case3_literal_discrepancies(matrices, b: PosetMatrix) -> list:
                     continue
                 if not case3_literal_condition(a, alpha):
                     continue
-                first = square_compose(a, d, b)
-                if any(square_compose(a, i, b) != first for i in alpha[1:]):
+                first = compose(SQUARE, a, d, b)
+                if any(compose(SQUARE, a, i, b) != first for i in alpha[1:]):
                     found.append((a, alpha))
     return found
 
@@ -185,7 +178,7 @@ def case3_literal_discrepancies(matrices, b: PosetMatrix) -> list:
 def invariance_scan(a: PosetMatrix, b: PosetMatrix) -> tuple:
     """Maximal contiguous ranges (length >= 2) with identical square insertions."""
     n = a.n
-    composites = [square_compose(a, i, b) for i in range(1, n + 1)]
+    composites = [compose(SQUARE, a, i, b) for i in range(1, n + 1)]
     runs = []
     start = 0
     for i in range(1, n + 1):
@@ -200,7 +193,7 @@ def dpm_check(a: PosetMatrix, b: PosetMatrix) -> bool:
     """Do 'every square insertion of b into a is disconnected' and
     'a is disconnected' agree for this pair?"""
     all_disconnected = all(
-        not classify_connectivity(square_compose(a, i, b)).connected
+        not classify_connectivity(compose(SQUARE, a, i, b)).connected
         for i in range(1, a.n + 1)
     )
     a_disconnected = not classify_connectivity(a).connected
@@ -280,23 +273,17 @@ def _factor_candidate(c: PosetMatrix, i: int, m: int, b: PosetMatrix, kind):
     """The unique host that could produce c at this split, or None.
 
     Collapsing the guest block recovers every host entry except row/column
-    i, which the masks overwrite: column i survives in the first guest
-    column (element 1 is always minimal), but under the max-masked kinds
-    the row prefix must be read off a maximal element's row, and the
-    constant-fill kinds prescribe both outright.
+    i, which the fills overwrite; host_fills reads those back, or gives the
+    constant of a constant fill in their place.
     """
-    if isinstance(kind, Boxed):
-        base = list(_collapse(c, i, m).rows)
-        base[i - 1] = (kind.u,) * (i - 1) + base[i - 1][i - 1 :]
-        for s in range(i, len(base)):
-            base[s] = base[s][: i - 1] + (kind.v,) + base[s][i:]
-        return _validate_or_none(base)
-    if kind in (MAX, MINMAX):
-        j = maximal_elements(b)[0]
-        base = list(_collapse(c, i, m).rows)
-        base[i - 1] = c.rows[i + j - 2][: i - 1] + base[i - 1][i - 1 :]
-        return _validate_or_none(base)
-    return _collapse(c, i, m)
+    host = _collapse(c, i, m)
+    prefix, suffix = host_fills(kind, c, i, b)
+    base = list(host.rows)
+    base[i - 1] = prefix + base[i - 1][i - 1 :]
+    for s, x in enumerate(suffix, start=i):
+        base[s] = base[s][: i - 1] + (x,) + base[s][i:]
+    base = tuple(base)
+    return host if base == host.rows else _validate_or_none(base)
 
 
 def _validate_or_none(rows):

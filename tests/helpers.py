@@ -1,6 +1,6 @@
 """Shared fixtures: golden matrices and brute-force sweep drivers."""
 
-from posetmat import PosetMatrix, square_compose
+from posetmat import SQUARE, PosetMatrix, compose
 from posetmat.duality import semi_equidual
 from posetmat.enumeration import generate_all
 from posetmat.structure import (
@@ -42,6 +42,13 @@ def random_poset_matrix(rng, n: int) -> PosetMatrix:
         )
         downsets.append(chosen | (1 << i))
     return PosetMatrix(rows)
+
+
+def conjugate(a: PosetMatrix, sigma):
+    """Q^T A Q as a row grid for an arbitrary permutation sigma (1-based listing)."""
+    idx = [x - 1 for x in sigma]
+    n = a.n
+    return tuple(tuple(a.rows[idx[p]][idx[q]] for q in range(n)) for p in range(n))
 
 
 # The order-4 / order-3 / order-2 triple used across the composition and
@@ -113,9 +120,9 @@ def sweep_insertion_invariance(max_n: int = 5, max_m: int = 3):
                     continue
                 for bs in pairings:
                     for b in bs:
-                        first = square_compose(a, alpha[0], b)
+                        first = compose(SQUARE, a, alpha[0], b)
                         if any(
-                            square_compose(a, i, b) != first for i in alpha[1:]
+                            compose(SQUARE, a, i, b) != first for i in alpha[1:]
                         ):
                             violations.append((a, alpha, b))
     return violations
@@ -135,8 +142,8 @@ def sweep_semi_equidual(max_n: int = 5, max_m: int = 3):
                     continue
                 for m in range(1, max_m + 1):
                     b = chain(m)
-                    left = square_compose(a, alpha[0], b)
-                    right = square_compose(a, alpha[-1], b)
+                    left = compose(SQUARE, a, alpha[0], b)
+                    right = compose(SQUARE, a, alpha[-1], b)
                     if semi_equidual(left, right) is None:
                         violations.append((a, alpha, b))
     return violations

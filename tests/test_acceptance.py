@@ -13,7 +13,10 @@ import json
 import time
 
 from posetmat import (
+    MAX,
+    MIN,
     MINMAX,
+    SQUARE,
     check_nested,
     classes,
     dual,
@@ -21,15 +24,12 @@ from posetmat import (
     factor,
     generate_all,
     is_self_dual,
-    max_compose,
     maximal_elements,
-    min_compose,
     minimal_elements,
     pascal_decomposition_check,
     pascal_matrix,
     principal_subposet,
     semi_equidual,
-    square_compose,
     validate,
 )
 from posetmat.cli import run, to_pm_text
@@ -87,9 +87,9 @@ class TestCriterion1GoldenCompositions:
     def test_criterion_1(self):
         t0 = time.perf_counter()
         results = {
-            "square": square_compose(EX_A, 2, EX_B),
-            "min": min_compose(EX_A, 2, EX_B),
-            "max": max_compose(EX_A, 2, EX_B),
+            "square": compose(SQUARE, EX_A, 2, EX_B),
+            "min": compose(MIN, EX_A, 2, EX_B),
+            "max": compose(MAX, EX_A, 2, EX_B),
             "minmax": compose(MINMAX, EX_A, 2, EX_B),
         }
         golden = {"square": EX_SQUARE, "min": EX_MIN, "max": EX_MAX, "minmax": EX_MINMAX}
@@ -188,7 +188,7 @@ class TestCriterion5Duality:
         for b in all_upto(4):
             for c in all_upto(4):
                 for i in range(1, b.n + 1):
-                    ok &= dual(square_compose(b, i, c)) == square_compose(
+                    ok &= dual(compose(SQUARE, b, i, c)) == compose(SQUARE,
                         dual(b), b.n - i + 1, dual(c)
                     )
         elapsed = time.perf_counter() - t0
@@ -201,11 +201,11 @@ class TestCriterion5Duality:
         for b in all_upto(4):
             for c in all_upto(4):
                 for i in range(1, b.n + 1):
-                    ok &= dual(min_compose(b, i, c)) == max_compose(
+                    ok &= dual(compose(MIN, b, i, c)) == compose(MAX,
                         dual(b), b.n - i + 1, dual(c)
                     )
-                    ok &= max_compose(b, b.n - i + 1, c) == dual(
-                        min_compose(dual(b), i, dual(c))
+                    ok &= compose(MAX, b, b.n - i + 1, c) == dual(
+                        compose(MIN, dual(b), i, dual(c))
                     )
         elapsed = time.perf_counter() - t0
         ok &= elapsed < 30.0
@@ -239,7 +239,7 @@ class TestCriterion5Duality:
             sd_a = is_self_dual(a)
             for b, sd_b in pool_b:
                 centred += 1
-                if is_self_dual(square_compose(a, i, b)) != (sd_a and sd_b):
+                if is_self_dual(compose(SQUARE, a, i, b)) != (sd_a and sd_b):
                     centred_failures.append((a.bit_rows(), i, b.bit_rows()))
 
         disagreements = self_dual_closure_counterexamples(4)
@@ -272,8 +272,8 @@ class TestCriterion5Duality:
         assert off_centre, "a reported disagreement sits at the centre position"
 
     def test_criterion_5f_worked_pair_byte_exact(self):
-        left = square_compose(pm("100;110;101"), 3, EX_C)
-        right = square_compose(pm("100;010;111"), 1, EX_C)
+        left = compose(SQUARE, pm("100;110;101"), 3, EX_C)
+        right = compose(SQUARE, pm("100;010;111"), 1, EX_C)
         ok = to_pm_text(left) == "4\n1000\n1100\n1010\n1011\n"
         ok &= to_pm_text(right) == "4\n1000\n1100\n0010\n1111\n"
         ok &= dual(left) == right
@@ -284,28 +284,32 @@ class TestCriterion6StructureTheorems:
     def test_criterion_6a_worked_examples(self):
         a1 = pm("1000;1100;1110;1101")
         c1 = pm("10000;11000;11100;11110;11101")
-        ok = square_compose(a1, 1, EX_C) == c1 == square_compose(a1, 2, EX_C)
+        ok = compose(SQUARE, a1, 1, EX_C) == c1 == compose(SQUARE, a1, 2, EX_C)
 
         a2 = pm("1000;1100;0010;1111")
         c2 = pm("10000;11000;11100;00010;11111")
-        ok &= square_compose(a2, 1, EX_C) == c2 == square_compose(a2, 2, EX_C)
+        ok &= compose(SQUARE, a2, 1, EX_C) == c2 == compose(SQUARE, a2, 2, EX_C)
 
         a3 = pm("1000;1100;1010;1011")
         c3 = pm("10000;11000;10100;10110;10111")
-        ok &= square_compose(a3, 3, EX_C) == c3 == square_compose(a3, 4, EX_C)
+        ok &= compose(SQUARE, a3, 3, EX_C) == c3 == compose(SQUARE, a3, 4, EX_C)
 
         a4 = pm("1000;0100;0010;1111")
         c4 = pm("10000;01000;00100;00010;11111")
         ok &= (
-            square_compose(a4, 1, antichain(2))
-            == square_compose(a4, 2, antichain(2))
-            == square_compose(a4, 3, antichain(2))
+            compose(SQUARE, a4, 1, antichain(2))
+            == compose(SQUARE, a4, 2, antichain(2))
+            == compose(SQUARE, a4, 3, antichain(2))
             == c4
         )
 
         a5 = pm("1000;1100;1110;1101")
         c5 = pm("10000;11000;11100;11010;11001")
-        ok &= square_compose(a5, 3, antichain(2)) == c5 == square_compose(a5, 4, antichain(2))
+        ok &= (
+            compose(SQUARE, a5, 3, antichain(2))
+            == c5
+            == compose(SQUARE, a5, 4, antichain(2))
+        )
         assert report("criterion-6a worked identical-insertion examples", ok)
 
     def test_criterion_6b_invariance_sweep(self):
@@ -330,15 +334,15 @@ class TestCriterion6StructureTheorems:
 
     def test_criterion_6d_semi_equidual_worked_examples(self):
         a = pm("1000;1100;1010;1001")
-        left = square_compose(a, 2, EX_C)
-        right = square_compose(a, 4, EX_C)
+        left = compose(SQUARE, a, 2, EX_C)
+        right = compose(SQUARE, a, 4, EX_C)
         ok = left == pm("10000;11000;11100;10010;10001")
         ok &= right == pm("10000;11000;10100;10010;10011")
         ok &= semi_equidual(left, right) is not None
 
         b = pm("1000;0100;1110;1111")
-        left2 = square_compose(b, 1, EX_C)
-        right2 = square_compose(b, 2, EX_C)
+        left2 = compose(SQUARE, b, 1, EX_C)
+        right2 = compose(SQUARE, b, 2, EX_C)
         ok &= left2 == pm("10000;11000;00100;11110;11111")
         ok &= right2 == pm("10000;01000;01100;11110;11111")
         ok &= semi_equidual(left2, right2) is not None

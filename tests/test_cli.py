@@ -77,8 +77,9 @@ class TestParsing:
         assert parse_matrix_text('{"n": 2, "rows": ["10", "11"]}') == chain(2)
 
     def test_json_schema_error(self):
-        with pytest.raises(ParseError):
-            parse_matrix_text('{"n": 2, "rows": ["10"]}')
+        for text in ('{"n": 2, "rows": ["10"]}', '{"n": true, "rows": ["1"]}'):
+            with pytest.raises(ParseError):
+                parse_matrix_text(text)
 
     def test_round_trip_both_formats_exhaustive(self):
         for n in range(1, 7):
@@ -168,6 +169,14 @@ class TestCommands:
 
     def test_laws_random_seeded(self, capsys):
         assert run(["laws", "--op", "min", "--max-n", "3", "--random", "200"]) == 0
+
+    def test_laws_random_needs_a_trial(self, capsys):
+        for trials in ("0", "-5"):
+            argv = ["laws", "--op", "square", "--max-n", "3", "--random", trials]
+            assert run(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("usage error: ")
 
     def test_dual(self, files, capsys):
         src = write(files["dir"], "m.pm", to_pm_text(pm("1000;1100;1010;1011")))

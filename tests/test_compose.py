@@ -8,21 +8,20 @@ from posetmat import (
     ALL_BOXED,
     ALL_KINDS,
     MASK_KINDS,
+    MAX,
+    MIN,
+    MINMAX,
+    SQUARE,
     UNIT,
     BinaryMatrix,
     Boxed,
-    boxed_insert,
     compose,
     insert,
     kind_name,
-    max_compose,
     max_mask,
-    min_compose,
     min_mask,
-    minmax_compose,
     parse_kind,
     principal_subposet,
-    square_compose,
     validate,
 )
 from posetmat.core import block_decompose
@@ -78,28 +77,28 @@ class TestInsert:
 
 class TestGoldenComposites:
     def test_square(self):
-        assert square_compose(EX_A, 2, EX_B) == EX_SQUARE
+        assert compose(SQUARE, EX_A, 2, EX_B) == EX_SQUARE
 
     def test_min(self):
-        assert min_compose(EX_A, 2, EX_B) == EX_MIN
+        assert compose(MIN, EX_A, 2, EX_B) == EX_MIN
 
     def test_max(self):
-        assert max_compose(EX_A, 2, EX_B) == EX_MAX
+        assert compose(MAX, EX_A, 2, EX_B) == EX_MAX
 
     def test_minmax(self):
-        assert minmax_compose(EX_A, 2, EX_B) == EX_MINMAX
+        assert compose(MINMAX, EX_A, 2, EX_B) == EX_MINMAX
 
     def test_square_chain_construction(self):
-        assert square_compose(chain(2), 1, chain(2)) == chain(3)
+        assert compose(SQUARE, chain(2), 1, chain(2)) == chain(3)
 
     def test_max_catalog_construction(self):
-        assert max_compose(pm("100;110;101"), 2, chain(2)) == pm(
+        assert compose(MAX, pm("100;110;101"), 2, chain(2)) == pm(
             "1000;0100;1110;1001"
         )
 
     def test_position_out_of_range(self):
         with pytest.raises(IndexOutOfRange):
-            square_compose(EX_A, 5, EX_B)
+            compose(SQUARE, EX_A, 5, EX_B)
 
 
 class TestMasks:
@@ -141,19 +140,19 @@ class TestUnitLaws:
         b = antichain(3)
         for a in generate_all(3):
             for i in range(1, 4):
-                sq = square_compose(a, i, b)
-                assert min_compose(a, i, b) == sq
-                assert max_compose(a, i, b) == sq
-                assert minmax_compose(a, i, b) == sq
+                sq = compose(SQUARE, a, i, b)
+                assert compose(MIN, a, i, b) == sq
+                assert compose(MAX, a, i, b) == sq
+                assert compose(MINMAX, a, i, b) == sq
 
 
 class TestBoxed:
     def test_all_zero_kind_gives_block_diagonal(self):
-        out = boxed_insert(pm("100;010;001"), 2, chain(2), Boxed(0, 0, 0))
+        out = compose(Boxed(0, 0, 0), pm("100;010;001"), 2, chain(2))
         assert out == pm("1000;0100;0110;0001")
 
     def test_matching_pattern_222_chain(self):
-        assert boxed_insert(chain(2), 1, chain(2), Boxed(1, 1, 1)) == chain(3)
+        assert compose(Boxed(1, 1, 1), chain(2), 1, chain(2)) == chain(3)
 
     def test_forbidden_triple_unrepresentable(self):
         with pytest.raises(ValueError):
@@ -162,14 +161,14 @@ class TestBoxed:
     def test_a21_precondition_enforced(self):
         # Lower-left block of EX_A at position 2 is all ones.
         with pytest.raises(PreconditionViolated):
-            boxed_insert(EX_A, 2, EX_B, Boxed(0, 0, 0))
-        boxed_insert(EX_A, 2, EX_B, Boxed(0, 1, 0))
+            compose(Boxed(0, 0, 0), EX_A, 2, EX_B)
+        compose(Boxed(0, 1, 0), EX_A, 2, EX_B)
 
     def test_boundary_positions_allow_all_kinds(self):
         a = pm("100;110;111")
         for kind in ALL_BOXED:
-            validate(BinaryMatrix(boxed_insert(a, 1, EX_B, kind).rows))
-            validate(BinaryMatrix(boxed_insert(a, a.n, EX_B, kind).rows))
+            validate(BinaryMatrix(compose(kind, a, 1, EX_B).rows))
+            validate(BinaryMatrix(compose(kind, a, a.n, EX_B).rows))
 
     def test_agrees_with_square_when_pattern_matches(self):
         for a, i, b in pairs_upto(4):
@@ -180,7 +179,7 @@ class TestBoxed:
                     continue
                 if set(bv.row) - {kind.u} or set(bv.col) - {kind.v}:
                     continue
-                assert boxed_insert(a, i, b, kind) == square_compose(a, i, b)
+                assert compose(kind, a, i, b) == compose(SQUARE, a, i, b)
 
     def test_kind_names_round_trip(self):
         for kind in ALL_KINDS:
@@ -220,3 +219,95 @@ class TestClosureProperties:
             out = compose(kind, a, i, b)
             assert out.n == a.n + b.n - 1
             validate(BinaryMatrix(out.rows))
+
+
+def _minimal(b):
+    return {p for p in range(1, b.n + 1) if all(b.entry(p, q) == 0 for q in range(1, p))}
+
+
+def _maximal(b):
+    return {
+        q
+        for q in range(1, b.n + 1)
+        if all(b.entry(p, q) == 0 for p in range(q + 1, b.n + 1))
+    }
+
+
+# kind -> (U-fill, V-fill, constant required of A's lower-left block or None),
+# written from the definitions: "row" is A's row prefix at i in every row of
+# B, "max" that prefix only in the rows of B's maximal elements, "col" A's
+# column suffix at i in every column of B, "min" that suffix only in the
+# columns of B's minimal elements, and 0/1 a constant fill.
+DEFINITION = {
+    "square": ("row", "col", None),
+    "min": ("row", "min", None),
+    "max": ("max", "col", None),
+    "minmax": ("max", "min", None),
+    **{k: (k.u, k.v, k.a21) for k in ALL_BOXED},
+}
+
+
+def composite_by_definition(kind, a, i, b):
+    """Entry-wise A o_i B from the (U-fill, V-fill, precondition) definition."""
+    if not 1 <= i <= a.n:
+        raise IndexOutOfRange
+    u_fill, v_fill, a21 = DEFINITION[kind]
+    n, m = a.n, b.n
+    if a21 is not None and any(
+        a.entry(s, q) != a21 for s in range(i + 1, n + 1) for q in range(1, i)
+    ):
+        raise PreconditionViolated
+    mins, maxs = _minimal(b), _maximal(b)
+
+    def u(p, q):  # row p of B, column q < i of A
+        if u_fill == "row" or (u_fill == "max" and p in maxs):
+            return a.entry(i, q)
+        return 0 if u_fill == "max" else u_fill
+
+    def v(s, q):  # row s > i of A, column q of B
+        if v_fill == "col" or (v_fill == "min" and q in mins):
+            return a.entry(s, i)
+        return 0 if v_fill == "min" else v_fill
+
+    def entry(p, q):  # 1-based entry of the order n+m-1 composite
+        in_b = lambda x: i <= x < i + m
+        host = lambda x: x if x < i else x - m + 1
+        if in_b(p) and in_b(q):
+            return b.entry(p - i + 1, q - i + 1)
+        if in_b(p):
+            return u(p - i + 1, q) if q < i else 0
+        if in_b(q):
+            return v(host(p), q - i + 1) if p >= i + m else 0
+        return a.entry(host(p), host(q))
+
+    size = n + m - 1
+    return tuple(
+        tuple(entry(p, q) for q in range(1, size + 1)) for p in range(1, size + 1)
+    )
+
+
+class TestDefinition:
+    def test_every_kind_matches_its_fill_definition_exhaustive(self):
+        hosts = [m for n in range(1, 5) for m in generate_all(n)]
+        guests = [m for n in range(1, 4) for m in generate_all(n)]
+        cases = 0
+        for kind in ALL_KINDS:
+            for a in hosts:
+                for b in guests:
+                    for i in range(0, a.n + 2):  # both ends one past the range
+                        try:
+                            want = composite_by_definition(kind, a, i, b)
+                        except (IndexOutOfRange, PreconditionViolated) as e:
+                            with pytest.raises(type(e)):
+                                compose(kind, a, i, b)
+                        else:
+                            assert compose(kind, a, i, b).rows == want
+                        cases += 1
+        assert cases == 31_460
+
+    def test_unknown_or_unhashable_kind_is_a_value_error(self):
+        for kind in ("cube", "boxed:010", ("square",), ["square"], {}, None):
+            with pytest.raises(ValueError):
+                compose(kind, EX_A, 2, EX_B)
+        with pytest.raises(ValueError):  # checked before the position
+            compose("cube", EX_A, 9, EX_B)

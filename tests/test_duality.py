@@ -1,16 +1,17 @@
 import pytest
 
 from posetmat import (
+    MAX,
+    MIN,
+    SQUARE,
+    compose,
     dual,
     dual_index_set,
     is_self_dual,
-    max_compose,
     maximal_elements,
-    min_compose,
     minimal_elements,
     principal_subposet,
     semi_equidual,
-    square_compose,
 )
 from posetmat.duality import self_dual_closure_counterexamples
 from posetmat.enumeration import generate_all
@@ -89,7 +90,7 @@ class TestDualityTheorems:
         for b in all_upto(4):
             for c in all_upto(4):
                 for i in range(1, b.n + 1):
-                    assert dual(square_compose(b, i, c)) == square_compose(
+                    assert dual(compose(SQUARE, b, i, c)) == compose(SQUARE,
                         dual(b), b.n - i + 1, dual(c)
                     )
 
@@ -97,16 +98,16 @@ class TestDualityTheorems:
         for b in all_upto(4):
             for c in all_upto(4):
                 for i in range(1, b.n + 1):
-                    assert dual(min_compose(b, i, c)) == max_compose(
+                    assert dual(compose(MIN, b, i, c)) == compose(MAX,
                         dual(b), b.n - i + 1, dual(c)
                     )
-                    assert max_compose(b, b.n - i + 1, c) == dual(
-                        min_compose(dual(b), i, dual(c))
+                    assert compose(MAX, b, b.n - i + 1, c) == dual(
+                        compose(MIN, dual(b), i, dual(c))
                     )
 
     def test_worked_dual_composition_pair(self):
-        left = square_compose(pm("100;110;101"), 3, chain(2))
-        right = square_compose(pm("100;010;111"), 1, chain(2))
+        left = compose(SQUARE, pm("100;110;101"), 3, chain(2))
+        right = compose(SQUARE, pm("100;010;111"), 1, chain(2))
         assert left == pm("1000;1100;1010;1011")
         assert right == pm("1000;1100;0010;1111")
         assert dual(left) == right
@@ -143,7 +144,7 @@ class TestSelfDualClosureReport:
 
     def test_reported_items_reverify(self):
         for a, i, b, comp, direction in self_dual_closure_counterexamples(3):
-            assert square_compose(a, i, b) == comp
+            assert compose(SQUARE, a, i, b) == comp
             both = is_self_dual(a) and is_self_dual(b)
             assert is_self_dual(comp) != both
 

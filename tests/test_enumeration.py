@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from posetmat import canonical_form, classes, generate_all, validate
 from posetmat.compose import compose
 from posetmat.core import BinaryMatrix, PosetMatrix
-from posetmat.enumeration import conjugate, linear_extensions, relabel
+from posetmat.enumeration import linear_extensions, relabel
 from posetmat.errors import ResourceLimit
 
 from helpers import (
@@ -17,6 +17,7 @@ from helpers import (
     DISCONNECTED_3,
     DISCONNECTED_4,
     chain,
+    conjugate,
     pm,
 )
 

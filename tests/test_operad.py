@@ -102,6 +102,11 @@ class TestVerifyLaws:
         assert one == two
         assert all(r.cases_checked + r.cases_skipped == 300 for r in one)
 
+    def test_random_mode_needs_a_trial(self):
+        for trials in (0, -5):
+            with pytest.raises(ValueError):
+                verify_laws(SQUARE, 3, trials=trials)
+
     def test_operad_kinds_pass_random_trials(self):
         for kind in OPERAD_KINDS:
             reports = verify_laws(kind, 5, trials=2000, seed=11)
@@ -131,10 +136,10 @@ class TestBoxedKindsMeasured:
 
     def test_right_unit_fails_and_is_reported_not_hidden(self):
         # Replacing row/column i with constant fills need not reproduce A.
-        from posetmat.compose import Boxed, boxed_insert
+        from posetmat.compose import Boxed, compose
 
         a = pm("100;010;111")
-        assert boxed_insert(a, 2, UNIT, Boxed(0, 1, 0)) == pm("100;010;101") != a
+        assert compose(Boxed(0, 1, 0), a, 2, UNIT) == pm("100;010;101") != a
         reports = verify_laws(Boxed(0, 1, 0), 3)
         unit = next(r for r in reports if r.law == "unit")
         assert unit.verdict == "fail"

@@ -1,6 +1,7 @@
 import pytest
 
 from posetmat import (
+    SQUARE,
     Boxed,
     classify_connectivity,
     compose,
@@ -12,7 +13,6 @@ from posetmat import (
     insertion_invariance_class,
     is_totally_connected,
     is_totally_disconnected,
-    square_compose,
     submatrix,
     validate,
 )
@@ -123,9 +123,9 @@ class TestInsertionInvariance:
 
     def test_worked_example_prefix_range(self):
         assert insertion_invariance_class(self.A1, (1, 2), chain(2))
-        c = square_compose(self.A1, 1, chain(2))
+        c = compose(SQUARE, self.A1, 1, chain(2))
         assert c == pm("10000;11000;11100;11110;11101")
-        assert c == square_compose(self.A1, 2, chain(2))
+        assert c == compose(SQUARE, self.A1, 2, chain(2))
 
     def test_worked_example_longer_prefix_fails(self):
         assert not insertion_invariance_class(self.A1, (1, 2, 3), chain(2))
@@ -133,24 +133,24 @@ class TestInsertionInvariance:
     def test_worked_example_antichain_top(self):
         a = pm("1000;0100;0010;1111")
         assert insertion_invariance_class(a, (1, 2, 3), antichain(2))
-        assert square_compose(a, 1, antichain(2)) == pm(
+        assert compose(SQUARE, a, 1, antichain(2)) == pm(
             "10000;01000;00100;00010;11111"
         )
 
     def test_second_worked_example(self):
         a = pm("1000;1100;0010;1111")
         assert insertion_invariance_class(a, (1, 2), chain(2))
-        assert square_compose(a, 1, chain(2)) == pm("10000;11000;11100;00010;11111")
+        assert compose(SQUARE, a, 1, chain(2)) == pm("10000;11000;11100;00010;11111")
 
     def test_suffix_worked_example(self):
         a = pm("1000;1100;1010;1011")
         assert insertion_invariance_class(a, (3, 4), chain(2))
-        assert square_compose(a, 3, chain(2)) == pm("10000;11000;10100;10110;10111")
+        assert compose(SQUARE, a, 3, chain(2)) == pm("10000;11000;10100;10110;10111")
 
     def test_disconnected_suffix_worked_example(self):
         a = pm("1000;1100;1110;1101")
         assert insertion_invariance_class(a, (3, 4), antichain(2))
-        assert square_compose(a, 3, antichain(2)) == pm(
+        assert compose(SQUARE, a, 3, antichain(2)) == pm(
             "10000;11000;11100;11010;11001"
         )
 
@@ -183,8 +183,8 @@ class TestInvarianceSweeps:
 
     def test_semi_equidual_worked_example_suffix(self):
         a = pm("1000;1100;1010;1001")
-        left = square_compose(a, 2, chain(2))
-        right = square_compose(a, 4, chain(2))
+        left = compose(SQUARE, a, 2, chain(2))
+        right = compose(SQUARE, a, 4, chain(2))
         assert left == pm("10000;11000;11100;10010;10001")
         assert right == pm("10000;11000;10100;10010;10011")
         from posetmat import semi_equidual
@@ -193,8 +193,8 @@ class TestInvarianceSweeps:
 
     def test_semi_equidual_worked_example_prefix(self):
         a = pm("1000;0100;1110;1111")
-        left = square_compose(a, 1, chain(2))
-        right = square_compose(a, 2, chain(2))
+        left = compose(SQUARE, a, 1, chain(2))
+        right = compose(SQUARE, a, 2, chain(2))
         assert left == pm("10000;11000;00100;11110;11111")
         assert right == pm("10000;01000;01100;11110;11111")
         from posetmat import semi_equidual
