@@ -263,14 +263,13 @@ def cmd_enumerate(args) -> int:
                 if structure.classify_connectivity(m).connected == want
             ]
         print(f"order {args.n}: {len(matrices)} matrices ({args.filter})")
+    if not (args.output or args.print_matrices):
+        return 0
     if args.format == "json":
         body = json.dumps([to_json_obj(m) for m in matrices]) + "\n"
     else:
         body = "".join(to_pm_text(m) for m in matrices)
-    if args.output:
-        _emit(body, args.output)
-    elif args.print_matrices:
-        sys.stdout.write(body)
+    _emit(body, args.output)
     return 0
 
 

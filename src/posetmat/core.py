@@ -19,6 +19,7 @@ from .errors import (
     NotLowerTriangular,
     NotReflexive,
     TransitivityViolation,
+    ValidationError,
 )
 
 
@@ -190,10 +191,13 @@ def validate(m) -> PosetMatrix:
 
 
 def is_poset_matrix(m) -> bool:
+    """True iff validate(m) succeeds.  Input that is not a grid of 0/1
+    entries (None, a number, ragged rows, other entries) gives False."""
     try:
         validate(m)
         return True
-    except Exception:
+    except (ValidationError, ValueError, TypeError, OverflowError):
+        # OverflowError: int() of an infinite float entry.
         return False
 
 

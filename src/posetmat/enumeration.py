@@ -1,15 +1,23 @@
 """Generation and canonicalization of poset matrices.
 
-generate_all(n) backtracks row by row: a new bottom row is admissible
-exactly when the set of 1-columns is down-closed in the order built so far,
-which is incremental transitivity.  Output is in row-major lexicographic
-order.
+generate_all(n) builds the matrices row by row.  A new bottom row is
+admissible exactly when its set of 1-columns is a down-set (an ideal) of the
+order built so far, which is incremental transitivity.  So instead of testing
+every 0/1 row, each step lists the down-sets of the rows so far directly:
+elements are decided in label order, "exclude" before "include", and element
+j may be included only when its strict down-set is already chosen (natural
+labelling puts that set below j).  The down-sets come out in ascending
+lexicographic row order, so the output is in row-major lexicographic order
+with no sorting.  Row tuples come from one table per width, shared by all
+matrices of a call.
 
 Two matrices are permutation equivalent (same unlabelled poset) iff one is
 Q^T A Q for a permutation Q keeping the result lower triangular; those Q
 are precisely the linear extensions of the order.  canonical_form takes the
 lexicographically least relabelling, found by a DFS over linear extensions
-with prefix pruning.
+with two exact prunings: only candidates of least row code branch, and
+interchangeable candidates (same row code, same up-set among the elements
+still to be placed) branch once.
 """
 
 from __future__ import annotations
@@ -30,55 +38,54 @@ def generate_all(n: int, order_cap: int = DEFAULT_ORDER_CAP) -> tuple:
         raise ValueError("order must be at least 1")
     if n > order_cap:
         raise ResourceLimit(f"order {n} above the cap {order_cap}")
+    # table[i][s]: row i (0-based) whose 1-columns left of the diagonal are
+    # the bitmask s, bit j standing for column j.
+    table = [
+        [
+            tuple((s >> j) & 1 for j in range(i)) + (1,) + (0,) * (n - i - 1)
+            for s in range(1 << i)
+        ]
+        for i in range(n)
+    ]
+    wrap = PosetMatrix._wrap
     results = []
-    rows = []
-    downsets = []  # bitmask per row: reflexive down-set
 
-    def extend(i):  # i = 0-based index of the row being chosen
-        if i == n:
-            results.append(PosetMatrix._wrap(tuple(rows)))
+    def extend(rows, below):  # below[j]: strict down-set bitmask of row j
+        i = len(rows)
+        ideals = [0]
+        for j in range(i):
+            step = []
+            for s in ideals:
+                step.append(s)
+                if not below[j] & ~s:
+                    step.append(s | 1 << j)
+            ideals = step
+        if i == n - 1:
+            results.extend(wrap(rows + (table[i][s],)) for s in ideals)
             return
-        width = i
-        # Ascending masks with column 1 as the most significant bit give
-        # lexicographic row order.
-        for mask in range(1 << width):
-            chosen = 0
-            for j in range(width):
-                if (mask >> (width - 1 - j)) & 1:
-                    chosen |= 1 << j
-            # Transitivity: every chosen column's down-set must be chosen too.
-            rest, ok = chosen, True
-            while rest:
-                j = (rest & -rest).bit_length() - 1
-                rest &= rest - 1
-                if downsets[j] & ~chosen:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            row = (
-                tuple((chosen >> j) & 1 for j in range(width))
-                + (1,)
-                + (0,) * (n - i - 1)
-            )
-            rows.append(row)
-            downsets.append(chosen | (1 << i))
-            extend(i + 1)
-            rows.pop()
-            downsets.pop()
+        for s in ideals:
+            below.append(s)
+            extend(rows + (table[i][s],), below)
+            below.pop()
 
-    extend(0)
+    extend((), [])
     return tuple(results)
+
+
+def _strict_downsets(a: PosetMatrix) -> list:
+    """Bitmask of the elements strictly below each element, all 0-based."""
+    below = [0] * a.n
+    for i, row in enumerate(a.rows):
+        for j in range(i):
+            if row[j]:
+                below[i] |= 1 << j
+    return below
 
 
 def linear_extensions(a: PosetMatrix):
     """Yield all linear extensions as tuples of 1-based elements."""
     n = a.n
-    below = [0] * n  # strict down-set bitmask per element
-    for i in range(n):
-        for j in range(i):
-            if a.rows[i][j]:
-                below[i] |= 1 << j
+    below = _strict_downsets(a)
 
     order = []
 
@@ -104,44 +111,69 @@ def relabel(a: PosetMatrix, order) -> PosetMatrix:
 
 
 def canonical_form(a: PosetMatrix) -> PosetMatrix:
-    """Lexicographically least member of a's permutation-equivalence class."""
+    """Lexicographically least member of a's permutation-equivalence class.
+
+    The members are the relabellings along the linear extensions of a, which
+    a DFS places one element per position.  The row at position p is kept as
+    an int code of the relabelled row, column 1 the most significant bit, so
+    codes at one position compare as rows do; each unplaced element's code
+    gains one bit as each element is placed.  Two prunings keep the search
+    exact:
+
+    1. Only candidates of minimum code branch.  All completions below a node
+       share its prefix, and any candidate can come next, so the least of
+       them has at position p the smallest code among the candidates.  A
+       node whose prefix, with that code, exceeds the best leaf found so far
+       is cut.
+    2. Interchangeable candidates branch once.  Candidates x and y with the
+       same code and the same up-set among the unplaced elements are both
+       minimal there, so neither is below the other, and no placed element
+       is above an unplaced one.  Swapping x and y is then an automorphism
+       of everything still to be placed that keeps every relation to the
+       prefix, so the two subtrees give the same rows.
+    """
     n = a.n
-    below = [0] * n
-    for i in range(n):
-        for j in range(i):
-            if a.rows[i][j]:
-                below[i] |= 1 << j
+    below = _strict_downsets(a)
+    above = [0] * n  # strict up-set bitmask per element
+    for y in range(n):
+        for x in range(y):
+            if (below[y] >> x) & 1:
+                above[x] |= 1 << y
 
-    best = None  # list of row tuples of the best complete relabelling so far
-    order = []
+    best = []  # row codes of the least relabelling found so far
+    prefix = []
 
-    def row_for(x):
-        p = len(order)
-        return tuple(a.rows[x][y] for y in order) + (1,) + (0,) * (n - p - 1)
-
-    def rec(used, prefix):
+    def rec(free, codes):  # free: bitmask of the unplaced; codes: their row codes
         nonlocal best
-        p = len(order)
-        if p == n:
-            if best is None or prefix < best:
-                best = list(prefix)
-            return
-        candidates = sorted(
-            (x for x in range(n) if not (used >> x) & 1 and not (below[x] & ~used)),
-            key=row_for,
-        )
-        for x in candidates:
-            row = row_for(x)
-            if best is not None:
-                nxt = prefix + [row]
-                if nxt > best[: p + 1]:
-                    break  # candidates ascend, nothing better follows
-            order.append(x)
-            rec(used | (1 << x), prefix + [row])
-            order.pop()
+        cands = [x for x in codes if not below[x] & free]
+        low = min([codes[x] for x in cands])
+        prefix.append(low)
+        if not best or prefix <= best[: len(prefix)]:
+            if len(codes) == 1:
+                best = prefix[:]
+            else:
+                branched = set()  # up-sets among the unplaced already branched on
+                for x in cands:
+                    up = above[x] & free
+                    if codes[x] == low and up not in branched:
+                        branched.add(up)
+                        rec(
+                            free & ~(1 << x),
+                            {
+                                y: (c << 1) | ((below[y] >> x) & 1)
+                                for y, c in codes.items()
+                                if y != x
+                            },
+                        )
+        prefix.pop()
 
-    rec(0, [])
-    return PosetMatrix._wrap(tuple(best))
+    if n:  # validate accepts an empty grid as order 0
+        rec((1 << n) - 1, dict.fromkeys(range(n), 0))
+    rows = tuple(
+        tuple((code >> (p - 1 - q)) & 1 for q in range(p)) + (1,) + (0,) * (n - 1 - p)
+        for p, code in enumerate(best)
+    )
+    return PosetMatrix._wrap(rows)
 
 
 @dataclass(frozen=True)

@@ -249,9 +249,16 @@ def _collapse(c: PosetMatrix, i: int, m: int) -> PosetMatrix:
 
 
 def factor(c: PosetMatrix, kind) -> tuple:
-    """All ways of writing c as an insertion under kind with both factors
-    of order at least 2.  Complete by exhaustive search over the block
-    position and size; every emitted factorization recomposes exactly."""
+    """Ways of writing c as an insertion under kind with both factors of
+    order at least 2; every emitted factorization recomposes exactly.
+
+    Every block position and size is tried, with one candidate host each.
+    Under the four mask kinds the host is determined by c, so the search is
+    complete.  Under a boxed kind it is not: the constant fills overwrite
+    A's row prefix and column suffix at i, so hosts that differ there give
+    the same composite, and only the host whose row i prefix and column i
+    suffix hold the fill constants is returned.
+    """
     out = []
     big = c.n
     for m in range(2, big):  # factor orders n = big-m+1 and m are both >= 2

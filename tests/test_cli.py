@@ -246,6 +246,38 @@ class TestCommands:
             {"n": 2, "rows": ["10", "11"]},
         ]
 
+    def test_enumerate_prints_only_its_header(self, capsys):
+        assert run(["enumerate", "--n", "5"]) == 0
+        assert capsys.readouterr().out == "order 5: 357 matrices (all)\n"
+
+    def test_enumerate_bodies_at_order_three(self, files, capsys):
+        listings = {
+            (): (
+                "order 3: 7 matrices (all)\n",
+                "100;010;001 100;010;011 100;010;101 100;010;111 "
+                "100;110;001 100;110;101 100;110;111",
+            ),
+            ("--classes",): (
+                "order 3: 5 classes (3 connected, 2 disconnected)\n",
+                "100;010;001 100;010;011 100;010;111 100;110;101 100;110;111",
+            ),
+        }
+        for extra, (header, listing) in listings.items():
+            listing = listing.split()
+            bodies = {
+                "pm": "".join("3\n" + m.replace(";", "\n") + "\n" for m in listing),
+                "json": json.dumps([{"n": 3, "rows": m.split(";")} for m in listing])
+                + "\n",
+            }
+            for fmt, body in bodies.items():
+                argv = ["enumerate", "--n", "3", *extra, "--format", fmt]
+                assert run(argv + ["--print"]) == 0
+                assert capsys.readouterr().out == header + body
+                target = files["dir"] / f"out.{fmt}"
+                assert run(argv + ["-o", str(target)]) == 0
+                assert capsys.readouterr().out == header
+                assert target.read_text() == body
+
     def test_pascal(self, capsys):
         assert run(["pascal", "--n", "4"]) == 0
         assert parse_matrix_text(capsys.readouterr().out) == pm("1000;1100;1010;1111")

@@ -11,7 +11,7 @@ from posetmat import (
     submatrix,
     validate,
 )
-from posetmat.core import closure_of_covers, index_set
+from posetmat.core import closure_of_covers, index_set, is_poset_matrix
 from posetmat.enumeration import generate_all
 from posetmat.errors import (
     IndexOutOfRange,
@@ -63,6 +63,11 @@ class TestValidate:
     def test_non_square_rejected(self):
         with pytest.raises(ValueError):
             PosetMatrix([[1, 0], [1, 1], [1, 1]])
+
+    def test_is_poset_matrix_answers_false_for_any_non_matrix(self):
+        for bad in (None, 5, "abc", [[1], [1, 1]], [[2]], [[float("inf")]]):
+            assert is_poset_matrix(bad) is False, bad
+        assert is_poset_matrix([[1, 0], [1, 1]]) is True
 
 
 class TestBlockDecompose:

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from posetmat import canonical_form, classes, generate_all, validate
 from posetmat.compose import compose
-from posetmat.core import BinaryMatrix, PosetMatrix
+from posetmat.core import BinaryMatrix, PosetMatrix, closure_of_covers
 from posetmat.enumeration import linear_extensions, relabel
 from posetmat.errors import ResourceLimit
 
@@ -16,10 +16,19 @@ from helpers import (
     CONNECTED_4,
     DISCONNECTED_3,
     DISCONNECTED_4,
+    antichain,
     chain,
     conjugate,
     pm,
 )
+
+# Published counts, indexed by order n:
+#   A006455  naturally labelled posets on n points (= poset matrices of
+#            order n): https://oeis.org/A006455
+#   A000112  posets on n unlabelled points (= permutation-equivalence
+#            classes): https://oeis.org/A000112
+#   A000608  connected posets on n unlabelled points:
+#            https://oeis.org/A000608
 
 
 def brute_force_all(n):
@@ -47,8 +56,12 @@ class TestGenerateAll:
         assert [len(generate_all(n)) for n in range(1, 6)] == [1, 2, 7, 40, 357]
 
     def test_matches_brute_force_oracle(self):
-        for n in (1, 2, 3, 4):
+        for n in (1, 2, 3, 4, 5):
             assert list(generate_all(n)) == brute_force_all(n)
+
+    def test_published_counts_a006455(self):
+        assert len(generate_all(6)) == 4824
+        assert len(generate_all(7)) == 96428
 
     def test_output_is_lex_sorted(self):
         for n in (3, 4, 5):
@@ -79,9 +92,14 @@ class TestCanonicalForm:
         return PosetMatrix(best)
 
     def test_matches_permutation_oracle(self):
-        for n in (1, 2, 3, 4):
+        for n in (1, 2, 3, 4, 5):
             for a in generate_all(n):
                 assert canonical_form(a) == self.brute_canonical(a)
+
+    def test_matches_linear_extension_definition_order_six(self):
+        for a in generate_all(6):
+            least = min(relabel(a, order).rows for order in linear_extensions(a))
+            assert canonical_form(a).rows == least
 
     def test_idempotent(self):
         for n in (1, 2, 3, 4):
@@ -123,6 +141,37 @@ class TestCanonicalForm:
                 assert canonical_form(relabel(a, order)) == canon
 
 
+# Posets with several candidates of one row code, where the search must
+# branch on exactly the interchangeable ones: a labelling of each and its
+# canonical form, worked out by hand.
+HARD_CASES = {
+    "antichain6": (antichain(6), antichain(6)),
+    "two_3_chains": (
+        closure_of_covers(6, [(1, 3), (3, 5), (2, 4), (4, 6)]),
+        pm("100000;010000;011000;011100;100010;100011"),
+    ),
+    # Minimal 1, 2, 3; maximal 4, 5, 6, each above all minimal ones but one.
+    "crown3": (
+        closure_of_covers(6, [(2, 4), (3, 4), (1, 5), (3, 5), (1, 6), (2, 6)]),
+        pm("100000;010000;001000;011100;101010;110001"),
+    ),
+    "chain3_plus_antichain3": (
+        closure_of_covers(6, [(1, 2), (2, 4)]),
+        pm("100000;010000;001000;000100;000110;000111"),
+    ),
+    "vee": (pm("100;110;101"), pm("100;110;101")),
+    "wedge": (pm("100;010;111"), pm("100;010;111")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HARD_CASES))
+def test_canonical_form_hard_cases(name):
+    a, expected = HARD_CASES[name]
+    assert expected.rows == min(relabel(a, o).rows for o in linear_extensions(a))
+    for order in linear_extensions(a):
+        assert canonical_form(relabel(a, order)) == expected
+
+
 class TestClasses:
     def test_order_three_catalog(self):
         cls = classes(3)
@@ -148,6 +197,12 @@ class TestClasses:
 
     def test_order_five_count(self):
         assert len(classes(5)) == 63
+
+    def test_published_counts_a000112_a000608(self):
+        cls = classes(6)
+        assert len(cls) == 318
+        assert sum(1 for c in cls if c.connected) == 238
+        assert sum(c.labeled_count for c in cls) == 4824
 
     def test_filters(self):
         assert len(classes(4, "connected")) == 10

@@ -265,7 +265,7 @@ class TestFactor:
     def test_complete_for_mask_kinds(self):
         # The host is uniquely recoverable under the four mask kinds, so
         # every composition must be rediscovered verbatim.
-        for a in all_upto(3, start=2):
+        for a in all_upto(4, start=2):
             for b in all_upto(3, start=2):
                 for i in range(1, a.n + 1):
                     for kind in ("square", "min", "max", "minmax"):
