@@ -37,7 +37,7 @@ def parse_matrix_text(text: str) -> BinaryMatrix:
         raise ParseError(1, 1, f"order is not an integer: {lines[0].strip()!r}")
     if n < 1:
         raise ParseError(1, 1, f"order must be positive, got {n}")
-    rows = []
+    codes = []
     for r in range(n):
         lineno = r + 2
         if lineno > len(lines) or not lines[lineno - 1].strip():
@@ -50,11 +50,11 @@ def parse_matrix_text(text: str) -> BinaryMatrix:
         for c, ch in enumerate(line):
             if ch not in "01":
                 raise ParseError(lineno, c + 1, f"invalid character {ch!r}")
-        rows.append([int(ch) for ch in line])
+        codes.append(int(line[::-1], 2))
     for lineno in range(n + 2, len(lines) + 1):
         if lines[lineno - 1].strip():
             raise ParseError(lineno, 1, "unexpected extra line")
-    return BinaryMatrix(rows)
+    return BinaryMatrix._of(tuple(codes), n)
 
 
 def _parse_json_matrix(text: str) -> BinaryMatrix:
@@ -69,12 +69,12 @@ def _parse_json_matrix(text: str) -> BinaryMatrix:
         raise ParseError(1, 1, f'"n" must be an integer, got {json.dumps(n)}')
     if not isinstance(rows, list) or len(rows) != n:
         raise ParseError(1, 1, f'"rows" must list exactly n={n} strings')
-    grid = []
+    if n < 1:
+        raise ParseError(1, 1, f"order must be positive, got {n}")
     for r, row in enumerate(rows):
         if not isinstance(row, str) or len(row) != n or set(row) - {"0", "1"}:
             raise ParseError(1, 1, f"row {r + 1} is not an n-character bit string")
-        grid.append([int(ch) for ch in row])
-    return BinaryMatrix(grid)
+    return BinaryMatrix._of(tuple(int(row[::-1], 2) for row in rows), n)
 
 
 def parse_matrix_file(path) -> BinaryMatrix:

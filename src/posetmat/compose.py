@@ -4,14 +4,11 @@ All of them replace the diagonal entry at position i of an order-n matrix A
 with an order-m matrix B, producing an order n+m-1 matrix; they differ only
 in how the m x (i-1) block U left of B and the (n-i) x m block V below B are
 filled.  _RULES is the definition: it maps each kind to its U-fill, its
-V-fill and its precondition on A, and compose reads nothing else.
-
-  U-fill    ROW        m stacked copies of A's row prefix at i
-            ROW_AT_MAX that prefix in the rows of B's maximal elements, 0 elsewhere
-            0 or 1     the constant
-  V-fill    COL        m side-by-side copies of A's column suffix at i
-            COL_AT_MIN that suffix in the columns of B's minimal elements, 0 elsewhere
-            0 or 1     the constant
+V-fill and its precondition on A, and compose reads nothing else.  U is
+A's row prefix at i in every row of B (ROW), only in the rows of B's
+maximal elements (ROW_AT_MAX), or a constant; V is A's column suffix at i
+in every column of B (COL), only in those of B's minimal elements
+(COL_AT_MIN), or a constant.
 
   square    (ROW, COL), an operad.
   min       (ROW, COL_AT_MIN), an operad.
@@ -28,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import BinaryMatrix, PosetMatrix, maximal_elements, minimal_elements
+from .core import BinaryMatrix, PosetMatrix, _maximal_mask, _minimal_mask
 from .errors import DimensionMismatch, IndexOutOfRange, PreconditionViolated
 
 SQUARE = "square"
@@ -75,6 +72,17 @@ COL = "col"
 COL_AT_MIN = "col@min"
 
 # kind -> (U-fill, V-fill, constant a21 required of A's lower-left block or None)
+# compose builds the composite from int row codes (bit j is column j+1; see
+# core).  With a_s A's row s, b_q B's row q, k = i-1, low = 2^k - 1 and
+# full = 2^m - 1: rows above i are A's, unchanged; B's row q becomes
+# U_q | b_q << k; A's row s > i becomes (a_s & low) | V_s << k | (a_s >> i) << (k+m).
+#
+#   U_q   ROW         a_i & low
+#         ROW_AT_MAX  a_i & low if bit q of B's maximal mask, else 0
+#         0 or 1      0 or low
+#   V_s   COL         full if bit k of a_s, else 0
+#         COL_AT_MIN  B's minimal mask if bit k of a_s, else 0
+#         0 or 1      0 or full
 _RULES = {
     SQUARE: (ROW, COL, None),
     MIN: (ROW, COL_AT_MIN, None),
@@ -106,81 +114,82 @@ def _rule(kind):
         raise ValueError(f"unknown composition kind {kind!r}") from None
 
 
-def _check_position(a: PosetMatrix, i: int) -> None:
-    if not 1 <= i <= a.n:
-        raise IndexOutOfRange(f"position {i} outside [1,{a.n}]")
-
-
 def insert(a: PosetMatrix, i: int, b: PosetMatrix, u: BinaryMatrix, v: BinaryMatrix) -> BinaryMatrix:
     """Raw block assembly; performs no validity check on the result."""
     n, m = a.n, b.n
-    _check_position(a, i)
+    if not 1 <= i <= n:
+        raise IndexOutOfRange(f"position {i} outside [1,{n}]")
     if u.height != m or u.width != i - 1:
         raise DimensionMismatch(f"U is {u.height}x{u.width}, expected {m}x{i - 1}")
     if v.height != n - i or (v.height and v.width != m):
         raise DimensionMismatch(f"V is {v.height}x{v.width}, expected {n - i}x{m}")
-    return BinaryMatrix(_assemble(a, i, b, u.rows, v.rows))
+    ac, k = a.codes, i - 1
+    mid = tuple(u_q | b_q << k for u_q, b_q in zip(u.codes, b.codes))
+    low = (1 << k) - 1
+    bottom = tuple((x & low) | v_s << k | (x >> i) << (k + m) for x, v_s in zip(ac[i:], v.codes))
+    return BinaryMatrix._of(ac[:k] + mid + bottom, n + m - 1)
 
 
-def _assemble(a: PosetMatrix, i: int, b: PosetMatrix, u_rows, v_rows):
-    ar, n, m = a.rows, a.n, b.n
-    mid_zero = (0,) * m
-    tail_zero = (0,) * (n - i)
-    out = [ar[p][: i - 1] + mid_zero + ar[p][i:] for p in range(i - 1)]
-    out += [u_rows[q] + b.rows[q] + tail_zero for q in range(m)]
-    out += [ar[s][: i - 1] + v_rows[s - i] + ar[s][i:] for s in range(i, n)]
-    return tuple(out)
-
-
-def _check_lower_left(a: PosetMatrix, i: int, a21: int) -> None:
+def _check_lower_left(ac, i: int, a21: int) -> None:
     """A's lower-left block at i must be constantly a21.
 
     The precondition is a condition on A, not a rewrite of it: a mismatched
     block is an error, never silently overwritten.  Empty blocks (i = 1 or
-    i = n) satisfy either fill.
+    i = n) satisfy either fill.  Each row takes one masked compare.
     """
-    for s in range(i, a.n):
-        for q in range(i - 1):
-            if a.rows[s][q] != a21:
-                raise PreconditionViolated(
-                    f"lower-left block of A at position {i} has entry "
-                    f"{a.rows[s][q]} at ({s + 1},{q + 1}), expected constant {a21}"
-                )
-
-
-def _u_rows(fill, a: PosetMatrix, i: int, b: PosetMatrix) -> tuple:
-    """The m x (i-1) block U left of B under a U-fill, as m rows."""
-    if fill == ROW:
-        return (a.rows[i - 1][: i - 1],) * b.n
-    if fill == ROW_AT_MAX:
-        row, zero, maxs = a.rows[i - 1][: i - 1], (0,) * (i - 1), maximal_elements(b)
-        return tuple(row if j in maxs else zero for j in range(1, b.n + 1))
-    return ((fill,) * (i - 1),) * b.n
-
-
-def _v_rows(fill, a: PosetMatrix, i: int, b: PosetMatrix) -> tuple:
-    """The (n-i) x m block V below B under a V-fill, as n-i rows."""
-    m = b.n
-    col = tuple(a.rows[s][i - 1] for s in range(i, a.n))
-    if fill == COL:
-        return tuple((x,) * m for x in col)
-    if fill == COL_AT_MIN:
-        mins = minimal_elements(b)
-        at_min, zero = tuple(1 if j in mins else 0 for j in range(1, m + 1)), (0,) * m
-        return tuple(at_min if x else zero for x in col)
-    return ((fill,) * m,) * len(col)
+    low = (1 << (i - 1)) - 1
+    want = low if a21 else 0
+    for s in range(i, len(ac)):
+        diff = (ac[s] & low) ^ want
+        if diff:
+            q = (diff & -diff).bit_length() - 1
+            raise PreconditionViolated(
+                f"lower-left block of A at position {i} has entry "
+                f"{(ac[s] >> q) & 1} at ({s + 1},{q + 1}), expected constant {a21}"
+            )
 
 
 def min_mask(a: PosetMatrix, i: int, b: PosetMatrix) -> BinaryMatrix:
-    """(n-i) x m mask whose column j copies A's column suffix at B's minimal j."""
-    _check_position(a, i)
-    return BinaryMatrix(_v_rows(COL_AT_MIN, a, i, b))
+    """(n-i) x m mask whose column j copies A's column suffix at B's minimal j:
+    the V block of compose(MIN, a, i, b)."""
+    c, m = _compose(_RULES[MIN], a.codes, i, b.codes), b.n
+    return BinaryMatrix._of(tuple((x >> (i - 1)) & ((1 << m) - 1) for x in c[i - 1 + m :]), m)
 
 
 def max_mask(a: PosetMatrix, i: int, b: PosetMatrix) -> BinaryMatrix:
-    """m x (i-1) mask whose row j copies A's row prefix at B's maximal j."""
-    _check_position(a, i)
-    return BinaryMatrix(_u_rows(ROW_AT_MAX, a, i, b))
+    """m x (i-1) mask whose row j copies A's row prefix at B's maximal j:
+    the U block of compose(MAX, a, i, b)."""
+    c = _compose(_RULES[MAX], a.codes, i, b.codes)
+    return BinaryMatrix._of(tuple(x & ((1 << (i - 1)) - 1) for x in c[i - 1 : i - 1 + b.n]), i - 1)
+
+
+def _compose(rule, ac, i: int, bc) -> tuple:
+    """Row codes of A o_i B from those of A and B under rule = _RULES[kind],
+    by the shift and mask formulas beside _RULES.  B's extremal masks are
+    read only by the fills that need them."""
+    u_fill, v_fill, a21 = rule
+    if not 1 <= i <= len(ac):
+        raise IndexOutOfRange(f"position {i} outside [1,{len(ac)}]")
+    if a21 is not None:
+        _check_lower_left(ac, i, a21)
+    k = i - 1
+    low = (1 << k) - 1
+    if u_fill == ROW_AT_MAX:
+        u, maxs = ac[k] & low, _maximal_mask(bc)
+        mid = [(u if (maxs >> q) & 1 else 0) | b_q << k for q, b_q in enumerate(bc)]
+    else:
+        u = ac[k] & low if u_fill == ROW else low if u_fill else 0
+        mid = [u | b_q << k for b_q in bc]
+    # V_s is `on` where A's entry (s, i) is 1, else `off`: 0, or `on` for a constant
+    full = (1 << len(bc)) - 1
+    on = (_minimal_mask(bc) if v_fill == COL_AT_MIN else full if v_fill else 0) << k
+    off = on if v_fill in (0, 1) else 0
+    shift = k + len(bc)
+    return (
+        ac[:k]
+        + tuple(mid)
+        + tuple([(x & low) | (on if (x >> k) & 1 else off) | (x >> i) << shift for x in ac[i:]])
+    )
 
 
 def compose(kind, a: PosetMatrix, i: int, b: PosetMatrix) -> PosetMatrix:
@@ -191,16 +200,12 @@ def compose(kind, a: PosetMatrix, i: int, b: PosetMatrix) -> PosetMatrix:
     unknown kind raises ValueError, then a position outside [1, n]
     IndexOutOfRange, then a failed precondition PreconditionViolated.
     """
-    u_fill, v_fill, a21 = _rule(kind)
-    _check_position(a, i)
-    if a21 is not None:
-        _check_lower_left(a, i, a21)
-    u_rows = _u_rows(u_fill, a, i, b)
-    return PosetMatrix._wrap(_assemble(a, i, b, u_rows, _v_rows(v_fill, a, i, b)))
+    return PosetMatrix._wrap(_compose(_rule(kind), a.codes, i, b.codes))
 
 
 def host_fills(kind, c: PosetMatrix, i: int, b: PosetMatrix) -> tuple:
-    """A's row prefix and column suffix at i, as c = compose(kind, A, i, B) shows them.
+    """A's row prefix and column suffix at i, as c = compose(kind, A, i, B) shows them:
+    the prefix as a row code, the suffix with bit t for A's row i+1+t.
 
     A copied fill puts the whole prefix in the row of every maximal element
     of B and the whole suffix in the column of every minimal one, so both
@@ -208,13 +213,16 @@ def host_fills(kind, c: PosetMatrix, i: int, b: PosetMatrix) -> tuple:
     hides them; the constant is returned in their place.
     """
     u_fill, v_fill, _ = _rule(kind)
-    m = b.n
+    cc, m, k = c.codes, b.n, i - 1
+    low = (1 << k) - 1
     if u_fill in (0, 1):
-        prefix = (u_fill,) * (i - 1)
+        prefix = low if u_fill else 0
     else:
-        prefix = c.rows[i + maximal_elements(b)[0] - 2][: i - 1]
+        maxs = _maximal_mask(b.codes)
+        prefix = cc[k + (maxs & -maxs).bit_length() - 1] & low
+    below = cc[k + m :]
     if v_fill in (0, 1):
-        suffix = (v_fill,) * (c.n - m - i + 1)
+        suffix = (1 << len(below)) - 1 if v_fill else 0
     else:
-        suffix = tuple(c.rows[s][i - 1] for s in range(i + m - 1, c.n))
+        suffix = sum(((x >> k) & 1) << t for t, x in enumerate(below))
     return prefix, suffix

@@ -6,6 +6,11 @@ labelling (x below y implies label(x) <= label(y)) forces the matrix to be
 lower triangular with a unit diagonal; transitivity of the order becomes
 transitivity of the entries.
 
+A matrix is a tuple of int row codes and a width: bit j of codes[r] is
+entry (r+1, j+1), for BinaryMatrix and its validated subtype PosetMatrix
+alike.  `.rows` is a tuple-of-tuples view built from the codes when read.
+Minimal and maximal elements are bit masks, computed when first needed.
+
 Everything here is an immutable value; all operations are pure functions.
 Indices on the public surface are 1-based.
 """
@@ -13,6 +18,7 @@ Indices on the public surface are 1-based.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import (
     IndexOutOfRange,
@@ -23,14 +29,19 @@ from .errors import (
 )
 
 
-class BinaryMatrix:
-    """Immutable rectangular grid of 0/1 entries."""
+@lru_cache(maxsize=None)
+def _bit_strings(width: int) -> tuple:
+    """The '0'/'1' string, column 1 first, of every row code of a width up to 10."""
+    return tuple(format(x, f"0{width}b")[::-1] if width else "" for x in range(1 << width))
 
-    __slots__ = ("rows", "height", "width")
+
+class BinaryMatrix:
+    """Immutable rectangular grid of 0/1 entries, stored as int row codes."""
+
+    __slots__ = ("codes", "width")
 
     def __init__(self, rows):
         rows = tuple(tuple(int(x) for x in r) for r in rows)
-        height = len(rows)
         width = len(rows[0]) if rows else 0
         for r in rows:
             if len(r) != width:
@@ -38,156 +49,136 @@ class BinaryMatrix:
             for x in r:
                 if x not in (0, 1):
                     raise ValueError(f"entry {x!r} is not a bit")
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "height", height)
-        object.__setattr__(self, "width", width)
+        _set_codes(self, tuple(sum(x << j for j, x in enumerate(r)) for r in rows))
+        _set_width(self, width)
 
     def __setattr__(self, name, value):
         raise AttributeError("immutable")
 
+    @classmethod
+    def _of(cls, codes: tuple, width: int):
+        # Fast path for codes known to fit the width (and any invariants of cls).
+        m = _new(cls)
+        _set_codes(m, codes)
+        _set_width(m, width)
+        return m
+
+    @property
+    def height(self) -> int:
+        return len(self.codes)
+
     @property
     def n(self) -> int:
         """Order of a square matrix."""
-        if self.height != self.width:
+        if len(self.codes) != self.width:
             raise ValueError(f"matrix is {self.height}x{self.width}, not square")
-        return self.height
+        return self.width
+
+    @property
+    def rows(self) -> tuple:
+        """The entries as a tuple of row tuples, built from the codes."""
+        w = self.width
+        return tuple(tuple((x >> j) & 1 for j in range(w)) for x in self.codes)
 
     def entry(self, i: int, j: int) -> int:
         """1-based entry access."""
         if not (1 <= i <= self.height and 1 <= j <= self.width):
             raise IndexOutOfRange(f"entry ({i},{j}) of a {self.height}x{self.width} matrix")
-        return self.rows[i - 1][j - 1]
+        return (self.codes[i - 1] >> (j - 1)) & 1
 
     @classmethod
     def zeros(cls, height: int, width: int) -> "BinaryMatrix":
-        return cls.__new_unchecked(tuple(((0,) * width,) * height))
-
-    @classmethod
-    def ones(cls, height: int, width: int) -> "BinaryMatrix":
-        return cls.__new_unchecked(tuple(((1,) * width,) * height))
-
-    @classmethod
-    def __new_unchecked(cls, rows):
-        m = object.__new__(cls)
-        object.__setattr__(m, "rows", rows)
-        object.__setattr__(m, "height", len(rows))
-        object.__setattr__(m, "width", len(rows[0]) if rows else 0)
-        return m
+        return BinaryMatrix._of((0,) * height, width)
 
     @classmethod
     def from_bits(cls, rows) -> "BinaryMatrix":
         """Build from "100;110;111" or an iterable of '0'/'1' strings."""
         if isinstance(rows, str):
             rows = rows.replace("\n", ";").split(";")
-        return cls([[int(c) for c in str(r).strip()] for r in rows if str(r).strip()])
+        return BinaryMatrix([[int(c) for c in str(r).strip()] for r in rows if str(r).strip()])
 
     def bit_rows(self) -> tuple:
         """Rows as '0'/'1' strings."""
-        return tuple("".join(str(x) for x in r) for r in self.rows)
+        w = self.width
+        if w <= 10:
+            return tuple(map(_bit_strings(w).__getitem__, self.codes))
+        return tuple([format(x, f"0{w}b")[::-1] for x in self.codes])
 
-    def __eq__(self, other):
-        return isinstance(other, (BinaryMatrix, PosetMatrix)) and self.rows == other.rows
+    def __eq__(self, other):  # same codes and same shape, whatever the type
+        return isinstance(other, BinaryMatrix) and self.codes == other.codes and (
+            self.width == other.width
+        )
 
     def __hash__(self):
-        return hash(self.rows)
+        return hash((self.codes, self.width))
 
     def __repr__(self):
         return f"{type(self).__name__}({';'.join(self.bit_rows())!r})"
 
 
-class PosetMatrix:
+_new = object.__new__
+_set_codes = BinaryMatrix.__dict__["codes"].__set__
+_set_width = BinaryMatrix.__dict__["width"].__set__
+
+
+class PosetMatrix(BinaryMatrix):
     """Validated n x n binary unit lower-triangular transitive matrix."""
 
-    __slots__ = ("rows", "n")
+    __slots__ = ()
 
     def __init__(self, rows):
-        rows = tuple(tuple(int(x) for x in r) for r in rows)
-        n = len(rows)
-        for r in rows:
-            if len(r) != n:
-                raise ValueError("matrix is not square")
-        _check_poset(rows)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "n", n)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("immutable")
+        m = validate(BinaryMatrix(rows))
+        _set_codes(self, m.codes)
+        _set_width(self, m.width)
 
     @classmethod
-    def _wrap(cls, rows) -> "PosetMatrix":
+    def _wrap(cls, codes: tuple) -> "PosetMatrix":
         # Fast path for constructions proven to preserve the invariants.
-        m = object.__new__(cls)
-        object.__setattr__(m, "rows", rows)
-        object.__setattr__(m, "n", len(rows))
-        return m
+        return cls._of(codes, len(codes))
 
     @classmethod
     def from_bits(cls, rows) -> "PosetMatrix":
         return validate(BinaryMatrix.from_bits(rows))
 
     @property
-    def height(self) -> int:
-        return self.n
-
-    @property
-    def width(self) -> int:
-        return self.n
-
-    def entry(self, i: int, j: int) -> int:
-        if not (1 <= i <= self.n and 1 <= j <= self.n):
-            raise IndexOutOfRange(f"entry ({i},{j}) of an order-{self.n} matrix")
-        return self.rows[i - 1][j - 1]
-
-    def bit_rows(self) -> tuple:
-        return tuple("".join(str(x) for x in r) for r in self.rows)
-
-    def binary(self) -> BinaryMatrix:
-        return BinaryMatrix(self.rows)
-
-    def __eq__(self, other):
-        return isinstance(other, (BinaryMatrix, PosetMatrix)) and self.rows == other.rows
-
-    def __hash__(self):
-        return hash(self.rows)
-
-    def __repr__(self):
-        return f"PosetMatrix({';'.join(self.bit_rows())!r})"
+    def n(self) -> int:
+        return self.width
 
 
-UNIT = PosetMatrix._wrap(((1,),))
+UNIT = PosetMatrix._wrap((1,))
 
 
-def _check_poset(rows) -> None:
+def _check_poset(codes) -> None:
     """Raise the first violation in row-major scan order."""
-    n = len(rows)
-    for i in range(n):
-        if rows[i][i] != 1:
+    if not codes:
+        raise ValidationError("order must be positive")
+    for i, x in enumerate(codes):
+        if not (x >> i) & 1:
             raise NotReflexive(i + 1)
-        for j in range(i + 1, n):
-            if rows[i][j]:
-                raise NotLowerTriangular(i + 1, j + 1)
-    # Transitivity via row bitmasks: j's down-set must sit inside i's whenever a[i,j]=1.
-    bits = []
-    for i in range(n):
-        b = 0
-        for j in range(i + 1):
-            if rows[i][j]:
-                b |= 1 << j
-        bits.append(b)
-    for i in range(n):
-        for j in range(i):
-            if rows[i][j]:
-                missing = bits[j] & ~bits[i]
-                if missing:
-                    # lowest set bit = first k in ascending scan
-                    k = (missing & -missing).bit_length()
-                    raise TransitivityViolation(i + 1, j + 1, k)
+        above = x >> (i + 1)
+        if above:
+            raise NotLowerTriangular(i + 1, i + 1 + (above & -above).bit_length())
+    # Row i is transitive when each row j below i sits inside it.  Rows before i
+    # are, so only the maximal such j need checking: each covers its down-set.
+    for i, x in enumerate(codes):
+        rest = x ^ (1 << i)
+        while rest:
+            j = rest.bit_length() - 1
+            if codes[j] & ~x:  # report the least j, then the least k
+                j = next(j for j in range(i) if (x >> j) & 1 and codes[j] & ~x)
+                missing = codes[j] & ~x
+                raise TransitivityViolation(i + 1, j + 1, (missing & -missing).bit_length())
+            rest &= ~codes[j]
 
 
 def validate(m) -> PosetMatrix:
     """Check the three poset-matrix invariants; raise a ValidationError otherwise."""
-    rows = m.rows if isinstance(m, (BinaryMatrix, PosetMatrix)) else tuple(m)
-    return PosetMatrix(rows)
+    if not isinstance(m, BinaryMatrix):
+        m = BinaryMatrix(m)
+    if len(m.codes) != m.width:
+        raise ValueError("matrix is not square")
+    _check_poset(m.codes)
+    return PosetMatrix._wrap(m.codes)
 
 
 def is_poset_matrix(m) -> bool:
@@ -231,37 +222,40 @@ class BlockView:
 
     def reassemble(self) -> PosetMatrix:
         """Put the blocks back together (inverse of block_decompose)."""
-        i = self.i
         k = self.a11.n
-        top = [self.a11.rows[p] + (0,) * (1 + self.a22.n) for p in range(k)]
-        mid = [self.row + (1,) + (0,) * self.a22.n]
-        bot = [
-            self.a21.rows[r] + (self.col[r],) + self.a22.rows[r]
-            for r in range(self.a22.n)
-        ]
-        return PosetMatrix(top + mid + bot)
+        mid = sum(x << q for q, x in enumerate(self.row)) | 1 << k
+        bot = tuple(
+            x | self.col[r] << k | self.a22.codes[r] << (k + 1)
+            for r, x in enumerate(self.a21.codes)
+        )
+        return validate(BinaryMatrix._of(self.a11.codes + (mid,) + bot, k + 1 + self.a22.n))
 
 
 def block_decompose(a: PosetMatrix, i: int) -> BlockView:
     """Split a around row/column i into the five insertion blocks."""
-    n = a.n
+    codes = a.codes
+    n = len(codes)
     if not 1 <= i <= n:
         raise IndexOutOfRange(f"position {i} outside [1,{n}]")
-    rows = a.rows
-    a11 = PosetMatrix._wrap(tuple(rows[p][: i - 1] for p in range(i - 1)))
-    row = rows[i - 1][: i - 1]
-    col = tuple(rows[s][i - 1] for s in range(i, n))
-    a21 = BinaryMatrix(tuple(rows[s][: i - 1] for s in range(i, n)))
-    a22 = PosetMatrix._wrap(tuple(rows[s][i:] for s in range(i, n)))
-    return BlockView(i=i, a11=a11, row=row, col=col, a21=a21, a22=a22)
+    k = i - 1
+    low = (1 << k) - 1
+    lower = codes[i:]
+    return BlockView(
+        i=i,
+        a11=PosetMatrix._wrap(codes[:k]),
+        row=tuple((codes[k] >> q) & 1 for q in range(k)),
+        col=tuple((x >> k) & 1 for x in lower),
+        a21=BinaryMatrix._of(tuple(x & low for x in lower), k),
+        a22=PosetMatrix._wrap(tuple(x >> i for x in lower)),
+    )
 
 
 def submatrix(a, row_set, col_set) -> BinaryMatrix:
     """Select the given rows and columns (both 1-based, strictly increasing)."""
     rows = index_set(row_set, a.height)
-    cols = index_set(col_set, a.width)
-    grid = tuple(tuple(a.rows[r - 1][c - 1] for c in cols) for r in rows)
-    return BinaryMatrix(grid)
+    cols = [c - 1 for c in index_set(col_set, a.width)]
+    codes = tuple(sum(((a.codes[r - 1] >> c) & 1) << p for p, c in enumerate(cols)) for r in rows)
+    return BinaryMatrix._of(codes, len(cols))
 
 
 def principal_subposet(a: PosetMatrix, alpha) -> PosetMatrix:
@@ -269,36 +263,57 @@ def principal_subposet(a: PosetMatrix, alpha) -> PosetMatrix:
     alpha = index_set(alpha, a.n)
     if not alpha:
         raise IndexOutOfRange("empty index set")
-    grid = tuple(tuple(a.rows[r - 1][c - 1] for c in alpha) for r in alpha)
-    return PosetMatrix._wrap(grid)
+    idx = [x - 1 for x in alpha]
+    x = a.codes
+    return PosetMatrix._wrap(
+        tuple(sum(((x[r] >> c) & 1) << p for p, c in enumerate(idx)) for r in idx)
+    )
+
+
+# Compositions insert the same B many times: memoise its masks (bounded).
+@lru_cache(maxsize=1 << 10)
+def _minimal_mask(codes) -> int:
+    """Bit q set when element q+1 is minimal: its row is the diagonal alone."""
+    return sum(x for q, x in enumerate(codes) if x == 1 << q)
+
+
+@lru_cache(maxsize=1 << 10)
+def _maximal_mask(codes) -> int:
+    """Bit q set when element q+1 is maximal: no other row has bit q."""
+    below = 0
+    for q, x in enumerate(codes):
+        below |= x ^ 1 << q
+    return ((1 << len(codes)) - 1) & ~below
 
 
 def minimal_elements(a: PosetMatrix) -> tuple:
     """Elements whose sub-diagonal row is empty or all zero."""
-    return tuple(
-        i + 1 for i in range(a.n) if not any(a.rows[i][:i])
-    )
+    mins = _minimal_mask(a.codes)
+    return tuple(q + 1 for q in range(a.n) if (mins >> q) & 1)
 
 
 def maximal_elements(a: PosetMatrix) -> tuple:
     """Elements whose sub-diagonal column is empty or all zero."""
-    n = a.n
-    return tuple(
-        j + 1 for j in range(n) if not any(a.rows[s][j] for s in range(j + 1, n))
-    )
+    maxs = _maximal_mask(a.codes)
+    return tuple(q + 1 for q in range(a.n) if (maxs >> q) & 1)
 
 
 def cover_relation(a: PosetMatrix) -> tuple:
     """Transitive reduction: pairs (i, j) with j covering i, sorted."""
-    n = a.n
+    codes = a.codes
     covers = []
-    for j in range(1, n):  # 0-based row of the larger element
-        for i in range(j):
-            if not a.rows[j][i]:
-                continue
-            if any(a.rows[k][i] and a.rows[j][k] for k in range(i + 1, j)):
-                continue
-            covers.append((i + 1, j + 1))
+    for j, x in enumerate(codes):
+        strict = x ^ (1 << j)
+        # i is covered by j when no k strictly between them lies below j
+        inside = 0
+        rest = strict
+        while rest:
+            low = rest & -rest
+            k = low.bit_length() - 1
+            inside |= codes[k] ^ low
+            rest ^= low
+        tops = strict & ~inside
+        covers += [(i + 1, j + 1) for i in range(j) if (tops >> i) & 1]
     return tuple(sorted(covers))
 
 
@@ -315,7 +330,4 @@ def closure_of_covers(n: int, covers) -> PosetMatrix:
             if merged != below[j - 1]:
                 below[j - 1] = merged
                 changed = True
-    rows = tuple(
-        tuple(1 if (below[i] >> j) & 1 else 0 for j in range(n)) for i in range(n)
-    )
-    return PosetMatrix(rows)
+    return validate(BinaryMatrix._of(tuple(below), n))

@@ -16,17 +16,20 @@ from .errors import IndexOutOfRange, OrderMismatch
 from .structure import classify_connectivity
 
 
+def _dual_codes(codes) -> tuple:
+    """Row codes of the flip-transpose: with rows written from column n down, string
+    column t read as a number has bit n-s where a(s, n+1-t) = 1: row t of the dual."""
+    width = f"0{len(codes)}b"
+    return tuple(int("".join(col), 2) for col in zip(*[format(x, width) for x in codes]))
+
+
 def dual(a: PosetMatrix) -> PosetMatrix:
     """Flip-transpose; entry (i,j) becomes a(n+1-j, n+1-i)."""
-    n = a.n
-    rows = tuple(
-        tuple(a.rows[n - 1 - q][n - 1 - p] for q in range(n)) for p in range(n)
-    )
-    return PosetMatrix._wrap(rows)
+    return PosetMatrix._wrap(_dual_codes(a.codes))
 
 
 def is_self_dual(a: PosetMatrix) -> bool:
-    return dual(a).rows == a.rows
+    return _dual_codes(a.codes) == a.codes
 
 
 def dual_index_set(alpha, n: int) -> tuple:
@@ -56,22 +59,22 @@ def semi_equidual(a: PosetMatrix, b: PosetMatrix):
     if a.n != b.n:
         raise OrderMismatch(f"orders {a.n} and {b.n} differ")
     n = a.n
-    diff = {
-        (p, q)
-        for p in range(n)
-        for q in range(n)
-        if a.rows[p][q] != b.rows[p][q]
-    }
-    for size in range(2, n + 1):
-        for combo in combinations(range(1, n + 1), size):
-            inside = set(combo)
-            if any(p + 1 not in inside or q + 1 not in inside for p, q in diff):
-                continue
+    # A witness holds both ends of every differing entry; adding them to the
+    # sets of the others keeps the lexicographic order of the sets of one size.
+    need = 0
+    for p, (x, y) in enumerate(zip(a.codes, b.codes)):
+        if x != y:
+            need |= x ^ y | 1 << p
+    required = tuple(q for q in range(1, n + 1) if (need >> (q - 1)) & 1)
+    others = tuple(q for q in range(1, n + 1) if not (need >> (q - 1)) & 1)
+    for size in range(max(2, len(required)), n + 1):
+        for extra in combinations(others, size - len(required)):
+            combo = tuple(sorted(required + extra))
             block_a = principal_subposet(a, combo)
             if classify_connectivity(block_a).connected:
                 continue
             block_b = principal_subposet(b, combo)
-            if dual(block_a).rows != block_b.rows:
+            if _dual_codes(block_a.codes) != block_b.codes:
                 continue
             return SemiEquidualWitness(alpha=combo, block_a=block_a, block_b=block_b)
     return None

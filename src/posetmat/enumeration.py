@@ -8,8 +8,7 @@ elements are decided in label order, "exclude" before "include", and element
 j may be included only when its strict down-set is already chosen (natural
 labelling puts that set below j).  The down-sets come out in ascending
 lexicographic row order, so the output is in row-major lexicographic order
-with no sorting.  Row tuples come from one table per width, shared by all
-matrices of a call.
+with no sorting.  A new row's code is its down-set plus its diagonal bit.
 
 Two matrices are permutation equivalent (same unlabelled poset) iff one is
 Q^T A Q for a permutation Q keeping the result lower triangular; those Q
@@ -38,48 +37,33 @@ def generate_all(n: int, order_cap: int = DEFAULT_ORDER_CAP) -> tuple:
         raise ValueError("order must be at least 1")
     if n > order_cap:
         raise ResourceLimit(f"order {n} above the cap {order_cap}")
-    # table[i][s]: row i (0-based) whose 1-columns left of the diagonal are
-    # the bitmask s, bit j standing for column j.
-    table = [
-        [
-            tuple((s >> j) & 1 for j in range(i)) + (1,) + (0,) * (n - i - 1)
-            for s in range(1 << i)
-        ]
-        for i in range(n)
-    ]
     wrap = PosetMatrix._wrap
     results = []
 
-    def extend(rows, below):  # below[j]: strict down-set bitmask of row j
-        i = len(rows)
-        ideals = [0]
+    def extend(codes):
+        i = len(codes)
+        top = 1 << i
+        ideals = [0]  # strict down-sets of the new element i
         for j in range(i):
             step = []
             for s in ideals:
                 step.append(s)
-                if not below[j] & ~s:
+                if codes[j] & ~s == 1 << j:  # j's strict down-set is chosen
                     step.append(s | 1 << j)
             ideals = step
         if i == n - 1:
-            results.extend(wrap(rows + (table[i][s],)) for s in ideals)
+            results.extend(wrap(codes + (s | top,)) for s in ideals)
             return
         for s in ideals:
-            below.append(s)
-            extend(rows + (table[i][s],), below)
-            below.pop()
+            extend(codes + (s | top,))
 
-    extend((), [])
+    extend(())
     return tuple(results)
 
 
 def _strict_downsets(a: PosetMatrix) -> list:
     """Bitmask of the elements strictly below each element, all 0-based."""
-    below = [0] * a.n
-    for i, row in enumerate(a.rows):
-        for j in range(i):
-            if row[j]:
-                below[i] |= 1 << j
-    return below
+    return [code & ~(1 << i) for i, code in enumerate(a.codes)]
 
 
 def linear_extensions(a: PosetMatrix):
@@ -105,9 +89,10 @@ def linear_extensions(a: PosetMatrix):
 def relabel(a: PosetMatrix, order) -> PosetMatrix:
     """Relabel by a linear extension listing (element at position p gets label p)."""
     idx = [x - 1 for x in order]
-    n = a.n
-    rows = tuple(tuple(a.rows[idx[p]][idx[q]] for q in range(n)) for p in range(n))
-    return PosetMatrix._wrap(rows)
+    codes = a.codes
+    return PosetMatrix._wrap(
+        tuple(sum(((codes[x] >> y) & 1) << q for q, y in enumerate(idx)) for x in idx)
+    )
 
 
 def canonical_form(a: PosetMatrix) -> PosetMatrix:
@@ -167,13 +152,11 @@ def canonical_form(a: PosetMatrix) -> PosetMatrix:
                         )
         prefix.pop()
 
-    if n:  # validate accepts an empty grid as order 0
-        rec((1 << n) - 1, dict.fromkeys(range(n), 0))
-    rows = tuple(
-        tuple((code >> (p - 1 - q)) & 1 for q in range(p)) + (1,) + (0,) * (n - 1 - p)
-        for p, code in enumerate(best)
+    rec((1 << n) - 1, dict.fromkeys(range(n), 0))
+    # best[p] lists columns 1..p from its most significant bit down
+    return PosetMatrix._wrap(
+        tuple(int("1" + f"{code:0{p}b}"[::-1], 2) if p else 1 for p, code in enumerate(best))
     )
-    return PosetMatrix._wrap(rows)
 
 
 @dataclass(frozen=True)
@@ -200,7 +183,7 @@ def classes(n: int, which: str = "all", order_cap: int = DEFAULT_ORDER_CAP) -> t
         canon = canonical_form(m)
         counts[canon] = counts.get(canon, 0) + 1
     out = []
-    for canon in sorted(counts, key=lambda m: m.rows):
+    for canon in sorted(counts, key=lambda m: m.bit_rows()):
         connected = classify_connectivity(canon).connected
         if which == "connected" and not connected:
             continue

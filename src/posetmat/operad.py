@@ -15,10 +15,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Optional
 
-from .compose import compose, kind_name, parse_kind
+from .compose import _compose, _rule, compose, kind_name, parse_kind
 from .core import PosetMatrix, UNIT
 from .enumeration import generate_all
 from .errors import IndexOutOfRange, PreconditionViolated, RequiresDistinctIndices
@@ -78,45 +77,39 @@ class LawReport:
         return out
 
 
-def _try(kind, a, i, b):
-    """compose, or None when the composition is undefined."""
+def _verdict(left, right, target=None):
+    """(holds, left, right) on row codes: both sides equal target, by default each other."""
+    return left == right == (left if target is None else target), left, right
+
+
+# One function per law evaluates one case from the inner composites; it
+# compares the outer composites as row codes and raises when one is undefined.
+
+
+def _nested(rule, a, b, c, i, j, ab, bc):
+    """(A o_i B) o_{i+j-1} C = A o_i (B o_j C), given ab = A o_i B and bc = B o_j C."""
+    left = _compose(rule, ab.codes, i + j - 1, c.codes)
+    return _verdict(left, _compose(rule, a.codes, i, bc.codes))
+
+
+def _parallel(rule, a, b, c, i, j, ab, ac):
+    """(A o_i B) o_{j+m-1} C = (A o_j C) o_i B for i < j, given ab = A o_i B and ac = A o_j C."""
+    left = _compose(rule, ab.codes, j + len(b.codes) - 1, c.codes)
+    return _verdict(left, _compose(rule, ac.codes, i, b.codes))
+
+
+def _unit(rule, a, i):
+    """[1] o_1 A = A = A o_i [1]."""
+    left = _compose(rule, UNIT.codes, 1, a.codes)
+    return _verdict(left, _compose(rule, a.codes, i, UNIT.codes), a.codes)
+
+
+def _defined(fn, *args):
+    """fn(*args), or None when a composition it makes is undefined."""
     try:
-        return compose(kind, a, i, b)
+        return fn(*args)
     except PreconditionViolated:
         return None
-
-
-@lru_cache(maxsize=1 << 18)
-def _try_cached(kind, a, i, b):
-    return _try(kind, a, i, b)
-
-
-def _verdict(left, right, target=None):
-    """(holds, left, right), holding when both sides equal target (by default
-    each other); None when a side is undefined."""
-    if left is None or right is None:
-        return None
-    target = left if target is None else target
-    return left.rows == right.rows == target.rows, left, right
-
-
-# One function per law evaluates one case.  comp makes the compositions:
-# compose, which raises when one is undefined, or _try, which gives None.
-
-
-def _nested(comp, kind, a, b, c, i, j, ab, bc):
-    """(A o_i B) o_{i+j-1} C = A o_i (B o_j C), given ab = A o_i B and bc = B o_j C."""
-    return _verdict(comp(kind, ab, i + j - 1, c), comp(kind, a, i, bc))
-
-
-def _parallel(comp, kind, a, b, c, i, j, ab, ac):
-    """(A o_i B) o_{j+m-1} C = (A o_j C) o_i B for i < j, given ab = A o_i B and ac = A o_j C."""
-    return _verdict(comp(kind, ab, j + b.n - 1, c), comp(kind, ac, i, b))
-
-
-def _unit(comp, kind, a, i):
-    """[1] o_1 A = A = A o_i [1]."""
-    return _verdict(comp(kind, UNIT, 1, a), comp(kind, a, i, UNIT), a)
 
 
 def check_nested(kind, a, b, c, i, j):
@@ -126,7 +119,8 @@ def check_nested(kind, a, b, c, i, j):
     if not 1 <= j <= b.n:
         raise IndexOutOfRange(f"j={j} outside [1,{b.n}]")
     ab, bc = compose(kind, a, i, b), compose(kind, b, j, c)
-    return _nested(compose, kind, a, b, c, i, j, ab, bc)
+    holds, left, right = _nested(_rule(kind), a, b, c, i, j, ab, bc)
+    return holds, PosetMatrix._wrap(left), PosetMatrix._wrap(right)
 
 
 def check_parallel(kind, a, b, c, i, j):
@@ -136,14 +130,15 @@ def check_parallel(kind, a, b, c, i, j):
     if i >= j:
         raise RequiresDistinctIndices(f"need i < j, got i={i}, j={j}")
     ab, ac = compose(kind, a, i, b), compose(kind, a, j, c)
-    return _parallel(compose, kind, a, b, c, i, j, ab, ac)
+    holds, left, right = _parallel(_rule(kind), a, b, c, i, j, ab, ac)
+    return holds, PosetMatrix._wrap(left), PosetMatrix._wrap(right)
 
 
 def check_unit(kind, a, i) -> bool:
     """True iff [1] o_1 A = A and A o_i [1] = A under kind."""
     if not 1 <= i <= a.n:
         raise IndexOutOfRange(f"i={i} outside [1,{a.n}]")
-    return _unit(compose, kind, a, i)[0]
+    return _unit(_rule(kind), a, i)[0]
 
 
 def _enc(m) -> str:
@@ -168,31 +163,38 @@ class _Tally:
         self.checked += 1
         holds, left, right = case
         if not holds:
-            self.failures.append(Witness(a, b, c, i, j, left, right))
+            wrap = PosetMatrix._wrap
+            self.failures.append(Witness(a, b, c, i, j, wrap(left), wrap(right)))
 
 
-def _scan(kind, law, As, Bs, Cs, n, m, tally) -> None:
-    """Every associativity case with A, B, C drawn from As, Bs, Cs.
+def _scan(kind, law, pools, n, m, k, tally, inner) -> None:
+    """Every associativity case with A, B, C of orders n, m, k.
 
     A o_i B is composed once per (A, i, B); the other inner composite,
-    B o_j C (nested) or A o_j C (parallel), comes from the cache.
+    X o_j C with X = B (nested) or A (parallel), is composed for every C
+    at once, the first time (X, j) comes up, and kept in inner.
     """
     nested = law == NESTED
     evaluate = _nested if nested else _parallel
-    for a in As:
+    rule = _rule(kind)
+    Bs, Cs = pools[m], pools[k]
+    for a in pools[n]:
         for i in range(1, n + 1 if nested else n):
             js = range(1, m + 1) if nested else range(i + 1, n + 1)
             for b in Bs:
-                ab = _try(kind, a, i, b)
+                ab = _defined(compose, kind, a, i, b)
                 if ab is None:
                     tally.skipped += len(js) * len(Cs)
                     continue
                 x = b if nested else a
                 for j in js:
-                    for c in Cs:
-                        inner = _try_cached(kind, x, j, c)
-                        case = None if inner is None else evaluate(
-                            _try, kind, a, b, c, i, j, ab, inner
+                    key = (x.codes, j, k)
+                    row = inner.get(key)
+                    if row is None:
+                        row = inner[key] = [_defined(compose, kind, x, j, c) for c in Cs]
+                    for c, xc in zip(Cs, row):
+                        case = None if xc is None else _defined(
+                            evaluate, rule, a, b, c, i, j, ab, xc
                         )
                         tally.add(a, b, c, i, j, case)
 
@@ -200,22 +202,24 @@ def _scan(kind, law, As, Bs, Cs, n, m, tally) -> None:
 def _exhaustive(kind, law, pools) -> LawReport:
     orders = sorted(pools)
     tally = _Tally()
+    rule = _rule(kind)
     if law == UNIT_LAW:
         for n in orders:
             for a in pools[n]:
                 for i in range(1, n + 1):
-                    tally.add(a, None, None, i, None, _unit(_try, kind, a, i))
+                    tally.add(a, None, None, i, None, _defined(_unit, rule, a, i))
             if tally.failures:
                 break
     else:
         top = orders[-1]
+        inner = {}
         for total in range(3, 3 * top + 1):
             for n in orders:
                 for m in orders:
                     k = total - n - m
                     if k not in pools:
                         continue
-                    _scan(kind, law, pools[n], pools[m], pools[k], n, m, tally)
+                    _scan(kind, law, pools, n, m, k, tally, inner)
             if tally.failures:
                 break
     return _report(kind, law, tally)
@@ -225,11 +229,12 @@ def _random(kind, law, pools, trials, seed) -> LawReport:
     rng = random.Random(seed)
     flat = [m for n in sorted(pools) for m in pools[n]]
     tally = _Tally()
+    rule = _rule(kind)
     for _ in range(trials):
         a = rng.choice(flat)
         if law == UNIT_LAW:
             i = rng.randint(1, a.n)
-            tally.add(a, None, None, i, None, _unit(_try, kind, a, i))
+            tally.add(a, None, None, i, None, _defined(_unit, rule, a, i))
             continue
         b = rng.choice(flat)
         c = rng.choice(flat)
@@ -242,10 +247,10 @@ def _random(kind, law, pools, trials, seed) -> LawReport:
         else:
             i, j = sorted(rng.sample(range(1, a.n + 1), 2))
             evaluate, x = _parallel, a
-        ab, inner = _try(kind, a, i, b), _try(kind, x, j, c)
+        ab, inner = _defined(compose, kind, a, i, b), _defined(compose, kind, x, j, c)
         case = None
         if ab is not None and inner is not None:
-            case = evaluate(_try, kind, a, b, c, i, j, ab, inner)
+            case = _defined(evaluate, rule, a, b, c, i, j, ab, inner)
         tally.add(a, b, c, i, j, case)
     return _report(kind, law, tally)
 
@@ -275,7 +280,6 @@ def verify_laws(kind, max_order, trials=None, seed=0):
         raise ValueError("max_order must be at least 1")
     if trials is not None and trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
-    _try_cached.cache_clear()
     pools = {n: generate_all(n) for n in range(1, max_order + 1)}
     if trials is None:
         return [_exhaustive(kind, law, pools) for law in LAWS]

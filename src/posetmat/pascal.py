@@ -17,10 +17,9 @@ def pascal_matrix(n: int) -> PosetMatrix:
     """Order-n binary Pascal matrix (parity of the binomial triangle)."""
     if n < 1:
         raise ValueError("order must be at least 1")
-    rows = tuple(
-        tuple(1 if (j & i) == j else 0 for j in range(n)) for i in range(n)
+    return PosetMatrix._wrap(
+        tuple(sum(1 << j for j in range(i + 1) if (j & i) == j) for i in range(n))
     )
-    return PosetMatrix._wrap(rows)
 
 
 def pascal_decomposition_check(n: int) -> bool:

@@ -28,12 +28,12 @@ class ConnectivityClass:
 def components(a: PosetMatrix) -> tuple:
     """Connected components of the comparability graph, as sorted index tuples."""
     n = a.n
-    nbr = [0] * n
-    for i in range(n):
-        for j in range(i):
-            if a.rows[i][j]:
-                nbr[i] |= 1 << j
-                nbr[j] |= 1 << i
+    nbr = [x ^ (1 << i) for i, x in enumerate(a.codes)]  # neighbours below
+    for i, x in enumerate(nbr):
+        while x:
+            low = x & -x
+            nbr[low.bit_length() - 1] |= 1 << i  # and above
+            x ^= low
     seen = 0
     comps = []
     for s in range(n):
@@ -65,24 +65,22 @@ def classify_connectivity(a: PosetMatrix) -> ConnectivityClass:
 
 def is_totally_connected(a: PosetMatrix) -> bool:
     """Every entry on or below the diagonal is 1 (the chain matrix)."""
-    return all(all(a.rows[i][: i + 1]) for i in range(a.n))
+    return all(x == (2 << i) - 1 for i, x in enumerate(a.codes))
 
 
 def is_totally_disconnected(a: PosetMatrix) -> bool:
     """Identity matrix (the antichain)."""
-    return not any(any(a.rows[i][:i]) for i in range(a.n))
+    return all(x == 1 << i for i, x in enumerate(a.codes))
 
 
 def equal_columns(d: BinaryMatrix) -> bool:
     """All columns pairwise equal; vacuously true with at most one column."""
-    return all(
-        all(r[c] == r[0] for c in range(1, d.width)) for r in d.rows
-    )
+    return all(x in (0, (1 << d.width) - 1) for x in d.codes)
 
 
 def equal_rows(d: BinaryMatrix) -> bool:
     """All rows pairwise equal; vacuously true with at most one row."""
-    return all(d.rows[r] == d.rows[0] for r in range(1, d.height))
+    return all(x == d.codes[0] for x in d.codes)
 
 
 def _contiguous(alpha) -> bool:
@@ -143,8 +141,7 @@ def case3_literal_condition(a: PosetMatrix, alpha) -> bool:
     strip = submatrix(a, range(k, n + 1), range(1, k))
     if not equal_rows(strip):
         return False
-    first = strip.rows[0]
-    return all(x == first[0] for x in first)
+    return strip.codes[0] in (0, (1 << strip.width) - 1)
 
 
 def case3_literal_discrepancies(matrices, b: PosetMatrix) -> list:
@@ -214,10 +211,7 @@ def decompose_disconnected(c: PosetMatrix):
 
 def direct_sum(g: PosetMatrix, h: PosetMatrix) -> PosetMatrix:
     """Block-diagonal matrix with g before h."""
-    gn, hn = g.n, h.n
-    rows = [g.rows[p] + (0,) * hn for p in range(gn)]
-    rows += [(0,) * gn + h.rows[p] for p in range(hn)]
-    return PosetMatrix._wrap(tuple(rows))
+    return PosetMatrix._wrap(g.codes + tuple(x << g.n for x in h.codes))
 
 
 def component_contiguous_form(c: PosetMatrix) -> PosetMatrix:
@@ -285,16 +279,13 @@ def _factor_candidate(c: PosetMatrix, i: int, m: int, b: PosetMatrix, kind):
     """
     host = _collapse(c, i, m)
     prefix, suffix = host_fills(kind, c, i, b)
-    base = list(host.rows)
-    base[i - 1] = prefix + base[i - 1][i - 1 :]
-    for s, x in enumerate(suffix, start=i):
-        base[s] = base[s][: i - 1] + (x,) + base[s][i:]
-    base = tuple(base)
-    return host if base == host.rows else _validate_or_none(base)
-
-
-def _validate_or_none(rows):
+    hc, k = host.codes, i - 1
+    base = hc[:k] + (prefix | 1 << k,) + tuple(
+        (x & ~(1 << k)) | ((suffix >> t) & 1) << k for t, x in enumerate(hc[i:])
+    )
+    if base == hc:
+        return host
     try:
-        return validate(tuple(rows))
+        return validate(BinaryMatrix._of(base, len(base)))
     except ValidationError:
         return None

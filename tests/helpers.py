@@ -17,13 +17,13 @@ def pm(bits: str) -> PosetMatrix:
 
 
 def chain(n: int) -> PosetMatrix:
-    return PosetMatrix._wrap(
+    return PosetMatrix(
         tuple((1,) * (i + 1) + (0,) * (n - i - 1) for i in range(n))
     )
 
 
 def antichain(n: int) -> PosetMatrix:
-    return PosetMatrix._wrap(
+    return PosetMatrix(
         tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
     )
 

@@ -77,7 +77,7 @@ class TestParsing:
         assert parse_matrix_text('{"n": 2, "rows": ["10", "11"]}') == chain(2)
 
     def test_json_schema_error(self):
-        for text in ('{"n": 2, "rows": ["10"]}', '{"n": true, "rows": ["1"]}'):
+        for text in ('{"n": 2, "rows": ["10"]}', '{"n": true, "rows": ["1"]}', '{"n": 0, "rows": []}'):
             with pytest.raises(ParseError):
                 parse_matrix_text(text)
 
@@ -128,6 +128,14 @@ class TestCommands:
         path = write(tmp_path, "short.pm", "2\n10\n1\n")
         assert run(["check", path]) == 2
         assert "line 3" in capsys.readouterr().err
+
+    def test_order_zero_json_exit_two(self, tmp_path, capsys):
+        path = write(tmp_path, "empty.json", '{"n": 0, "rows": []}')
+        for command in ("check", "dual"):
+            assert run([command, path]) == 2
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err == "parse error: line 1, column 1: order must be positive, got 0\n"
 
     def test_check_json(self, files, capsys):
         assert run(["check", "--json", files["hasse"]]) == 0

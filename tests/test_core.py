@@ -11,6 +11,7 @@ from posetmat import (
     submatrix,
     validate,
 )
+from posetmat.compose import insert
 from posetmat.core import closure_of_covers, index_set, is_poset_matrix
 from posetmat.enumeration import generate_all
 from posetmat.errors import (
@@ -18,6 +19,7 @@ from posetmat.errors import (
     NotLowerTriangular,
     NotReflexive,
     TransitivityViolation,
+    ValidationError,
 )
 
 from helpers import MINMAX_EXAMPLE, chain, pm
@@ -50,6 +52,34 @@ class TestValidate:
             validate(BinaryMatrix.from_bits("11;11"))
         assert (err.value.i, err.value.j) == (1, 2)
 
+    def test_transitivity_matches_three_index_scan_exhaustive(self):
+        # every unit lower-triangular grid of order <= 5, valid or not: validate
+        # reports exactly the first (i, j, k) of the naive row-major scan
+        from itertools import product
+
+        for n in range(1, 6):
+            slots = [(i, j) for i in range(n) for j in range(i)]
+            for bits in product((0, 1), repeat=len(slots)):
+                rows = [[int(p == q) for q in range(n)] for p in range(n)]
+                for (i, j), bit in zip(slots, bits):
+                    rows[i][j] = bit
+                first = next(
+                    (
+                        (i + 1, j + 1, k + 1)
+                        for i in range(n)
+                        for j in range(n)
+                        for k in range(n)
+                        if rows[i][j] and rows[j][k] and not rows[i][k]
+                    ),
+                    None,
+                )
+                if first is None:
+                    assert validate(rows).rows == tuple(map(tuple, rows))
+                else:
+                    with pytest.raises(TransitivityViolation) as err:
+                        validate(rows)
+                    assert (err.value.i, err.value.j, err.value.k) == first
+
     def test_first_violation_in_scan_order(self):
         # Both (2,2) diagonal and (1,3) upper fail; row-major hits (1,3) first.
         with pytest.raises(NotLowerTriangular) as err:
@@ -57,15 +87,28 @@ class TestValidate:
         assert (err.value.i, err.value.j) == (1, 3)
 
     def test_round_trip_for_every_matrix(self):
-        for a in all_upto(4):
-            assert validate(BinaryMatrix(a.rows)) == a
+        for a in all_upto(5):
+            n = a.n
+            rows = a.rows
+            assert rows == tuple(
+                tuple(a.entry(i, j) for j in range(1, n + 1)) for i in range(1, n + 1)
+            )
+            assert a.bit_rows() == tuple("".join(map(str, r)) for r in rows)
+            assert validate(BinaryMatrix(rows)) == a
+
+    def test_order_zero_rejected(self):
+        for empty in ([], BinaryMatrix([]), BinaryMatrix.zeros(0, 0)):
+            with pytest.raises(ValidationError, match="order must be positive"):
+                validate(empty)
+        with pytest.raises(ValidationError):
+            PosetMatrix([])
 
     def test_non_square_rejected(self):
         with pytest.raises(ValueError):
             PosetMatrix([[1, 0], [1, 1], [1, 1]])
 
     def test_is_poset_matrix_answers_false_for_any_non_matrix(self):
-        for bad in (None, 5, "abc", [[1], [1, 1]], [[2]], [[float("inf")]]):
+        for bad in (None, 5, "abc", [[1], [1, 1]], [[2]], [[float("inf")]], []):
             assert is_poset_matrix(bad) is False, bad
         assert is_poset_matrix([[1, 0], [1, 1]]) is True
 
@@ -100,6 +143,45 @@ class TestBlockDecompose:
     def test_position_out_of_range(self):
         with pytest.raises(IndexOutOfRange):
             block_decompose(pm("10;11"), 3)
+
+
+class TestRepresentation:
+    def test_equality_and_hash_depend_on_shape(self):
+        # the same row codes under different shapes are different matrices
+        same_codes = [
+            BinaryMatrix.zeros(2, 1),
+            BinaryMatrix.zeros(2, 3),
+            BinaryMatrix.zeros(0, 1),
+            BinaryMatrix.zeros(0, 3),
+            BinaryMatrix.zeros(3, 0),
+        ]
+        assert len(set(same_codes)) == len(same_codes)
+        assert BinaryMatrix.zeros(2, 3) == BinaryMatrix([[0, 0, 0], [0, 0, 0]])
+        assert hash(BinaryMatrix.zeros(2, 3)) == hash(BinaryMatrix([[0, 0, 0], [0, 0, 0]]))
+
+    def test_empty_blocks_keep_their_shape(self):
+        a = pm("1000;1100;1010;1111")
+        first, last = block_decompose(a, 1), block_decompose(a, 4)
+        assert (first.a21.height, first.a21.width) == (3, 0)
+        assert (last.a21.height, last.a21.width) == (0, 3)
+        assert first.a21 == BinaryMatrix.zeros(3, 0) != last.a21
+        assert last.a21 == BinaryMatrix.zeros(0, 3) != BinaryMatrix.zeros(0, 0)
+        assert first.a11 == last.a22 == PosetMatrix._wrap(())
+        assert first.a11 != BinaryMatrix.zeros(0, 1)
+        b = pm("10;11")
+        at_one = insert(a, 1, b, BinaryMatrix.zeros(2, 0), BinaryMatrix.zeros(3, 2))
+        at_end = insert(a, 4, b, BinaryMatrix.zeros(2, 3), BinaryMatrix.zeros(0, 2))
+        assert (at_one.height, at_one.width) == (at_end.height, at_end.width) == (5, 5)
+        assert at_one.bit_rows() == ("10000", "11000", "00100", "00010", "00111")
+        assert at_end.bit_rows() == ("10000", "11000", "10100", "00010", "00011")
+
+    def test_binary_and_poset_matrices_with_equal_entries_are_equal(self):
+        for a in all_upto(4):
+            grid = BinaryMatrix(a.rows)
+            assert type(grid) is BinaryMatrix and type(a) is PosetMatrix
+            assert grid == a and a == grid
+            assert hash(grid) == hash(a)
+            assert len({grid, a}) == 1
 
 
 class TestSubmatrix:
