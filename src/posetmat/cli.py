@@ -291,10 +291,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = top.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, help):
+    def add(name, fn, help, json=True):
         p = sub.add_parser(name, help=help)
         p.set_defaults(fn=fn)
-        p.add_argument("--json", action="store_true", help="machine-readable output")
+        if json:
+            p.add_argument("--json", action="store_true", help="machine-readable output")
         return p
 
     p = add("check", cmd_check, "validate a matrix file and report connectivity")
@@ -336,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("a")
     p.add_argument("b")
 
-    p = add("enumerate", cmd_enumerate, "generate all poset matrices of an order")
+    p = add("enumerate", cmd_enumerate, "generate all poset matrices of an order", json=False)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--classes", action="store_true", help="one representative per class")
     p.add_argument(
@@ -350,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("-o", "--output", default=None)
 
-    p = add("hasse", cmd_hasse, "export the Hasse diagram as DOT")
+    p = add("hasse", cmd_hasse, "export the Hasse diagram as DOT", json=False)
     p.add_argument("-o", "--output", default=None)
     p.add_argument("matrix")
 
@@ -364,7 +365,7 @@ def run(argv=None) -> int:
     except ParseError as e:
         print(f"parse error: {e}", file=sys.stderr)
         return USAGE_EXIT
-    except FileNotFoundError as e:
+    except OSError as e:
         print(f"cannot read file: {e}", file=sys.stderr)
         return USAGE_EXIT
     except ValueError as e:

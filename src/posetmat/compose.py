@@ -8,7 +8,9 @@ V-fill and its precondition on A, and compose reads nothing else.  U is
 A's row prefix at i in every row of B (ROW), only in the rows of B's
 maximal elements (ROW_AT_MAX), or a constant; V is A's column suffix at i
 in every column of B (COL), only in those of B's minimal elements
-(COL_AT_MIN), or a constant.
+(COL_AT_MIN), or a constant.  The same rules read backwards give the one
+host A that could have produced a composite at a given split (_host); this
+is how structure.factor finds its factorizations.
 
   square    (ROW, COL), an operad.
   min       (ROW, COL_AT_MIN), an operad.
@@ -203,26 +205,23 @@ def compose(kind, a: PosetMatrix, i: int, b: PosetMatrix) -> PosetMatrix:
     return PosetMatrix._wrap(_compose(_rule(kind), a.codes, i, b.codes))
 
 
-def host_fills(kind, c: PosetMatrix, i: int, b: PosetMatrix) -> tuple:
-    """A's row prefix and column suffix at i, as c = compose(kind, A, i, B) shows them:
-    the prefix as a row code, the suffix with bit t for A's row i+1+t.
-
-    A copied fill puts the whole prefix in the row of every maximal element
-    of B and the whole suffix in the column of every minimal one, so both
-    are read there (element 1 of B is always minimal).  A constant fill
-    hides them; the constant is returned in their place.
+def _host(rule, cc, i: int, bc) -> tuple:
+    """Row codes of the host A to try for C = _compose(rule, A, i, B): the
+    formulas beside _RULES read backwards.  Rows above i are C's.  A
+    copied U-fill shows A's row prefix at i in the row of every maximal
+    element of B, so it is read at the first one.  A row below keeps its bits
+    left and right of B, and its bit at i is C's bit at B's first column,
+    which a copied V-fill always fills (element 1 of B is minimal).  A
+    constant fill hides A's entries; the constant stands in their place.
     """
-    u_fill, v_fill, _ = _rule(kind)
-    cc, m, k = c.codes, b.n, i - 1
+    u_fill, v_fill, _ = rule
+    k, shift = i - 1, i - 1 + len(bc)
     low = (1 << k) - 1
     if u_fill in (0, 1):
-        prefix = low if u_fill else 0
+        u = low if u_fill else 0
     else:
-        maxs = _maximal_mask(b.codes)
-        prefix = cc[k + (maxs & -maxs).bit_length() - 1] & low
-    below = cc[k + m :]
-    if v_fill in (0, 1):
-        suffix = (1 << len(below)) - 1 if v_fill else 0
-    else:
-        suffix = sum(((x >> k) & 1) << t for t, x in enumerate(below))
-    return prefix, suffix
+        maxs = _maximal_mask(bc)
+        u = cc[k + (maxs & -maxs).bit_length() - 1] & low
+    keep, v = (low, v_fill << k) if v_fill in (0, 1) else (low | 1 << k, 0)
+    below = [(x & keep) | v | (x >> shift) << i for x in cc[shift:]]
+    return cc[:k] + (u | 1 << k,) + tuple(below)

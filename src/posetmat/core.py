@@ -250,12 +250,17 @@ def block_decompose(a: PosetMatrix, i: int) -> BlockView:
     )
 
 
+def _gather(codes, rows, cols) -> tuple:
+    """Row codes of the block on the given rows and columns, both 0-based:
+    bit p of row r's new code is bit cols[p] of codes[rows[r]]."""
+    return tuple([sum(((codes[r] >> c) & 1) << p for p, c in enumerate(cols)) for r in rows])
+
+
 def submatrix(a, row_set, col_set) -> BinaryMatrix:
     """Select the given rows and columns (both 1-based, strictly increasing)."""
-    rows = index_set(row_set, a.height)
+    rows = [r - 1 for r in index_set(row_set, a.height)]
     cols = [c - 1 for c in index_set(col_set, a.width)]
-    codes = tuple(sum(((a.codes[r - 1] >> c) & 1) << p for p, c in enumerate(cols)) for r in rows)
-    return BinaryMatrix._of(codes, len(cols))
+    return BinaryMatrix._of(_gather(a.codes, rows, cols), len(cols))
 
 
 def principal_subposet(a: PosetMatrix, alpha) -> PosetMatrix:
@@ -264,10 +269,7 @@ def principal_subposet(a: PosetMatrix, alpha) -> PosetMatrix:
     if not alpha:
         raise IndexOutOfRange("empty index set")
     idx = [x - 1 for x in alpha]
-    x = a.codes
-    return PosetMatrix._wrap(
-        tuple(sum(((x[r] >> c) & 1) << p for p, c in enumerate(idx)) for r in idx)
-    )
+    return PosetMatrix._wrap(_gather(a.codes, idx, idx))
 
 
 # Compositions insert the same B many times: memoise its masks (bounded).

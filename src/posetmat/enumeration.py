@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .core import PosetMatrix
+from .core import PosetMatrix, _gather
 from .errors import ResourceLimit
 
 DEFAULT_ORDER_CAP = 8
@@ -89,10 +89,7 @@ def linear_extensions(a: PosetMatrix):
 def relabel(a: PosetMatrix, order) -> PosetMatrix:
     """Relabel by a linear extension listing (element at position p gets label p)."""
     idx = [x - 1 for x in order]
-    codes = a.codes
-    return PosetMatrix._wrap(
-        tuple(sum(((codes[x] >> y) & 1) << q for q, y in enumerate(idx)) for x in idx)
-    )
+    return PosetMatrix._wrap(_gather(a.codes, idx, idx))
 
 
 def canonical_form(a: PosetMatrix) -> PosetMatrix:

@@ -10,8 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .compose import SQUARE, compose, host_fills
-from .core import BinaryMatrix, PosetMatrix, principal_subposet, submatrix, validate
+from .compose import SQUARE, _compose, _host, _rule, compose
+from .core import BinaryMatrix, PosetMatrix, _check_poset, principal_subposet, submatrix
 from .errors import PreconditionViolated, ValidationError
 
 
@@ -98,11 +98,10 @@ def insertion_invariance_class(a: PosetMatrix, alpha, b: PosetMatrix) -> bool:
     if not alpha or not _contiguous(alpha):
         raise PreconditionViolated(f"alpha {alpha} is not a contiguous range")
     block = principal_subposet(a, alpha)
-    if is_totally_connected(block) and is_totally_connected(b):
-        pass
-    elif is_totally_disconnected(block) and is_totally_disconnected(b):
-        pass
-    else:
+    if not (
+        (is_totally_connected(block) and is_totally_connected(b))
+        or (is_totally_disconnected(block) and is_totally_disconnected(b))
+    ):
         raise PreconditionViolated(
             "a[alpha] and b must both be totally connected or both totally disconnected"
         )
@@ -148,27 +147,21 @@ def case3_literal_discrepancies(matrices, b: PosetMatrix) -> list:
     """Interior ranges passing the literal condition whose insertions differ.
 
     Returns (a, alpha) pairs; nonempty on PM(4) already, which is why the
-    sweeps assert the flatness condition instead.
+    sweeps assert the flatness condition instead.  Ranges whose block type
+    does not match b's are outside insertion_invariance_class and skipped.
     """
     found = []
-    connected_b = is_totally_connected(b)
     for a in matrices:
-        n = a.n
-        for d in range(2, n):
-            for k in range(d + 1, n):
+        for d in range(2, a.n):
+            for k in range(d + 1, a.n):
                 alpha = tuple(range(d, k + 1))
-                block = principal_subposet(a, alpha)
-                if connected_b and not is_totally_connected(block):
-                    continue
-                if not connected_b and not (
-                    is_totally_disconnected(b) and is_totally_disconnected(block)
-                ):
-                    continue
                 if not case3_literal_condition(a, alpha):
                     continue
-                first = compose(SQUARE, a, d, b)
-                if any(compose(SQUARE, a, i, b) != first for i in alpha[1:]):
-                    found.append((a, alpha))
+                try:
+                    if not insertion_invariance_class(a, alpha, b):
+                        found.append((a, alpha))
+                except PreconditionViolated:
+                    continue
     return found
 
 
@@ -235,57 +228,33 @@ class Factorization:
         return compose(self.kind, self.a, self.i, self.b)
 
 
-def _collapse(c: PosetMatrix, i: int, m: int) -> PosetMatrix:
-    """Principal block keeping rows/cols 1..i and i+m..N (the inserted block
-    collapsed back to the single position i)."""
-    keep = list(range(1, i + 1)) + list(range(i + m, c.n + 1))
-    return principal_subposet(c, keep)
-
-
 def factor(c: PosetMatrix, kind) -> tuple:
     """Ways of writing c as an insertion under kind with both factors of
     order at least 2; every emitted factorization recomposes exactly.
 
-    Every block position and size is tried, with one candidate host each.
-    Under the four mask kinds the host is determined by c, so the search is
-    complete.  Under a boxed kind it is not: the constant fills overwrite
-    A's row prefix and column suffix at i, so hosts that differ there give
-    the same composite, and only the host whose row i prefix and column i
-    suffix hold the fill constants is returned.
+    Every block position and size is tried.  B is c's principal block
+    there; the one candidate host A is read from c by the kind's fill rules
+    run backwards (compose._host), and kept when it recomposes to c and is
+    a poset matrix.  Under the four mask kinds the host is determined by c,
+    so the search is complete.  Under a boxed kind it is not: the constant
+    fills overwrite A's row prefix and column suffix at i, and only the host
+    holding the fill constants there is returned.  An unknown kind raises
+    ValueError.
     """
+    rule = _rule(kind)
+    cc, big = c.codes, c.n
     out = []
-    big = c.n
-    for m in range(2, big):  # factor orders n = big-m+1 and m are both >= 2
-        n = big - m + 1
-        for i in range(1, n + 1):
-            b = principal_subposet(c, range(i, i + m))
-            a = _factor_candidate(c, i, m, b, kind)
-            if a is None:
-                continue
+    for m in range(2, big):  # factor orders big-m+1 and m are both >= 2
+        full = (1 << m) - 1
+        for i in range(1, big - m + 2):
+            bc = tuple([(x >> (i - 1)) & full for x in cc[i - 1 : i - 1 + m]])
+            ac = _host(rule, cc, i, bc)
             try:
-                if compose(kind, a, i, b) == c:
-                    out.append(Factorization(a=a, i=i, b=b, kind=kind))
-            except PreconditionViolated:
+                if _compose(rule, ac, i, bc) != cc:
+                    continue
+                _check_poset(ac)
+            except (PreconditionViolated, ValidationError):
                 continue
+            a, b = PosetMatrix._wrap(ac), PosetMatrix._wrap(bc)
+            out.append(Factorization(a=a, i=i, b=b, kind=kind))
     return tuple(out)
-
-
-def _factor_candidate(c: PosetMatrix, i: int, m: int, b: PosetMatrix, kind):
-    """The unique host that could produce c at this split, or None.
-
-    Collapsing the guest block recovers every host entry except row/column
-    i, which the fills overwrite; host_fills reads those back, or gives the
-    constant of a constant fill in their place.
-    """
-    host = _collapse(c, i, m)
-    prefix, suffix = host_fills(kind, c, i, b)
-    hc, k = host.codes, i - 1
-    base = hc[:k] + (prefix | 1 << k,) + tuple(
-        (x & ~(1 << k)) | ((suffix >> t) & 1) << k for t, x in enumerate(hc[i:])
-    )
-    if base == hc:
-        return host
-    try:
-        return validate(BinaryMatrix._of(base, len(base)))
-    except ValidationError:
-        return None

@@ -297,3 +297,20 @@ class TestCommands:
 
     def test_missing_file_exit_two(self, capsys):
         assert run(["check", "/nonexistent/x.pm"]) == 2
+
+    def test_directory_as_input_or_output_exit_two(self, files, capsys):
+        d = str(files["dir"])
+        for argv in (["check", d], ["dual", "-o", d, files["chain3"]]):
+            assert run(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("cannot read file: ")
+            assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
+    def test_json_flag_rejected_where_no_json_output(self, files, capsys):
+        for argv in (["enumerate", "--n", "3", "--json"], ["hasse", "--json", files["hasse"]]):
+            with pytest.raises(SystemExit) as exc:
+                run(argv)
+            assert exc.value.code == 2
+            captured = capsys.readouterr()
+            assert captured.out == "" and "--json" in captured.err

@@ -16,7 +16,8 @@ from posetmat import (
     submatrix,
     validate,
 )
-from posetmat.core import BinaryMatrix, UNIT
+from posetmat.compose import ALL_KINDS
+from posetmat.core import UNIT, BinaryMatrix, block_decompose
 from posetmat.enumeration import generate_all
 from posetmat.errors import PreconditionViolated
 from posetmat.structure import (
@@ -254,13 +255,24 @@ class TestFactor:
             assert f.recompose() == c
 
     def test_every_factorization_recomposes(self):
-        kinds = ("square", "min", "max", "minmax") + DISCONNECT_KINDS
         for c in all_upto(5, start=3):
-            for kind in kinds:
+            for kind in ALL_KINDS:
                 for f in factor(c, kind):
                     assert f.recompose() == c
                     assert f.a.n >= 2 and f.b.n >= 2
                     assert f.a.n + f.b.n - 1 == c.n
+                    if isinstance(kind, Boxed):
+                        # the documented host choice: the fill constants
+                        # stand in row i's prefix and column i's suffix
+                        view = block_decompose(f.a, f.i)
+                        assert set(view.row) <= {kind.u}, (kind, f)
+                        assert set(view.col) <= {kind.v}, (kind, f)
+
+    def test_unknown_kind_rejected_at_every_order(self):
+        for c in (UNIT, chain(2), antichain(2), chain(3)):
+            for kind in ("bogus", None, 1, ["square"]):
+                with pytest.raises(ValueError, match="unknown composition kind"):
+                    factor(c, kind)
 
     def test_complete_for_mask_kinds(self):
         # The host is uniquely recoverable under the four mask kinds, so
