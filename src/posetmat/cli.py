@@ -105,10 +105,17 @@ def _load_poset(path) -> PosetMatrix:
     return validate(parse_matrix_file(path))
 
 
+class _WriteError(Exception):
+    """An -o file could not be written; carries the OSError's message."""
+
+
 def _emit(text: str, out_path) -> None:
     if out_path:
-        with open(out_path, "w", encoding="ascii") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w", encoding="ascii") as fh:
+                fh.write(text)
+        except OSError as e:
+            raise _WriteError(e) from e
     else:
         sys.stdout.write(text)
 
@@ -367,6 +374,9 @@ def run(argv=None) -> int:
         return USAGE_EXIT
     except OSError as e:
         print(f"cannot read file: {e}", file=sys.stderr)
+        return USAGE_EXIT
+    except _WriteError as e:
+        print(f"cannot write file: {e}", file=sys.stderr)
         return USAGE_EXIT
     except ValueError as e:
         print(f"usage error: {e}", file=sys.stderr)

@@ -17,6 +17,13 @@ lexicographically least relabelling, found by a DFS over linear extensions
 with two exact prunings: only candidates of least row code branch, and
 interchangeable candidates (same row code, same up-set among the elements
 still to be placed) branch once.
+
+classes(n) never visits PM(n).  It grows the catalogue by the same
+one-point extension, on class representatives only: every class of order
+k is canon(D + I) for a class D of order k-1 and an ideal I of canon(D),
+and labelled counts pass from parent to child by a transfer identity
+proved in its docstring.  At order 7 that is 6,377 canonical_form calls,
+where PM(7) holds 96,428 matrices.
 """
 
 from __future__ import annotations
@@ -24,33 +31,43 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .core import PosetMatrix, _gather
+from .core import UNIT, PosetMatrix, _gather
 from .errors import ResourceLimit
 
 DEFAULT_ORDER_CAP = 8
 
 
-@lru_cache(maxsize=None)
-def generate_all(n: int, order_cap: int = DEFAULT_ORDER_CAP) -> tuple:
-    """All poset matrices of order n, lexicographically sorted."""
+def _check_order(n: int, order_cap: int) -> None:
     if n < 1:
         raise ValueError("order must be at least 1")
     if n > order_cap:
         raise ResourceLimit(f"order {n} above the cap {order_cap}")
+
+
+def _ideals(codes: tuple) -> list:
+    """Every down-set of the order with these row codes, ascending as rows."""
+    ideals = [0]
+    for j in range(len(codes)):
+        step = []
+        for s in ideals:
+            step.append(s)
+            if codes[j] & ~s == 1 << j:  # j's strict down-set is chosen
+                step.append(s | 1 << j)
+        ideals = step
+    return ideals
+
+
+@lru_cache(maxsize=None)
+def generate_all(n: int, order_cap: int = DEFAULT_ORDER_CAP) -> tuple:
+    """All poset matrices of order n, lexicographically sorted."""
+    _check_order(n, order_cap)
     wrap = PosetMatrix._wrap
     results = []
 
     def extend(codes):
         i = len(codes)
         top = 1 << i
-        ideals = [0]  # strict down-sets of the new element i
-        for j in range(i):
-            step = []
-            for s in ideals:
-                step.append(s)
-                if codes[j] & ~s == 1 << j:  # j's strict down-set is chosen
-                    step.append(s | 1 << j)
-            ideals = step
+        ideals = _ideals(codes)  # strict down-sets of the new element i
         if i == n - 1:
             results.extend(wrap(codes + (s | top,)) for s in ideals)
             return
@@ -170,15 +187,47 @@ def classes(n: int, which: str = "all", order_cap: int = DEFAULT_ORDER_CAP) -> t
 
     which filters to "connected" or "disconnected"; labelled counts over all
     classes sum to the number of matrices of order n.
+
+    The catalogue is built by one-point extension, one order at a time,
+    from the single class of order 1 with labelled count 1.  Each class D
+    of order k-1 contributes, for every ideal I of canon(D), the child
+    canon(canon(D) + I): canon(D) with a new last row whose strict part is
+    I.  Equal children are merged, and
+
+        labeled_count(C) = sum over D of labeled_count(D)
+                           * #{ideals I of canon(D) : canon(canon(D) + I) = C}.
+
+    Proof.  In a matrix X of order k, element k is maximal, since natural
+    labelling puts nothing above the largest label.  So X is uniquely
+    M + I: M, its leading principal block, is a poset matrix of order k-1,
+    and I, the strict part of its last row, is an ideal of M; every such
+    pair gives a matrix of order k.  Hence labeled_count(C) counts the pairs
+    (M, I) with M + I in C.  Let M lie in class D.  Then M relabels
+    canon(D) by a bijection p that keeps the order; p maps the ideals of
+    canon(D) one-to-one onto those of M, and p, with k fixed, relabels
+    canon(D) + I onto M + p(I).  So every M in D has the same number of
+    ideals leading into C as canon(D) has, and D contributes that number
+    labeled_count(D) times.
+
+    Every level keeps all its classes, since a connected poset can grow
+    from a disconnected one; the filter applies only to the last level.
     """
     from .structure import classify_connectivity
 
     if which not in ("all", "connected", "disconnected"):
         raise ValueError(f"unknown filter {which!r}")
-    counts = {}
-    for m in generate_all(n, order_cap):
-        canon = canonical_form(m)
-        counts[canon] = counts.get(canon, 0) + 1
+    _check_order(n, order_cap)
+    wrap = PosetMatrix._wrap
+    counts = {UNIT: 1}
+    for k in range(1, n):
+        top = 1 << k
+        grown = {}
+        for parent, weight in counts.items():
+            codes = parent.codes
+            for s in _ideals(codes):
+                child = canonical_form(wrap(codes + (s | top,)))
+                grown[child] = grown.get(child, 0) + weight
+        counts = grown
     out = []
     for canon in sorted(counts, key=lambda m: m.bit_rows()):
         connected = classify_connectivity(canon).connected

@@ -2,7 +2,7 @@
 
 from posetmat import SQUARE, PosetMatrix, compose
 from posetmat.duality import semi_equidual
-from posetmat.enumeration import generate_all
+from posetmat.enumeration import IsoClass, canonical_form, generate_all
 from posetmat.structure import (
     classify_connectivity,
     insertion_invariance_condition,
@@ -93,6 +93,21 @@ DISCONNECTED_4 = [
     pm("1000;0100;0010;0111"),
     pm("1000;0100;0110;0101"),
 ]
+
+
+def brute_force_classes(n: int, which: str = "all") -> tuple:
+    """The class catalogue by its definition: canonicalise every matrix of
+    PM(n) and count the labelled matrices in each class."""
+    counts = {}
+    for m in generate_all(n):
+        canon = canonical_form(m)
+        counts[canon] = counts.get(canon, 0) + 1
+    out = []
+    for canon in sorted(counts, key=lambda m: m.bit_rows()):
+        connected = classify_connectivity(canon).connected
+        if which == "all" or connected == (which == "connected"):
+            out.append(IsoClass(canon, counts[canon], connected))
+    return tuple(out)
 
 
 def contiguous_ranges(n: int, min_len: int = 2):

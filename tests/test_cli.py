@@ -300,12 +300,29 @@ class TestCommands:
 
     def test_directory_as_input_or_output_exit_two(self, files, capsys):
         d = str(files["dir"])
-        for argv in (["check", d], ["dual", "-o", d, files["chain3"]]):
+        for argv, prefix in (
+            (["check", d], "cannot read file: "),
+            (["dual", "-o", d, files["chain3"]], "cannot write file: "),
+        ):
             assert run(argv) == 2
             captured = capsys.readouterr()
             assert captured.out == ""
-            assert captured.err.startswith("cannot read file: ")
+            assert captured.err.startswith(prefix)
             assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
+    def test_unwritable_output_says_write(self, files, capsys):
+        out = str(files["dir"] / "missing" / "out.pm")
+        for argv in (
+            ["compose", "--op", "square", "--i", "1", "-o", out, files["A"], files["B"]],
+            ["dual", "-o", out, files["chain3"]],
+            ["pascal", "--n", "4", "-o", out],
+            ["enumerate", "--n", "3", "-o", out],
+            ["hasse", "-o", out, files["hasse"]],
+        ):
+            assert run(argv) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("cannot write file: ") and out in err
+            assert err.count("\n") == 1 and "Traceback" not in err
 
     def test_json_flag_rejected_where_no_json_output(self, files, capsys):
         for argv in (["enumerate", "--n", "3", "--json"], ["hasse", "--json", files["hasse"]]):

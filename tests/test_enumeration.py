@@ -17,6 +17,7 @@ from helpers import (
     DISCONNECTED_3,
     DISCONNECTED_4,
     antichain,
+    brute_force_classes,
     chain,
     conjugate,
     pm,
@@ -203,6 +204,34 @@ class TestClasses:
         assert len(cls) == 318
         assert sum(1 for c in cls if c.connected) == 238
         assert sum(c.labeled_count for c in cls) == 4824
+
+    def test_published_counts_order_seven(self):
+        cls = classes(7)
+        assert len(cls) == 2045
+        assert sum(1 for c in cls if c.connected) == 1650
+        assert sum(c.labeled_count for c in cls) == 96428
+
+    def test_published_counts_order_eight(self):
+        cls = classes(8)
+        assert len(cls) == 16999
+        assert sum(1 for c in cls if c.connected) == 14512
+        assert sum(c.labeled_count for c in cls) == 2800472
+
+    def test_matches_brute_force_definition(self):
+        for n in range(1, 7):
+            for which in ("all", "connected", "disconnected"):
+                got = classes(n, which)
+                assert got == brute_force_classes(n, which)
+                assert all(c.canonical.n == n for c in got)
+
+    def test_order_errors(self):
+        with pytest.raises(ValueError, match="at least 1"):
+            classes(0)
+        with pytest.raises(ResourceLimit):
+            classes(9)
+        with pytest.raises(ResourceLimit):
+            classes(4, order_cap=3)
+        assert len(classes(3, order_cap=3)) == 5
 
     def test_filters(self):
         assert len(classes(4, "connected")) == 10
