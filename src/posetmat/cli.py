@@ -62,6 +62,8 @@ def _parse_json_matrix(text: str) -> BinaryMatrix:
         data = json.loads(text)
     except json.JSONDecodeError as e:
         raise ParseError(e.lineno, e.colno, f"bad JSON: {e.msg}")
+    except RecursionError:
+        raise ParseError(1, 1, "bad JSON: nested too deeply")
     if not isinstance(data, dict) or "n" not in data or "rows" not in data:
         raise ParseError(1, 1, 'JSON matrix needs keys "n" and "rows"')
     n, rows = data["n"], data["rows"]
@@ -153,25 +155,22 @@ def cmd_compose(args) -> int:
 def cmd_laws(args) -> int:
     kind = parse_kind(args.op)
     reports = verify_laws(kind, args.max_n, trials=args.random, seed=args.seed)
+    blobs = [r.to_json() for r in reports]
     if args.json:
-        print(json.dumps([r.to_json() for r in reports]))
+        print(json.dumps(blobs))
     else:
-        for r in reports:
-            line = (
-                f"{r.law}: {r.verdict}  "
-                f"(cases={r.cases_checked}, skipped={r.cases_skipped})"
+        for r in blobs:
+            print(
+                f"{r['law']}: {r['verdict']}  "
+                f"(cases={r['cases_checked']}, skipped={r['cases_skipped']})"
             )
-            print(line)
-            if r.witness is not None:
-                w = r.witness
-                print(f"  witness: A={';'.join(w.a.bit_rows())}", end="")
-                if w.b is not None:
-                    print(f" B={';'.join(w.b.bit_rows())}", end="")
-                if w.c is not None:
-                    print(f" C={';'.join(w.c.bit_rows())}", end="")
-                print(f" i={w.i}" + (f" j={w.j}" if w.j is not None else ""))
-                print(f"  left : {';'.join(w.left.bit_rows())}")
-                print(f"  right: {';'.join(w.right.bit_rows())}")
+            w = r["witness"]
+            if w is not None:
+                parts = [f"{x.upper()}={';'.join(w[x])}" for x in "abc" if w[x] is not None]
+                parts += [f"{x}={w[x]}" for x in "ij" if w[x] is not None]
+                print("  witness: " + " ".join(parts))
+                print(f"  left : {';'.join(w['left'])}")
+                print(f"  right: {';'.join(w['right'])}")
     return DOMAIN_EXIT if any(not r.passed for r in reports) else 0
 
 
@@ -181,8 +180,7 @@ def cmd_dual(args) -> int:
 
 
 def cmd_selfdual(args) -> int:
-    answer = duality.is_self_dual(_load_poset(args.matrix))
-    print(json.dumps(answer) if args.json else ("true" if answer else "false"))
+    print(json.dumps(duality.is_self_dual(_load_poset(args.matrix))))
     return 0
 
 
@@ -190,10 +188,7 @@ def cmd_semiequidual(args) -> int:
     a = _load_poset(args.a)
     b = _load_poset(args.b)
     w = duality.semi_equidual(a, b)
-    if w is None:
-        print("null")
-    else:
-        print(json.dumps({"alpha": list(w.alpha)}))
+    print(json.dumps(None if w is None else {"alpha": list(w.alpha)}))
     return 0
 
 
@@ -246,8 +241,7 @@ def _parse_alpha(spec: str) -> tuple:
 def cmd_invariance(args) -> int:
     a = _load_poset(args.a)
     b = _load_poset(args.b)
-    answer = structure.insertion_invariance_class(a, _parse_alpha(args.alpha), b)
-    print(json.dumps(answer) if args.json else ("true" if answer else "false"))
+    print(json.dumps(structure.insertion_invariance_class(a, _parse_alpha(args.alpha), b)))
     return 0
 
 
@@ -255,7 +249,7 @@ def cmd_enumerate(args) -> int:
     if args.classes:
         classes = enumeration.classes(args.n, args.filter)
         n_conn = sum(1 for c in classes if c.connected)
-        print(
+        header = (
             f"order {args.n}: {len(classes)} classes "
             f"({n_conn} connected, {len(classes) - n_conn} disconnected)"
         )
@@ -269,14 +263,18 @@ def cmd_enumerate(args) -> int:
                 for m in matrices
                 if structure.classify_connectivity(m).connected == want
             ]
-        print(f"order {args.n}: {len(matrices)} matrices ({args.filter})")
-    if not (args.output or args.print_matrices):
-        return 0
-    if args.format == "json":
-        body = json.dumps([to_json_obj(m) for m in matrices]) + "\n"
-    else:
-        body = "".join(to_pm_text(m) for m in matrices)
-    _emit(body, args.output)
+        header = f"order {args.n}: {len(matrices)} matrices ({args.filter})"
+    body = ""
+    if args.output or args.print_matrices:
+        if args.format == "json":
+            body = json.dumps([to_json_obj(m) for m in matrices]) + "\n"
+        else:
+            body = "".join(to_pm_text(m) for m in matrices)
+    if args.output:  # written before the count line, which would claim success
+        _emit(body, args.output)
+    print(header)
+    if not args.output:
+        sys.stdout.write(body)
     return 0
 
 

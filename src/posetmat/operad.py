@@ -9,6 +9,14 @@ given order (grouped by ascending total order so a reported counterexample
 is minimal), or over seeded random samples from the same pools.  Boxed
 kinds have partial domains; triples whose intermediate composition is
 undefined are skipped and counted.
+
+The law layer works on int row codes (see core) from end to end: the pools
+are code tuples, a kind's rule is looked up once, and _case evaluates one
+case by compose._compose, comparing the two sides as code tuples.  The
+check_* functions, random mode and the unit sweep call _case; the exhaustive
+associativity sweep (_scan) shares each inner composite across cases and
+hands it to the same _nested and _parallel.  Matrices are built only for a
+failing witness.
 """
 
 from __future__ import annotations
@@ -17,7 +25,7 @@ import random
 from dataclasses import dataclass
 from typing import Optional
 
-from .compose import _compose, _rule, compose, kind_name, parse_kind
+from .compose import _compose, _rule, kind_name, parse_kind
 from .core import PosetMatrix, UNIT
 from .enumeration import generate_all
 from .errors import IndexOutOfRange, PreconditionViolated, RequiresDistinctIndices
@@ -77,31 +85,30 @@ class LawReport:
         return out
 
 
-def _verdict(left, right, target=None):
-    """(holds, left, right) on row codes: both sides equal target, by default each other."""
-    return left == right == (left if target is None else target), left, right
-
-
-# One function per law evaluates one case from the inner composites; it
-# compares the outer composites as row codes and raises when one is undefined.
-
-
 def _nested(rule, a, b, c, i, j, ab, bc):
     """(A o_i B) o_{i+j-1} C = A o_i (B o_j C), given ab = A o_i B and bc = B o_j C."""
-    left = _compose(rule, ab.codes, i + j - 1, c.codes)
-    return _verdict(left, _compose(rule, a.codes, i, bc.codes))
+    left, right = _compose(rule, ab, i + j - 1, c), _compose(rule, a, i, bc)
+    return left == right, left, right
 
 
 def _parallel(rule, a, b, c, i, j, ab, ac):
     """(A o_i B) o_{j+m-1} C = (A o_j C) o_i B for i < j, given ab = A o_i B and ac = A o_j C."""
-    left = _compose(rule, ab.codes, j + len(b.codes) - 1, c.codes)
-    return _verdict(left, _compose(rule, ac.codes, i, b.codes))
+    left, right = _compose(rule, ab, j + len(b) - 1, c), _compose(rule, ac, i, b)
+    return left == right, left, right
 
 
-def _unit(rule, a, i):
-    """[1] o_1 A = A = A o_i [1]."""
-    left = _compose(rule, UNIT.codes, 1, a.codes)
-    return _verdict(left, _compose(rule, a.codes, i, UNIT.codes), a.codes)
+def _case(rule, law, a, b, c, i, j):
+    """(holds, left, right) for one case of law on the row codes a, b, c:
+    the inner composites, then the outer ones.  An undefined composition
+    raises PreconditionViolated."""
+    if law == UNIT_LAW:  # [1] o_1 A = A = A o_i [1]
+        left = _compose(rule, UNIT.codes, 1, a)
+        right = _compose(rule, a, i, UNIT.codes)
+        return left == right == a, left, right
+    ab = _compose(rule, a, i, b)
+    if law == NESTED:
+        return _nested(rule, a, b, c, i, j, ab, _compose(rule, b, j, c))
+    return _parallel(rule, a, b, c, i, j, ab, _compose(rule, a, j, c))
 
 
 def _defined(fn, *args):
@@ -118,8 +125,7 @@ def check_nested(kind, a, b, c, i, j):
         raise IndexOutOfRange(f"i={i} outside [1,{a.n}]")
     if not 1 <= j <= b.n:
         raise IndexOutOfRange(f"j={j} outside [1,{b.n}]")
-    ab, bc = compose(kind, a, i, b), compose(kind, b, j, c)
-    holds, left, right = _nested(_rule(kind), a, b, c, i, j, ab, bc)
+    holds, left, right = _case(_rule(kind), NESTED, a.codes, b.codes, c.codes, i, j)
     return holds, PosetMatrix._wrap(left), PosetMatrix._wrap(right)
 
 
@@ -129,8 +135,7 @@ def check_parallel(kind, a, b, c, i, j):
         raise IndexOutOfRange(f"(i,j)=({i},{j}) outside [1,{a.n}]")
     if i >= j:
         raise RequiresDistinctIndices(f"need i < j, got i={i}, j={j}")
-    ab, ac = compose(kind, a, i, b), compose(kind, a, j, c)
-    holds, left, right = _parallel(_rule(kind), a, b, c, i, j, ab, ac)
+    holds, left, right = _case(_rule(kind), PARALLEL, a.codes, b.codes, c.codes, i, j)
     return holds, PosetMatrix._wrap(left), PosetMatrix._wrap(right)
 
 
@@ -138,7 +143,7 @@ def check_unit(kind, a, i) -> bool:
     """True iff [1] o_1 A = A and A o_i [1] = A under kind."""
     if not 1 <= i <= a.n:
         raise IndexOutOfRange(f"i={i} outside [1,{a.n}]")
-    return _unit(_rule(kind), a, i)[0]
+    return _case(_rule(kind), UNIT_LAW, a.codes, None, None, i, None)[0]
 
 
 def _enc(m) -> str:
@@ -156,7 +161,7 @@ class _Tally:
         self.failures = []
 
     def add(self, a, b, c, i, j, case) -> None:
-        """Count one case: a law function's result, None when undefined."""
+        """Count one case on row codes: its (holds, left, right), None when undefined."""
         if case is None:
             self.skipped += 1
             return
@@ -164,10 +169,11 @@ class _Tally:
         holds, left, right = case
         if not holds:
             wrap = PosetMatrix._wrap
-            self.failures.append(Witness(a, b, c, i, j, wrap(left), wrap(right)))
+            b, c = (None if x is None else wrap(x) for x in (b, c))
+            self.failures.append(Witness(wrap(a), b, c, i, j, wrap(left), wrap(right)))
 
 
-def _scan(kind, law, pools, n, m, k, tally, inner) -> None:
+def _scan(rule, law, pools, n, m, k, tally, inner) -> None:
     """Every associativity case with A, B, C of orders n, m, k.
 
     A o_i B is composed once per (A, i, B); the other inner composite,
@@ -176,22 +182,21 @@ def _scan(kind, law, pools, n, m, k, tally, inner) -> None:
     """
     nested = law == NESTED
     evaluate = _nested if nested else _parallel
-    rule = _rule(kind)
     Bs, Cs = pools[m], pools[k]
     for a in pools[n]:
         for i in range(1, n + 1 if nested else n):
             js = range(1, m + 1) if nested else range(i + 1, n + 1)
             for b in Bs:
-                ab = _defined(compose, kind, a, i, b)
+                ab = _defined(_compose, rule, a, i, b)
                 if ab is None:
                     tally.skipped += len(js) * len(Cs)
                     continue
                 x = b if nested else a
                 for j in js:
-                    key = (x.codes, j, k)
+                    key = (x, j, k)
                     row = inner.get(key)
                     if row is None:
-                        row = inner[key] = [_defined(compose, kind, x, j, c) for c in Cs]
+                        row = inner[key] = [_defined(_compose, rule, x, j, c) for c in Cs]
                     for c, xc in zip(Cs, row):
                         case = None if xc is None else _defined(
                             evaluate, rule, a, b, c, i, j, ab, xc
@@ -199,15 +204,15 @@ def _scan(kind, law, pools, n, m, k, tally, inner) -> None:
                         tally.add(a, b, c, i, j, case)
 
 
-def _exhaustive(kind, law, pools) -> LawReport:
+def _exhaustive(rule, law, pools) -> _Tally:
     orders = sorted(pools)
     tally = _Tally()
-    rule = _rule(kind)
     if law == UNIT_LAW:
         for n in orders:
             for a in pools[n]:
                 for i in range(1, n + 1):
-                    tally.add(a, None, None, i, None, _defined(_unit, rule, a, i))
+                    case = _defined(_case, rule, law, a, None, None, i, None)
+                    tally.add(a, None, None, i, None, case)
             if tally.failures:
                 break
     else:
@@ -219,40 +224,33 @@ def _exhaustive(kind, law, pools) -> LawReport:
                     k = total - n - m
                     if k not in pools:
                         continue
-                    _scan(kind, law, pools, n, m, k, tally, inner)
+                    _scan(rule, law, pools, n, m, k, tally, inner)
             if tally.failures:
                 break
-    return _report(kind, law, tally)
+    return tally
 
 
-def _random(kind, law, pools, trials, seed) -> LawReport:
+def _random(rule, law, pools, trials, seed) -> _Tally:
     rng = random.Random(seed)
     flat = [m for n in sorted(pools) for m in pools[n]]
     tally = _Tally()
-    rule = _rule(kind)
     for _ in range(trials):
         a = rng.choice(flat)
+        b = c = j = None
         if law == UNIT_LAW:
-            i = rng.randint(1, a.n)
-            tally.add(a, None, None, i, None, _defined(_unit, rule, a, i))
-            continue
-        b = rng.choice(flat)
-        c = rng.choice(flat)
-        if law == NESTED:
-            i, j = rng.randint(1, a.n), rng.randint(1, b.n)
-            evaluate, x = _nested, b
-        elif a.n < 2:
-            tally.skipped += 1
-            continue
+            i = rng.randint(1, len(a))
         else:
-            i, j = sorted(rng.sample(range(1, a.n + 1), 2))
-            evaluate, x = _parallel, a
-        ab, inner = _defined(compose, kind, a, i, b), _defined(compose, kind, x, j, c)
-        case = None
-        if ab is not None and inner is not None:
-            case = _defined(evaluate, rule, a, b, c, i, j, ab, inner)
-        tally.add(a, b, c, i, j, case)
-    return _report(kind, law, tally)
+            b = rng.choice(flat)
+            c = rng.choice(flat)
+            if law == NESTED:
+                i, j = rng.randint(1, len(a)), rng.randint(1, len(b))
+            elif len(a) < 2:
+                tally.skipped += 1
+                continue
+            else:
+                i, j = sorted(rng.sample(range(1, len(a) + 1), 2))
+        tally.add(a, b, c, i, j, _defined(_case, rule, law, a, b, c, i, j))
+    return tally
 
 
 def _report(kind, law, tally) -> LawReport:
@@ -280,10 +278,13 @@ def verify_laws(kind, max_order, trials=None, seed=0):
         raise ValueError("max_order must be at least 1")
     if trials is not None and trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
-    pools = {n: generate_all(n) for n in range(1, max_order + 1)}
+    pools = {n: tuple(m.codes for m in generate_all(n)) for n in range(1, max_order + 1)}
+    rule = _rule(kind)
     if trials is None:
-        return [_exhaustive(kind, law, pools) for law in LAWS]
-    return [_random(kind, law, pools, trials, seed + t) for t, law in enumerate(LAWS)]
+        tallies = [_exhaustive(rule, law, pools) for law in LAWS]
+    else:
+        tallies = [_random(rule, law, pools, trials, seed + t) for t, law in enumerate(LAWS)]
+    return [_report(kind, law, tally) for law, tally in zip(LAWS, tallies)]
 
 
 def reverify(report: LawReport) -> bool:

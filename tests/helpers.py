@@ -1,8 +1,13 @@
 """Shared fixtures: golden matrices and brute-force sweep drivers."""
 
-from posetmat import SQUARE, PosetMatrix, compose
+from itertools import combinations, product
+
+from posetmat import SQUARE, UNIT, PosetMatrix, compose
+from posetmat.compose import kind_name
 from posetmat.duality import semi_equidual
 from posetmat.enumeration import IsoClass, canonical_form, generate_all
+from posetmat.errors import PreconditionViolated
+from posetmat.operad import LawReport, Witness
 from posetmat.structure import (
     classify_connectivity,
     insertion_invariance_condition,
@@ -108,6 +113,75 @@ def brute_force_classes(n: int, which: str = "all") -> tuple:
         if which == "all" or connected == (which == "connected"):
             out.append(IsoClass(canon, counts[canon], connected))
     return tuple(out)
+
+
+def _law_cases(law, pool):
+    """(group, A, B, C, i, j) for every case of law over pool: the group is
+    the total order n+m+k, or the order of A for the unit law."""
+    for a in pool:
+        if law == "unit":
+            for i in range(1, a.n + 1):
+                yield a.n, a, None, None, i, None
+            continue
+        for b, c in product(pool, pool):
+            if law == "nested":
+                pairs = product(range(1, a.n + 1), range(1, b.n + 1))
+            else:
+                pairs = combinations(range(1, a.n + 1), 2)
+            for i, j in pairs:
+                yield a.n + b.n + c.n, a, b, c, i, j
+
+
+def _law_sides(kind, law, a, b, c, i, j):
+    """(holds, left, right) of one case, every side built by compose."""
+    if law == "unit":
+        left, right = compose(kind, UNIT, 1, a), compose(kind, a, i, UNIT)
+        return left == right == a, left, right
+    ab = compose(kind, a, i, b)
+    if law == "nested":
+        left = compose(kind, ab, i + j - 1, c)
+        right = compose(kind, a, i, compose(kind, b, j, c))
+    else:
+        left = compose(kind, ab, j + b.n - 1, c)
+        right = compose(kind, compose(kind, a, j, c), i, b)
+    return left == right, left, right
+
+
+def _witness_order(w: Witness):
+    enc = [";".join(m.bit_rows()) if m is not None else "" for m in (w.a, w.b, w.c)]
+    return (*enc, w.i, w.j or 0)
+
+
+def brute_force_laws(kind, max_order: int) -> list:
+    """The three LawReports over PM(1..max_order) from the public compose
+    alone.  A case whose composition is undefined is skipped.  Groups (see
+    _law_cases) run in ascending order, and a law's sweep stops after the
+    first group with a failure; the witness is that group's least failure
+    by ;-joined bit rows of A, B and C, then i, then j."""
+    pool = [m for n in range(1, max_order + 1) for m in generate_all(n)]
+    reports = []
+    for law in ("nested", "parallel", "unit"):
+        groups = {}
+        for group, *case in _law_cases(law, pool):
+            groups.setdefault(group, []).append(case)
+        checked = skipped = 0
+        failures = []
+        for group in sorted(groups):
+            for a, b, c, i, j in groups[group]:
+                try:
+                    holds, left, right = _law_sides(kind, law, a, b, c, i, j)
+                except PreconditionViolated:
+                    skipped += 1
+                    continue
+                checked += 1
+                if not holds:
+                    failures.append(Witness(a, b, c, i, j, left, right))
+            if failures:
+                break
+        witness = min(failures, key=_witness_order) if failures else None
+        verdict = "fail" if failures else "pass"
+        reports.append(LawReport(law, kind_name(kind), verdict, checked, skipped, witness))
+    return reports
 
 
 def contiguous_ranges(n: int, min_len: int = 2):

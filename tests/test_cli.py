@@ -17,6 +17,11 @@ from posetmat.errors import ParseError
 from helpers import EX_SQUARE, MINMAX_EXAMPLE, chain, pm
 
 
+# JSON nested deeper than the parser's recursion limit
+DEEP_OBJECTS = '{"n":' * 100_000
+DEEP_ROWS = '{"n": 1, "rows": ' + "[" * 5000 + "]" * 5000 + "}"
+
+
 def write(tmp_path, name, text):
     path = tmp_path / name
     path.write_text(text)
@@ -77,7 +82,13 @@ class TestParsing:
         assert parse_matrix_text('{"n": 2, "rows": ["10", "11"]}') == chain(2)
 
     def test_json_schema_error(self):
-        for text in ('{"n": 2, "rows": ["10"]}', '{"n": true, "rows": ["1"]}', '{"n": 0, "rows": []}'):
+        for text in (
+            '{"n": 2, "rows": ["10"]}',
+            '{"n": true, "rows": ["1"]}',
+            '{"n": 0, "rows": []}',
+            DEEP_OBJECTS,
+            DEEP_ROWS,
+        ):
             with pytest.raises(ParseError):
                 parse_matrix_text(text)
 
@@ -137,6 +148,14 @@ class TestCommands:
             assert out == ""
             assert err == "parse error: line 1, column 1: order must be positive, got 0\n"
 
+    def test_deep_json_exit_two(self, tmp_path, capsys):
+        for command, text in (("check", DEEP_OBJECTS), ("dual", DEEP_ROWS)):
+            assert run([command, write(tmp_path, "deep.json", text)]) == 2
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err.startswith("parse error: ") and err.count("\n") == 1
+            assert "Traceback" not in err
+
     def test_check_json(self, files, capsys):
         assert run(["check", "--json", files["hasse"]]) == 0
         data = json.loads(capsys.readouterr().out)
@@ -175,6 +194,29 @@ class TestCommands:
         out = capsys.readouterr().out
         assert out.count("pass") == 3
 
+    def test_laws_text_witness(self, capsys):
+        texts = {
+            "minmax": (
+                "nested: fail  (cases=75, skipped=0)\n"
+                "  witness: A=10;11 B=10;11 C=10;11 i=1 j=2\n"
+                "  left : 1000;0100;1110;1001\n"
+                "  right: 1000;0100;1110;1101\n"
+                "parallel: pass  (cases=18, skipped=0)\n"
+                "unit: pass  (cases=5, skipped=0)\n"
+            ),
+            "boxed:010": (
+                "nested: pass  (cases=51, skipped=24)\n"
+                "parallel: pass  (cases=18, skipped=0)\n"
+                "unit: fail  (cases=5, skipped=0)\n"
+                "  witness: A=10;11 i=1\n"
+                "  left : 10;11\n"
+                "  right: 10;01\n"
+            ),
+        }
+        for op, text in texts.items():
+            assert run(["laws", "--op", op, "--max-n", "2"]) == 1
+            assert capsys.readouterr() == (text, "")
+
     def test_laws_random_seeded(self, capsys):
         assert run(["laws", "--op", "min", "--max-n", "3", "--random", "200"]) == 0
 
@@ -204,6 +246,18 @@ class TestCommands:
         assert json.loads(capsys.readouterr().out) == {"alpha": [2, 3, 4]}
         assert run(["semiequidual", files["chain3"], files["chain3"]]) == 0
         assert capsys.readouterr().out.strip() == "null"
+
+    def test_json_flag_changes_nothing_where_output_is_json(self, files, capsys):
+        for argv in (
+            ["selfdual", files["chain3"]],
+            ["semiequidual", files["chain3"], files["B"]],
+            ["invariance", "--alpha", "1..2", files["chain3"], files["chain3"]],
+        ):
+            assert run(argv) == 0
+            plain = capsys.readouterr().out
+            assert run(argv[:1] + ["--json"] + argv[1:]) == 0
+            assert capsys.readouterr().out == plain
+            json.loads(plain)
 
     def test_classify(self, files, capsys):
         disc = write(files["dir"], "disc.pm", "3\n100\n110\n001\n")
@@ -320,7 +374,9 @@ class TestCommands:
             ["hasse", "-o", out, files["hasse"]],
         ):
             assert run(argv) == 2
-            err = capsys.readouterr().err
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            err = captured.err
             assert err.startswith("cannot write file: ") and out in err
             assert err.count("\n") == 1 and "Traceback" not in err
 
