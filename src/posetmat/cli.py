@@ -231,17 +231,19 @@ def cmd_factor(args) -> int:
     return 0
 
 
-def _parse_alpha(spec: str) -> tuple:
+def _parse_alpha(spec: str, n: int) -> tuple:
+    """LO..HI stops at its first index outside [1, n], which index_set refuses."""
     if ".." in spec:
-        lo, hi = spec.split("..", 1)
-        return tuple(range(int(lo), int(hi) + 1))
+        lo, hi = (int(x) for x in spec.split("..", 1))
+        last = lo if not 1 <= lo <= n else n + 1
+        return tuple(range(lo, min(hi, last) + 1))
     return tuple(int(x) for x in spec.split(","))
 
 
 def cmd_invariance(args) -> int:
     a = _load_poset(args.a)
     b = _load_poset(args.b)
-    print(json.dumps(structure.insertion_invariance_class(a, _parse_alpha(args.alpha), b)))
+    print(json.dumps(structure.insertion_invariance_class(a, _parse_alpha(args.alpha, a.n), b)))
     return 0
 
 

@@ -272,6 +272,12 @@ def principal_subposet(a: PosetMatrix, alpha) -> PosetMatrix:
     return PosetMatrix._wrap(_gather(a.codes, idx, idx))
 
 
+def relabel(a: PosetMatrix, order) -> PosetMatrix:
+    """Relabel by a linear extension listing (element at position p gets label p)."""
+    idx = [x - 1 for x in order]
+    return PosetMatrix._wrap(_gather(a.codes, idx, idx))
+
+
 # Compositions insert the same B many times: memoise its masks (bounded).
 @lru_cache(maxsize=1 << 10)
 def _minimal_mask(codes) -> int:

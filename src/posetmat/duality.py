@@ -11,7 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
+from .compose import SQUARE, compose
 from .core import PosetMatrix, principal_subposet
+from .enumeration import generate_all
 from .errors import IndexOutOfRange, OrderMismatch
 from .structure import classify_connectivity
 
@@ -93,9 +95,6 @@ def self_dual_closure_counterexamples(max_order: int) -> list:
     square composition at a fixed position and fixed orders is injective,
     a self-dual composite forces A = A* and B = B*.
     """
-    from .compose import SQUARE, compose
-    from .enumeration import generate_all
-
     found = []
     pool = [m for n in range(1, max_order + 1) for m in generate_all(n)]
     for a in pool:

@@ -1,14 +1,15 @@
 """Generation and canonicalization of poset matrices.
 
-generate_all(n) builds the matrices row by row.  A new bottom row is
-admissible exactly when its set of 1-columns is a down-set (an ideal) of the
-order built so far, which is incremental transitivity.  So instead of testing
-every 0/1 row, each step lists the down-sets of the rows so far directly:
-elements are decided in label order, "exclude" before "include", and element
-j may be included only when its strict down-set is already chosen (natural
-labelling puts that set below j).  The down-sets come out in ascending
-lexicographic row order, so the output is in row-major lexicographic order
-with no sorting.  A new row's code is its down-set plus its diagonal bit.
+Every enumeration here rests on one step, _children: the largest label is
+maximal, so a matrix of order k+1 is one of order k with a new last row
+whose strict part is a down-set (an ideal) of it.  The step lists those
+ideals directly: elements are decided in label order, "exclude" before
+"include", and j may be included only when its strict down-set (below j by
+natural labelling) is chosen.  They come out in ascending row order, so
+_levels(n), which walks the step from the empty matrix and yields PM(1),
+..., PM(n) as lists of row-code tuples, gives each level in lexicographic
+order with no sorting.  generate_all(n) wraps the walk's last level and
+keeps no cache; verify_laws takes its pools from the walk as codes.
 
 Two matrices are permutation equivalent (same unlabelled poset) iff one is
 Q^T A Q for a permutation Q keeping the result lower triangular; those Q
@@ -18,21 +19,20 @@ with two exact prunings: only candidates of least row code branch, and
 interchangeable candidates (same row code, same up-set among the elements
 still to be placed) branch once.
 
-classes(n) never visits PM(n).  It grows the catalogue by the same
-one-point extension, on class representatives only: every class of order
-k is canon(D + I) for a class D of order k-1 and an ideal I of canon(D),
-and labelled counts pass from parent to child by a transfer identity
-proved in its docstring.  At order 7 that is 6,377 canonical_form calls,
-where PM(7) holds 96,428 matrices.
+classes(n) never visits PM(n).  It applies the same step to class
+representatives only: every class of order k is canon(D + I) for a class
+D of order k-1 and an ideal I of canon(D), and labelled counts pass from
+parent to child by a transfer identity proved in its docstring.  At order
+7 that is 6,377 canonical_form calls, where PM(7) holds 96,428 matrices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
-from .core import UNIT, PosetMatrix, _gather
+from .core import UNIT, PosetMatrix, relabel  # noqa: F401  (relabel: re-exported)
 from .errors import ResourceLimit
+from .structure import classify_connectivity
 
 DEFAULT_ORDER_CAP = 8
 
@@ -44,8 +44,9 @@ def _check_order(n: int, order_cap: int) -> None:
         raise ResourceLimit(f"order {n} above the cap {order_cap}")
 
 
-def _ideals(codes: tuple) -> list:
-    """Every down-set of the order with these row codes, ascending as rows."""
+def _children(codes: tuple) -> list:
+    """Row codes of every matrix one order up whose leading block is codes:
+    a new last row over each ideal, in ascending row order."""
     ideals = [0]
     for j in range(len(codes)):
         step = []
@@ -54,28 +55,29 @@ def _ideals(codes: tuple) -> list:
             if codes[j] & ~s == 1 << j:  # j's strict down-set is chosen
                 step.append(s | 1 << j)
         ideals = step
-    return ideals
+    top = 1 << len(codes)
+    return [codes + (s | top,) for s in ideals]
 
 
-@lru_cache(maxsize=None)
+def _levels(n: int):
+    """Yield PM(1), ..., PM(n), each a lexicographically sorted list of row-code tuples."""
+    level = [()]
+    for _ in range(n):
+        level = [child for codes in level for child in _children(codes)]
+        yield level
+
+
 def generate_all(n: int, order_cap: int = DEFAULT_ORDER_CAP) -> tuple:
-    """All poset matrices of order n, lexicographically sorted."""
+    """All poset matrices of order n, lexicographically sorted; nothing is cached.
+
+    The last step wraps each child as it is made; wrapping PM(8)'s finished
+    code list afterwards made the collector's full passes 1.5 times as long."""
     _check_order(n, order_cap)
     wrap = PosetMatrix._wrap
-    results = []
-
-    def extend(codes):
-        i = len(codes)
-        top = 1 << i
-        ideals = _ideals(codes)  # strict down-sets of the new element i
-        if i == n - 1:
-            results.extend(wrap(codes + (s | top,)) for s in ideals)
-            return
-        for s in ideals:
-            extend(codes + (s | top,))
-
-    extend(())
-    return tuple(results)
+    parents = [()]
+    for parents in _levels(n - 1):
+        pass
+    return tuple([wrap(c) for codes in parents for c in _children(codes)])
 
 
 def _strict_downsets(a: PosetMatrix) -> list:
@@ -101,12 +103,6 @@ def linear_extensions(a: PosetMatrix):
                 order.pop()
 
     yield from rec(0)
-
-
-def relabel(a: PosetMatrix, order) -> PosetMatrix:
-    """Relabel by a linear extension listing (element at position p gets label p)."""
-    idx = [x - 1 for x in order]
-    return PosetMatrix._wrap(_gather(a.codes, idx, idx))
 
 
 def canonical_form(a: PosetMatrix) -> PosetMatrix:
@@ -212,20 +208,16 @@ def classes(n: int, which: str = "all", order_cap: int = DEFAULT_ORDER_CAP) -> t
     Every level keeps all its classes, since a connected poset can grow
     from a disconnected one; the filter applies only to the last level.
     """
-    from .structure import classify_connectivity
-
     if which not in ("all", "connected", "disconnected"):
         raise ValueError(f"unknown filter {which!r}")
     _check_order(n, order_cap)
     wrap = PosetMatrix._wrap
     counts = {UNIT: 1}
-    for k in range(1, n):
-        top = 1 << k
+    for _ in range(1, n):
         grown = {}
         for parent, weight in counts.items():
-            codes = parent.codes
-            for s in _ideals(codes):
-                child = canonical_form(wrap(codes + (s | top,)))
+            for codes in _children(parent.codes):
+                child = canonical_form(wrap(codes))
                 grown[child] = grown.get(child, 0) + weight
         counts = grown
     out = []

@@ -11,7 +11,8 @@ kinds have partial domains; triples whose intermediate composition is
 undefined are skipped and counted.
 
 The law layer works on int row codes (see core) from end to end: the pools
-are code tuples, a kind's rule is looked up once, and _case evaluates one
+are the levels of enumeration's walk, taken as code tuples once the order
+cap is checked; a kind's rule is looked up once, and _case evaluates one
 case by compose._compose, comparing the two sides as code tuples.  The
 check_* functions, random mode and the unit sweep call _case; the exhaustive
 associativity sweep (_scan) shares each inner composite across cases and
@@ -27,7 +28,7 @@ from typing import Optional
 
 from .compose import _compose, _rule, kind_name, parse_kind
 from .core import PosetMatrix, UNIT
-from .enumeration import generate_all
+from .enumeration import DEFAULT_ORDER_CAP, _check_order, _levels
 from .errors import IndexOutOfRange, PreconditionViolated, RequiresDistinctIndices
 
 NESTED = "nested"
@@ -278,7 +279,8 @@ def verify_laws(kind, max_order, trials=None, seed=0):
         raise ValueError("max_order must be at least 1")
     if trials is not None and trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
-    pools = {n: tuple(m.codes for m in generate_all(n)) for n in range(1, max_order + 1)}
+    _check_order(max_order, DEFAULT_ORDER_CAP)
+    pools = dict(enumerate(_levels(max_order), 1))
     rule = _rule(kind)
     if trials is None:
         tallies = [_exhaustive(rule, law, pools) for law in LAWS]

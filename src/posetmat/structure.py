@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .compose import SQUARE, _compose, _host, _rule, compose
-from .core import BinaryMatrix, PosetMatrix, _check_poset, principal_subposet, submatrix
+from .core import BinaryMatrix, PosetMatrix, _check_poset, principal_subposet, relabel, submatrix
 from .errors import PreconditionViolated, ValidationError
 
 
@@ -209,8 +209,6 @@ def direct_sum(g: PosetMatrix, h: PosetMatrix) -> PosetMatrix:
 
 def component_contiguous_form(c: PosetMatrix) -> PosetMatrix:
     """A permutation-equivalent relabelling listing each component contiguously."""
-    from .enumeration import relabel
-
     order = [i for comp in components(c) for i in comp]
     return relabel(c, order)
 

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import pytest
 
@@ -279,6 +280,29 @@ class TestCommands:
         assert capsys.readouterr().out.strip() == "true"
         assert run(["invariance", "--alpha", "1,2,3", a, b]) == 0
         assert capsys.readouterr().out.strip() == "false"
+
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ("0..2", "index 0 outside [1,3]"),
+            ("2..9", "index 4 outside [1,3]"),
+            ("5..9", "index 5 outside [1,3]"),
+            ("-5..2", "index -5 outside [1,3]"),
+            ("1..1000000", "index 4 outside [1,3]"),
+            ("1..1000000000000", "index 4 outside [1,3]"),
+            ("3..1", "alpha () is not a contiguous range"),
+        ],
+    )
+    def test_invariance_alpha_outside_the_order(self, files, capsys, spec, message):
+        # a range stops one index past the order, so a huge bound builds nothing
+        tracemalloc.start()
+        try:
+            code = run(["invariance", f"--alpha={spec}", files["chain3"], files["chain3"]])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, capsys.readouterr()) == (1, ("", f"error: {message}\n"))
+        assert peak < 5 << 20
 
     def test_enumerate_counts(self, capsys):
         assert run(["enumerate", "--n", "4"]) == 0

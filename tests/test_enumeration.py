@@ -65,7 +65,7 @@ class TestGenerateAll:
         assert len(generate_all(7)) == 96428
 
     def test_output_is_lex_sorted(self):
-        for n in (3, 4, 5):
+        for n in (3, 4, 5, 6, 7):
             rows = [m.rows for m in generate_all(n)]
             assert rows == sorted(rows)
 

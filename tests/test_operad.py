@@ -1,9 +1,11 @@
+import tracemalloc
+
 import pytest
 
 from posetmat import MINMAX, SQUARE, UNIT, check_nested, check_parallel, check_unit
 from posetmat.compose import ALL_BOXED, OPERAD_KINDS
 from posetmat.enumeration import generate_all
-from posetmat.errors import IndexOutOfRange, RequiresDistinctIndices
+from posetmat.errors import IndexOutOfRange, RequiresDistinctIndices, ResourceLimit
 from posetmat.operad import LAWS, reverify, verify_laws
 
 from helpers import EX_A, EX_B, EX_C, NESTED_LEFT, NESTED_RIGHT, chain, pm
@@ -106,6 +108,27 @@ class TestVerifyLaws:
         for trials in (0, -5):
             with pytest.raises(ValueError):
                 verify_laws(SQUARE, 3, trials=trials)
+
+    def test_order_cap_refused_before_any_pool_is_built(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimit):
+                verify_laws(SQUARE, 9)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 << 20
+
+    def test_argument_errors_in_order(self):
+        # order, then trials, then the cap, then the kind
+        with pytest.raises(ValueError, match="max_order"):
+            verify_laws("bogus", 0, trials=0)
+        with pytest.raises(ValueError, match="trials"):
+            verify_laws("bogus", 9, trials=0)
+        with pytest.raises(ResourceLimit):
+            verify_laws("bogus", 9)
+        with pytest.raises(ValueError, match="unknown"):
+            verify_laws("bogus", 2)
 
     def test_operad_kinds_pass_random_trials(self):
         for kind in OPERAD_KINDS:
