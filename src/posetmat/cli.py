@@ -111,20 +111,21 @@ class _WriteError(Exception):
     """An -o file could not be written; carries the OSError's message."""
 
 
-def _emit(text: str, out_path) -> None:
+def _emit(chunks, out_path) -> None:
+    """Write the strings of chunks, in order, to out_path or else to stdout."""
     if out_path:
         try:
             with open(out_path, "w", encoding="ascii") as fh:
-                fh.write(text)
+                fh.writelines(chunks)
         except OSError as e:
             raise _WriteError(e) from e
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
 
 
 def _emit_matrix(m, args) -> None:
     text = json.dumps(to_json_obj(m)) + "\n" if args.json else to_pm_text(m)
-    _emit(text, getattr(args, "output", None))
+    _emit((text,), getattr(args, "output", None))
 
 
 def cmd_check(args) -> int:
@@ -247,6 +248,17 @@ def cmd_invariance(args) -> int:
     return 0
 
 
+def _json_listing(groups):
+    """json.dumps of the groups' matrices as one list, plus a newline, in
+    one chunk per non-empty group."""
+    sep = "["
+    for group in groups:
+        if group:
+            yield sep + json.dumps([to_json_obj(m) for m in group])[1:-1]
+            sep = ", "
+    yield "[]\n" if sep == "[" else "]\n"
+
+
 def cmd_enumerate(args) -> int:
     if args.classes:
         classes = enumeration.classes(args.n, args.filter)
@@ -255,28 +267,22 @@ def cmd_enumerate(args) -> int:
             f"order {args.n}: {len(classes)} classes "
             f"({n_conn} connected, {len(classes) - n_conn} disconnected)"
         )
-        matrices = [c.canonical for c in classes]
+        groups = [[c.canonical for c in classes]]
     else:
-        matrices = list(enumeration.generate_all(args.n))
-        if args.filter != "all":
-            want = args.filter == "connected"
-            matrices = [
-                m
-                for m in matrices
-                if structure.classify_connectivity(m).connected == want
-            ]
-        header = f"order {args.n}: {len(matrices)} matrices ({args.filter})"
-    body = ""
+        count = enumeration.matrix_count(args.n, args.filter)
+        header = f"order {args.n}: {count} matrices ({args.filter})"
+        groups = enumeration.matrices_by_parent(args.n, args.filter)
+    body = ()
     if args.output or args.print_matrices:
         if args.format == "json":
-            body = json.dumps([to_json_obj(m) for m in matrices]) + "\n"
+            body = _json_listing(groups)
         else:
-            body = "".join(to_pm_text(m) for m in matrices)
+            body = ("".join(map(to_pm_text, group)) for group in groups)
     if args.output:  # written before the count line, which would claim success
         _emit(body, args.output)
     print(header)
     if not args.output:
-        sys.stdout.write(body)
+        _emit(body, None)
     return 0
 
 
@@ -286,7 +292,7 @@ def cmd_pascal(args) -> int:
 
 
 def cmd_hasse(args) -> int:
-    _emit(export_hasse(_load_poset(args.matrix)), getattr(args, "output", None))
+    _emit((export_hasse(_load_poset(args.matrix)),), getattr(args, "output", None))
     return 0
 
 

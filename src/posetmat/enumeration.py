@@ -11,6 +11,12 @@ _levels(n), which walks the step from the empty matrix and yields PM(1),
 order with no sorting.  generate_all(n) wraps the walk's last level and
 keeps no cache; verify_laws takes its pools from the walk as codes.
 
+Nothing of order n has to exist to be counted or listed.  matrix_count(n)
+walks to PM(n-1) and sums the ideal counts of each parent, and splits
+them into connected and disconnected children by the components of the
+parent (proved in its docstring).  matrices_by_parent(n) yields the
+children of one parent at a time, in the same order as generate_all(n).
+
 Two matrices are permutation equivalent (same unlabelled poset) iff one is
 Q^T A Q for a permutation Q keeping the result lower triangular; those Q
 are precisely the linear extensions of the order.  canonical_form takes the
@@ -44,19 +50,51 @@ def _check_order(n: int, order_cap: int) -> None:
         raise ResourceLimit(f"order {n} above the cap {order_cap}")
 
 
+def _ideals(codes: tuple, within: int = -1) -> list:
+    """Bitmasks of the ideals of codes inside the down-closed mask within
+    (every element by default), in ascending row order.
+
+    Elements are decided in label order, "exclude" before "include"; j may
+    be included only when it lies in within and its strict down-set is
+    chosen."""
+    ideals = [0]
+    for j, code in enumerate(codes):
+        if within >> j & 1:
+            bit = 1 << j
+            step = []
+            for s in ideals:
+                step.append(s)
+                if code & ~s == bit:  # j's strict down-set is chosen
+                    step.append(s | bit)
+            ideals = step
+    return ideals
+
+
 def _children(codes: tuple) -> list:
     """Row codes of every matrix one order up whose leading block is codes:
     a new last row over each ideal, in ascending row order."""
-    ideals = [0]
-    for j in range(len(codes)):
-        step = []
-        for s in ideals:
-            step.append(s)
-            if codes[j] & ~s == 1 << j:  # j's strict down-set is chosen
-                step.append(s | 1 << j)
-        ideals = step
     top = 1 << len(codes)
-    return [codes + (s | top,) for s in ideals]
+    return [codes + (s | top,) for s in _ideals(codes)]
+
+
+def _components(codes: tuple) -> list:
+    """Bitmasks of the connected components of the comparability graph.
+
+    Each row joins its element to everything below it, so one pass over
+    the rows merges every component that a row meets.  The counting walk
+    calls this once per matrix of order n-1, where the index tuples of
+    structure.components cost about four times as much at order 7."""
+    comps = []
+    for row in codes:
+        apart = []
+        for comp in comps:
+            if comp & row:
+                row |= comp
+            else:
+                apart.append(comp)
+        apart.append(row)
+        comps = apart
+    return comps
 
 
 def _levels(n: int):
@@ -67,6 +105,19 @@ def _levels(n: int):
         yield level
 
 
+def _parents(n: int) -> list:
+    """PM(n-1) as row-code tuples; PM(0) is the empty matrix alone."""
+    level = [()]
+    for level in _levels(n - 1):
+        pass
+    return level
+
+
+def _check_filter(which: str) -> None:
+    if which not in ("all", "connected", "disconnected"):
+        raise ValueError(f"unknown filter {which!r}")
+
+
 def generate_all(n: int, order_cap: int = DEFAULT_ORDER_CAP) -> tuple:
     """All poset matrices of order n, lexicographically sorted; nothing is cached.
 
@@ -74,10 +125,69 @@ def generate_all(n: int, order_cap: int = DEFAULT_ORDER_CAP) -> tuple:
     code list afterwards made the collector's full passes 1.5 times as long."""
     _check_order(n, order_cap)
     wrap = PosetMatrix._wrap
-    parents = [()]
-    for parents in _levels(n - 1):
-        pass
-    return tuple([wrap(c) for codes in parents for c in _children(codes)])
+    return tuple([wrap(c) for codes in _parents(n) for c in _children(codes)])
+
+
+def matrix_count(n: int, which: str = "all", order_cap: int = DEFAULT_ORDER_CAP) -> int:
+    """Number of poset matrices of order n, all or only the connected or
+    disconnected ones, counted from PM(n-1) without building any of order n.
+
+    Every matrix of order n is M + I, one new maximal element over an ideal
+    I of a unique M in PM(n-1) (see classes), so |PM(n)| is the sum of
+    #ideals(M) over PM(n-1).  For each M,
+
+        #ideals(M) = prod over components c of M of #ideals(c),
+        #{I : M + I connected} = prod over components c of (#ideals(c) - 1).
+
+    Proof.  (1) M + I is connected iff I meets every component of M.  Its
+    comparability graph is that of M with the new element joined to
+    exactly the elements of I.  So the new element merges the components
+    of M that meet I into one, and every component of M that misses I
+    stays a component of M + I.  (2) No relation of M joins two
+    components, so a set I is closed downward in M iff I & c is closed
+    downward in each component c.  I -> (I & c) over the components is
+    then a bijection from the ideals of M onto the tuples of ideals of the
+    components, and I meets c iff I & c is not empty.  Counting the tuples
+    gives the first product; by (1), counting those with no empty entry
+    gives the second.  At n = 1, M is empty, both products are empty, and
+    the single point is connected.  The disconnected count is the
+    difference.
+    """
+    _check_filter(which)
+    _check_order(n, order_cap)
+    total = connected = 0
+    for codes in _parents(n):
+        every = joined = 1
+        for comp in _components(codes):
+            k = len(_ideals(codes, comp))
+            every *= k
+            joined *= k - 1
+        total += every
+        connected += joined
+    if which == "all":
+        return total
+    return connected if which == "connected" else total - connected
+
+
+def matrices_by_parent(n: int, which: str = "all", order_cap: int = DEFAULT_ORDER_CAP):
+    """Yield the poset matrices of order n, all or only the connected or
+    disconnected ones, as one list per parent in PM(n-1).
+
+    The lists concatenate to generate_all(n), filtered, in the same order,
+    and no more than one parent's children exist at a time.  A child keeps
+    the filter by the component test proved in matrix_count: it is
+    connected iff its new row meets every component of its parent.  As a
+    generator, it checks its arguments when first advanced."""
+    _check_filter(which)
+    _check_order(n, order_cap)
+    wrap = PosetMatrix._wrap
+    want = which == "connected"
+    for codes in _parents(n):
+        children = _children(codes)
+        if which != "all":
+            comps = _components(codes)
+            children = [c for c in children if all(c[-1] & comp for comp in comps) == want]
+        yield [wrap(c) for c in children]
 
 
 def _strict_downsets(a: PosetMatrix) -> list:
@@ -208,8 +318,7 @@ def classes(n: int, which: str = "all", order_cap: int = DEFAULT_ORDER_CAP) -> t
     Every level keeps all its classes, since a connected poset can grow
     from a disconnected one; the filter applies only to the last level.
     """
-    if which not in ("all", "connected", "disconnected"):
-        raise ValueError(f"unknown filter {which!r}")
+    _check_filter(which)
     _check_order(n, order_cap)
     wrap = PosetMatrix._wrap
     counts = {UNIT: 1}

@@ -1,10 +1,12 @@
 """Binary Pascal matrices as poset matrices.
 
-Entry (i, j) is binomial(i-1, j-1) mod 2, computed by Lucas' criterion:
-the binomial is odd exactly when the bits of j-1 sit inside the bits of
-i-1.  At order 2^k the associated poset is the k-dimensional Boolean
-lattice.  Every such matrix splits as P_2 inserted with its own first
-row and column deleted.
+Entry (i, j) is binomial(i-1, j-1) mod 2, built row by row by Pascal's
+rule mod 2 (see pascal_matrix): n big-int steps, not n^2 bit tests.  By
+Lucas' criterion that binomial is odd exactly when the bits of j-1 sit
+inside the bits of i-1, so the matrix is the order "j-1 is a bit subset of
+i-1", which is why it is a poset matrix; at order 2^k the associated poset
+is the k-dimensional Boolean lattice.  Every such matrix splits as P_2
+inserted with its own first row and column deleted.
 """
 
 from __future__ import annotations
@@ -14,12 +16,17 @@ from .compose import SQUARE, compose
 
 
 def pascal_matrix(n: int) -> PosetMatrix:
-    """Order-n binary Pascal matrix (parity of the binomial triangle)."""
+    """Order-n binary Pascal matrix (parity of the binomial triangle).
+
+    Row i+1 follows from row i by binomial(i, j) = binomial(i-1, j) +
+    binomial(i-1, j-1): mod 2 that is row i XOR row i moved one column to
+    the right, starting from row 1 = (1, 0, ..., 0)."""
     if n < 1:
         raise ValueError("order must be at least 1")
-    return PosetMatrix._wrap(
-        tuple(sum(1 << j for j in range(i + 1) if (j & i) == j) for i in range(n))
-    )
+    codes = [1]
+    for _ in range(n - 1):
+        codes.append(codes[-1] ^ (codes[-1] << 1))
+    return PosetMatrix._wrap(tuple(codes))
 
 
 def pascal_decomposition_check(n: int) -> bool:

@@ -13,6 +13,7 @@ from posetmat.cli import (
 )
 from posetmat.core import BinaryMatrix
 from posetmat.enumeration import generate_all
+from posetmat.structure import classify_connectivity
 from posetmat.errors import ParseError
 
 from helpers import EX_SQUARE, MINMAX_EXAMPLE, chain, pm
@@ -363,6 +364,52 @@ class TestCommands:
                 assert run(argv + ["-o", str(target)]) == 0
                 assert capsys.readouterr().out == header
                 assert target.read_text() == body
+
+    def test_enumerate_bodies_match_the_materialised_listing(self, files, capsys):
+        # the streamed bodies against the whole level formatted at once
+        for n in range(1, 6):
+            for which in ("all", "connected", "disconnected"):
+                listing = [
+                    m
+                    for m in generate_all(n)
+                    if which == "all"
+                    or classify_connectivity(m).connected == (which == "connected")
+                ]
+                header = f"order {n}: {len(listing)} matrices ({which})\n"
+                bodies = {
+                    "pm": "".join(to_pm_text(m) for m in listing),
+                    "json": json.dumps([to_json_obj(m) for m in listing]) + "\n",
+                }
+                for fmt, body in bodies.items():
+                    argv = ["enumerate", "--n", str(n), "--filter", which, "--format", fmt]
+                    assert run(argv + ["--print"]) == 0
+                    assert capsys.readouterr().out == header + body
+                    target = files["dir"] / f"out.{fmt}"
+                    assert run(argv + ["-o", str(target)]) == 0
+                    assert capsys.readouterr().out == header
+                    assert target.read_text() == body
+
+    def test_enumerate_empty_listing(self, files, capsys):
+        argv = ["enumerate", "--n", "1", "--filter", "disconnected"]
+        header = "order 1: 0 matrices (disconnected)\n"
+        for fmt, body in (("pm", ""), ("json", "[]\n")):
+            assert run(argv + ["--format", fmt, "--print"]) == 0
+            assert capsys.readouterr() == (header + body, "")
+            target = files["dir"] / f"empty.{fmt}"
+            assert run(argv + ["--format", fmt, "-o", str(target)]) == 0
+            assert capsys.readouterr() == (header, "")
+            assert target.read_text() == body
+
+    def test_enumerate_count_builds_no_level(self, capsys):
+        # PM(7) alone, as generate_all builds it, takes tens of MiB
+        tracemalloc.start()
+        try:
+            code = run(["enumerate", "--n", "7"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, capsys.readouterr()) == (0, ("order 7: 96428 matrices (all)\n", ""))
+        assert peak < 5 << 20
 
     def test_pascal(self, capsys):
         assert run(["pascal", "--n", "4"]) == 0

@@ -5,10 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from posetmat import canonical_form, classes, generate_all, validate
+from posetmat import canonical_form, classes, classify_connectivity, generate_all, validate
 from posetmat.compose import compose
 from posetmat.core import BinaryMatrix, PosetMatrix, closure_of_covers
-from posetmat.enumeration import linear_extensions, relabel
+from posetmat.enumeration import (
+    linear_extensions,
+    matrices_by_parent,
+    matrix_count,
+    relabel,
+)
 from posetmat.errors import ResourceLimit
 
 from helpers import (
@@ -76,6 +81,51 @@ class TestGenerateAll:
         with pytest.raises(ResourceLimit):
             generate_all(9)
         generate_all(3, order_cap=3)
+
+
+def filtered(n):
+    """generate_all(n), whole and cut down by classify_connectivity: the
+    materialised listings that matrix_count and matrices_by_parent must
+    agree with."""
+    everything = list(generate_all(n))
+    connected = [classify_connectivity(m).connected for m in everything]
+    return {
+        "all": everything,
+        "connected": [m for m, c in zip(everything, connected) if c],
+        "disconnected": [m for m, c in zip(everything, connected) if not c],
+    }
+
+
+class TestCountAndListWithoutTheLevel:
+    def test_count_matches_filtered_generate_all(self):
+        for n in range(1, 8):
+            for which, listing in filtered(n).items():
+                assert matrix_count(n, which) == len(listing), (n, which)
+
+    def test_published_counts_order_eight(self):
+        # A006455, and the labelled sum of classes(8, "connected")
+        assert matrix_count(8) == 2800472
+        assert matrix_count(8, "connected") == 2020256
+
+    def test_listing_per_parent_concatenates_to_filtered_generate_all(self):
+        for n in range(1, 7):
+            parents = len(generate_all(n - 1)) if n > 1 else 1
+            for which, listing in filtered(n).items():
+                groups = list(matrices_by_parent(n, which))
+                assert len(groups) == parents
+                assert [m for g in groups for m in g] == listing, (n, which)
+
+    def test_order_and_filter_errors(self):
+        for make in (matrix_count, lambda *a, **k: list(matrices_by_parent(*a, **k))):
+            with pytest.raises(ValueError, match="at least 1"):
+                make(0)
+            with pytest.raises(ResourceLimit, match="order 9 above the cap 8"):
+                make(9)
+            with pytest.raises(ResourceLimit):
+                make(4, order_cap=3)
+            with pytest.raises(ValueError, match="unknown filter"):
+                make(3, "odd")
+        assert matrix_count(3, order_cap=3) == 7
 
 
 class TestCanonicalForm:
@@ -253,3 +303,62 @@ class TestClasses:
                             for i in range(1, n + 1):
                                 out = compose(kind, ca.canonical, i, cb.canonical)
                                 assert canonical_form(out) in targets[(n, m)]
+
+
+def extension_count(a):
+    """e(a): linear extensions of a, by a DP over its down-sets."""
+    n = a.n
+    below = [code & ~(1 << i) for i, code in enumerate(a.codes)]
+    ways = {0: 1}  # down-set -> number of ways to place it first
+    for _ in range(n):
+        grown = {}
+        for used, w in ways.items():
+            for x in range(n):
+                if not (used >> x) & 1 and not below[x] & ~used:
+                    grown[used | 1 << x] = grown.get(used | 1 << x, 0) + w
+        ways = grown
+    return ways[(1 << n) - 1]
+
+
+def automorphism_count(a):
+    """|Aut(a)|: the linear extensions o with relabel(a, o) == a, placed one
+    position at a time and cut at the first row that differs.  Position p
+    takes x exactly when the strict down-set of x is the image of that of p
+    under the positions already placed."""
+    n = a.n
+    below = [code & ~(1 << i) for i, code in enumerate(a.codes)]
+
+    def rec(p, used, order):
+        if p == n:
+            return 1
+        image = 0
+        for q in range(p):
+            if (below[p] >> q) & 1:
+                image |= 1 << order[q]
+        return sum(
+            rec(p + 1, used | 1 << x, order + [x])
+            for x in range(n)
+            if not (used >> x) & 1 and below[x] == image
+        )
+
+    return rec(0, 0, [])
+
+
+class TestLabelledCountOracle:
+    """labeled_count(C) = e(C) / |Aut(C)|: each class C holds e(C) labelled
+    relabellings of canon(C), one per linear extension, and two extensions
+    give the same matrix iff they differ by an automorphism.  This does not
+    use the transfer identity that classes() computes its counts by."""
+
+    def test_automorphism_count_is_the_relabelling_definition(self):
+        for n in range(1, 6):
+            for c in classes(n):
+                a = c.canonical
+                literal = sum(1 for o in linear_extensions(a) if relabel(a, o) == a)
+                assert automorphism_count(a) == literal
+
+    def test_extensions_over_automorphisms(self):
+        for n in range(1, 8):
+            for c in classes(n):
+                e, aut = extension_count(c.canonical), automorphism_count(c.canonical)
+                assert e == c.labeled_count * aut, c.canonical

@@ -29,6 +29,12 @@ class TestPascalMatrix:
             for j in range(1, 9):
                 assert p.entry(i, j) == comb(i - 1, j - 1) % 2
 
+    def test_rows_match_lucas_criterion_up_to_300(self):
+        # binomial(i, j) is odd iff the bits of j sit inside those of i
+        lucas = [sum(1 << j for j in range(i + 1) if j & i == j) for i in range(300)]
+        for n in range(1, 301):
+            assert pascal_matrix(n).codes == tuple(lucas[:n])
+
     def test_validates_up_to_64(self):
         for n in range(1, 65):
             validate(BinaryMatrix(pascal_matrix(n).rows))
