@@ -8,8 +8,9 @@ ideals directly: elements are decided in label order, "exclude" before
 natural labelling) is chosen.  They come out in ascending row order, so
 _levels(n), which walks the step from the empty matrix and yields PM(1),
 ..., PM(n) as lists of row-code tuples, gives each level in lexicographic
-order with no sorting.  generate_all(n) wraps the walk's last level and
-keeps no cache; verify_laws takes its pools from the walk as codes.
+order with no sorting.  generate_all(n) and matrices_by_parent(n)
+(below) wrap the same per-parent listing of the last step, and neither
+keeps a cache; verify_laws takes its pools from the walk as codes.
 
 Nothing of order n has to exist to be counted or listed.  matrix_count(n)
 walks to PM(n-1) and sums the ideal counts of each parent, and splits
@@ -125,10 +126,10 @@ def generate_all(n: int, order_cap: int = DEFAULT_ORDER_CAP) -> tuple:
     code list afterwards made the collector's full passes 1.5 times as long."""
     _check_order(n, order_cap)
     wrap = PosetMatrix._wrap
-    return tuple([wrap(c) for codes in _parents(n) for c in _children(codes)])
+    return tuple([wrap(c) for group in _groups(n, "all") for c in group])
 
 
-def matrix_count(n: int, which: str = "all", order_cap: int = DEFAULT_ORDER_CAP) -> int:
+def matrix_count(n: int, which: str = "all") -> int:
     """Number of poset matrices of order n, all or only the connected or
     disconnected ones, counted from PM(n-1) without building any of order n.
 
@@ -154,7 +155,7 @@ def matrix_count(n: int, which: str = "all", order_cap: int = DEFAULT_ORDER_CAP)
     difference.
     """
     _check_filter(which)
-    _check_order(n, order_cap)
+    _check_order(n, DEFAULT_ORDER_CAP)
     total = connected = 0
     for codes in _parents(n):
         every = joined = 1
@@ -169,25 +170,34 @@ def matrix_count(n: int, which: str = "all", order_cap: int = DEFAULT_ORDER_CAP)
     return connected if which == "connected" else total - connected
 
 
-def matrices_by_parent(n: int, which: str = "all", order_cap: int = DEFAULT_ORDER_CAP):
-    """Yield the poset matrices of order n, all or only the connected or
-    disconnected ones, as one list per parent in PM(n-1).
+def _groups(n: int, which: str):
+    """Yield the row codes of the poset matrices of order n that pass the
+    filter which, as one list per parent in PM(n-1), in the order of
+    generate_all(n).
 
-    The lists concatenate to generate_all(n), filtered, in the same order,
-    and no more than one parent's children exist at a time.  A child keeps
-    the filter by the component test proved in matrix_count: it is
-    connected iff its new row meets every component of its parent.  As a
-    generator, it checks its arguments when first advanced."""
-    _check_filter(which)
-    _check_order(n, order_cap)
-    wrap = PosetMatrix._wrap
+    A child keeps the filter by the component test proved in matrix_count:
+    it is connected iff its new row meets every component of its parent."""
     want = which == "connected"
     for codes in _parents(n):
         children = _children(codes)
         if which != "all":
             comps = _components(codes)
             children = [c for c in children if all(c[-1] & comp for comp in comps) == want]
-        yield [wrap(c) for c in children]
+        yield children
+
+
+def matrices_by_parent(n: int, which: str = "all"):
+    """Yield the poset matrices of order n, all or only the connected or
+    disconnected ones, as one list per parent in PM(n-1).
+
+    The lists concatenate to generate_all(n), filtered, in the same order
+    (see _groups), and no more than one parent's children exist at a time.
+    As a generator, it checks its arguments when first advanced."""
+    _check_filter(which)
+    _check_order(n, DEFAULT_ORDER_CAP)
+    wrap = PosetMatrix._wrap
+    for group in _groups(n, which):
+        yield [wrap(c) for c in group]
 
 
 def _strict_downsets(a: PosetMatrix) -> list:
