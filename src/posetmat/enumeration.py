@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 from .core import UNIT, PosetMatrix, relabel  # noqa: F401  (relabel: re-exported)
 from .errors import ResourceLimit
-from .structure import classify_connectivity
+from .structure import _components, classify_connectivity
 
 DEFAULT_ORDER_CAP = 8
 
@@ -76,26 +76,6 @@ def _children(codes: tuple) -> list:
     a new last row over each ideal, in ascending row order."""
     top = 1 << len(codes)
     return [codes + (s | top,) for s in _ideals(codes)]
-
-
-def _components(codes: tuple) -> list:
-    """Bitmasks of the connected components of the comparability graph.
-
-    Each row joins its element to everything below it, so one pass over
-    the rows merges every component that a row meets.  The counting walk
-    calls this once per matrix of order n-1, where the index tuples of
-    structure.components cost about four times as much at order 7."""
-    comps = []
-    for row in codes:
-        apart = []
-        for comp in comps:
-            if comp & row:
-                row |= comp
-            else:
-                apart.append(comp)
-        apart.append(row)
-        comps = apart
-    return comps
 
 
 def _levels(n: int):

@@ -8,16 +8,97 @@ verify_laws sweeps each axiom exhaustively over all poset matrices up to a
 given order (grouped by ascending total order so a reported counterexample
 is minimal), or over seeded random samples from the same pools.  Boxed
 kinds have partial domains; triples whose intermediate composition is
-undefined are skipped and counted.
+undefined are skipped and counted.  Before any pool is built the cases are
+counted (_check_budget), and a sweep of more than LAW_CASE_BUDGET cases is
+refused.
 
 The law layer works on int row codes (see core) from end to end: the pools
 are the levels of enumeration's walk, taken as code tuples once the order
-cap is checked; a kind's rule is looked up once, and _case evaluates one
-case by compose._compose, comparing the two sides as code tuples.  The
-check_* functions, random mode and the unit sweep call _case; the exhaustive
-associativity sweep (_scan) shares each inner composite across cases and
-hands it to the same _nested and _parallel.  Matrices are built only for a
-failing witness.
+cap is checked, and a kind's rule is looked up once.  An associativity case
+is decided from the inner composites A o_i B and B o_j C (nested) or
+A o_j C (parallel), by comparing only the entries where its two sides can
+differ: the blocks of the two lemmas below, in _nested_holds and
+_parallel_holds.  What they read of a guest or an inner composite (its
+extremal masks and V-fill rows) is its _view.  The exhaustive sweep (_scan)
+shares each inner composite, with its view, across the cases that use it;
+random mode (_holds) composes them per case.  Both sides are composed in
+full (_case, by _nested and _parallel) only for the check_* functions, the
+unit law and the reported witness.
+
+Notation.  By the formulas beside compose._RULES, X o_i Y (X of order x, Y
+of order y) keeps X's rows above i; gives Y's row q the row U_q | y_q << (i-1);
+and gives X's row s > i the row (x_s & low) | V_s << (i-1) | (x_s >> i) << (i-1+y),
+with low = 2^(i-1) - 1.  U_q is X's row prefix at i (ROW), the same only when
+q is maximal in Y (ROW_AT_MAX), or a constant.  V_s is `on` where X's entry
+(s, i) is 1 and `off` where it is 0, with (on, off) = (all of Y, 0) for COL,
+(minimal mask of Y, 0) for COL_AT_MIN, and (c, c) for a constant c.  A, B and C have orders n, m and k; AB = A o_i B, and so on.
+Two facts about BC = B o_j C, for an element q != j of B:
+  (max) under ROW_AT_MAX, q is maximal in BC iff it is maximal in B.  If
+        q > j, only B's rows below q hold q, with their bits kept.  If q < j,
+        B's rows keep bit q, and a row of C holds it only through its U-fill,
+        which copies b_j's bit q into the rows of C's maximal elements; C has
+        one, so some row of C holds q iff b_j does.
+  (min) under COL_AT_MIN, q is minimal in BC iff it is minimal in B.  If
+        q < j, its row is b_q.  If q > j, its row keeps b_q's bits other
+        than j, and holds V_q, which is C's (nonempty) minimal mask iff b_q
+        has entry j, else 0.
+
+Nested block lemma.  Let p = i+j-1, L = AB o_p C and R = A o_i BC.  L is
+defined iff AB is and AB's lower-left block at p is constant; R iff BC is
+and A's block at i is, which AB being defined already ensures.  If both are
+defined, they agree outside two blocks:
+  (N1) C's rows x A's first i-1 columns.  It can differ only under
+       ROW_AT_MAX, and only if u = a_i & low is nonzero.  Row r of C holds u
+       in L iff r is maximal in C and AB's row p has a nonzero prefix there
+       (that prefix is u or 0), and in R iff element j-1+r is maximal in BC.
+  (N2) A's rows s > i x C's columns.  L holds the outer V-fill over C, on or
+       off by AB's entry at column p of that row; R holds C's columns of the
+       V-fill over BC (that fill shifted right by j-1), on or off by A's
+       entry (s, i).
+Proof, row by row of the result.  A's rows above i are a_s in both.  B's
+row q < j is AB's row U_q | b_q << (i-1) in L (it lies above p), and
+U'_q | b_q << (i-1) in R, since BC keeps b_q; both U copy a_i's prefix by
+the same fill, and under ROW_AT_MAX on q maximal in B and in BC, which
+agree by (max).  C's row r: L's is U^L_r | c_r << (p-1), where U^L_r fills
+from AB's row p = U_j | b_j << (i-1); R's is U'_{j-1+r} | (U^BC_r | c_r << (j-1)) << (i-1),
+where U^BC_r fills from b_j.  C's columns agree.  B's first j-1 columns hold
+b_j's prefix under the same fill and gate (r maximal in C) in both.  A's
+first i-1 columns hold AB's U_j under the outer fill in L and U'_{j-1+r} in
+R: for ROW both are u, for a constant both the constant, and ROW_AT_MAX is
+(N1).  B's row q > j: AB's row U_q | b_q << (i-1) lies below p, so L keeps
+its bits left of p, puts the V-fill over C (on or off by b_q's entry j) at
+p, and moves the rest right by k-1; BC does the same to b_q at j, and R
+puts U'_{q+k-1} left of it.  U_q = U'_{q+k-1} by (max).  A's row s > i:
+AB's row (a_s & low) | V_s << (i-1) | (a_s >> i) << (i-1+m) lies below p;
+L keeps a_s & low and V_s's first j-1 bits, puts the outer V-fill over C
+at p, then V_s's bits above j and a_s >> i.  R's row is
+(a_s & low) | V'_s << (i-1) | (a_s >> i) << (i+m+k-2), V'_s over BC, on
+or off by a_s's entry i, as V_s is.  Outside C's columns V'_s is V_s with
+C's columns put in at j: for COL both are full or 0, for a constant both
+are the constant, and for COL_AT_MIN the minimal mask of BC on B's elements
+other than j is B's by (min).  C's columns are (N2).
+
+Parallel block lemma.  Let i < j, q = j+m-1, L = AB o_q C and
+R = AC o_i B.  L is defined iff AB is and AB's lower-left block at q is
+constant; R iff AC is and AC's block at i is.  If both are defined, they
+agree outside one block:
+  (P) C's rows x B's columns.  Row r of C holds the bits of B's columns of
+      U^L_r, the outer U-fill from AB's row q, in L; and in R, the V-fill
+      over B, on or off by AC's entry (j-1+r, i).
+Proof, row by row.  A's rows above i are a_s in both.  B's row: AB's row
+U_q | b_q << (i-1) lies above q, and AC keeps a_i (i < j), so R fills it
+alike.  A's row s with i < s < j: AB's row lies above q, and AC keeps a_s,
+so R gives it the same row as AB.  C's row r: L's is U^L_r | c_r << (q-1).
+AC's row j-1+r = U^AC_r | c_r << (j-1) lies below i, so R's row is that
+row's bits below i, then the V-fill over B, then the rest moved right by
+m-1.  C's columns agree.  AB's row q is A's row j with V_j at i, so its
+bits at A's columns other than i are a_j's; U^L_r and U^AC_r fill from
+them by the same fill and gate, so A's columns agree.  B's columns are
+(P).  A's row s > j: AB's row (a_s & low) | V_s << (i-1) | (a_s >> i) << (i-1+m)
+lies below q; L adds the V-fill over C, on or off by its bit at q, which is
+a_s's entry j.  AC's row adds the same V-fill at j, and R then adds the
+V-fill over B, on or off by a_s's entry i, as V_s is.  The two rows are
+equal bit for bit.
 """
 
 from __future__ import annotations
@@ -26,15 +107,33 @@ import random
 from dataclasses import dataclass
 from typing import Optional
 
-from .compose import _compose, _rule, kind_name, parse_kind
-from .core import PosetMatrix, UNIT
-from .enumeration import DEFAULT_ORDER_CAP, _check_order, _levels
-from .errors import IndexOutOfRange, PreconditionViolated, RequiresDistinctIndices
+from .compose import (
+    COL,
+    COL_AT_MIN,
+    ROW_AT_MAX,
+    _check_lower_left,
+    _compose,
+    _rule,
+    kind_name,
+    parse_kind,
+)
+from .core import PosetMatrix, UNIT, _maximal_mask, _minimal_mask
+from .enumeration import DEFAULT_ORDER_CAP, _check_order, _levels, matrix_count
+from .errors import (
+    IndexOutOfRange,
+    PreconditionViolated,
+    RequiresDistinctIndices,
+    ResourceLimit,
+)
 
 NESTED = "nested"
 PARALLEL = "parallel"
 UNIT_LAW = "unit"
 LAWS = (NESTED, PARALLEL, UNIT_LAW)
+
+# Most law cases one verify_laws call may run.  Every kind at order 4 is
+# 2,387,486 cases (a few seconds); order 5 alone is about 2.2e9 (hours).
+LAW_CASE_BUDGET = 10**8
 
 
 @dataclass(frozen=True)
@@ -120,6 +219,114 @@ def _defined(fn, *args):
         return None
 
 
+def _outer_defined(xc, i, a21) -> bool:
+    """Whether an insertion at i into the composite xc meets the precondition a21."""
+    if a21 is None:
+        return True
+    try:
+        _check_lower_left(xc, i, a21)
+    except PreconditionViolated:
+        return False
+    return True
+
+
+def _view(rule, codes) -> tuple:
+    """What the block lemmas read of a guest or an inner composite under
+    rule: (codes, the all-ones mask of its order, its maximal mask, read
+    only under ROW_AT_MAX, and the on and off rows of the V-fill over it)."""
+    u_fill, v_fill, _ = rule
+    full = (1 << len(codes)) - 1
+    if v_fill == COL_AT_MIN:
+        on, off = _minimal_mask(codes), 0
+    elif v_fill == COL:
+        on, off = full, 0
+    else:
+        on = off = full if v_fill else 0
+    return codes, full, _maximal_mask(codes) if u_fill == ROW_AT_MAX else 0, on, off
+
+
+def _composite_view(rule, x, j, c):
+    """The _view of X o_j C, or None when that composition is undefined."""
+    xc = _defined(_compose, rule, x, j, c)
+    return None if xc is None else _view(rule, xc)
+
+
+def _nested_probe(rule, a, ab, i, j) -> tuple:
+    """What (N1) and (N2) read of A and AB = A o_i B, the same for every C:
+    whether (N1) is live and AB's row i+j-1 has a nonzero prefix, and the
+    distinct pairs (A's entry (s, i), AB's entry at column i+j-1 of that row)
+    over A's rows s > i."""
+    k, p = i - 1, i + j - 1
+    low = (1 << k) - 1
+    gate = bool(ab[p - 1] & low) if rule[0] == ROW_AT_MAX and a[k] & low else None
+    below = len(ab) - len(a)  # A's row s is AB's row s + m - 1
+    pairs = {((a[s] >> k) & 1, (ab[s + below] >> (p - 1)) & 1) for s in range(i, len(a))}
+    return gate, tuple(pairs), j - 1
+
+
+def _nested_holds(probe, cv, bcv) -> bool:
+    """Whether (A o_i B) o_{i+j-1} C = A o_i (B o_j C), both sides defined,
+    from the blocks (N1) and (N2) of the nested block lemma; cv and bcv are
+    the views of C and B o_j C."""
+    gate, pairs, shift = probe
+    _, full, maxs, on, off = cv
+    _, _, bc_maxs, bc_on, bc_off = bcv
+    if gate is not None and (maxs if gate else 0) != (bc_maxs >> shift) & full:
+        return False
+    for x, y in pairs:
+        if (on if y else off) != ((bc_on if x else bc_off) >> shift) & full:
+            return False
+    return True
+
+
+def _parallel_probe(rule, bv, ab, i, j) -> tuple:
+    """What (P) reads of B and AB = A o_i B, the same for every C: the B
+    columns of the outer U-fill, whether C's maximal mask gates them, the
+    on and off rows over B, and where A o_j C's rows of C begin."""
+    b, full, _, on, off = bv
+    k = i - 1
+    if rule[0] in (0, 1):
+        row, gated = (full if rule[0] else 0), False
+    else:
+        row, gated = (ab[j + len(b) - 2] >> k) & full, rule[0] == ROW_AT_MAX
+    return row, gated, on, off, k, j - 1
+
+
+def _parallel_holds(probe, cv, ac) -> bool:
+    """Whether (A o_i B) o_{j+m-1} C = (A o_j C) o_i B, both sides defined,
+    from the block (P) of the parallel block lemma; cv is the view of C."""
+    row, gated, on, off, k, top = probe
+    c, _, maxs, _, _ = cv
+    for r in range(len(c)):
+        left = row if not gated or (maxs >> r) & 1 else 0
+        if left != (on if (ac[top + r] >> k) & 1 else off):
+            return False
+    return True
+
+
+def _holds(rule, law, a, b, c, i, j):
+    """Whether one case of law holds, by the block lemmas for associativity;
+    None when a composition it needs is undefined."""
+    if law == UNIT_LAW:
+        case = _defined(_case, rule, law, a, b, c, i, j)
+        return None if case is None else case[0]
+    a21 = rule[2]
+    ab = _defined(_compose, rule, a, i, b)
+    if ab is None:
+        return None
+    xv = _composite_view(rule, b if law == NESTED else a, j, c)
+    if xv is None:
+        return None
+    if law == NESTED:
+        if not _outer_defined(ab, i + j - 1, a21):
+            return None
+        return _nested_holds(_nested_probe(rule, a, ab, i, j), _view(rule, c), xv)
+    if not (_outer_defined(ab, j + len(b) - 1, a21) and _outer_defined(xv[0], i, a21)):
+        return None
+    probe = _parallel_probe(rule, _view(rule, b), ab, i, j)
+    return _parallel_holds(probe, _view(rule, c), xv[0])
+
+
 def check_nested(kind, a, b, c, i, j):
     """Evaluate both sides of nested associativity; return (equal, left, right)."""
     if not 1 <= i <= a.n:
@@ -147,12 +354,15 @@ def check_unit(kind, a, i) -> bool:
     return _case(_rule(kind), UNIT_LAW, a.codes, None, None, i, None)[0]
 
 
-def _enc(m) -> str:
-    return "" if m is None else ";".join(m.bit_rows())
+def _enc(codes) -> str:
+    return "" if codes is None else ";".join(PosetMatrix._wrap(codes).bit_rows())
 
 
-def _witness_key(w: Witness):
-    return (_enc(w.a), _enc(w.b), _enc(w.c), w.i, w.j if w.j is not None else 0)
+def _case_key(case):
+    """Order of failing cases (a, b, c, i, j) on row codes: the ;-joined bit
+    rows of A, B and C, then i, then j."""
+    a, b, c, i, j = case
+    return (_enc(a), _enc(b), _enc(c), i, j if j is not None else 0)
 
 
 class _Tally:
@@ -161,48 +371,67 @@ class _Tally:
         self.skipped = 0
         self.failures = []
 
-    def add(self, a, b, c, i, j, case) -> None:
-        """Count one case on row codes: its (holds, left, right), None when undefined."""
-        if case is None:
+    def add(self, a, b, c, i, j, holds) -> None:
+        """Count one case on row codes: whether it holds, None when undefined."""
+        if holds is None:
             self.skipped += 1
             return
         self.checked += 1
-        holds, left, right = case
         if not holds:
-            wrap = PosetMatrix._wrap
-            b, c = (None if x is None else wrap(x) for x in (b, c))
-            self.failures.append(Witness(wrap(a), b, c, i, j, wrap(left), wrap(right)))
+            self.failures.append((a, b, c, i, j))
 
 
-def _scan(rule, law, pools, n, m, k, tally, inner) -> None:
+def _scan(rule, law, pools, views, n, m, k, tally, inner) -> None:
     """Every associativity case with A, B, C of orders n, m, k.
 
-    A o_i B is composed once per (A, i, B); the other inner composite,
-    X o_j C with X = B (nested) or A (parallel), is composed for every C
-    at once, the first time (X, j) comes up, and kept in inner.
+    A o_i B is composed once per (A, i, B), and per j the outer
+    composite's precondition and what the block lemma reads of A and AB,
+    neither of which depends on C.  The other inner composite, X o_j C with
+    X = B (nested) or A (parallel), is composed for every C at once, the
+    first time (X, j) comes up, and kept in inner with its view and C's.
     """
     nested = law == NESTED
-    evaluate = _nested if nested else _parallel
-    Bs, Cs = pools[m], pools[k]
+    a21 = rule[2]
+    Bs, Cs = pools[m], views[k]
+    checked = skipped = 0
     for a in pools[n]:
         for i in range(1, n + 1 if nested else n):
             js = range(1, m + 1) if nested else range(i + 1, n + 1)
-            for b in Bs:
+            for b, bv in zip(Bs, views[m]):
                 ab = _defined(_compose, rule, a, i, b)
                 if ab is None:
-                    tally.skipped += len(js) * len(Cs)
+                    skipped += len(js) * len(Cs)
                     continue
                 x = b if nested else a
                 for j in js:
+                    if not _outer_defined(ab, i + j - 1 if nested else j + m - 1, a21):
+                        skipped += len(Cs)
+                        continue
+                    if nested:
+                        probe = _nested_probe(rule, a, ab, i, j)
+                    else:
+                        probe = _parallel_probe(rule, bv, ab, i, j)
                     key = (x, j, k)
                     row = inner.get(key)
                     if row is None:
-                        row = inner[key] = [_defined(_compose, rule, x, j, c) for c in Cs]
-                    for c, xc in zip(Cs, row):
-                        case = None if xc is None else _defined(
-                            evaluate, rule, a, b, c, i, j, ab, xc
-                        )
-                        tally.add(a, b, c, i, j, case)
+                        row = inner[key] = [(cv, _composite_view(rule, x, j, cv[0])) for cv in Cs]
+                    for cv, xv in row:
+                        if xv is None:
+                            skipped += 1
+                            continue
+                        if nested:
+                            holds = _nested_holds(probe, cv, xv)
+                        elif _outer_defined(xv[0], i, a21):
+                            holds = _parallel_holds(probe, cv, xv[0])
+                        else:
+                            skipped += 1
+                            continue
+                        if holds:
+                            checked += 1
+                        else:
+                            tally.add(a, b, cv[0], i, j, False)
+    tally.checked += checked
+    tally.skipped += skipped
 
 
 def _exhaustive(rule, law, pools) -> _Tally:
@@ -212,12 +441,12 @@ def _exhaustive(rule, law, pools) -> _Tally:
         for n in orders:
             for a in pools[n]:
                 for i in range(1, n + 1):
-                    case = _defined(_case, rule, law, a, None, None, i, None)
-                    tally.add(a, None, None, i, None, case)
+                    tally.add(a, None, None, i, None, _holds(rule, law, a, None, None, i, None))
             if tally.failures:
                 break
     else:
         top = orders[-1]
+        views = {n: [_view(rule, c) for c in pools[n]] for n in orders}
         inner = {}
         for total in range(3, 3 * top + 1):
             for n in orders:
@@ -225,7 +454,7 @@ def _exhaustive(rule, law, pools) -> _Tally:
                     k = total - n - m
                     if k not in pools:
                         continue
-                    _scan(rule, law, pools, n, m, k, tally, inner)
+                    _scan(rule, law, pools, views, n, m, k, tally, inner)
             if tally.failures:
                 break
     return tally
@@ -250,12 +479,19 @@ def _random(rule, law, pools, trials, seed) -> _Tally:
                 continue
             else:
                 i, j = sorted(rng.sample(range(1, len(a) + 1), 2))
-        tally.add(a, b, c, i, j, _defined(_case, rule, law, a, b, c, i, j))
+        tally.add(a, b, c, i, j, _holds(rule, law, a, b, c, i, j))
     return tally
 
 
-def _report(kind, law, tally) -> LawReport:
-    witness = min(tally.failures, key=_witness_key) if tally.failures else None
+def _report(kind, rule, law, tally) -> LawReport:
+    """The law's report; only the least failing case is composed in full."""
+    witness = None
+    if tally.failures:
+        a, b, c, i, j = case = min(tally.failures, key=_case_key)
+        _, left, right = _case(rule, law, *case)
+        wrap = PosetMatrix._wrap
+        b, c = (None if x is None else wrap(x) for x in (b, c))
+        witness = Witness(wrap(a), b, c, i, j, wrap(left), wrap(right))
     return LawReport(
         law=law,
         kind=kind_name(kind),
@@ -266,6 +502,35 @@ def _report(kind, law, tally) -> LawReport:
     )
 
 
+def _check_budget(max_order, trials) -> None:
+    """Refuse a sweep of more than LAW_CASE_BUDGET cases, counted before
+    any pool is built.
+
+    Random mode runs 3 * trials cases.  The exhaustive sweep over the
+    pools P_1, ..., P_N runs, with S = sum |P_n|, sum n|P_n| * sum m|P_m| * S
+    nested cases, sum C(n,2)|P_n| * S^2 parallel ones and sum n|P_n| unit
+    ones.  |P_n| comes from matrix_count in ascending n, and the count
+    stops at the first order over the budget."""
+    if trials is not None:
+        if 3 * trials > LAW_CASE_BUDGET:
+            raise ResourceLimit(
+                f"{trials} trials exceed the case budget {LAW_CASE_BUDGET} ({3 * trials} cases)"
+            )
+        return
+    size = spots = pairs = 0
+    for n in range(1, max_order + 1):
+        count = matrix_count(n)
+        size += count
+        spots += n * count
+        pairs += n * (n - 1) // 2 * count
+        cases = spots * spots * size + pairs * size * size + spots
+        if cases > LAW_CASE_BUDGET:
+            raise ResourceLimit(
+                f"laws up to order {max_order} exceed the case budget {LAW_CASE_BUDGET} "
+                f"({cases} cases up to order {n})"
+            )
+
+
 def verify_laws(kind, max_order, trials=None, seed=0):
     """One LawReport per axiom; exhaustive when trials is None, else random.
 
@@ -273,20 +538,22 @@ def verify_laws(kind, max_order, trials=None, seed=0):
     law's scan at the end of the first total-order group containing a
     counterexample, so the reported witness is minimal (smallest n+m+k,
     ties broken lexicographically on the matrix encodings).  Identical
-    seeds give identical reports.
+    seeds give identical reports.  The order cap and then the case budget
+    are checked before the kind is looked up and before any pool is built.
     """
     if max_order < 1:
         raise ValueError("max_order must be at least 1")
     if trials is not None and trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
     _check_order(max_order, DEFAULT_ORDER_CAP)
-    pools = dict(enumerate(_levels(max_order), 1))
+    _check_budget(max_order, trials)
     rule = _rule(kind)
+    pools = dict(enumerate(_levels(max_order), 1))
     if trials is None:
         tallies = [_exhaustive(rule, law, pools) for law in LAWS]
     else:
         tallies = [_random(rule, law, pools, trials, seed + t) for t, law in enumerate(LAWS)]
-    return [_report(kind, law, tally) for law, tally in zip(LAWS, tallies)]
+    return [_report(kind, rule, law, tally) for law, tally in zip(LAWS, tallies)]
 
 
 def reverify(report: LawReport) -> bool:

@@ -25,33 +25,37 @@ class ConnectivityClass:
         return "connected" if self.connected else "disconnected"
 
 
-def components(a: PosetMatrix) -> tuple:
-    """Connected components of the comparability graph, as sorted index tuples."""
-    n = a.n
-    nbr = [x ^ (1 << i) for i, x in enumerate(a.codes)]  # neighbours below
-    for i, x in enumerate(nbr):
-        while x:
-            low = x & -x
-            nbr[low.bit_length() - 1] |= 1 << i  # and above
-            x ^= low
-    seen = 0
+def _components(codes: tuple) -> list:
+    """Bitmasks of the connected components of the comparability graph.
+
+    Each row joins its element to everything below it, so one pass over
+    the rows merges every component that a row meets.  A merged component
+    goes to the end, so the list is not sorted."""
     comps = []
-    for s in range(n):
-        if (seen >> s) & 1:
-            continue
-        comp = 1 << s
-        frontier = [s]
-        while frontier:
-            x = frontier.pop()
-            rest = nbr[x] & ~comp
-            while rest:
-                y = (rest & -rest).bit_length() - 1
-                rest &= rest - 1
-                comp |= 1 << y
-                frontier.append(y)
-        seen |= comp
-        comps.append(tuple(i + 1 for i in range(n) if (comp >> i) & 1))
-    return tuple(comps)
+    for row in codes:
+        apart = []
+        for comp in comps:
+            if comp & row:
+                row |= comp
+            else:
+                apart.append(comp)
+        apart.append(row)
+        comps = apart
+    return comps
+
+
+def components(a: PosetMatrix) -> tuple:
+    """Connected components of the comparability graph, as sorted index
+    tuples, in the order of their lowest elements."""
+    out = []
+    for comp in sorted(_components(a.codes), key=lambda comp: comp & -comp):
+        members = []
+        while comp:
+            low = comp & -comp
+            members.append(low.bit_length())
+            comp ^= low
+        out.append(tuple(members))
+    return tuple(out)
 
 
 def classify_connectivity(a: PosetMatrix) -> ConnectivityClass:

@@ -33,14 +33,15 @@ def antichain(n: int) -> PosetMatrix:
     )
 
 
-def random_poset_matrix(rng, n: int) -> PosetMatrix:
-    """Random member of PM(n): each new row is a random down-closed subset."""
+def random_poset_matrix(rng, n: int, density: float = 0.4) -> PosetMatrix:
+    """Random member of PM(n): each new row is a random down-closed subset,
+    the down-set of each earlier element joining it with chance density."""
     rows = []
     downsets = []
     for i in range(n):
         chosen = 0
         for j in range(i):
-            if rng.random() < 0.4:
+            if rng.random() < density:
                 chosen |= downsets[j]  # adding j pulls in its whole down-set
         rows.append(
             tuple((chosen >> j) & 1 for j in range(i)) + (1,) + (0,) * (n - i - 1)
@@ -113,6 +114,37 @@ def brute_force_classes(n: int, which: str = "all") -> tuple:
         if which == "all" or connected == (which == "connected"):
             out.append(IsoClass(canon, counts[canon], connected))
     return tuple(out)
+
+
+def components_by_search(a: PosetMatrix) -> tuple:
+    """Connected components as sorted 1-based index tuples, in the order of
+    their lowest elements, by a depth-first search of the two-way
+    neighbour lists of the comparability graph."""
+    n = a.n
+    nbr = [x ^ (1 << i) for i, x in enumerate(a.codes)]  # neighbours below
+    for i, x in enumerate(nbr):
+        while x:
+            low = x & -x
+            nbr[low.bit_length() - 1] |= 1 << i  # and above
+            x ^= low
+    seen = 0
+    comps = []
+    for s in range(n):
+        if (seen >> s) & 1:
+            continue
+        comp = 1 << s
+        frontier = [s]
+        while frontier:
+            x = frontier.pop()
+            rest = nbr[x] & ~comp
+            while rest:
+                y = (rest & -rest).bit_length() - 1
+                rest &= rest - 1
+                comp |= 1 << y
+                frontier.append(y)
+        seen |= comp
+        comps.append(tuple(i + 1 for i in range(n) if (comp >> i) & 1))
+    return tuple(comps)
 
 
 def _law_cases(law, pool):

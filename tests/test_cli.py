@@ -230,6 +230,13 @@ class TestCommands:
             assert captured.out == ""
             assert captured.err.startswith("usage error: ")
 
+    def test_laws_over_the_case_budget_refused(self, capsys):
+        for extra in (["--max-n", "5"], ["--max-n", "3", "--random", "10000000000"]):
+            assert run(["laws", "--op", "square", *extra]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: ") and "case budget" in captured.err
+
     def test_dual(self, files, capsys):
         src = write(files["dir"], "m.pm", to_pm_text(pm("1000;1100;1010;1011")))
         assert run(["dual", src]) == 0

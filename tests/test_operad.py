@@ -3,10 +3,20 @@ import tracemalloc
 import pytest
 
 from posetmat import MINMAX, SQUARE, UNIT, check_nested, check_parallel, check_unit
-from posetmat.compose import ALL_BOXED, OPERAD_KINDS
-from posetmat.enumeration import generate_all
+from posetmat.compose import ALL_BOXED, ALL_KINDS, OPERAD_KINDS, Boxed, _rule, kind_name
+from posetmat.enumeration import _levels, generate_all, matrix_count
 from posetmat.errors import IndexOutOfRange, RequiresDistinctIndices, ResourceLimit
-from posetmat.operad import LAWS, reverify, verify_laws
+from posetmat.operad import (
+    LAW_CASE_BUDGET,
+    LAWS,
+    NESTED,
+    PARALLEL,
+    _case,
+    _defined,
+    _holds,
+    reverify,
+    verify_laws,
+)
 
 from helpers import EX_A, EX_B, EX_C, NESTED_LEFT, NESTED_RIGHT, chain, pm
 
@@ -119,14 +129,43 @@ class TestVerifyLaws:
             tracemalloc.stop()
         assert peak < 5 << 20
 
+    def test_boxed_010_order_four_totals(self):
+        nested, parallel, _ = verify_laws(Boxed(0, 1, 0), 4)
+        assert (nested.cases_checked, nested.cases_skipped) == (253_150, 1_476_650)
+        assert (parallel.cases_checked, parallel.cases_skipped) == (122_500, 535_000)
+        # the closed forms: nested sum n|P_n| * sum m|P_m| * S, parallel
+        # sum C(n,2)|P_n| * S^2, with S = sum |P_n| over n <= 4
+        sizes = {n: matrix_count(n) for n in range(1, 5)}
+        size = sum(sizes.values())
+        spots = sum(n * p for n, p in sizes.items())
+        pairs = sum(n * (n - 1) // 2 * p for n, p in sizes.items())
+        assert nested.cases_checked + nested.cases_skipped == spots * spots * size == 1_729_800
+        assert parallel.cases_checked + parallel.cases_skipped == pairs * size * size == 657_500
+
+    @pytest.mark.parametrize(
+        "max_order, trials",
+        [(5, None), (8, None), (3, 10**10), (3, LAW_CASE_BUDGET // 3 + 1)],
+    )
+    def test_case_budget_refused_before_any_pool_is_built(self, max_order, trials):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimit, match="budget"):
+                verify_laws(SQUARE, max_order, trials=trials)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 << 20
+
     def test_argument_errors_in_order(self):
-        # order, then trials, then the cap, then the kind
+        # order, then trials, then the cap, then the case budget, then the kind
         with pytest.raises(ValueError, match="max_order"):
             verify_laws("bogus", 0, trials=0)
         with pytest.raises(ValueError, match="trials"):
             verify_laws("bogus", 9, trials=0)
-        with pytest.raises(ResourceLimit):
+        with pytest.raises(ResourceLimit, match="cap"):
             verify_laws("bogus", 9)
+        with pytest.raises(ResourceLimit, match="budget"):
+            verify_laws("bogus", 5)
         with pytest.raises(ValueError, match="unknown"):
             verify_laws("bogus", 2)
 
@@ -141,6 +180,23 @@ class TestVerifyLaws:
         nested = next(b for b in blob if b["law"] == "nested")
         assert nested["verdict"] == "fail"
         assert nested["witness"]["i"] == 1 and nested["witness"]["j"] == 2
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS, ids=kind_name)
+def test_block_verdict_matches_both_sides_case_by_case(kind):
+    # every nested and parallel case over PM(<=3): the same verdict as
+    # composing both sides in full, and skipped exactly when _case is
+    rule = _rule(kind)
+    pool = [c for level in _levels(3) for c in level]
+    for a in pool:
+        for b in pool:
+            for c in pool:
+                for i in range(1, len(a) + 1):
+                    for law, js in ((NESTED, range(1, len(b) + 1)), (PARALLEL, range(i + 1, len(a) + 1))):
+                        for j in js:
+                            case = _defined(_case, rule, law, a, b, c, i, j)
+                            want = None if case is None else case[0]
+                            assert _holds(rule, law, a, b, c, i, j) is want, (law, a, b, c, i, j)
 
 
 class TestBoxedKindsMeasured:

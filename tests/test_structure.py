@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from posetmat import (
@@ -33,7 +35,9 @@ from posetmat.structure import (
 from helpers import (
     antichain,
     chain,
+    components_by_search,
     pm,
+    random_poset_matrix,
     sweep_insertion_invariance,
     sweep_semi_equidual,
 )
@@ -237,6 +241,17 @@ class TestDecompose:
         c = pm("1000;0100;1010;0101")
         assert components(c) == ((1, 3), (2, 4))
         assert component_contiguous_form(c) == direct_sum(chain(2), chain(2))
+
+    def test_components_match_the_search_oracle(self):
+        # the one-pass merge gives the search's tuples in the same order
+        for a in all_upto(6):
+            assert components(a) == components_by_search(a)
+        rng = random.Random(8)
+        for n in range(8, 41):
+            for density in (0.02, 0.05, 0.1, 0.4):
+                a = random_poset_matrix(rng, n, density)
+                assert components(a) == components_by_search(a)
+        assert components(antichain(40)) == tuple((q,) for q in range(1, 41))
 
 
 class TestFactor:
