@@ -10,12 +10,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from math import comb
 
 from .compose import SQUARE, compose
 from .core import PosetMatrix, principal_subposet
 from .enumeration import generate_all
-from .errors import IndexOutOfRange, OrderMismatch
+from .errors import IndexOutOfRange, OrderMismatch, ResourceLimit
 from .structure import classify_connectivity
+
+# Most index sets one semi_equidual search may test.  Each costs about 0.1 ms
+# at order 16, so a search within the budget ends in seconds.
+SEMI_EQUIDUAL_BUDGET = 2**16
 
 
 def _dual_codes(codes) -> tuple:
@@ -56,7 +61,9 @@ class SemiEquidualWitness:
 def semi_equidual(a: PosetMatrix, b: PosetMatrix):
     """Smallest (then lexicographically first) witness, or None.
 
-    The relation is symmetric: a witness for (a, b) is one for (b, a).
+    The relation is symmetric: a witness for (a, b) is one for (b, a).  The
+    index sets the search can test are counted first, and a search over
+    more than SEMI_EQUIDUAL_BUDGET of them is refused with ResourceLimit.
     """
     if a.n != b.n:
         raise OrderMismatch(f"orders {a.n} and {b.n} differ")
@@ -69,7 +76,13 @@ def semi_equidual(a: PosetMatrix, b: PosetMatrix):
             need |= x ^ y | 1 << p
     required = tuple(q for q in range(1, n + 1) if (need >> (q - 1)) & 1)
     others = tuple(q for q in range(1, n + 1) if not (need >> (q - 1)) & 1)
-    for size in range(max(2, len(required)), n + 1):
+    sizes = range(max(2, len(required)), n + 1)
+    sets = sum(comb(len(others), size - len(required)) for size in sizes)
+    if sets > SEMI_EQUIDUAL_BUDGET:
+        raise ResourceLimit(
+            f"semi-equidual search over {sets} index sets exceeds the budget {SEMI_EQUIDUAL_BUDGET}"
+        )
+    for size in sizes:
         for extra in combinations(others, size - len(required)):
             combo = tuple(sorted(required + extra))
             block_a = principal_subposet(a, combo)

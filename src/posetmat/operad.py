@@ -19,11 +19,34 @@ is decided from the inner composites A o_i B and B o_j C (nested) or
 A o_j C (parallel), by comparing only the entries where its two sides can
 differ: the blocks of the two lemmas below, in _nested_holds and
 _parallel_holds.  What they read of a guest or an inner composite (its
-extremal masks and V-fill rows) is its _view.  The exhaustive sweep (_scan)
-shares each inner composite, with its view, across the cases that use it;
-random mode (_holds) composes them per case.  Both sides are composed in
-full (_case, by _nested and _parallel) only for the check_* functions, the
-unit law and the reported witness.
+extremal masks and V-fill rows) is its _view.  Random mode (_holds)
+composes the inner composites per case.  Both sides are composed in full
+(_case, by _nested and _parallel) only for the check_* functions, the unit
+law and the reported witness.
+
+The exhaustive sweep decides each class of cases that read the same once.
+Let X = B (nested) or A (parallel).  A case (A, i, B, j, C) is defined iff
+AB is defined and meets its outer precondition, and X o_j C is defined (and,
+parallel, meets the precondition at i).  The holds function reads the case
+only through its probe and the views of C and X o_j C, and the probe
+(_nested_probe, _parallel_probe) depends on A, i, B and j alone.  So:
+  Outer groups (_groups).  Per order pair (n, m), the outer precondition
+        and the probe are worked out once per (A, i, B, j), not once per
+        order of C, and the defined cases are grouped by (X, j, probe),
+        parallel also by i.  All members of a group agree on every C.
+  Inner classes (_row).  Per group key and order k, the C on which the
+        holds function makes the same comparisons with the same outcomes
+        (_nested_reads, _parallel_reads) form a class.  For every probe of
+        the key, they agree.
+_scan decides each (group, class) once, on the class's least C, and counts
+it for every member and every C of the class.  Each composition X o_j Y is
+made once per sweep (_composites), for both laws, as A o_i B and as
+X o_j C alike.  The sweep still runs by ascending total order n+m+k and
+stops at the end of the first total with a failure, so it counts the same
+cases.  A failing (group, class) is kept as its least case: the group's
+least member (A, B, i, j) with the class's least C, both in witness order.
+The least failing case of a total is the least of these, since the witness
+order compares A, B and C before i and j, so the witness is the same too.
 
 Notation.  By the formulas beside compose._RULES, X o_i Y (X of order x, Y
 of order y) keeps X's rows above i; gives Y's row q the row U_q | y_q << (i-1);
@@ -111,7 +134,6 @@ from .compose import (
     COL,
     COL_AT_MIN,
     ROW_AT_MAX,
-    _check_lower_left,
     _compose,
     _rule,
     kind_name,
@@ -220,13 +242,16 @@ def _defined(fn, *args):
 
 
 def _outer_defined(xc, i, a21) -> bool:
-    """Whether an insertion at i into the composite xc meets the precondition a21."""
+    """Whether an insertion at i into the row codes xc meets the precondition
+    a21, which compose._check_lower_left enforces; tested here without
+    raising, since the sweep meets many undefined cases."""
     if a21 is None:
         return True
-    try:
-        _check_lower_left(xc, i, a21)
-    except PreconditionViolated:
-        return False
+    low = (1 << (i - 1)) - 1
+    want = low if a21 else 0
+    for x in xc[i:]:
+        if x & low != want:
+            return False
     return True
 
 
@@ -261,7 +286,7 @@ def _nested_probe(rule, a, ab, i, j) -> tuple:
     gate = bool(ab[p - 1] & low) if rule[0] == ROW_AT_MAX and a[k] & low else None
     below = len(ab) - len(a)  # A's row s is AB's row s + m - 1
     pairs = {((a[s] >> k) & 1, (ab[s + below] >> (p - 1)) & 1) for s in range(i, len(a))}
-    return gate, tuple(pairs), j - 1
+    return gate, frozenset(pairs), j - 1
 
 
 def _nested_holds(probe, cv, bcv) -> bool:
@@ -277,6 +302,17 @@ def _nested_holds(probe, cv, bcv) -> bool:
         if (on if y else off) != ((bc_on if x else bc_off) >> shift) & full:
             return False
     return True
+
+
+def _nested_reads(cv, bcv, shift) -> tuple:
+    """The outcome of every comparison _nested_holds can make on the views
+    of C and B o_j C with shift = j-1: the gate's two, then one per pair
+    (x, y).  Its verdict is a function of these, whatever the probe."""
+    _, full, maxs, on, off = cv
+    _, _, bc_maxs, bc_on, bc_off = bcv
+    bc_maxs = (bc_maxs >> shift) & full
+    bc_on, bc_off = (bc_on >> shift) & full, (bc_off >> shift) & full
+    return maxs == bc_maxs, not bc_maxs, on == bc_on, on == bc_off, off == bc_on, off == bc_off
 
 
 def _parallel_probe(rule, bv, ab, i, j) -> tuple:
@@ -302,6 +338,15 @@ def _parallel_holds(probe, cv, ac) -> bool:
         if left != (on if (ac[top + r] >> k) & 1 else off):
             return False
     return True
+
+
+def _parallel_reads(cv, ac, k, top) -> frozenset:
+    """The pairs (whether C's row r is maximal, A o_j C's entry (j-1+r, i))
+    over C's rows r, with k = i-1 and top = j-1.  _parallel_holds tests one
+    condition on each pair, so its verdict is a function of this set,
+    whatever the probe with these k and top."""
+    c, _, maxs, _, _ = cv
+    return frozenset([((maxs >> r) & 1, (ac[top + r] >> k) & 1) for r in range(len(c))])
 
 
 def _holds(rule, law, a, b, c, i, j):
@@ -381,83 +426,152 @@ class _Tally:
             self.failures.append((a, b, c, i, j))
 
 
-def _scan(rule, law, pools, views, n, m, k, tally, inner) -> None:
-    """Every associativity case with A, B, C of orders n, m, k.
+def _composites(rule, x, j, ys, cache) -> list:
+    """The _view of x o_j y for each view in ys (the matrices y of one order,
+    in order), or None where that composition is undefined.  Made the first
+    time (x, j, order) comes up and kept in cache: A o_i B and X o_j C are
+    the same compositions, so both laws and both roles share them."""
+    where = (x, j, len(ys[0][0]))
+    views = cache.get(where)
+    if views is None:
+        if _outer_defined(x, j, rule[2]):
+            views = [_composite_view(rule, x, j, yv[0]) for yv in ys]
+        else:  # x's lower-left block at j rules out every y
+            views = [None] * len(ys)
+        cache[where] = views
+    return views
 
-    A o_i B is composed once per (A, i, B), and per j the outer
-    composite's precondition and what the block lemma reads of A and AB,
-    neither of which depends on C.  The other inner composite, X o_j C with
-    X = B (nested) or A (parallel), is composed for every C at once, the
-    first time (X, j) comes up, and kept in inner with its view and C's.
-    """
+
+def _groups(rule, law, views, n, m, composites) -> tuple:
+    """The outer half of the associativity cases with A, B of orders n, m,
+    which is the same for every C: (undefined, groups).
+
+    A o_i B is taken from composites, and the outer precondition checked,
+    once per (A, i, B, j); undefined counts those whose outer side is
+    undefined.  groups maps the key of the rest, (B, j, probe) nested and
+    (A, j, i, probe) parallel, to [size, least member (A, B, i, j)].  views
+    lists each order in witness order, so the first member met is the least."""
     nested = law == NESTED
     a21 = rule[2]
-    Bs, Cs = pools[m], views[k]
-    checked = skipped = 0
-    for a in pools[n]:
+    undefined = 0
+    groups = {}
+    for a, *_ in views[n]:
         for i in range(1, n + 1 if nested else n):
             js = range(1, m + 1) if nested else range(i + 1, n + 1)
-            for b, bv in zip(Bs, views[m]):
-                ab = _defined(_compose, rule, a, i, b)
-                if ab is None:
-                    skipped += len(js) * len(Cs)
+            for bv, abv in zip(views[m], _composites(rule, a, i, views[m], composites)):
+                if abv is None:
+                    undefined += len(js)
                     continue
-                x = b if nested else a
+                b, ab = bv[0], abv[0]
                 for j in js:
                     if not _outer_defined(ab, i + j - 1 if nested else j + m - 1, a21):
-                        skipped += len(Cs)
+                        undefined += 1
                         continue
                     if nested:
-                        probe = _nested_probe(rule, a, ab, i, j)
+                        key = (b, j, _nested_probe(rule, a, ab, i, j))
                     else:
-                        probe = _parallel_probe(rule, bv, ab, i, j)
-                    key = (x, j, k)
-                    row = inner.get(key)
-                    if row is None:
-                        row = inner[key] = [(cv, _composite_view(rule, x, j, cv[0])) for cv in Cs]
-                    for cv, xv in row:
-                        if xv is None:
-                            skipped += 1
-                            continue
-                        if nested:
-                            holds = _nested_holds(probe, cv, xv)
-                        elif _outer_defined(xv[0], i, a21):
-                            holds = _parallel_holds(probe, cv, xv[0])
-                        else:
-                            skipped += 1
-                            continue
-                        if holds:
-                            checked += 1
-                        else:
-                            tally.add(a, b, cv[0], i, j, False)
+                        key = (a, j, i, _parallel_probe(rule, bv, ab, i, j))
+                    group = groups.get(key)
+                    if group is None:
+                        groups[key] = [1, (a, b, i, j)]
+                    else:
+                        group[0] += 1
+    return undefined, groups
+
+
+def _row(rule, law, key, cs, composites) -> tuple:
+    """The inner row of a group key (see _groups) over the views cs of the C
+    of one order: (how many of its cases are defined, one pair (view of C,
+    what the holds function takes of X o_j C) per class of C).  A class is
+    the C with the same _nested_reads or _parallel_reads; its pair is that
+    of its least C."""
+    nested = law == NESTED
+    x, j = key[0], key[1]
+    defined, classes = 0, {}
+    for cv, xv in zip(cs, _composites(rule, x, j, cs, composites)):
+        if xv is None:
+            continue
+        if nested:
+            reads = _nested_reads(cv, xv, j - 1)
+        else:
+            i, xv = key[2], xv[0]
+            if not _outer_defined(xv, i, rule[2]):
+                continue
+            reads = _parallel_reads(cv, xv, i - 1, j - 1)
+        defined += 1
+        classes.setdefault(reads, (cv, xv))
+    return defined, list(classes.values())
+
+
+def _scan(rule, law, outer, cs, tally, rows, composites) -> None:
+    """Every associativity case with A, B from outer (see _groups) and C
+    from the views cs, all of one order k, in witness order.
+
+    Each inner row (see _row) is built the first time a group needs it and
+    kept in rows.  A group decides each class of its row once and counts
+    its cases size times; a failing class is recorded as one case, the
+    group's least member with the class's least C, which is all the witness
+    needs."""
+    holds = _nested_holds if law == NESTED else _parallel_holds
+    undefined, groups = outer
+    k = len(cs[0][0])
+    checked, skipped = 0, undefined * len(cs)
+    for key, (size, least) in groups.items():
+        where = key[:-1] + (k,)
+        row = rows.get(where)
+        if row is None:
+            row = rows[where] = _row(rule, law, key, cs, composites)
+        defined, classes = row
+        checked += defined * size
+        skipped += (len(cs) - defined) * size
+        probe = key[-1]
+        for cv, xv in classes:
+            if not holds(probe, cv, xv):
+                a, b, i, j = least
+                tally.failures.append((a, b, cv[0], i, j))
     tally.checked += checked
     tally.skipped += skipped
 
 
-def _exhaustive(rule, law, pools) -> _Tally:
-    orders = sorted(pools)
+def _sweep(rule, law, views, composites) -> _Tally:
+    """Every case of an associativity law, by ascending total order, up to
+    the end of the first total order with a failing case."""
+    orders = sorted(views)
     tally = _Tally()
-    if law == UNIT_LAW:
+    outer, rows = {}, {}
+    for total in range(3, 3 * orders[-1] + 1):
         for n in orders:
-            for a in pools[n]:
-                for i in range(1, n + 1):
-                    tally.add(a, None, None, i, None, _holds(rule, law, a, None, None, i, None))
-            if tally.failures:
-                break
-    else:
-        top = orders[-1]
-        views = {n: [_view(rule, c) for c in pools[n]] for n in orders}
-        inner = {}
-        for total in range(3, 3 * top + 1):
-            for n in orders:
-                for m in orders:
-                    k = total - n - m
-                    if k not in pools:
-                        continue
-                    _scan(rule, law, pools, views, n, m, k, tally, inner)
-            if tally.failures:
-                break
+            for m in orders:
+                k = total - n - m
+                if k not in views:
+                    continue
+                if (n, m) not in outer:
+                    outer[n, m] = _groups(rule, law, views, n, m, composites)
+                _scan(rule, law, outer[n, m], views[k], tally, rows, composites)
+        if tally.failures:
+            break
     return tally
+
+
+def _witness_views(rule, pools) -> dict:
+    """The _view of every matrix of the pools, each order in witness order,
+    so that the first case a sweep meets is the least."""
+    return {n: sorted([_view(rule, c) for c in pools[n]], key=lambda v: _enc(v[0])) for n in pools}
+
+
+def _exhaustive(rule, pools) -> list:
+    """One _Tally per law of LAWS, over every case the pools make."""
+    views = _witness_views(rule, pools)
+    composites = {}
+    tallies = [_sweep(rule, law, views, composites) for law in (NESTED, PARALLEL)]
+    unit = _Tally()
+    for n in sorted(pools):
+        for a in pools[n]:
+            for i in range(1, n + 1):
+                unit.add(a, None, None, i, None, _holds(rule, UNIT_LAW, a, None, None, i, None))
+        if unit.failures:
+            break
+    return tallies + [unit]
 
 
 def _random(rule, law, pools, trials, seed) -> _Tally:
@@ -550,7 +664,7 @@ def verify_laws(kind, max_order, trials=None, seed=0):
     rule = _rule(kind)
     pools = dict(enumerate(_levels(max_order), 1))
     if trials is None:
-        tallies = [_exhaustive(rule, law, pools) for law in LAWS]
+        tallies = _exhaustive(rule, pools)
     else:
         tallies = [_random(rule, law, pools, trials, seed + t) for t, law in enumerate(LAWS)]
     return [_report(kind, rule, law, tally) for law, tally in zip(LAWS, tallies)]

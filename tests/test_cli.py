@@ -237,6 +237,35 @@ class TestCommands:
             assert captured.out == ""
             assert captured.err.startswith("error: ") and "case budget" in captured.err
 
+    def test_semiequidual_over_the_search_budget_refused(self, files, capsys):
+        # an antichain against itself with a[2,1] = 1 has no witness: at order
+        # 30 the search would test all 2^28 supersets of {1, 2}; at order 10
+        # it tests 2^8 of them, and the antichain against itself 2^10 - 11 sets
+        def antichain_pair(n):
+            a = tuple(1 << r for r in range(n))
+            b = (1, 3) + a[2:]
+            return [
+                write(files["dir"], f"{name}{n}.pm", to_pm_text(BinaryMatrix._of(codes, n)))
+                for name, codes in (("a", a), ("b", b))
+            ]
+
+        a30, b30 = antichain_pair(30)
+        tracemalloc.start()
+        try:
+            code = run(["semiequidual", a30, b30])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (1, "")
+        assert captured.err.startswith("error: ") and "268435456 index sets" in captured.err
+        assert captured.err.count("\n") == 1 and "budget" in captured.err
+        assert peak < 5 << 20
+        a10, b10 = antichain_pair(10)
+        for argv, want in (([a10, b10], None), ([a10, a10], {"alpha": [1, 2]})):
+            assert run(["semiequidual", *argv]) == 0
+            assert json.loads(capsys.readouterr().out) == want
+
     def test_dual(self, files, capsys):
         src = write(files["dir"], "m.pm", to_pm_text(pm("1000;1100;1010;1011")))
         assert run(["dual", src]) == 0
@@ -410,6 +439,34 @@ class TestCommands:
     def test_pascal(self, capsys):
         assert run(["pascal", "--n", "4"]) == 0
         assert parse_matrix_text(capsys.readouterr().out) == pm("1000;1100;1010;1111")
+
+    def test_pascal_over_the_entry_budget_refused(self, capsys):
+        tracemalloc.start()
+        try:
+            code = run(["pascal", "--n", "1000000000000"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (1, "")
+        assert captured.err.startswith("error: ") and "budget" in captured.err
+        assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+        assert peak < 5 << 20
+
+    def test_pascal_order_2000_prints_every_row(self, capsys):
+        # row i holds column j iff the bits of j-1 sit inside those of i-1
+        # (Lucas); each row's code is the sum over the submasks of i-1
+        n, rows = 2000, []
+        for i in range(n):
+            code, sub = 0, i
+            while True:
+                code |= 1 << sub
+                if not sub:
+                    break
+                sub = (sub - 1) & i
+            rows.append(format(code, f"0{n}b")[::-1] + "\n")
+        assert run(["pascal", "--n", str(n)]) == 0
+        assert capsys.readouterr().out == f"{n}\n" + "".join(rows)
 
     def test_hasse_command(self, files, capsys):
         assert run(["hasse", files["hasse"]]) == 0

@@ -1,19 +1,39 @@
 import tracemalloc
+from itertools import product
 
 import pytest
 
 from posetmat import MINMAX, SQUARE, UNIT, check_nested, check_parallel, check_unit
-from posetmat.compose import ALL_BOXED, ALL_KINDS, OPERAD_KINDS, Boxed, _rule, kind_name
+from posetmat.compose import (
+    ALL_BOXED,
+    ALL_KINDS,
+    OPERAD_KINDS,
+    _check_lower_left,
+    _rule,
+    kind_name,
+    parse_kind,
+)
 from posetmat.enumeration import _levels, generate_all, matrix_count
-from posetmat.errors import IndexOutOfRange, RequiresDistinctIndices, ResourceLimit
+from posetmat.errors import (
+    IndexOutOfRange,
+    PreconditionViolated,
+    RequiresDistinctIndices,
+    ResourceLimit,
+)
 from posetmat.operad import (
     LAW_CASE_BUDGET,
     LAWS,
     NESTED,
     PARALLEL,
     _case,
+    _case_key,
     _defined,
+    _groups,
     _holds,
+    _outer_defined,
+    _scan,
+    _Tally,
+    _witness_views,
     reverify,
     verify_laws,
 )
@@ -129,19 +149,6 @@ class TestVerifyLaws:
             tracemalloc.stop()
         assert peak < 5 << 20
 
-    def test_boxed_010_order_four_totals(self):
-        nested, parallel, _ = verify_laws(Boxed(0, 1, 0), 4)
-        assert (nested.cases_checked, nested.cases_skipped) == (253_150, 1_476_650)
-        assert (parallel.cases_checked, parallel.cases_skipped) == (122_500, 535_000)
-        # the closed forms: nested sum n|P_n| * sum m|P_m| * S, parallel
-        # sum C(n,2)|P_n| * S^2, with S = sum |P_n| over n <= 4
-        sizes = {n: matrix_count(n) for n in range(1, 5)}
-        size = sum(sizes.values())
-        spots = sum(n * p for n, p in sizes.items())
-        pairs = sum(n * (n - 1) // 2 * p for n, p in sizes.items())
-        assert nested.cases_checked + nested.cases_skipped == spots * spots * size == 1_729_800
-        assert parallel.cases_checked + parallel.cases_skipped == pairs * size * size == 657_500
-
     @pytest.mark.parametrize(
         "max_order, trials",
         [(5, None), (8, None), (3, 10**10), (3, LAW_CASE_BUDGET // 3 + 1)],
@@ -182,6 +189,85 @@ class TestVerifyLaws:
         assert nested["witness"]["i"] == 1 and nested["witness"]["j"] == 2
 
 
+# verify_laws(kind, 4) for every kind, recorded before the exhaustive sweep
+# grouped its cases: per law (verdict, checked, skipped, witness A, B, C, i, j)
+PASS_4 = (("pass", 1_729_800, 0, None), ("pass", 657_500, 0, None), ("pass", 186, 0, None))
+PARALLEL_2 = ("fail", 2, 0, ("10;01", "1", "1", 1, 2))
+ORDER_FOUR = {
+    "square": PASS_4,
+    "min": PASS_4,
+    "max": PASS_4,
+    "minmax": (
+        ("fail", 792, 0, ("10;11", "10;11", "10;11", 1, 2)),
+        ("pass", 657_500, 0, None),
+        ("pass", 186, 0, None),
+    ),
+    "boxed:111": (
+        ("pass", 858_050, 871_750, None),
+        ("pass", 302_500, 355_000, None),
+        ("fail", 5, 0, ("10;01", None, None, 1, None)),
+    ),
+    "boxed:110": (
+        ("pass", 530_000, 1_199_800, None),
+        PARALLEL_2,
+        ("fail", 5, 0, ("10;01", None, None, 2, None)),
+    ),
+    "boxed:100": (
+        ("pass", 475_000, 1_254_800, None),
+        PARALLEL_2,
+        ("fail", 5, 0, ("10;01", None, None, 2, None)),
+    ),
+    "boxed:011": (
+        ("pass", 530_000, 1_199_800, None),
+        PARALLEL_2,
+        ("fail", 5, 0, ("10;01", None, None, 1, None)),
+    ),
+    "boxed:010": (
+        ("pass", 253_150, 1_476_650, None),
+        ("pass", 122_500, 535_000, None),
+        ("fail", 5, 0, ("10;11", None, None, 1, None)),
+    ),
+    "boxed:001": (
+        ("pass", 475_000, 1_254_800, None),
+        PARALLEL_2,
+        ("fail", 5, 0, ("10;01", None, None, 1, None)),
+    ),
+    "boxed:000": (
+        ("pass", 720_000, 1_009_800, None),
+        ("pass", 240_000, 417_500, None),
+        ("fail", 5, 0, ("10;11", None, None, 1, None)),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", ORDER_FOUR)
+def test_order_four_reports_are_pinned(name):
+    # a law that passes sweeps every case, so checked + skipped is the closed
+    # form: nested sum n|P_n| * sum m|P_m| * S, parallel sum C(n,2)|P_n| * S^2
+    # and unit sum n|P_n|, with S = sum |P_n| over n <= 4
+    sizes = {n: matrix_count(n) for n in range(1, 5)}
+    size = sum(sizes.values())
+    spots = sum(n * p for n, p in sizes.items())
+    pairs = sum(n * (n - 1) // 2 * p for n, p in sizes.items())
+    totals = {NESTED: spots * spots * size, PARALLEL: pairs * size * size, "unit": spots}
+    assert totals == {NESTED: 1_729_800, PARALLEL: 657_500, "unit": 186}
+    reports = verify_laws(parse_kind(name), 4)
+    assert [r.law for r in reports] == list(LAWS)
+    for report, (verdict, checked, skipped, witness) in zip(reports, ORDER_FOUR[name]):
+        w = report.witness
+        got = w and tuple(x and ";".join(x.bit_rows()) for x in (w.a, w.b, w.c)) + (w.i, w.j)
+        assert (report.verdict, report.cases_checked, report.cases_skipped, got) == (
+            verdict,
+            checked,
+            skipped,
+            witness,
+        ), report.law
+        if report.passed:
+            assert checked + skipped == totals[report.law]
+        else:
+            assert reverify(report)
+
+
 @pytest.mark.parametrize("kind", ALL_KINDS, ids=kind_name)
 def test_block_verdict_matches_both_sides_case_by_case(kind):
     # every nested and parallel case over PM(<=3): the same verdict as
@@ -197,6 +283,44 @@ def test_block_verdict_matches_both_sides_case_by_case(kind):
                             case = _defined(_case, rule, law, a, b, c, i, j)
                             want = None if case is None else case[0]
                             assert _holds(rule, law, a, b, c, i, j) is want, (law, a, b, c, i, j)
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS, ids=kind_name)
+def test_grouped_sweep_matches_case_by_case(kind):
+    # each (n, m, k) over PM(<=3) swept alone, without the stop rule: the
+    # same checked and skipped counts as deciding every case with _holds, and
+    # the same least failing case, though a group records only one per class
+    rule = _rule(kind)
+    pools = dict(enumerate(_levels(3), 1))
+    views, composites = _witness_views(rule, pools), {}
+    for law in (NESTED, PARALLEL):
+        rows = {}
+        for n, m, k in product(pools, repeat=3):
+            grouped, single = _Tally(), _Tally()
+            outer = _groups(rule, law, views, n, m, composites)
+            _scan(rule, law, outer, views[k], grouped, rows, composites)
+            for a, b, c in product(pools[n], pools[m], pools[k]):
+                for i in range(1, n + 1):
+                    for j in range(1, m + 1) if law == NESTED else range(i + 1, n + 1):
+                        single.add(a, b, c, i, j, _holds(rule, law, a, b, c, i, j))
+            assert (grouped.checked, grouped.skipped) == (single.checked, single.skipped)
+            least = [min(t.failures, key=_case_key, default=None) for t in (grouped, single)]
+            assert least[0] == least[1], (law, n, m, k)
+
+
+def test_outer_precondition_matches_compose():
+    # the sweep's test of the lower-left precondition agrees with the one
+    # compose raises on, over PM(<=4) at every position and both constants
+    for codes in (c for level in _levels(4) for c in level):
+        for i in range(1, len(codes) + 1):
+            for a21 in (0, 1):
+                try:
+                    _check_lower_left(codes, i, a21)
+                    want = True
+                except PreconditionViolated:
+                    want = False
+                assert _outer_defined(codes, i, a21) is want, (codes, i, a21)
+            assert _outer_defined(codes, i, None)
 
 
 class TestBoxedKindsMeasured:
