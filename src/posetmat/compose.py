@@ -132,17 +132,29 @@ def insert(a: PosetMatrix, i: int, b: PosetMatrix, u: BinaryMatrix, v: BinaryMat
     return BinaryMatrix._of(ac[:k] + mid + bottom, n + m - 1)
 
 
-def _check_lower_left(ac, i: int, a21: int) -> None:
-    """A's lower-left block at i must be constantly a21.
-
-    The precondition is a condition on A, not a rewrite of it: a mismatched
-    block is an error, never silently overwritten.  Empty blocks (i = 1 or
-    i = n) satisfy either fill.  Each row takes one masked compare.
-    """
+def _lower_left_ok(ac, i: int, a21) -> bool:
+    """Whether A's lower-left block at i is constantly a21; always, when
+    a21 is None (the kind has no precondition).  Empty blocks (i = 1 or
+    i = n) satisfy either fill.  Each row takes one masked compare."""
+    if a21 is None:
+        return True
     low = (1 << (i - 1)) - 1
     want = low if a21 else 0
+    for x in ac[i:]:
+        if x & low != want:
+            return False
+    return True
+
+
+def _check_lower_left(ac, i: int, a21: int) -> None:
+    """Raise PreconditionViolated, naming the first wrong entry, unless
+    _lower_left_ok: the precondition is a condition on A, not a rewrite of
+    it, so a mismatched block is never silently overwritten."""
+    if _lower_left_ok(ac, i, a21):
+        return
+    low = (1 << (i - 1)) - 1
     for s in range(i, len(ac)):
-        diff = (ac[s] & low) ^ want
+        diff = (ac[s] & low) ^ (low if a21 else 0)
         if diff:
             q = (diff & -diff).bit_length() - 1
             raise PreconditionViolated(

@@ -13,13 +13,13 @@ from itertools import combinations
 from math import comb
 
 from .compose import SQUARE, compose
-from .core import PosetMatrix, principal_subposet
+from .core import PosetMatrix, _gather
 from .enumeration import generate_all
 from .errors import IndexOutOfRange, OrderMismatch, ResourceLimit
-from .structure import classify_connectivity
+from .structure import _components
 
-# Most index sets one semi_equidual search may test.  Each costs about 0.1 ms
-# at order 16, so a search within the budget ends in seconds.
+# Most index sets one semi_equidual search may test.  Each is tested on row
+# codes, so a search within the budget ends in well under a second.
 SEMI_EQUIDUAL_BUDGET = 2**16
 
 
@@ -85,13 +85,14 @@ def semi_equidual(a: PosetMatrix, b: PosetMatrix):
     for size in sizes:
         for extra in combinations(others, size - len(required)):
             combo = tuple(sorted(required + extra))
-            block_a = principal_subposet(a, combo)
-            if classify_connectivity(block_a).connected:
+            idx = [q - 1 for q in combo]
+            block_a = _gather(a.codes, idx, idx)
+            if len(_components(block_a)) == 1:
                 continue
-            block_b = principal_subposet(b, combo)
-            if _dual_codes(block_a.codes) != block_b.codes:
-                continue
-            return SemiEquidualWitness(alpha=combo, block_a=block_a, block_b=block_b)
+            block_b = _gather(b.codes, idx, idx)
+            if _dual_codes(block_a) == block_b:
+                wrap = PosetMatrix._wrap
+                return SemiEquidualWitness(combo, wrap(block_a), wrap(block_b))
     return None
 
 

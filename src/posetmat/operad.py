@@ -16,37 +16,40 @@ The law layer works on int row codes (see core) from end to end: the pools
 are the levels of enumeration's walk, taken as code tuples once the order
 cap is checked, and a kind's rule is looked up once.  An associativity case
 is decided from the inner composites A o_i B and B o_j C (nested) or
-A o_j C (parallel), by comparing only the entries where its two sides can
-differ: the blocks of the two lemmas below, in _nested_holds and
-_parallel_holds.  What they read of a guest or an inner composite (its
-extremal masks and V-fill rows) is its _view.  Random mode (_holds)
-composes the inner composites per case.  Both sides are composed in full
-(_case, by _nested and _parallel) only for the check_* functions, the unit
-law and the reported witness.
+A o_j C (parallel), by looking only at the entries where its two sides can
+differ: the blocks of the two lemmas below.  What is looked at there is
+split into two bitmasks, and the case fails iff probe & reads != 0.
+  Probe (_nested_probe, _parallel_probe).  Read of A, i, B and j alone,
+        the same for every C: the comparisons whose sides must be equal
+        (nested) or the pairs that break the case (parallel).
+  Reads (_nested_reads, _parallel_reads).  Read of the _view of C (its
+        extremal masks and V-fill rows) and of X o_j C, with X = B
+        (nested) or A (parallel), given only j (and, parallel, i): the
+        comparisons that come out unequal, or the pairs that occur.
+Random mode (_holds) composes the inner composites per case.  Both sides
+are composed in full (_case) only for the check_* functions, the unit law
+and the reported witness.
 
-The exhaustive sweep decides each class of cases that read the same once.
-Let X = B (nested) or A (parallel).  A case (A, i, B, j, C) is defined iff
-AB is defined and meets its outer precondition, and X o_j C is defined (and,
-parallel, meets the precondition at i).  The holds function reads the case
-only through its probe and the views of C and X o_j C, and the probe
-(_nested_probe, _parallel_probe) depends on A, i, B and j alone.  So:
+The exhaustive sweep decides each class of cases with the same probe and
+the same reads once.  A case (A, i, B, j, C) is defined iff AB is defined
+and meets its outer precondition, and X o_j C is defined (and, parallel,
+meets the precondition at i).
   Outer groups (_groups).  Per order pair (n, m), the outer precondition
         and the probe are worked out once per (A, i, B, j), not once per
         order of C, and the defined cases are grouped by (X, j, probe),
-        parallel also by i.  All members of a group agree on every C.
-  Inner classes (_row).  Per group key and order k, the C on which the
-        holds function makes the same comparisons with the same outcomes
-        (_nested_reads, _parallel_reads) form a class.  For every probe of
-        the key, they agree.
-_scan decides each (group, class) once, on the class's least C, and counts
-it for every member and every C of the class.  Each composition X o_j Y is
-made once per sweep (_composites), for both laws, as A o_i B and as
-X o_j C alike.  The sweep still runs by ascending total order n+m+k and
-stops at the end of the first total with a failure, so it counts the same
-cases.  A failing (group, class) is kept as its least case: the group's
-least member (A, B, i, j) with the class's least C, both in witness order.
-The least failing case of a total is the least of these, since the witness
-order compares A, B and C before i and j, so the witness is the same too.
+        parallel also by i.
+  Inner classes (_row).  Per group key and order k, the C of equal reads
+        form a class.
+The cases of a (group, class) share probe and reads, so they share the
+verdict: _scan decides each (group, class) once and counts it for every
+member and every C of the class.  Each composition X o_j Y is made once per
+sweep (_composites), for both laws, as A o_i B and as X o_j C alike.  The
+sweep still runs by ascending total order n+m+k and stops at the end of the
+first total with a failure, so it counts the same cases.  A failing
+(group, class) is kept as its least case: the group's least member
+(A, B, i, j) with the class's least C, both in witness order.  The least
+failing case of a total is the least of these, since the witness order
+compares A, B and C before i and j, so the witness is the same too.
 
 Notation.  By the formulas beside compose._RULES, X o_i Y (X of order x, Y
 of order y) keeps X's rows above i; gives Y's row q the row U_q | y_q << (i-1);
@@ -135,6 +138,7 @@ from .compose import (
     COL_AT_MIN,
     ROW_AT_MAX,
     _compose,
+    _lower_left_ok,
     _rule,
     kind_name,
     parse_kind,
@@ -207,18 +211,6 @@ class LawReport:
         return out
 
 
-def _nested(rule, a, b, c, i, j, ab, bc):
-    """(A o_i B) o_{i+j-1} C = A o_i (B o_j C), given ab = A o_i B and bc = B o_j C."""
-    left, right = _compose(rule, ab, i + j - 1, c), _compose(rule, a, i, bc)
-    return left == right, left, right
-
-
-def _parallel(rule, a, b, c, i, j, ab, ac):
-    """(A o_i B) o_{j+m-1} C = (A o_j C) o_i B for i < j, given ab = A o_i B and ac = A o_j C."""
-    left, right = _compose(rule, ab, j + len(b) - 1, c), _compose(rule, ac, i, b)
-    return left == right, left, right
-
-
 def _case(rule, law, a, b, c, i, j):
     """(holds, left, right) for one case of law on the row codes a, b, c:
     the inner composites, then the outer ones.  An undefined composition
@@ -228,9 +220,13 @@ def _case(rule, law, a, b, c, i, j):
         right = _compose(rule, a, i, UNIT.codes)
         return left == right == a, left, right
     ab = _compose(rule, a, i, b)
-    if law == NESTED:
-        return _nested(rule, a, b, c, i, j, ab, _compose(rule, b, j, c))
-    return _parallel(rule, a, b, c, i, j, ab, _compose(rule, a, j, c))
+    if law == NESTED:  # (A o_i B) o_{i+j-1} C = A o_i (B o_j C)
+        bc = _compose(rule, b, j, c)
+        left, right = _compose(rule, ab, i + j - 1, c), _compose(rule, a, i, bc)
+    else:  # (A o_i B) o_{j+m-1} C = (A o_j C) o_i B for i < j
+        ac = _compose(rule, a, j, c)
+        left, right = _compose(rule, ab, j + len(b) - 1, c), _compose(rule, ac, i, b)
+    return left == right, left, right
 
 
 def _defined(fn, *args):
@@ -239,20 +235,6 @@ def _defined(fn, *args):
         return fn(*args)
     except PreconditionViolated:
         return None
-
-
-def _outer_defined(xc, i, a21) -> bool:
-    """Whether an insertion at i into the row codes xc meets the precondition
-    a21, which compose._check_lower_left enforces; tested here without
-    raising, since the sweep meets many undefined cases."""
-    if a21 is None:
-        return True
-    low = (1 << (i - 1)) - 1
-    want = low if a21 else 0
-    for x in xc[i:]:
-        if x & low != want:
-            return False
-    return True
 
 
 def _view(rule, codes) -> tuple:
@@ -276,85 +258,77 @@ def _composite_view(rule, x, j, c):
     return None if xc is None else _view(rule, xc)
 
 
-def _nested_probe(rule, a, ab, i, j) -> tuple:
-    """What (N1) and (N2) read of A and AB = A o_i B, the same for every C:
-    whether (N1) is live and AB's row i+j-1 has a nonzero prefix, and the
-    distinct pairs (A's entry (s, i), AB's entry at column i+j-1 of that row)
-    over A's rows s > i."""
+def _nested_probe(rule, a, ab, i, j) -> int:
+    """The comparisons of _nested_reads whose sides must be equal, read of
+    A and AB = A o_i B, the same for every C.  (N1), when live, needs C's
+    maximal mask (bit 0) if AB's row i+j-1 has a nonzero prefix, else 0
+    (bit 1).  (N2) needs, for each pair (x, y) = (A's entry (s, i), AB's
+    entry at column i+j-1 of that row) over A's rows s > i, the V-fill row
+    over C picked by y to equal the one over BC picked by x (bit 1 + 2x + y).
+    The off rows agree on C's columns (both 0, or both the constant), so
+    the pair (0, 0) needs nothing."""
     k, p = i - 1, i + j - 1
     low = (1 << k) - 1
-    gate = bool(ab[p - 1] & low) if rule[0] == ROW_AT_MAX and a[k] & low else None
+    probe = 0
+    if rule[0] == ROW_AT_MAX and a[k] & low:
+        probe = 1 if ab[p - 1] & low else 2
     below = len(ab) - len(a)  # A's row s is AB's row s + m - 1
-    pairs = {((a[s] >> k) & 1, (ab[s + below] >> (p - 1)) & 1) for s in range(i, len(a))}
-    return gate, frozenset(pairs), j - 1
+    for s in range(i, len(a)):
+        pair = ((a[s] >> k) & 1) << 1 | (ab[s + below] >> (p - 1)) & 1
+        if pair:
+            probe |= 2 << pair
+    return probe
 
 
-def _nested_holds(probe, cv, bcv) -> bool:
-    """Whether (A o_i B) o_{i+j-1} C = A o_i (B o_j C), both sides defined,
-    from the blocks (N1) and (N2) of the nested block lemma; cv and bcv are
-    the views of C and B o_j C."""
-    gate, pairs, shift = probe
-    _, full, maxs, on, off = cv
-    _, _, bc_maxs, bc_on, bc_off = bcv
-    if gate is not None and (maxs if gate else 0) != (bc_maxs >> shift) & full:
-        return False
-    for x, y in pairs:
-        if (on if y else off) != ((bc_on if x else bc_off) >> shift) & full:
-            return False
-    return True
-
-
-def _nested_reads(cv, bcv, shift) -> tuple:
-    """The outcome of every comparison _nested_holds can make on the views
-    of C and B o_j C with shift = j-1: the gate's two, then one per pair
-    (x, y).  Its verdict is a function of these, whatever the probe."""
+def _nested_reads(cv, bcv, shift) -> int:
+    """The comparisons of _nested_probe that come out unequal on the views
+    of C and B o_j C, with shift = j-1 taking BC's masks to C's columns:
+    bit 0 C's maximal mask against BC's, bit 1 0 against BC's, and bit
+    1 + 2x + y the V-fill row over C picked by y (off, on) against the one
+    over BC picked by x."""
     _, full, maxs, on, off = cv
     _, _, bc_maxs, bc_on, bc_off = bcv
     bc_maxs = (bc_maxs >> shift) & full
     bc_on, bc_off = (bc_on >> shift) & full, (bc_off >> shift) & full
-    return maxs == bc_maxs, not bc_maxs, on == bc_on, on == bc_off, off == bc_on, off == bc_off
+    return (
+        (maxs != bc_maxs)
+        | (bc_maxs != 0) << 1
+        | (on != bc_off) << 2
+        | (off != bc_on) << 3
+        | (on != bc_on) << 4
+    )
 
 
-def _parallel_probe(rule, bv, ab, i, j) -> tuple:
-    """What (P) reads of B and AB = A o_i B, the same for every C: the B
-    columns of the outer U-fill, whether C's maximal mask gates them, the
-    on and off rows over B, and where A o_j C's rows of C begin."""
-    b, full, _, on, off = bv
-    k = i - 1
-    if rule[0] in (0, 1):
-        row, gated = (full if rule[0] else 0), False
-    else:
-        row, gated = (ab[j + len(b) - 2] >> k) & full, rule[0] == ROW_AT_MAX
-    return row, gated, on, off, k, j - 1
-
-
-def _parallel_holds(probe, cv, ac) -> bool:
-    """Whether (A o_i B) o_{j+m-1} C = (A o_j C) o_i B, both sides defined,
-    from the block (P) of the parallel block lemma; cv is the view of C."""
-    row, gated, on, off, k, top = probe
-    c, _, maxs, _, _ = cv
-    for r in range(len(c)):
-        left = row if not gated or (maxs >> r) & 1 else 0
-        if left != (on if (ac[top + r] >> k) & 1 else off):
-            return False
-    return True
-
-
-def _parallel_reads(cv, ac, k, top) -> frozenset:
+def _parallel_probe(rule, bv, ab, i, j) -> int:
     """The pairs (whether C's row r is maximal, A o_j C's entry (j-1+r, i))
-    over C's rows r, with k = i-1 and top = j-1.  _parallel_holds tests one
-    condition on each pair, so its verdict is a function of this set,
-    whatever the probe with these k and top."""
+    on which (P) breaks, as bits 2 * maximal + entry, read of B and
+    AB = A o_i B, the same for every C.  In L, row r holds the B columns of
+    the outer U-fill from AB's row j+m-1, and under ROW_AT_MAX only if r is
+    maximal; in R, the on or off row over B, by the entry."""
+    b, full, _, on, off = bv
+    if rule[0] in (0, 1):
+        row = full if rule[0] else 0
+    else:
+        row = (ab[j + len(b) - 2] >> (i - 1)) & full
+    lefts = (0 if rule[0] == ROW_AT_MAX else row, row)
+    rights = (off, on)
+    return sum(1 << (2 * x + e) for x in (0, 1) for e in (0, 1) if lefts[x] != rights[e])
+
+
+def _parallel_reads(cv, ac, k, top) -> int:
+    """The pairs (whether C's row r is maximal, A o_j C's entry (j-1+r, i))
+    that occur over C's rows r, as bits 2 * maximal + entry, with k = i-1
+    and top = j-1."""
     c, _, maxs, _, _ = cv
-    return frozenset([((maxs >> r) & 1, (ac[top + r] >> k) & 1) for r in range(len(c))])
+    reads = 0
+    for r in range(len(c)):
+        reads |= 1 << (((maxs >> r) & 1) << 1 | (ac[top + r] >> k) & 1)
+    return reads
 
 
 def _holds(rule, law, a, b, c, i, j):
-    """Whether one case of law holds, by the block lemmas for associativity;
+    """Whether one associativity case holds, that is probe & reads == 0;
     None when a composition it needs is undefined."""
-    if law == UNIT_LAW:
-        case = _defined(_case, rule, law, a, b, c, i, j)
-        return None if case is None else case[0]
     a21 = rule[2]
     ab = _defined(_compose, rule, a, i, b)
     if ab is None:
@@ -363,13 +337,15 @@ def _holds(rule, law, a, b, c, i, j):
     if xv is None:
         return None
     if law == NESTED:
-        if not _outer_defined(ab, i + j - 1, a21):
+        if not _lower_left_ok(ab, i + j - 1, a21):
             return None
-        return _nested_holds(_nested_probe(rule, a, ab, i, j), _view(rule, c), xv)
-    if not (_outer_defined(ab, j + len(b) - 1, a21) and _outer_defined(xv[0], i, a21)):
-        return None
-    probe = _parallel_probe(rule, _view(rule, b), ab, i, j)
-    return _parallel_holds(probe, _view(rule, c), xv[0])
+        probe, reads = _nested_probe(rule, a, ab, i, j), _nested_reads(_view(rule, c), xv, j - 1)
+    else:
+        if not (_lower_left_ok(ab, j + len(b) - 1, a21) and _lower_left_ok(xv[0], i, a21)):
+            return None
+        probe = _parallel_probe(rule, _view(rule, b), ab, i, j)
+        reads = _parallel_reads(_view(rule, c), xv[0], i - 1, j - 1)
+    return not probe & reads
 
 
 def check_nested(kind, a, b, c, i, j):
@@ -434,7 +410,7 @@ def _composites(rule, x, j, ys, cache) -> list:
     where = (x, j, len(ys[0][0]))
     views = cache.get(where)
     if views is None:
-        if _outer_defined(x, j, rule[2]):
+        if _lower_left_ok(x, j, rule[2]):
             views = [_composite_view(rule, x, j, yv[0]) for yv in ys]
         else:  # x's lower-left block at j rules out every y
             views = [None] * len(ys)
@@ -464,7 +440,7 @@ def _groups(rule, law, views, n, m, composites) -> tuple:
                     continue
                 b, ab = bv[0], abv[0]
                 for j in js:
-                    if not _outer_defined(ab, i + j - 1 if nested else j + m - 1, a21):
+                    if not _lower_left_ok(ab, i + j - 1 if nested else j + m - 1, a21):
                         undefined += 1
                         continue
                     if nested:
@@ -481,10 +457,9 @@ def _groups(rule, law, views, n, m, composites) -> tuple:
 
 def _row(rule, law, key, cs, composites) -> tuple:
     """The inner row of a group key (see _groups) over the views cs of the C
-    of one order: (how many of its cases are defined, one pair (view of C,
-    what the holds function takes of X o_j C) per class of C).  A class is
-    the C with the same _nested_reads or _parallel_reads; its pair is that
-    of its least C."""
+    of one order: (how many of its cases are defined, one pair (reads, codes
+    of its least C) per class of C).  A class is the C with the same
+    _nested_reads or _parallel_reads."""
     nested = law == NESTED
     x, j = key[0], key[1]
     defined, classes = 0, {}
@@ -494,13 +469,13 @@ def _row(rule, law, key, cs, composites) -> tuple:
         if nested:
             reads = _nested_reads(cv, xv, j - 1)
         else:
-            i, xv = key[2], xv[0]
-            if not _outer_defined(xv, i, rule[2]):
+            i, xc = key[2], xv[0]
+            if not _lower_left_ok(xc, i, rule[2]):
                 continue
-            reads = _parallel_reads(cv, xv, i - 1, j - 1)
+            reads = _parallel_reads(cv, xc, i - 1, j - 1)
         defined += 1
-        classes.setdefault(reads, (cv, xv))
-    return defined, list(classes.values())
+        classes.setdefault(reads, cv[0])
+    return defined, list(classes.items())
 
 
 def _scan(rule, law, outer, cs, tally, rows, composites) -> None:
@@ -508,11 +483,10 @@ def _scan(rule, law, outer, cs, tally, rows, composites) -> None:
     from the views cs, all of one order k, in witness order.
 
     Each inner row (see _row) is built the first time a group needs it and
-    kept in rows.  A group decides each class of its row once and counts
-    its cases size times; a failing class is recorded as one case, the
-    group's least member with the class's least C, which is all the witness
-    needs."""
-    holds = _nested_holds if law == NESTED else _parallel_holds
+    kept in rows.  A group decides each class of its row once, by
+    probe & reads, and counts its cases size times; a failing class is
+    recorded as one case, the group's least member with the class's least
+    C, which is all the witness needs."""
     undefined, groups = outer
     k = len(cs[0][0])
     checked, skipped = 0, undefined * len(cs)
@@ -525,10 +499,10 @@ def _scan(rule, law, outer, cs, tally, rows, composites) -> None:
         checked += defined * size
         skipped += (len(cs) - defined) * size
         probe = key[-1]
-        for cv, xv in classes:
-            if not holds(probe, cv, xv):
+        for reads, c in classes:
+            if probe & reads:
                 a, b, i, j = least
-                tally.failures.append((a, b, cv[0], i, j))
+                tally.failures.append((a, b, c, i, j))
     tally.checked += checked
     tally.skipped += skipped
 
@@ -568,7 +542,8 @@ def _exhaustive(rule, pools) -> list:
     for n in sorted(pools):
         for a in pools[n]:
             for i in range(1, n + 1):
-                unit.add(a, None, None, i, None, _holds(rule, UNIT_LAW, a, None, None, i, None))
+                case = _defined(_case, rule, UNIT_LAW, a, None, None, i, None)
+                unit.add(a, None, None, i, None, case and case[0])
         if unit.failures:
             break
     return tallies + [unit]
@@ -580,19 +555,20 @@ def _random(rule, law, pools, trials, seed) -> _Tally:
     tally = _Tally()
     for _ in range(trials):
         a = rng.choice(flat)
-        b = c = j = None
         if law == UNIT_LAW:
             i = rng.randint(1, len(a))
+            case = _defined(_case, rule, law, a, None, None, i, None)
+            tally.add(a, None, None, i, None, case and case[0])
+            continue
+        b = rng.choice(flat)
+        c = rng.choice(flat)
+        if law == NESTED:
+            i, j = rng.randint(1, len(a)), rng.randint(1, len(b))
+        elif len(a) < 2:
+            tally.skipped += 1
+            continue
         else:
-            b = rng.choice(flat)
-            c = rng.choice(flat)
-            if law == NESTED:
-                i, j = rng.randint(1, len(a)), rng.randint(1, len(b))
-            elif len(a) < 2:
-                tally.skipped += 1
-                continue
-            else:
-                i, j = sorted(rng.sample(range(1, len(a) + 1), 2))
+            i, j = sorted(rng.sample(range(1, len(a) + 1), 2))
         tally.add(a, b, c, i, j, _holds(rule, law, a, b, c, i, j))
     return tally
 

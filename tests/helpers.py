@@ -268,3 +268,32 @@ def sweep_semi_equidual(max_n: int = 5, max_m: int = 3):
                     if semi_equidual(left, right) is None:
                         violations.append((a, alpha, b))
     return violations
+
+
+def semi_equidual_by_definition(a: PosetMatrix, b: PosetMatrix):
+    """(alpha, a's block, b's block as row grids) for the least, then
+    lexicographically first, index set alpha such that a and b agree outside
+    alpha x alpha, a's block on alpha is disconnected and b's is its dual
+    (entry (s, t) of the dual of an order-k block is entry (k+1-t, k+1-s));
+    None when there is none.  Written entry by entry from the definition."""
+    n, ra, rb = a.n, a.rows, b.rows
+    differ = [(s, t) for s in range(n) for t in range(n) if ra[s][t] != rb[s][t]]
+    for size in range(1, n + 1):
+        for alpha in combinations(range(n), size):
+            if any(s not in alpha or t not in alpha for s, t in differ):
+                continue
+            block_a = tuple(tuple(ra[s][t] for t in alpha) for s in alpha)
+            block_b = tuple(tuple(rb[s][t] for t in alpha) for s in alpha)
+            reached, todo = {0}, [0]
+            while todo:
+                s = todo.pop()
+                for t in range(size):
+                    if t not in reached and (block_a[s][t] or block_a[t][s]):
+                        reached.add(t)
+                        todo.append(t)
+            if len(reached) == size:
+                continue
+            last = size - 1
+            if all(block_b[s][t] == block_a[last - t][last - s] for s in range(size) for t in range(size)):
+                return tuple(q + 1 for q in alpha), block_a, block_b
+    return None

@@ -17,7 +17,7 @@ from posetmat.duality import self_dual_closure_counterexamples
 from posetmat.enumeration import generate_all
 from posetmat.errors import IndexOutOfRange, OrderMismatch
 
-from helpers import chain, pm
+from helpers import chain, pm, semi_equidual_by_definition
 
 
 def all_upto(n_max):
@@ -173,6 +173,18 @@ class TestSemiEquidual:
 
     def test_none_when_no_disconnected_block(self):
         assert semi_equidual(chain(3), chain(3)) is None
+
+    def test_matches_the_definition_on_every_pair_up_to_order_four(self):
+        found = 0
+        for n in range(1, 5):
+            pool = generate_all(n)
+            for a in pool:
+                for b in pool:
+                    w = semi_equidual(a, b)
+                    got = w and (w.alpha, w.block_a.rows, w.block_b.rows)
+                    assert got == semi_equidual_by_definition(a, b), (a, b)
+                    found += w is not None
+        assert found == 96  # pairs with a witness, so the comparison is not all None
 
     def test_order_mismatch(self):
         with pytest.raises(OrderMismatch):

@@ -1,14 +1,14 @@
+import random
 import tracemalloc
 from itertools import product
 
 import pytest
 
-from posetmat import MINMAX, SQUARE, UNIT, check_nested, check_parallel, check_unit
+from posetmat import MINMAX, SQUARE, UNIT, check_nested, check_parallel, check_unit, operad
 from posetmat.compose import (
     ALL_BOXED,
     ALL_KINDS,
     OPERAD_KINDS,
-    _check_lower_left,
     _rule,
     kind_name,
     parse_kind,
@@ -16,7 +16,6 @@ from posetmat.compose import (
 from posetmat.enumeration import _levels, generate_all, matrix_count
 from posetmat.errors import (
     IndexOutOfRange,
-    PreconditionViolated,
     RequiresDistinctIndices,
     ResourceLimit,
 )
@@ -30,7 +29,6 @@ from posetmat.operad import (
     _defined,
     _groups,
     _holds,
-    _outer_defined,
     _scan,
     _Tally,
     _witness_views,
@@ -268,21 +266,69 @@ def test_order_four_reports_are_pinned(name):
             assert reverify(report)
 
 
+def _small_cases():
+    """Every nested and parallel case over PM(<=3), as (law, a, b, c, i, j)."""
+    pool = [c for level in _levels(3) for c in level]
+    for a, b, c in product(pool, repeat=3):
+        for i in range(1, len(a) + 1):
+            for j in range(1, len(b) + 1):
+                yield NESTED, a, b, c, i, j
+            for j in range(i + 1, len(a) + 1):
+                yield PARALLEL, a, b, c, i, j
+
+
+def _random_cases(count=1000, seed=14):
+    """count seeded random nested cases and as many parallel ones, each of
+    A, B and C drawn from PM(5) or PM(6)."""
+    rng = random.Random(seed)
+    levels = list(_levels(6))[4:]
+    for _ in range(count):
+        a, b, c = (rng.choice(rng.choice(levels)) for _ in range(3))
+        yield NESTED, a, b, c, rng.randint(1, len(a)), rng.randint(1, len(b))
+        i, j = sorted(rng.sample(range(1, len(a) + 1), 2))
+        yield PARALLEL, a, b, c, i, j
+
+
 @pytest.mark.parametrize("kind", ALL_KINDS, ids=kind_name)
 def test_block_verdict_matches_both_sides_case_by_case(kind):
-    # every nested and parallel case over PM(<=3): the same verdict as
-    # composing both sides in full, and skipped exactly when _case is
+    # every nested and parallel case over PM(<=3) and 2,000 random ones at
+    # orders 5-6: the same verdict as composing both sides in full, and
+    # skipped exactly when _case is
     rule = _rule(kind)
-    pool = [c for level in _levels(3) for c in level]
-    for a in pool:
-        for b in pool:
-            for c in pool:
-                for i in range(1, len(a) + 1):
-                    for law, js in ((NESTED, range(1, len(b) + 1)), (PARALLEL, range(i + 1, len(a) + 1))):
-                        for j in js:
-                            case = _defined(_case, rule, law, a, b, c, i, j)
-                            want = None if case is None else case[0]
-                            assert _holds(rule, law, a, b, c, i, j) is want, (law, a, b, c, i, j)
+    for law, a, b, c, i, j in (*_small_cases(), *_random_cases()):
+        case = _defined(_case, rule, law, a, b, c, i, j)
+        want = None if case is None else case[0]
+        assert _holds(rule, law, a, b, c, i, j) is want, (law, a, b, c, i, j)
+
+
+def test_every_probe_and_read_bit_occurs(monkeypatch):
+    # over the cases of the test above and all 11 kinds, _holds sets every
+    # bit of each law's probe and reads at least once, so that test passing
+    # says something about every comparison the rule probe & reads makes
+    seen = {}
+
+    def record(name):
+        fn = getattr(operad, name)
+
+        def wrapped(*args):
+            out = fn(*args)
+            seen[name] = seen.get(name, 0) | out
+            return out
+
+        monkeypatch.setattr(operad, name, wrapped)
+
+    for name in ("_nested_probe", "_nested_reads", "_parallel_probe", "_parallel_reads"):
+        record(name)
+    for kind in ALL_KINDS:
+        rule = _rule(kind)
+        for law, a, b, c, i, j in (*_small_cases(), *_random_cases()):
+            _holds(rule, law, a, b, c, i, j)
+    assert seen == {
+        "_nested_probe": 0b11111,
+        "_nested_reads": 0b11111,
+        "_parallel_probe": 0b1111,
+        "_parallel_reads": 0b1111,
+    }
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS, ids=kind_name)
@@ -306,21 +352,6 @@ def test_grouped_sweep_matches_case_by_case(kind):
             assert (grouped.checked, grouped.skipped) == (single.checked, single.skipped)
             least = [min(t.failures, key=_case_key, default=None) for t in (grouped, single)]
             assert least[0] == least[1], (law, n, m, k)
-
-
-def test_outer_precondition_matches_compose():
-    # the sweep's test of the lower-left precondition agrees with the one
-    # compose raises on, over PM(<=4) at every position and both constants
-    for codes in (c for level in _levels(4) for c in level):
-        for i in range(1, len(codes) + 1):
-            for a21 in (0, 1):
-                try:
-                    _check_lower_left(codes, i, a21)
-                    want = True
-                except PreconditionViolated:
-                    want = False
-                assert _outer_defined(codes, i, a21) is want, (codes, i, a21)
-            assert _outer_defined(codes, i, None)
 
 
 class TestBoxedKindsMeasured:
