@@ -15,41 +15,29 @@ refused.
 The law layer works on int row codes (see core) from end to end: the pools
 are the levels of enumeration's walk, taken as code tuples once the order
 cap is checked, and a kind's rule is looked up once.  An associativity case
-is decided from the inner composites A o_i B and B o_j C (nested) or
-A o_j C (parallel), by looking only at the entries where its two sides can
-differ: the blocks of the two lemmas below.  What is looked at there is
-split into two bitmasks, and the case fails iff probe & reads != 0.
-  Probe (_nested_probe, _parallel_probe).  Read of A, i, B and j alone,
-        the same for every C: the comparisons whose sides must be equal
-        (nested) or the pairs that break the case (parallel).
-  Reads (_nested_reads, _parallel_reads).  Read of the _view of C (its
-        extremal masks and V-fill rows) and of X o_j C, with X = B
-        (nested) or A (parallel), given only j (and, parallel, i): the
-        comparisons that come out unequal, or the pairs that occur.
-Random mode (_holds) composes the inner composites per case.  Both sides
-are composed in full (_case) only for the check_* functions, the unit law
-and the reported witness.
+(A, i, B, j, C) is decided without composing anything, by the closed forms
+proved below for the entries where its two sides can differ (the blocks of
+the two lemmas).  _outer reads A, i, B and j: whether the case is defined,
+which never depends on C, a probe bitmask, and a side, which is all that
+the reads need of B (nested) or A (parallel).  _reads reads the side and
+C's extremal masks.  The case fails iff probe & reads != 0.  Random mode
+(_holds) and the exhaustive sweep compose nothing; both sides are composed
+(_case) only for the check_* functions, the unit law and the reported
+witness.
 
-The exhaustive sweep decides each class of cases with the same probe and
-the same reads once.  A case (A, i, B, j, C) is defined iff AB is defined
-and meets its outer precondition, and X o_j C is defined (and, parallel,
-meets the precondition at i).
-  Outer groups (_groups).  Per order pair (n, m), the outer precondition
-        and the probe are worked out once per (A, i, B, j), not once per
-        order of C, and the defined cases are grouped by (X, j, probe),
-        parallel also by i.
-  Inner classes (_row).  Per group key and order k, the C of equal reads
-        form a class.
-The cases of a (group, class) share probe and reads, so they share the
-verdict: _scan decides each (group, class) once and counts it for every
-member and every C of the class.  Each composition X o_j Y is made once per
-sweep (_composites), for both laws, as A o_i B and as X o_j C alike.  The
-sweep still runs by ascending total order n+m+k and stops at the end of the
-first total with a failure, so it counts the same cases.  A failing
-(group, class) is kept as its least case: the group's least member
-(A, B, i, j) with the class's least C, both in witness order.  The least
-failing case of a total is the least of these, since the witness order
-compares A, B and C before i and j, so the witness is the same too.
+The exhaustive sweep decides each class of cases once.  Per order pair
+(n, m), _groups walks A, B, i, j in witness order and groups the defined
+(A, i, B, j) by (side, probe), keeping each group's size and first, so
+least, member.  Per side and order k, _scan splits the C of order k into
+classes of equal reads, each kept with its least C.  The cases of a
+(group, class) share probe and reads, so they share the verdict: _scan
+decides each once and counts size cases per C.  The sweep still runs by
+ascending total order n+m+k and stops at the end of the first total with a
+failure, so it counts the same cases.  A failing (group, class) is kept as
+its least case: the group's least member (A, B, i, j) with the class's
+least C.  The least failing case of a total is the least of these, since
+the witness order compares A, B and C before i and j, so the witness is the
+same too.
 
 Notation.  By the formulas beside compose._RULES, X o_i Y (X of order x, Y
 of order y) keeps X's rows above i; gives Y's row q the row U_q | y_q << (i-1);
@@ -125,6 +113,61 @@ lies below q; L adds the V-fill over C, on or off by its bit at q, which is
 a_s's entry j.  AC's row adds the same V-fill at j, and R then adds the
 V-fill over B, on or off by a_s's entry i, as V_s is.  The two rows are
 equal bit for bit.
+
+Two more facts about BC, for C's element r (BC's element j-1+r):
+  (max C) under ROW_AT_MAX, r is maximal in BC iff r is maximal in C and
+        j is maximal in B or r is outside C's on row.  Column j-1+r of BC
+        is held off the diagonal by C's rows r' whose c_r' holds r (some
+        does iff r is not maximal in C), by no row of B above j, and by B's
+        row q > j through V_q: C's on row where b_q has entry j (some q > j
+        has iff j is not maximal in B), else off = 0, as the V-fill of max
+        and minmax, the kinds with ROW_AT_MAX, is COL or COL_AT_MIN.
+  (min C) under COL_AT_MIN, r is minimal in BC iff r is minimal in C and
+        j is minimal in B or the U-fill is ROW_AT_MAX and r is not maximal
+        in C.  BC's row j-1+r is U^BC_r | c_r << (j-1), and U^BC_r is b_j's
+        prefix, which is 0 iff j is minimal in B, in every row of C (ROW,
+        min) or only in those of C's maximal elements (ROW_AT_MAX, minmax).
+
+Nested rule.  A kind without a precondition defines every case.  A boxed
+kind, with constant fills u and v, needs A's lower-left block at i constant
+(for AB and R) and B's at j (for BC).  L then needs AB's at p: below p are
+B's rows q > j, which hold u over A's first i-1 columns and then b_q's first
+j-1 bits (B's block), and A's rows s > i, which hold a_s & low (A's block)
+and then the first j-1 bits of V_s, the constant v.  So L needs u = a21
+unless j = m or i = 1, and v = a21 unless i = n or j = 1.  (N1): L holds u in C's row r iff r is maximal in C
+and AB's row p, U_j | b_j << (i-1), has prefix u, that is iff j is maximal in
+B.  R holds it iff j-1+r is maximal in BC, which for j maximal is again r
+maximal in C, by (max C).  So (N1) breaks iff u != 0 and j is not maximal in
+B (probe bit 0) and some element of C is maximal in BC (reads bit 0).
+(N2): take A's row s > i and x its entry i.  L holds there the row over C
+picked by y, AB's entry at p, which is bit j of V_s, the row over B picked
+by x; R holds the row over BC picked by x, on C's columns.  Only the pair
+(x, y) = (1, 0) can break: for (0, 0) both off rows are 0 or the constant;
+y = 1 with x = 0 needs the constant fill 1, where C's on row and BC's off
+row are both full; and for (1, 1) both on rows are full (COL) or the
+constant, or, under COL_AT_MIN, y = 1 says j is minimal in B, so C's
+minimal mask is BC's on C's columns by (min C).  Probe bit 1 is set iff x
+is 1 on some row s > i and B's on row has 0 at j; reads bit 1 iff C's off
+row differs from BC's on row on C's columns: always under COL (0 against
+full), never under a constant fill, and under COL_AT_MIN iff some element
+of C is minimal in BC.
+
+Parallel rule.  A boxed kind needs A's lower-left blocks at i and at j (for
+AB and AC) constant.  L then needs AB's at q: below q are A's rows s > j,
+which hold A's entries left of j (A's block at j) and V_s, the constant v,
+over B's columns, so v = a21 unless j = n.  R needs AC's at i: below i are
+A's rows (A's block at i) and C's rows, which hold the constant u over A's
+first i-1 columns, so u = a21 unless i = 1.  (P): in L, row r of
+C holds the B columns of the outer U-fill from AB's row q.  That row is A's
+row j with V_j at i, V_j being B's on row if the side, A's entry (j, i), is
+1, else the off row; the fill copies it (ROW), copies it only if r is
+maximal in C (ROW_AT_MAX), or is the constant u, in which case the side is
+u.  In R it holds B's on or off row by e, AC's entry (j-1+r, i), which is
+bit i of U^AC_r: the side, or under ROW_AT_MAX the side only if r is
+maximal in C, else 0.  With x whether r is maximal, probe bit 2x + e is set
+iff the two rows differ; reads bit 2x + e iff some row of C gives (x, e):
+(1, side) always, as C has a maximal element, and (0, side), or (0, 0)
+under ROW_AT_MAX, iff C is not an antichain.
 """
 
 from __future__ import annotations
@@ -237,115 +280,82 @@ def _defined(fn, *args):
         return None
 
 
-def _view(rule, codes) -> tuple:
-    """What the block lemmas read of a guest or an inner composite under
-    rule: (codes, the all-ones mask of its order, its maximal mask, read
-    only under ROW_AT_MAX, and the on and off rows of the V-fill over it)."""
-    u_fill, v_fill, _ = rule
-    full = (1 << len(codes)) - 1
+def _outer(rule, law, a, i, b, j):
+    """The outer half of the associativity case (A, i, B, j, C), the same
+    for every C: None when the case is undefined, else (probe, side).
+
+    Nested, side is (j maximal in B, j minimal in B); probe bit 0 is (N1)
+    live with j not maximal, bit 1 the (N2) pair (1, 0) occurring.
+    Parallel, side is A's entry (j, i), or the constant U-fill, and probe
+    bit 2x + e is set where the pair (x, e) breaks (P).  See the module
+    docstring for the proofs."""
+    u_fill, v_fill, a21 = rule
+    n, m, k = len(a), len(b), i - 1
+    nested = law == NESTED
+    if not (_lower_left_ok(a, i, a21) and _lower_left_ok(b if nested else a, j, a21)):
+        return None
+    if a21 is not None:  # where a constant fill lands in an outer lower-left block
+        u_in, v_in = (i > 1 and j < m, j > 1 and i < n) if nested else (i > 1, j < n)
+        if u_in and u_fill != a21 or v_in and v_fill != a21:
+            return None
+    if nested:
+        side = (not any((y >> (j - 1)) & 1 for y in b[j:]), b[j - 1] == 1 << (j - 1))
+        probe = int(u_fill == ROW_AT_MAX and a[k] & ((1 << k) - 1) != 0 and not side[0])
+        on_j = side[1] if v_fill == COL_AT_MIN else v_fill in (COL, 1)  # B's on row at j
+        if not on_j and any((x >> k) & 1 for x in a[i:]):
+            probe |= 2
+        return probe, side
+    full = (1 << m) - 1
     if v_fill == COL_AT_MIN:
-        on, off = _minimal_mask(codes), 0
+        on, off = _minimal_mask(b), 0
     elif v_fill == COL:
         on, off = full, 0
     else:
         on = off = full if v_fill else 0
-    return codes, full, _maximal_mask(codes) if u_fill == ROW_AT_MAX else 0, on, off
-
-
-def _composite_view(rule, x, j, c):
-    """The _view of X o_j C, or None when that composition is undefined."""
-    xc = _defined(_compose, rule, x, j, c)
-    return None if xc is None else _view(rule, xc)
-
-
-def _nested_probe(rule, a, ab, i, j) -> int:
-    """The comparisons of _nested_reads whose sides must be equal, read of
-    A and AB = A o_i B, the same for every C.  (N1), when live, needs C's
-    maximal mask (bit 0) if AB's row i+j-1 has a nonzero prefix, else 0
-    (bit 1).  (N2) needs, for each pair (x, y) = (A's entry (s, i), AB's
-    entry at column i+j-1 of that row) over A's rows s > i, the V-fill row
-    over C picked by y to equal the one over BC picked by x (bit 1 + 2x + y).
-    The off rows agree on C's columns (both 0, or both the constant), so
-    the pair (0, 0) needs nothing."""
-    k, p = i - 1, i + j - 1
-    low = (1 << k) - 1
-    probe = 0
-    if rule[0] == ROW_AT_MAX and a[k] & low:
-        probe = 1 if ab[p - 1] & low else 2
-    below = len(ab) - len(a)  # A's row s is AB's row s + m - 1
-    for s in range(i, len(a)):
-        pair = ((a[s] >> k) & 1) << 1 | (ab[s + below] >> (p - 1)) & 1
-        if pair:
-            probe |= 2 << pair
-    return probe
-
-
-def _nested_reads(cv, bcv, shift) -> int:
-    """The comparisons of _nested_probe that come out unequal on the views
-    of C and B o_j C, with shift = j-1 taking BC's masks to C's columns:
-    bit 0 C's maximal mask against BC's, bit 1 0 against BC's, and bit
-    1 + 2x + y the V-fill row over C picked by y (off, on) against the one
-    over BC picked by x."""
-    _, full, maxs, on, off = cv
-    _, _, bc_maxs, bc_on, bc_off = bcv
-    bc_maxs = (bc_maxs >> shift) & full
-    bc_on, bc_off = (bc_on >> shift) & full, (bc_off >> shift) & full
-    return (
-        (maxs != bc_maxs)
-        | (bc_maxs != 0) << 1
-        | (on != bc_off) << 2
-        | (off != bc_on) << 3
-        | (on != bc_on) << 4
-    )
-
-
-def _parallel_probe(rule, bv, ab, i, j) -> int:
-    """The pairs (whether C's row r is maximal, A o_j C's entry (j-1+r, i))
-    on which (P) breaks, as bits 2 * maximal + entry, read of B and
-    AB = A o_i B, the same for every C.  In L, row r holds the B columns of
-    the outer U-fill from AB's row j+m-1, and under ROW_AT_MAX only if r is
-    maximal; in R, the on or off row over B, by the entry."""
-    b, full, _, on, off = bv
-    if rule[0] in (0, 1):
-        row = full if rule[0] else 0
+    if u_fill in (0, 1):
+        side = u_fill
+        row = full if side else 0
     else:
-        row = (ab[j + len(b) - 2] >> (i - 1)) & full
-    lefts = (0 if rule[0] == ROW_AT_MAX else row, row)
-    rights = (off, on)
-    return sum(1 << (2 * x + e) for x in (0, 1) for e in (0, 1) if lefts[x] != rights[e])
+        side = (a[j - 1] >> k) & 1
+        row = on if side else off
+    lefts, rights = (0 if u_fill == ROW_AT_MAX else row, row), (off, on)
+    return sum(1 << (2 * x + e) for x in (0, 1) for e in (0, 1) if lefts[x] != rights[e]), side
 
 
-def _parallel_reads(cv, ac, k, top) -> int:
-    """The pairs (whether C's row r is maximal, A o_j C's entry (j-1+r, i))
-    that occur over C's rows r, as bits 2 * maximal + entry, with k = i-1
-    and top = j-1."""
-    c, _, maxs, _, _ = cv
-    reads = 0
-    for r in range(len(c)):
-        reads |= 1 << (((maxs >> r) & 1) << 1 | (ac[top + r] >> k) & 1)
+def _reads(rule, law, side, c) -> int:
+    """The comparisons of _outer's probe that come out unequal, read of the
+    side and of C's extremal masks alone.
+
+    Nested, bit 0 is set where some element of C is maximal in BC (under
+    ROW_AT_MAX), bit 1 where C's off row differs from BC's on row on C's
+    columns.  Parallel, bit 2x + e is set where the pair (x, e) occurs
+    over C's rows."""
+    u_fill, v_fill, _ = rule
+    maxs = _maximal_mask(c)
+    if law == PARALLEL:
+        reads = 1 << (2 + side)  # C has a maximal element
+        if maxs != (1 << len(c)) - 1:  # and a non-maximal one
+            reads |= 1 << (0 if u_fill == ROW_AT_MAX else side)
+        return reads
+    jmax, jmin = side
+    mins = _minimal_mask(c)
+    # C's elements maximal in BC under ROW_AT_MAX, and minimal under COL_AT_MIN
+    bc_maxs = maxs if jmax else maxs & ~mins if v_fill == COL_AT_MIN else 0
+    bc_mins = mins if jmin else mins & ~maxs if u_fill == ROW_AT_MAX else 0
+    reads = int(u_fill == ROW_AT_MAX and bc_maxs != 0)
+    if v_fill == COL or v_fill == COL_AT_MIN and bc_mins:
+        reads |= 2
     return reads
 
 
 def _holds(rule, law, a, b, c, i, j):
     """Whether one associativity case holds, that is probe & reads == 0;
-    None when a composition it needs is undefined."""
-    a21 = rule[2]
-    ab = _defined(_compose, rule, a, i, b)
-    if ab is None:
+    None when it is undefined."""
+    outer = _outer(rule, law, a, i, b, j)
+    if outer is None:
         return None
-    xv = _composite_view(rule, b if law == NESTED else a, j, c)
-    if xv is None:
-        return None
-    if law == NESTED:
-        if not _lower_left_ok(ab, i + j - 1, a21):
-            return None
-        probe, reads = _nested_probe(rule, a, ab, i, j), _nested_reads(_view(rule, c), xv, j - 1)
-    else:
-        if not (_lower_left_ok(ab, j + len(b) - 1, a21) and _lower_left_ok(xv[0], i, a21)):
-            return None
-        probe = _parallel_probe(rule, _view(rule, b), ab, i, j)
-        reads = _parallel_reads(_view(rule, c), xv[0], i - 1, j - 1)
-    return not probe & reads
+    probe, side = outer
+    return not probe & _reads(rule, law, side, c)
 
 
 def check_nested(kind, a, b, c, i, j):
@@ -402,51 +412,27 @@ class _Tally:
             self.failures.append((a, b, c, i, j))
 
 
-def _composites(rule, x, j, ys, cache) -> list:
-    """The _view of x o_j y for each view in ys (the matrices y of one order,
-    in order), or None where that composition is undefined.  Made the first
-    time (x, j, order) comes up and kept in cache: A o_i B and X o_j C are
-    the same compositions, so both laws and both roles share them."""
-    where = (x, j, len(ys[0][0]))
-    views = cache.get(where)
-    if views is None:
-        if _lower_left_ok(x, j, rule[2]):
-            views = [_composite_view(rule, x, j, yv[0]) for yv in ys]
-        else:  # x's lower-left block at j rules out every y
-            views = [None] * len(ys)
-        cache[where] = views
-    return views
-
-
-def _groups(rule, law, views, n, m, composites) -> tuple:
+def _groups(rule, law, pools, n, m) -> tuple:
     """The outer half of the associativity cases with A, B of orders n, m,
     which is the same for every C: (undefined, groups).
 
-    A o_i B is taken from composites, and the outer precondition checked,
-    once per (A, i, B, j); undefined counts those whose outer side is
-    undefined.  groups maps the key of the rest, (B, j, probe) nested and
-    (A, j, i, probe) parallel, to [size, least member (A, B, i, j)].  views
-    lists each order in witness order, so the first member met is the least."""
+    undefined counts the (A, i, B, j) whose cases are undefined; groups maps
+    the (side, probe) of the rest (see _outer) to [size, least member
+    (A, B, i, j)].  pools lists each order in witness order and A, B, i, j
+    are walked in that order, so the first member met is the least."""
     nested = law == NESTED
-    a21 = rule[2]
     undefined = 0
     groups = {}
-    for a, *_ in views[n]:
-        for i in range(1, n + 1 if nested else n):
-            js = range(1, m + 1) if nested else range(i + 1, n + 1)
-            for bv, abv in zip(views[m], _composites(rule, a, i, views[m], composites)):
-                if abv is None:
-                    undefined += len(js)
-                    continue
-                b, ab = bv[0], abv[0]
-                for j in js:
-                    if not _lower_left_ok(ab, i + j - 1 if nested else j + m - 1, a21):
+    for a in pools[n]:
+        for b in pools[m]:
+            for i in range(1, n + 1 if nested else n):
+                for j in range(1, m + 1) if nested else range(i + 1, n + 1):
+                    outer = _outer(rule, law, a, i, b, j)
+                    if outer is None:
                         undefined += 1
                         continue
-                    if nested:
-                        key = (b, j, _nested_probe(rule, a, ab, i, j))
-                    else:
-                        key = (a, j, i, _parallel_probe(rule, bv, ab, i, j))
+                    probe, side = outer
+                    key = side, probe
                     group = groups.get(key)
                     if group is None:
                         groups[key] = [1, (a, b, i, j)]
@@ -455,89 +441,57 @@ def _groups(rule, law, views, n, m, composites) -> tuple:
     return undefined, groups
 
 
-def _row(rule, law, key, cs, composites) -> tuple:
-    """The inner row of a group key (see _groups) over the views cs of the C
-    of one order: (how many of its cases are defined, one pair (reads, codes
-    of its least C) per class of C).  A class is the C with the same
-    _nested_reads or _parallel_reads."""
-    nested = law == NESTED
-    x, j = key[0], key[1]
-    defined, classes = 0, {}
-    for cv, xv in zip(cs, _composites(rule, x, j, cs, composites)):
-        if xv is None:
-            continue
-        if nested:
-            reads = _nested_reads(cv, xv, j - 1)
-        else:
-            i, xc = key[2], xv[0]
-            if not _lower_left_ok(xc, i, rule[2]):
-                continue
-            reads = _parallel_reads(cv, xc, i - 1, j - 1)
-        defined += 1
-        classes.setdefault(reads, cv[0])
-    return defined, list(classes.items())
-
-
-def _scan(rule, law, outer, cs, tally, rows, composites) -> None:
+def _scan(rule, law, outer, cs, tally, rows) -> None:
     """Every associativity case with A, B from outer (see _groups) and C
-    from the views cs, all of one order k, in witness order.
+    from cs, all of one order k, in witness order.
 
-    Each inner row (see _row) is built the first time a group needs it and
-    kept in rows.  A group decides each class of its row once, by
-    probe & reads, and counts its cases size times; a failing class is
-    recorded as one case, the group's least member with the class's least
-    C, which is all the witness needs."""
+    The C of equal _reads under a side form a class, kept as its least C;
+    the classes of (side, k) are found the first time a group needs them
+    and kept in rows.  A group decides each class once, by probe & reads,
+    and counts size cases per C; a failing class is recorded as one case,
+    the group's least member with the class's least C, which is all the
+    witness needs."""
     undefined, groups = outer
-    k = len(cs[0][0])
-    checked, skipped = 0, undefined * len(cs)
-    for key, (size, least) in groups.items():
-        where = key[:-1] + (k,)
-        row = rows.get(where)
-        if row is None:
-            row = rows[where] = _row(rule, law, key, cs, composites)
-        defined, classes = row
-        checked += defined * size
-        skipped += (len(cs) - defined) * size
-        probe = key[-1]
-        for reads, c in classes:
+    k = len(cs[0])
+    tally.skipped += undefined * len(cs)
+    for (side, probe), (size, least) in groups.items():
+        tally.checked += size * len(cs)
+        classes = rows.get((side, k))
+        if classes is None:
+            classes = rows[side, k] = {}
+            for c in cs:
+                classes.setdefault(_reads(rule, law, side, c), c)
+        for reads, c in classes.items():
             if probe & reads:
                 a, b, i, j = least
                 tally.failures.append((a, b, c, i, j))
-    tally.checked += checked
-    tally.skipped += skipped
 
 
-def _sweep(rule, law, views, composites) -> _Tally:
-    """Every case of an associativity law, by ascending total order, up to
-    the end of the first total order with a failing case."""
-    orders = sorted(views)
+def _sweep(rule, law, pools) -> _Tally:
+    """Every case of an associativity law over pools (each order in witness
+    order), by ascending total order, up to the end of the first total
+    order with a failing case."""
+    orders = sorted(pools)
     tally = _Tally()
     outer, rows = {}, {}
     for total in range(3, 3 * orders[-1] + 1):
         for n in orders:
             for m in orders:
                 k = total - n - m
-                if k not in views:
+                if k not in pools:
                     continue
                 if (n, m) not in outer:
-                    outer[n, m] = _groups(rule, law, views, n, m, composites)
-                _scan(rule, law, outer[n, m], views[k], tally, rows, composites)
+                    outer[n, m] = _groups(rule, law, pools, n, m)
+                _scan(rule, law, outer[n, m], pools[k], tally, rows)
         if tally.failures:
             break
     return tally
 
 
-def _witness_views(rule, pools) -> dict:
-    """The _view of every matrix of the pools, each order in witness order,
-    so that the first case a sweep meets is the least."""
-    return {n: sorted([_view(rule, c) for c in pools[n]], key=lambda v: _enc(v[0])) for n in pools}
-
-
 def _exhaustive(rule, pools) -> list:
     """One _Tally per law of LAWS, over every case the pools make."""
-    views = _witness_views(rule, pools)
-    composites = {}
-    tallies = [_sweep(rule, law, views, composites) for law in (NESTED, PARALLEL)]
+    ordered = {n: sorted(pools[n], key=_enc) for n in pools}
+    tallies = [_sweep(rule, law, ordered) for law in (NESTED, PARALLEL)]
     unit = _Tally()
     for n in sorted(pools):
         for a in pools[n]:

@@ -27,11 +27,11 @@ from posetmat.operad import (
     _case,
     _case_key,
     _defined,
+    _enc,
     _groups,
     _holds,
     _scan,
     _Tally,
-    _witness_views,
     reverify,
     verify_laws,
 )
@@ -289,13 +289,31 @@ def _random_cases(count=1000, seed=14):
         yield PARALLEL, a, b, c, i, j
 
 
+def _mixed_cases(count=1000, seed=15):
+    """count seeded random nested cases and as many parallel ones, each of
+    A, B and C drawn from PM(n) for an n drawn from 1..6 (a parallel A
+    from 2..6), so C and B of order 1 and i or j at either end all occur."""
+    rng = random.Random(seed)
+    levels = list(_levels(6))
+    for _ in range(count):
+        a, b, c = (rng.choice(rng.choice(levels)) for _ in range(3))
+        yield NESTED, a, b, c, rng.randint(1, len(a)), rng.randint(1, len(b))
+        a = rng.choice(rng.choice(levels[1:]))
+        i, j = sorted(rng.sample(range(1, len(a) + 1), 2))
+        yield PARALLEL, a, b, c, i, j
+
+
+def _all_cases():
+    return (*_small_cases(), *_random_cases(), *_mixed_cases())
+
+
 @pytest.mark.parametrize("kind", ALL_KINDS, ids=kind_name)
 def test_block_verdict_matches_both_sides_case_by_case(kind):
-    # every nested and parallel case over PM(<=3) and 2,000 random ones at
-    # orders 5-6: the same verdict as composing both sides in full, and
-    # skipped exactly when _case is
+    # every nested and parallel case over PM(<=3), 2,000 random ones at
+    # orders 5-6 and 2,000 of mixed orders 1-6: the same verdict as
+    # composing both sides in full, and skipped exactly when _case is
     rule = _rule(kind)
-    for law, a, b, c, i, j in (*_small_cases(), *_random_cases()):
+    for law, a, b, c, i, j in _all_cases():
         case = _defined(_case, rule, law, a, b, c, i, j)
         want = None if case is None else case[0]
         assert _holds(rule, law, a, b, c, i, j) is want, (law, a, b, c, i, j)
@@ -303,31 +321,37 @@ def test_block_verdict_matches_both_sides_case_by_case(kind):
 
 def test_every_probe_and_read_bit_occurs(monkeypatch):
     # over the cases of the test above and all 11 kinds, _holds sets every
-    # bit of each law's probe and reads at least once, so that test passing
-    # says something about every comparison the rule probe & reads makes
+    # bit of each law's probe (from _outer) and reads at least once, so that
+    # test passing says something about every comparison the rule
+    # probe & reads makes
     seen = {}
+    outer, reads = operad._outer, operad._reads
 
-    def record(name):
-        fn = getattr(operad, name)
+    def record(where, bits):
+        seen[where] = seen.get(where, 0) | bits
 
-        def wrapped(*args):
-            out = fn(*args)
-            seen[name] = seen.get(name, 0) | out
-            return out
+    def outer_wrapped(rule, law, *args):
+        out = outer(rule, law, *args)
+        if out is not None:
+            record((law, "probe"), out[0])
+        return out
 
-        monkeypatch.setattr(operad, name, wrapped)
+    def reads_wrapped(rule, law, *args):
+        out = reads(rule, law, *args)
+        record((law, "reads"), out)
+        return out
 
-    for name in ("_nested_probe", "_nested_reads", "_parallel_probe", "_parallel_reads"):
-        record(name)
+    monkeypatch.setattr(operad, "_outer", outer_wrapped)
+    monkeypatch.setattr(operad, "_reads", reads_wrapped)
     for kind in ALL_KINDS:
         rule = _rule(kind)
-        for law, a, b, c, i, j in (*_small_cases(), *_random_cases()):
+        for law, a, b, c, i, j in _all_cases():
             _holds(rule, law, a, b, c, i, j)
     assert seen == {
-        "_nested_probe": 0b11111,
-        "_nested_reads": 0b11111,
-        "_parallel_probe": 0b1111,
-        "_parallel_reads": 0b1111,
+        (NESTED, "probe"): 0b11,
+        (NESTED, "reads"): 0b11,
+        (PARALLEL, "probe"): 0b1111,
+        (PARALLEL, "reads"): 0b1111,
     }
 
 
@@ -337,14 +361,13 @@ def test_grouped_sweep_matches_case_by_case(kind):
     # same checked and skipped counts as deciding every case with _holds, and
     # the same least failing case, though a group records only one per class
     rule = _rule(kind)
-    pools = dict(enumerate(_levels(3), 1))
-    views, composites = _witness_views(rule, pools), {}
+    pools = {n: sorted(level, key=_enc) for n, level in enumerate(_levels(3), 1)}
     for law in (NESTED, PARALLEL):
         rows = {}
         for n, m, k in product(pools, repeat=3):
             grouped, single = _Tally(), _Tally()
-            outer = _groups(rule, law, views, n, m, composites)
-            _scan(rule, law, outer, views[k], grouped, rows, composites)
+            outer = _groups(rule, law, pools, n, m)
+            _scan(rule, law, outer, pools[k], grouped, rows)
             for a, b, c in product(pools[n], pools[m], pools[k]):
                 for i in range(1, n + 1):
                     for j in range(1, m + 1) if law == NESTED else range(i + 1, n + 1):
