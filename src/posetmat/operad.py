@@ -15,29 +15,27 @@ refused.
 The law layer works on int row codes (see core) from end to end: the pools
 are the levels of enumeration's walk, taken as code tuples once the order
 cap is checked, and a kind's rule is looked up once.  An associativity case
-(A, i, B, j, C) is decided without composing anything, by the closed forms
-proved below for the entries where its two sides can differ (the blocks of
-the two lemmas).  _outer reads A, i, B and j: whether the case is defined,
-which never depends on C, a probe bitmask, and a side, which is all that
-the reads need of B (nested) or A (parallel).  _reads reads the side and
-C's extremal masks.  The case fails iff probe & reads != 0.  Random mode
+(A, i, B, j, C) is decided without composing anything, by the rule proved
+below.  _outer reads A, i, B and j: None when the case is undefined, which
+never depends on C, else whether (A, i, B, j) breaks.  A case fails iff it
+breaks and the law is parallel or C is not an antichain.  Random mode
 (_holds) and the exhaustive sweep compose nothing; both sides are composed
 (_case) only for the check_* functions, the unit law and the reported
 witness.
 
-The exhaustive sweep decides each class of cases once.  Per order pair
-(n, m), _groups walks A, B, i, j in witness order and groups the defined
-(A, i, B, j) by (side, probe), keeping each group's size and first, so
-least, member.  Per side and order k, _scan splits the C of order k into
-classes of equal reads, each kept with its least C.  The cases of a
-(group, class) share probe and reads, so they share the verdict: _scan
-decides each once and counts size cases per C.  The sweep still runs by
-ascending total order n+m+k and stops at the end of the first total with a
-failure, so it counts the same cases.  A failing (group, class) is kept as
-its least case: the group's least member (A, B, i, j) with the class's
-least C.  The least failing case of a total is the least of these, since
-the witness order compares A, B and C before i and j, so the witness is the
-same too.
+The exhaustive sweep decides each (A, i, B, j) once, for every order of C.
+The positions where a matrix's lower-left block has the kind's constant are
+found once per pool, and per order pair (n, m) _groups walks only those, in
+witness order, counting the defined (A, i, B, j) and keeping the first, so
+least, that breaks.  The C that fail a breaking (A, i, B, j) are all of
+them (parallel) or those that are not antichains (nested), the same for
+every (A, i, B, j); of order k the least is pools[k][0], or the least
+non-antichain (none for k = 1).  The sweep still runs by ascending total
+order n+m+k and stops at the end of the first total with a failure, so it
+counts the same cases.  The least failing case of an (n, m, k) is the least
+breaking (A, B, i, j) with the least failing C, since the witness order
+compares A, B and C before i and j; the least of a total is the least of
+these.
 
 Notation.  By the formulas beside compose._RULES, X o_i Y (X of order x, Y
 of order y) keeps X's rows above i; gives Y's row q the row U_q | y_q << (i-1);
@@ -128,46 +126,70 @@ Two more facts about BC, for C's element r (BC's element j-1+r):
         prefix, which is 0 iff j is minimal in B, in every row of C (ROW,
         min) or only in those of C's maximal elements (ROW_AT_MAX, minmax).
 
+
 Nested rule.  A kind without a precondition defines every case.  A boxed
 kind, with constant fills u and v, needs A's lower-left block at i constant
 (for AB and R) and B's at j (for BC).  L then needs AB's at p: below p are
 B's rows q > j, which hold u over A's first i-1 columns and then b_q's first
 j-1 bits (B's block), and A's rows s > i, which hold a_s & low (A's block)
 and then the first j-1 bits of V_s, the constant v.  So L needs u = a21
-unless j = m or i = 1, and v = a21 unless i = n or j = 1.  (N1): L holds u in C's row r iff r is maximal in C
-and AB's row p, U_j | b_j << (i-1), has prefix u, that is iff j is maximal in
-B.  R holds it iff j-1+r is maximal in BC, which for j maximal is again r
-maximal in C, by (max C).  So (N1) breaks iff u != 0 and j is not maximal in
-B (probe bit 0) and some element of C is maximal in BC (reads bit 0).
+unless j = m or i = 1, and v = a21 unless i = n or j = 1.
+A defined case fails iff the kind is minmax, C is not an antichain, and
+  (a) A's row prefix u = a_i & low at i is nonzero and j is not maximal in
+      B, or
+  (b) A has a 1 in column i below row i and j is not minimal in B.
+(A, i, B, j) breaks iff (a) or (b) holds under minmax.  C is not an
+antichain iff some element of C is maximal and not minimal, iff some
+element is minimal and not maximal: given x < y, take a maximal element
+above y, and a minimal one below x.
+(N1) can differ only under ROW_AT_MAX, with u != 0.  L holds u in C's row r
+iff r is maximal in C and AB's row p, U_j | b_j << (i-1), has prefix u,
+that is iff j is maximal in B.  R holds it iff j-1+r is maximal in BC.  If
+j is maximal in B, the two agree by (max C).  If not, L holds 0 in every
+row of C and R holds u in row r iff r is maximal in C and outside C's on
+row: never under COL (max), whose on row is full, and under COL_AT_MIN
+(minmax), whose on row is C's minimal mask, iff r is maximal and not
+minimal in C.  That is (a).
 (N2): take A's row s > i and x its entry i.  L holds there the row over C
 picked by y, AB's entry at p, which is bit j of V_s, the row over B picked
-by x; R holds the row over BC picked by x, on C's columns.  Only the pair
-(x, y) = (1, 0) can break: for (0, 0) both off rows are 0 or the constant;
-y = 1 with x = 0 needs the constant fill 1, where C's on row and BC's off
-row are both full; and for (1, 1) both on rows are full (COL) or the
-constant, or, under COL_AT_MIN, y = 1 says j is minimal in B, so C's
-minimal mask is BC's on C's columns by (min C).  Probe bit 1 is set iff x
-is 1 on some row s > i and B's on row has 0 at j; reads bit 1 iff C's off
-row differs from BC's on row on C's columns: always under COL (0 against
-full), never under a constant fill, and under COL_AT_MIN iff some element
-of C is minimal in BC.
+by x; R holds the row over BC picked by x, on C's columns.  For x = 0 both
+hold an off row, 0 or the constant.  For x = 1, both hold the constant
+under a constant fill, and under COL both on rows are full.  Under
+COL_AT_MIN, R holds BC's minimal mask on C's columns.  If j is minimal in
+B, y = 1 and L holds C's minimal mask, the same by (min C).  If not, y = 0
+and L holds 0, while R holds, by (min C), the elements of C minimal and not
+maximal under ROW_AT_MAX (minmax), and none under ROW (min).  That is (b).
 
 Parallel rule.  A boxed kind needs A's lower-left blocks at i and at j (for
 AB and AC) constant.  L then needs AB's at q: below q are A's rows s > j,
 which hold A's entries left of j (A's block at j) and V_s, the constant v,
 over B's columns, so v = a21 unless j = n.  R needs AC's at i: below i are
 A's rows (A's block at i) and C's rows, which hold the constant u over A's
-first i-1 columns, so u = a21 unless i = 1.  (P): in L, row r of
-C holds the B columns of the outer U-fill from AB's row q.  That row is A's
-row j with V_j at i, V_j being B's on row if the side, A's entry (j, i), is
-1, else the off row; the fill copies it (ROW), copies it only if r is
-maximal in C (ROW_AT_MAX), or is the constant u, in which case the side is
-u.  In R it holds B's on or off row by e, AC's entry (j-1+r, i), which is
-bit i of U^AC_r: the side, or under ROW_AT_MAX the side only if r is
-maximal in C, else 0.  With x whether r is maximal, probe bit 2x + e is set
-iff the two rows differ; reads bit 2x + e iff some row of C gives (x, e):
-(1, side) always, as C has a maximal element, and (0, side), or (0, 0)
-under ROW_AT_MAX, iff C is not an antichain.
+first i-1 columns, so u = a21 unless i = 1.
+A defined case fails iff the kind is boxed with u != v, whatever B and C
+are, so (A, i, B, j) breaks iff u != v.  (P): in L, row r of C holds the B columns of the outer U-fill from
+AB's row q, which is A's row j with V_j at i: B's on row if A's entry
+(j, i) is 1, else its off row.  In R it holds B's on or off row by AC's
+entry (j-1+r, i), bit i of U^AC_r, the U-fill from A's row j.  Under ROW
+both read A's entry (j, i).  Under ROW_AT_MAX they do where r is maximal in
+C, and elsewhere L's fill is 0 and R's entry is 0, picking the off row, 0
+under COL and COL_AT_MIN.  Under the constant u, L holds u on all of B's
+columns and R the row picked by u, which under the constant v is v on all
+of them: they differ, on every row of C, iff u != v.
+
+A finer rule could read more of the case, but nothing more changes a
+verdict:
+  - whether elements of C stay maximal or minimal in BC where j is maximal
+    or minimal in B: (a) needs j not maximal, and (b) under COL_AT_MIN j
+    not minimal;
+  - C's minimal elements under COL: (N2) never breaks there, as B's on row
+    is full and so y = x;
+  - A's column i under a constant V-fill: (N2) holds the constant on both
+    sides;
+  - A's entry (j, i) under ROW or ROW_AT_MAX (parallel): no mask kind fails
+    the parallel law;
+  - whether C is an antichain (parallel): under a constant U-fill the rows
+    of C's maximal and other elements compare alike.
 """
 
 from __future__ import annotations
@@ -177,7 +199,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .compose import (
-    COL,
     COL_AT_MIN,
     ROW_AT_MAX,
     _compose,
@@ -186,7 +207,7 @@ from .compose import (
     kind_name,
     parse_kind,
 )
-from .core import PosetMatrix, UNIT, _maximal_mask, _minimal_mask
+from .core import PosetMatrix, UNIT
 from .enumeration import DEFAULT_ORDER_CAP, _check_order, _levels, matrix_count
 from .errors import (
     IndexOutOfRange,
@@ -200,8 +221,10 @@ PARALLEL = "parallel"
 UNIT_LAW = "unit"
 LAWS = (NESTED, PARALLEL, UNIT_LAW)
 
-# Most law cases one verify_laws call may run.  Every kind at order 4 is
-# 2,387,486 cases (a few seconds); order 5 alone is about 2.2e9 (hours).
+# Most law cases one verify_laws call may run: a limit on the count, not an
+# estimate of the time.  Every kind at order 4 is 2,387,486 cases; up to
+# order 5 they are about 2.2e9, which _exhaustive sweeps in about 0.4-3 s
+# per law and kind (2-core machine).
 LAW_CASE_BUDGET = 10**8
 
 
@@ -282,13 +305,9 @@ def _defined(fn, *args):
 
 def _outer(rule, law, a, i, b, j):
     """The outer half of the associativity case (A, i, B, j, C), the same
-    for every C: None when the case is undefined, else (probe, side).
-
-    Nested, side is (j maximal in B, j minimal in B); probe bit 0 is (N1)
-    live with j not maximal, bit 1 the (N2) pair (1, 0) occurring.
-    Parallel, side is A's entry (j, i), or the constant U-fill, and probe
-    bit 2x + e is set where the pair (x, e) breaks (P).  See the module
-    docstring for the proofs."""
+    for every C: None when the case is undefined, else whether it breaks,
+    that is whether it fails for every C (parallel) or for every C that is
+    not an antichain (nested).  See the module docstring for the proofs."""
     u_fill, v_fill, a21 = rule
     n, m, k = len(a), len(b), i - 1
     nested = law == NESTED
@@ -298,64 +317,25 @@ def _outer(rule, law, a, i, b, j):
         u_in, v_in = (i > 1 and j < m, j > 1 and i < n) if nested else (i > 1, j < n)
         if u_in and u_fill != a21 or v_in and v_fill != a21:
             return None
-    if nested:
-        side = (not any((y >> (j - 1)) & 1 for y in b[j:]), b[j - 1] == 1 << (j - 1))
-        probe = int(u_fill == ROW_AT_MAX and a[k] & ((1 << k) - 1) != 0 and not side[0])
-        on_j = side[1] if v_fill == COL_AT_MIN else v_fill in (COL, 1)  # B's on row at j
-        if not on_j and any((x >> k) & 1 for x in a[i:]):
-            probe |= 2
-        return probe, side
-    full = (1 << m) - 1
-    if v_fill == COL_AT_MIN:
-        on, off = _minimal_mask(b), 0
-    elif v_fill == COL:
-        on, off = full, 0
-    else:
-        on = off = full if v_fill else 0
-    if u_fill in (0, 1):
-        side = u_fill
-        row = full if side else 0
-    else:
-        side = (a[j - 1] >> k) & 1
-        row = on if side else off
-    lefts, rights = (0 if u_fill == ROW_AT_MAX else row, row), (off, on)
-    return sum(1 << (2 * x + e) for x in (0, 1) for e in (0, 1) if lefts[x] != rights[e]), side
+        return not nested and u_fill != v_fill
+    if not nested or (u_fill, v_fill) != (ROW_AT_MAX, COL_AT_MIN):
+        return False
+    on = 1 << k
+    return (a[k] & (on - 1) != 0 and any(y >> (j - 1) & 1 for y in b[j:])) or (
+        b[j - 1] != 1 << (j - 1) and any(x & on for x in a[i:])
+    )
 
 
-def _reads(rule, law, side, c) -> int:
-    """The comparisons of _outer's probe that come out unequal, read of the
-    side and of C's extremal masks alone.
-
-    Nested, bit 0 is set where some element of C is maximal in BC (under
-    ROW_AT_MAX), bit 1 where C's off row differs from BC's on row on C's
-    columns.  Parallel, bit 2x + e is set where the pair (x, e) occurs
-    over C's rows."""
-    u_fill, v_fill, _ = rule
-    maxs = _maximal_mask(c)
-    if law == PARALLEL:
-        reads = 1 << (2 + side)  # C has a maximal element
-        if maxs != (1 << len(c)) - 1:  # and a non-maximal one
-            reads |= 1 << (0 if u_fill == ROW_AT_MAX else side)
-        return reads
-    jmax, jmin = side
-    mins = _minimal_mask(c)
-    # C's elements maximal in BC under ROW_AT_MAX, and minimal under COL_AT_MIN
-    bc_maxs = maxs if jmax else maxs & ~mins if v_fill == COL_AT_MIN else 0
-    bc_mins = mins if jmin else mins & ~maxs if u_fill == ROW_AT_MAX else 0
-    reads = int(u_fill == ROW_AT_MAX and bc_maxs != 0)
-    if v_fill == COL or v_fill == COL_AT_MIN and bc_mins:
-        reads |= 2
-    return reads
+def _antichain(c) -> bool:
+    return all(x == 1 << r for r, x in enumerate(c))
 
 
 def _holds(rule, law, a, b, c, i, j):
-    """Whether one associativity case holds, that is probe & reads == 0;
-    None when it is undefined."""
-    outer = _outer(rule, law, a, i, b, j)
-    if outer is None:
+    """Whether one associativity case holds; None when it is undefined."""
+    breaks = _outer(rule, law, a, i, b, j)
+    if breaks is None:
         return None
-    probe, side = outer
-    return not probe & _reads(rule, law, side, c)
+    return not breaks or law == NESTED and _antichain(c)
 
 
 def check_nested(kind, a, b, c, i, j):
@@ -412,68 +392,52 @@ class _Tally:
             self.failures.append((a, b, c, i, j))
 
 
-def _groups(rule, law, pools, n, m) -> tuple:
+def _groups(rule, law, pools, spots, n, m) -> tuple:
     """The outer half of the associativity cases with A, B of orders n, m,
-    which is the same for every C: (undefined, groups).
+    which is the same for every C: (undefined, defined, least breaking
+    (A, B, i, j) or None), see _outer.
 
-    undefined counts the (A, i, B, j) whose cases are undefined; groups maps
-    the (side, probe) of the rest (see _outer) to [size, least member
-    (A, B, i, j)].  pools lists each order in witness order and A, B, i, j
-    are walked in that order, so the first member met is the least."""
+    spots lists, per order and matrix, the positions where its lower-left
+    block has the kind's constant; a case at any other i (or j) is
+    undefined, so only these are walked.  pools lists each order in witness
+    order and A, B, i, j are walked in that order, so the first breaking
+    member met is the least."""
     nested = law == NESTED
-    undefined = 0
-    groups = {}
-    for a in pools[n]:
-        for b in pools[m]:
-            for i in range(1, n + 1 if nested else n):
-                for j in range(1, m + 1) if nested else range(i + 1, n + 1):
-                    outer = _outer(rule, law, a, i, b, j)
-                    if outer is None:
-                        undefined += 1
+    defined, least = 0, None
+    for a, a_spots in zip(pools[n], spots[n]):
+        for b, b_spots in zip(pools[m], spots[m]):
+            for i in a_spots:
+                for j in b_spots if nested else a_spots:
+                    if not nested and j <= i:
                         continue
-                    probe, side = outer
-                    key = side, probe
-                    group = groups.get(key)
-                    if group is None:
-                        groups[key] = [1, (a, b, i, j)]
-                    else:
-                        group[0] += 1
-    return undefined, groups
-
-
-def _scan(rule, law, outer, cs, tally, rows) -> None:
-    """Every associativity case with A, B from outer (see _groups) and C
-    from cs, all of one order k, in witness order.
-
-    The C of equal _reads under a side form a class, kept as its least C;
-    the classes of (side, k) are found the first time a group needs them
-    and kept in rows.  A group decides each class once, by probe & reads,
-    and counts size cases per C; a failing class is recorded as one case,
-    the group's least member with the class's least C, which is all the
-    witness needs."""
-    undefined, groups = outer
-    k = len(cs[0])
-    tally.skipped += undefined * len(cs)
-    for (side, probe), (size, least) in groups.items():
-        tally.checked += size * len(cs)
-        classes = rows.get((side, k))
-        if classes is None:
-            classes = rows[side, k] = {}
-            for c in cs:
-                classes.setdefault(_reads(rule, law, side, c), c)
-        for reads, c in classes.items():
-            if probe & reads:
-                a, b, i, j = least
-                tally.failures.append((a, b, c, i, j))
+                    breaks = _outer(rule, law, a, i, b, j)
+                    if breaks is not None:
+                        defined += 1
+                        if breaks and least is None:
+                            least = a, b, i, j
+    cases = len(pools[n]) * len(pools[m]) * (n * m if nested else n * (n - 1) // 2)
+    return cases - defined, defined, least
 
 
 def _sweep(rule, law, pools) -> _Tally:
     """Every case of an associativity law over pools (each order in witness
     order), by ascending total order, up to the end of the first total
-    order with a failing case."""
+    order with a failing case.
+
+    Each (n, m) is grouped once (_groups), and counts its cases per C of
+    order k; a breaking (A, i, B, j) is recorded as one failing case, with
+    the least C of order k that fails it, which is all the witness needs."""
     orders = sorted(pools)
+    spots = {
+        n: [[i for i in range(1, n + 1) if _lower_left_ok(a, i, rule[2])] for a in pool]
+        for n, pool in pools.items()
+    }
+    if law == NESTED:
+        failing = {k: next((c for c in cs if not _antichain(c)), None) for k, cs in pools.items()}
+    else:
+        failing = {k: cs[0] for k, cs in pools.items()}
     tally = _Tally()
-    outer, rows = {}, {}
+    outer = {}
     for total in range(3, 3 * orders[-1] + 1):
         for n in orders:
             for m in orders:
@@ -481,8 +445,13 @@ def _sweep(rule, law, pools) -> _Tally:
                 if k not in pools:
                     continue
                 if (n, m) not in outer:
-                    outer[n, m] = _groups(rule, law, pools, n, m)
-                _scan(rule, law, outer[n, m], pools[k], tally, rows)
+                    outer[n, m] = _groups(rule, law, pools, spots, n, m)
+                undefined, defined, least = outer[n, m]
+                tally.skipped += undefined * len(pools[k])
+                tally.checked += defined * len(pools[k])
+                if least is not None and failing[k] is not None:
+                    a, b, i, j = least
+                    tally.failures.append((a, b, failing[k], i, j))
         if tally.failures:
             break
     return tally

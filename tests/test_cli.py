@@ -1,7 +1,11 @@
+import contextlib
+import io
 import json
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from posetmat.cli import (
     export_hasse,
@@ -12,7 +16,9 @@ from posetmat.cli import (
     to_pm_text,
 )
 from posetmat.core import BinaryMatrix
-from posetmat.enumeration import generate_all
+from posetmat.enumeration import DEFAULT_ORDER_CAP, generate_all
+from posetmat.operad import LAW_CASE_BUDGET
+from posetmat.pascal import PASCAL_ENTRY_BUDGET
 from posetmat.structure import classify_connectivity
 from posetmat.errors import ParseError
 
@@ -511,3 +517,73 @@ class TestCommands:
             assert exc.value.code == 2
             captured = capsys.readouterr()
             assert captured.out == "" and "--json" in captured.err
+
+
+BIG = 10**40
+NON_POSITIVE = st.integers(-BIG, 0)
+
+
+def _above(bound):
+    return st.integers(bound + 1, BIG)
+
+
+@pytest.fixture(scope="module")
+def order_two(tmp_path_factory):
+    path = tmp_path_factory.mktemp("matrices") / "chain2.pm"
+    path.write_text("2\n10\n11\n")
+    return str(path)
+
+
+def _argv(order_two, case):
+    """The command line for one drawn (where, value); only values that are
+    refused, or cheap, are drawn, so no run starts long work."""
+    where, x = case
+    m = order_two
+    return {
+        "laws --max-n": ["laws", "--op", "square", "--max-n", str(x)],
+        "laws --random": ["laws", "--op", "square", "--max-n", "2", "--random", str(x)],
+        "laws --seed": ["laws", "--op", "minmax", "--max-n", "2", "--random", "5", "--seed", str(x)],
+        "enumerate --n": ["enumerate", "--n", str(x)],
+        "pascal --n": ["pascal", "--n", str(x)],
+        "compose --i": ["compose", "--op", "square", "--i", str(x), m, m],
+        "invariance --alpha": ["invariance", f"--alpha={x}", m, m],
+    }[where]
+
+
+# laws refuses orders from 5 up by the case budget, and then by the order cap
+ARGUMENTS = st.one_of(
+    st.tuples(st.just("laws --max-n"), NON_POSITIVE | _above(4)),
+    st.tuples(st.just("laws --random"), NON_POSITIVE | _above(LAW_CASE_BUDGET // 3)),
+    st.tuples(st.just("laws --seed"), st.integers(-BIG, BIG)),
+    st.tuples(st.just("enumerate --n"), NON_POSITIVE | _above(DEFAULT_ORDER_CAP)),
+    st.tuples(st.just("pascal --n"), NON_POSITIVE | _above(int(PASCAL_ENTRY_BUDGET**0.5))),
+    st.tuples(st.just("compose --i"), NON_POSITIVE | _above(2)),
+    # a range over the order-2 matrix is refused where it starts outside
+    # [1, 2] or runs past 2; a list, where an index is outside
+    st.tuples(
+        st.just("invariance --alpha"),
+        st.builds("{}..{}".format, NON_POSITIVE | _above(2), st.integers(-BIG, BIG))
+        | st.builds("{}..{}".format, st.integers(-BIG, BIG), _above(2))
+        | st.builds("1,{}".format, NON_POSITIVE | _above(2)),
+    ),
+)
+
+
+@settings(max_examples=300, deadline=2000)
+@given(case=ARGUMENTS)
+def test_any_integer_argument_ends_at_once(order_two, case):
+    # huge and non-positive integers end in a refusal (exit 1 or 2) with one
+    # line on stderr and nothing on stdout; a seed is always cheap here, and
+    # the run ends with its verdict (exit 0 or 1).  The deadline says "at once".
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(_argv(order_two, case))
+    if case[0] == "laws --seed":
+        assert code in (0, 1) and err.getvalue() == ""
+        assert out.getvalue().startswith("nested: ")
+    else:
+        assert code in (1, 2), case
+        assert out.getvalue() == ""
+        message = err.getvalue()
+        assert message.startswith(("error: ", "usage error: ")), message
+        assert message.count("\n") == 1 and "Traceback" not in message

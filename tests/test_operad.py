@@ -4,15 +4,17 @@ from itertools import product
 
 import pytest
 
-from posetmat import MINMAX, SQUARE, UNIT, check_nested, check_parallel, check_unit, operad
+from posetmat import MINMAX, SQUARE, UNIT, check_nested, check_parallel, check_unit
 from posetmat.compose import (
     ALL_BOXED,
     ALL_KINDS,
     OPERAD_KINDS,
+    _lower_left_ok,
     _rule,
     kind_name,
     parse_kind,
 )
+from posetmat.core import _maximal_mask, _minimal_mask
 from posetmat.enumeration import _levels, generate_all, matrix_count
 from posetmat.errors import (
     IndexOutOfRange,
@@ -24,13 +26,16 @@ from posetmat.operad import (
     LAWS,
     NESTED,
     PARALLEL,
+    _antichain,
     _case,
     _case_key,
     _defined,
     _enc,
+    _exhaustive,
     _groups,
     _holds,
-    _scan,
+    _outer,
+    _report,
     _Tally,
     reverify,
     verify_laws,
@@ -319,62 +324,101 @@ def test_block_verdict_matches_both_sides_case_by_case(kind):
         assert _holds(rule, law, a, b, c, i, j) is want, (law, a, b, c, i, j)
 
 
-def test_every_probe_and_read_bit_occurs(monkeypatch):
-    # over the cases of the test above and all 11 kinds, _holds sets every
-    # bit of each law's probe (from _outer) and reads at least once, so that
-    # test passing says something about every comparison the rule
-    # probe & reads makes
-    seen = {}
-    outer, reads = operad._outer, operad._reads
+def _branch(kind, law, a, b, c, i, j):
+    """The branch of the rule that decides one case, worked out from the
+    definitions: None where _outer says the case is undefined; under minmax
+    nested, whether (a) and (b) hold and whether C is an antichain; under a
+    boxed kind parallel, whether u != v; else the law alone."""
+    breaks = _outer(_rule(kind), law, a, i, b, j)
+    if breaks is None:
+        return law, None
+    if law == NESTED and kind == MINMAX:
+        k, top = i - 1, (1 << len(c)) - 1
+        prefix = a[k] & ((1 << k) - 1) != 0
+        below = any(x >> k & 1 for x in a[i:])
+        j_max, j_min = (mask(b) >> (j - 1) & 1 for mask in (_maximal_mask, _minimal_mask))
+        rule_a, rule_b = prefix and not j_max, below and not j_min
+        assert breaks == (rule_a or rule_b), (a, b, i, j)
+        return law, rule_a, rule_b, _maximal_mask(c) & _minimal_mask(c) == top
+    if law == PARALLEL and kind in ALL_BOXED:
+        assert breaks == (kind.u != kind.v), (kind, a, i, j)
+        return law, kind.u != kind.v
+    assert not breaks, (kind, law, a, b, i, j)
+    return (law,)
 
-    def record(where, bits):
-        seen[where] = seen.get(where, 0) | bits
 
-    def outer_wrapped(rule, law, *args):
-        out = outer(rule, law, *args)
-        if out is not None:
-            record((law, "probe"), out[0])
-        return out
-
-    def reads_wrapped(rule, law, *args):
-        out = reads(rule, law, *args)
-        record((law, "reads"), out)
-        return out
-
-    monkeypatch.setattr(operad, "_outer", outer_wrapped)
-    monkeypatch.setattr(operad, "_reads", reads_wrapped)
+def test_every_branch_of_the_rule_occurs():
+    # over the cases of the test above and all 11 kinds, every branch of the
+    # rule occurs: undefined cases of each law; under minmax nested, each of
+    # (a) and (b) alone, both and neither, each with C an antichain and not;
+    # boxed parallel with u != v and with u == v; the other defined cases.
+    # So that test passing says something about each branch.
+    seen = set()
     for kind in ALL_KINDS:
-        rule = _rule(kind)
-        for law, a, b, c, i, j in _all_cases():
-            _holds(rule, law, a, b, c, i, j)
-    assert seen == {
-        (NESTED, "probe"): 0b11,
-        (NESTED, "reads"): 0b11,
-        (PARALLEL, "probe"): 0b1111,
-        (PARALLEL, "reads"): 0b1111,
+        for case in _all_cases():
+            seen.add(_branch(kind, *case))
+    minmax = {(NESTED, x, y, z) for x, y, z in product((False, True), repeat=3)}
+    assert seen == minmax | {
+        (NESTED, None),
+        (PARALLEL, None),
+        (NESTED,),
+        (PARALLEL,),
+        (PARALLEL, False),
+        (PARALLEL, True),
     }
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS, ids=kind_name)
 def test_grouped_sweep_matches_case_by_case(kind):
-    # each (n, m, k) over PM(<=3) swept alone, without the stop rule: the
+    # each (n, m, k) over PM(<=3) grouped alone, without the stop rule: the
     # same checked and skipped counts as deciding every case with _holds, and
-    # the same least failing case, though a group records only one per class
+    # the same least failing case, though a group keeps only its least
+    # breaking (A, B, i, j), to be paired with the least C that fails it
     rule = _rule(kind)
     pools = {n: sorted(level, key=_enc) for n, level in enumerate(_levels(3), 1)}
+    spots = {
+        n: [[i for i in range(1, n + 1) if _lower_left_ok(a, i, rule[2])] for a in pool]
+        for n, pool in pools.items()
+    }
     for law in (NESTED, PARALLEL):
-        rows = {}
         for n, m, k in product(pools, repeat=3):
-            grouped, single = _Tally(), _Tally()
-            outer = _groups(rule, law, pools, n, m)
-            _scan(rule, law, outer, pools[k], grouped, rows)
+            undefined, defined, least = _groups(rule, law, pools, spots, n, m)
+            failing = [c for c in pools[k] if law == PARALLEL or not _antichain(c)]
+            if least and failing:
+                a, b, i, j = least
+                least = a, b, failing[0], i, j
+            else:
+                least = None
+            single = _Tally()
             for a, b, c in product(pools[n], pools[m], pools[k]):
                 for i in range(1, n + 1):
                     for j in range(1, m + 1) if law == NESTED else range(i + 1, n + 1):
                         single.add(a, b, c, i, j, _holds(rule, law, a, b, c, i, j))
-            assert (grouped.checked, grouped.skipped) == (single.checked, single.skipped)
-            least = [min(t.failures, key=_case_key, default=None) for t in (grouped, single)]
-            assert least[0] == least[1], (law, n, m, k)
+            counts = undefined * len(pools[k]), defined * len(pools[k])
+            assert counts == (single.skipped, single.checked), (law, n, m, k)
+            assert least == min(single.failures, key=_case_key, default=None), (law, n, m, k)
+
+
+def test_minmax_order_five_exhaustive_past_the_budget():
+    # verify_laws refuses order 5 by the case budget; the sweep itself, called
+    # directly on PM(<=5), is cheap for minmax, the one kind whose verdict
+    # reads C.  A passing law counts the closed forms of _check_budget.
+    rule = _rule(MINMAX)
+    tallies = _exhaustive(rule, dict(enumerate(_levels(5), 1)))
+    reports = [_report(MINMAX, rule, law, t) for law, t in zip(LAWS, tallies)]
+    got = []
+    for r in reports:
+        w = r.witness
+        got.append(
+            (r.verdict, r.cases_checked, r.cases_skipped)
+            + (w and tuple(x and ";".join(x.bit_rows()) for x in (w.a, w.b, w.c)) + (w.i, w.j),)
+        )
+    assert got == [
+        ("fail", 792, 0, ("10;11", "10;11", "10;11", 1, 2)),
+        ("pass", 634_932_617, 0, None),
+        ("pass", 1_971, 0, None),
+    ]
+    assert reverify(reports[0])
 
 
 class TestBoxedKindsMeasured:
