@@ -296,83 +296,116 @@ def cmd_hasse(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _arg(*flags, **kwargs):
+    return flags, kwargs
+
+
+_OUTPUT = _arg("-o", "--output", default=None)
+
+# name -> (handler, help, whether it takes --json, its arguments)
+COMMANDS = {
+    "check": (cmd_check, "validate a matrix file and report connectivity", True, (_arg("matrix"),)),
+    "compose": (
+        cmd_compose,
+        "compose two poset matrices",
+        True,
+        (
+            _arg("--op", required=True, help="square|min|max|minmax|boxed:UAV"),
+            _arg("--i", type=int, required=True, help="insertion position (1-based)"),
+            _OUTPUT,
+            _arg("a"),
+            _arg("b"),
+        ),
+    ),
+    "laws": (
+        cmd_laws,
+        "check the operad axioms for a composition",
+        True,
+        (
+            _arg("--op", required=True),
+            _arg("--max-n", type=int, required=True, dest="max_n"),
+            _arg("--random", type=int, default=None, help="random trials per law"),
+            _arg("--seed", type=int, default=0),
+        ),
+    ),
+    "dual": (cmd_dual, "flip-transpose dual", True, (_OUTPUT, _arg("matrix"))),
+    "selfdual": (cmd_selfdual, "is the matrix its own dual?", True, (_arg("matrix"),)),
+    "semiequidual": (
+        cmd_semiequidual,
+        "find a semi-equidual witness block",
+        True,
+        (_arg("a"), _arg("b")),
+    ),
+    "classify": (cmd_classify, "connected or disconnected", True, (_arg("matrix"),)),
+    "factor": (
+        cmd_factor,
+        "find all two-factor decompositions",
+        True,
+        (_arg("--op", default="square"), _arg("matrix")),
+    ),
+    "invariance": (
+        cmd_invariance,
+        "are insertions over a range identical?",
+        True,
+        (
+            _arg("--alpha", required=True, help="range like 1..3 or list 1,2,3"),
+            _arg("a"),
+            _arg("b"),
+        ),
+    ),
+    "enumerate": (
+        cmd_enumerate,
+        "generate all poset matrices of an order",
+        False,
+        (
+            _arg("--n", type=int, required=True),
+            _arg("--classes", action="store_true", help="one representative per class"),
+            _arg("--filter", choices=["all", "connected", "disconnected"], default="all"),
+            _arg("--format", choices=["pm", "json"], default="pm"),
+            _arg("--print", dest="print_matrices", action="store_true"),
+            _OUTPUT,
+        ),
+    ),
+    "pascal": (
+        cmd_pascal,
+        "binary Pascal matrix",
+        True,
+        (_arg("--n", type=int, required=True), _OUTPUT),
+    ),
+    "hasse": (cmd_hasse, "export the Hasse diagram as DOT", False, (_OUTPUT, _arg("matrix"))),
+}
+
+
+def build_parser(command=None) -> argparse.ArgumentParser:
+    """The parser of every command, or, when command names one, of that
+    command alone.  Each parses an argv that starts with command alike,
+    with the same messages: the usage line lists every command in both."""
     top = argparse.ArgumentParser(
         prog="posetmat",
         description="Poset matrices: compositions, operad laws, duality, "
         "structure, enumeration.",
     )
     sub = top.add_subparsers(dest="command", required=True)
-
-    def add(name, fn, help, json=True):
-        p = sub.add_parser(name, help=help)
+    names = COMMANDS
+    if command in COMMANDS:
+        names = (command,)
+        # only here: in the full parser a metavar would also rename the
+        # action in its "required" and "invalid choice" messages
+        sub.metavar = "{" + ",".join(COMMANDS) + "}"
+    for name in names:
+        fn, help_text, takes_json, arguments = COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
         p.set_defaults(fn=fn)
-        if json:
+        if takes_json:
             p.add_argument("--json", action="store_true", help="machine-readable output")
-        return p
-
-    p = add("check", cmd_check, "validate a matrix file and report connectivity")
-    p.add_argument("matrix")
-
-    p = add("compose", cmd_compose, "compose two poset matrices")
-    p.add_argument("--op", required=True, help="square|min|max|minmax|boxed:UAV")
-    p.add_argument("--i", type=int, required=True, help="insertion position (1-based)")
-    p.add_argument("-o", "--output", default=None)
-    p.add_argument("a")
-    p.add_argument("b")
-
-    p = add("laws", cmd_laws, "check the operad axioms for a composition")
-    p.add_argument("--op", required=True)
-    p.add_argument("--max-n", type=int, required=True, dest="max_n")
-    p.add_argument("--random", type=int, default=None, help="random trials per law")
-    p.add_argument("--seed", type=int, default=0)
-
-    p = add("dual", cmd_dual, "flip-transpose dual")
-    p.add_argument("-o", "--output", default=None)
-    p.add_argument("matrix")
-
-    p = add("selfdual", cmd_selfdual, "is the matrix its own dual?")
-    p.add_argument("matrix")
-
-    p = add("semiequidual", cmd_semiequidual, "find a semi-equidual witness block")
-    p.add_argument("a")
-    p.add_argument("b")
-
-    p = add("classify", cmd_classify, "connected or disconnected")
-    p.add_argument("matrix")
-
-    p = add("factor", cmd_factor, "find all two-factor decompositions")
-    p.add_argument("--op", default="square")
-    p.add_argument("matrix")
-
-    p = add("invariance", cmd_invariance, "are insertions over a range identical?")
-    p.add_argument("--alpha", required=True, help="range like 1..3 or list 1,2,3")
-    p.add_argument("a")
-    p.add_argument("b")
-
-    p = add("enumerate", cmd_enumerate, "generate all poset matrices of an order", json=False)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--classes", action="store_true", help="one representative per class")
-    p.add_argument(
-        "--filter", choices=["all", "connected", "disconnected"], default="all"
-    )
-    p.add_argument("--format", choices=["pm", "json"], default="pm")
-    p.add_argument("--print", dest="print_matrices", action="store_true")
-    p.add_argument("-o", "--output", default=None)
-
-    p = add("pascal", cmd_pascal, "binary Pascal matrix")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("-o", "--output", default=None)
-
-    p = add("hasse", cmd_hasse, "export the Hasse diagram as DOT", json=False)
-    p.add_argument("-o", "--output", default=None)
-    p.add_argument("matrix")
-
+        for flags, kwargs in arguments:
+            p.add_argument(*flags, **kwargs)
     return top
 
 
 def run(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         return args.fn(args)
     except ParseError as e:

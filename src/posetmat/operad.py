@@ -18,19 +18,22 @@ cap is checked, and a kind's rule is looked up once.  An associativity case
 (A, i, B, j, C) is decided without composing anything, by the rule proved
 below.  _outer reads A, i, B and j: None when the case is undefined, which
 never depends on C, else whether (A, i, B, j) breaks.  A case fails iff it
-breaks and the law is parallel or C is not an antichain.  Random mode
-(_holds) and the exhaustive sweep compose nothing; both sides are composed
-(_case) only for the check_* functions, the unit law and the reported
+breaks and the law is parallel or C is not an antichain.  A unit case
+(A, i) is decided by _unit, from A's row i and column i, by the unit rule
+at the end.  Random mode and the exhaustive sweep compose nothing; both
+sides are composed (_case) only for the check_* functions and the reported
 witness.
 
 The exhaustive sweep decides each (A, i, B, j) once, for every order of C.
 The positions where a matrix's lower-left block has the kind's constant are
 found once per pool, and per order pair (n, m) _groups walks only those, in
 witness order, counting the defined (A, i, B, j) and keeping the first, so
-least, that breaks.  The C that fail a breaking (A, i, B, j) are all of
-them (parallel) or those that are not antichains (nested), the same for
-every (A, i, B, j); of order k the least is pools[k][0], or the least
-non-antichain (none for k = 1).  The sweep still runs by ascending total
+least, that breaks.  The parallel law reads no B (see the parallel rule),
+so there _groups walks (A, i, j) alone, with B = pools[m][0], the least B,
+and counts each defined (A, i, j) once per B.  The C that fail a breaking
+(A, i, B, j) are all of them (parallel) or those that are not antichains
+(nested), the same for every (A, i, B, j); of order k the least is
+pools[k][0], or the least non-antichain (none for k = 1).  The sweep still runs by ascending total
 order n+m+k and stops at the end of the first total with a failure, so it
 counts the same cases.  The least failing case of an (n, m, k) is the least
 breaking (A, B, i, j) with the least failing C, since the witness order
@@ -190,6 +193,24 @@ verdict:
     the parallel law;
   - whether C is an antichain (parallel): under a constant U-fill the rows
     of C's maximal and other elements compare alike.
+
+Unit rule.  [1] o_1 A = A always: [1] has no rows above or below 1 and
+its lower-left block is empty, so the case is defined, and with i = 1 the
+U-fill has no columns, so A's row q becomes 0 | a_q << 0.  A o_i [1] is
+defined iff A's lower-left block at i has the kind's constant a21 (always,
+for a mask kind), and is then A iff
+  (U) a constant U-fill u equals A's row prefix at i: a_i & low is low if
+      u = 1, else 0; and
+  (V) a constant V-fill v equals A's entry (s, i) for every row s > i.
+With X = A and Y = [1], y = 1, and Y's one element is both maximal and
+minimal, so Y's minimal mask is full = 1.  Y's row becomes
+U_1 | 1 << (i-1), where U_1 is a_i & low under ROW and ROW_AT_MAX, and
+low or 0 under a constant u; a_i's bit i-1 is its diagonal 1, and it has no bits above, so
+this is a_i iff U_1 = a_i & low, which is (U).  A's row s > i becomes
+(a_s & low) | V_s << (i-1) | (a_s >> i) << i, which is a_s iff V_s is a_s's
+bit i-1.  Under COL and COL_AT_MIN, V_s is 1 = full exactly where that bit
+is 1, and under a constant v it is v, which is (V).  A mask kind has no
+constant fill, so its unit law always holds.
 """
 
 from __future__ import annotations
@@ -211,7 +232,6 @@ from .core import PosetMatrix, UNIT
 from .enumeration import DEFAULT_ORDER_CAP, _check_order, _levels, matrix_count
 from .errors import (
     IndexOutOfRange,
-    PreconditionViolated,
     RequiresDistinctIndices,
     ResourceLimit,
 )
@@ -223,8 +243,9 @@ LAWS = (NESTED, PARALLEL, UNIT_LAW)
 
 # Most law cases one verify_laws call may run: a limit on the count, not an
 # estimate of the time.  Every kind at order 4 is 2,387,486 cases; up to
-# order 5 they are about 2.2e9, which _exhaustive sweeps in about 0.4-3 s
-# per law and kind (2-core machine).
+# order 5 they are about 2.2e9, which _exhaustive sweeps in at most about
+# 2.4 s per kind for the nested law and 0.01 s for the parallel one (2-core
+# machine).
 LAW_CASE_BUDGET = 10**8
 
 
@@ -295,14 +316,6 @@ def _case(rule, law, a, b, c, i, j):
     return left == right, left, right
 
 
-def _defined(fn, *args):
-    """fn(*args), or None when a composition it makes is undefined."""
-    try:
-        return fn(*args)
-    except PreconditionViolated:
-        return None
-
-
 def _outer(rule, law, a, i, b, j):
     """The outer half of the associativity case (A, i, B, j, C), the same
     for every C: None when the case is undefined, else whether it breaks,
@@ -324,6 +337,19 @@ def _outer(rule, law, a, i, b, j):
     return (a[k] & (on - 1) != 0 and any(y >> (j - 1) & 1 for y in b[j:])) or (
         b[j - 1] != 1 << (j - 1) and any(x & on for x in a[i:])
     )
+
+
+def _unit(rule, a, i):
+    """Whether the unit case (A, i) holds, None when A o_i [1] is undefined,
+    without composing: see the unit rule in the module docstring."""
+    u_fill, v_fill, a21 = rule
+    if not _lower_left_ok(a, i, a21):
+        return None
+    if a21 is None:
+        return True
+    k = i - 1
+    low = (1 << k) - 1
+    return a[k] & low == (low if u_fill else 0) and all(x >> k & 1 == v_fill for x in a[i:])
 
 
 def _antichain(c) -> bool:
@@ -401,11 +427,13 @@ def _groups(rule, law, pools, spots, n, m) -> tuple:
     block has the kind's constant; a case at any other i (or j) is
     undefined, so only these are walked.  pools lists each order in witness
     order and A, B, i, j are walked in that order, so the first breaking
-    member met is the least."""
+    member met is the least.  The parallel law reads no B, so there one B
+    stands for all of them: the least."""
     nested = law == NESTED
+    bs = list(zip(pools[m], spots[m])) if nested else [(pools[m][0], None)]
     defined, least = 0, None
     for a, a_spots in zip(pools[n], spots[n]):
-        for b, b_spots in zip(pools[m], spots[m]):
+        for b, b_spots in bs:
             for i in a_spots:
                 for j in b_spots if nested else a_spots:
                     if not nested and j <= i:
@@ -415,6 +443,8 @@ def _groups(rule, law, pools, spots, n, m) -> tuple:
                         defined += 1
                         if breaks and least is None:
                             least = a, b, i, j
+    if not nested:
+        defined *= len(pools[m])
     cases = len(pools[n]) * len(pools[m]) * (n * m if nested else n * (n - 1) // 2)
     return cases - defined, defined, least
 
@@ -465,8 +495,7 @@ def _exhaustive(rule, pools) -> list:
     for n in sorted(pools):
         for a in pools[n]:
             for i in range(1, n + 1):
-                case = _defined(_case, rule, UNIT_LAW, a, None, None, i, None)
-                unit.add(a, None, None, i, None, case and case[0])
+                unit.add(a, None, None, i, None, _unit(rule, a, i))
         if unit.failures:
             break
     return tallies + [unit]
@@ -480,8 +509,7 @@ def _random(rule, law, pools, trials, seed) -> _Tally:
         a = rng.choice(flat)
         if law == UNIT_LAW:
             i = rng.randint(1, len(a))
-            case = _defined(_case, rule, law, a, None, None, i, None)
-            tally.add(a, None, None, i, None, case and case[0])
+            tally.add(a, None, None, i, None, _unit(rule, a, i))
             continue
         b = rng.choice(flat)
         c = rng.choice(flat)

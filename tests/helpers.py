@@ -147,6 +147,14 @@ def components_by_search(a: PosetMatrix) -> tuple:
     return tuple(comps)
 
 
+def _defined(fn, *args):
+    """fn(*args), or None when a composition it makes is undefined."""
+    try:
+        return fn(*args)
+    except PreconditionViolated:
+        return None
+
+
 def _law_cases(law, pool):
     """(group, A, B, C, i, j) for every case of law over pool: the group is
     the total order n+m+k, or the order of A for the unit law."""

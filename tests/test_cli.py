@@ -7,7 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from posetmat import cli
 from posetmat.cli import (
+    COMMANDS,
+    build_parser,
     export_hasse,
     parse_matrix_file,
     parse_matrix_text,
@@ -587,3 +590,95 @@ def test_any_integer_argument_ends_at_once(order_two, case):
         message = err.getvalue()
         assert message.startswith(("error: ", "usage error: ")), message
         assert message.count("\n") == 1 and "Traceback" not in message
+
+
+# per command: a valid argv, one missing a required argument and one with a
+# value of the wrong type (or shape); "A" and "B" stand for matrix files
+PARSER_CASES = {
+    "check": (["A"], [], ["--json=1", "A"]),
+    "compose": (
+        ["--op", "square", "--i", "2", "A", "B"],
+        ["--op", "square", "A", "B"],
+        ["--op", "square", "--i", "x", "A", "B"],
+    ),
+    "laws": (
+        ["--op", "square", "--max-n", "2"],
+        ["--op", "square"],
+        ["--op", "square", "--max-n", "x"],
+    ),
+    "dual": (["A"], [], ["--json=1", "A"]),
+    "selfdual": (["A"], [], ["--json=1", "A"]),
+    "semiequidual": (["A", "B"], ["A"], ["--json=1", "A", "B"]),
+    "classify": (["A"], [], ["--json=1", "A"]),
+    "factor": (["A"], [], ["--json=1", "A"]),
+    "invariance": (
+        ["--alpha", "1..2", "A", "B"],
+        ["A", "B"],
+        ["--json=1", "--alpha", "1", "A", "B"],
+    ),
+    "enumerate": (["--n", "3"], [], ["--n", "three"]),
+    "pascal": (["--n", "3"], [], ["--n", "3.0"]),
+    "hasse": (["A"], [], ["A", "-o"]),
+}
+
+
+def _parser_argvs():
+    """(id, argv, what its stderr must hold or None) for each command's
+    cases, then those of the top-level parser."""
+    for name, (valid, missing, wrong) in PARSER_CASES.items():
+        yield f"{name}-valid", [name, *valid], None
+        yield f"{name}-help", [name, "--help"], None
+        yield f"{name}-missing", [name, *missing], None
+        yield f"{name}-wrong", [name, *wrong], None
+        yield f"{name}-extra", [name, *valid, "--bogus"], None
+    # the full parser names the subcommand action `command` in its messages
+    yield "empty", [], "error: the following arguments are required: command\n"
+    yield "help", ["-h"], None
+    yield "misspelt", ["lawz"], "error: argument command: invalid choice: 'lawz'"
+
+
+def _outcome(argv):
+    """(exit code, stdout, stderr) of run(argv), argparse's exits included."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = run(argv)
+        except SystemExit as e:
+            code = e.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_parser_cases_cover_every_command():
+    assert list(PARSER_CASES) == list(COMMANDS)
+
+
+@pytest.mark.parametrize(
+    "argv, message", [pytest.param(argv, message, id=id) for id, argv, message in _parser_argvs()]
+)
+def test_run_answers_as_the_full_parser(files, monkeypatch, argv, message):
+    # run builds the parser of argv[0] alone when it names a command; it
+    # must answer every argv as the parser of every command does: the same
+    # exit code, stdout and stderr, usage lines and error messages included
+    paths = {"A": files["A"], "B": files["B"]}
+    argv = [paths.get(x, x) for x in argv]
+    asked = []
+
+    def spy(command=None):
+        asked.append(command)
+        return build_parser(command)
+
+    monkeypatch.setattr(cli, "build_parser", spy)
+    got = _outcome(argv)
+    assert asked == [argv[0] if argv else None]
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: build_parser())
+    assert got == _outcome(argv)
+    if message is not None:
+        assert message in got[2]
+
+
+def test_named_parser_knows_that_command_alone(capsys):
+    assert build_parser().parse_args(["pascal", "--n", "2"]).n == 2
+    with pytest.raises(SystemExit) as exc:
+        build_parser("laws").parse_args(["pascal", "--n", "2"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'pascal'" in capsys.readouterr().err

@@ -8,6 +8,7 @@ from posetmat import MINMAX, SQUARE, UNIT, check_nested, check_parallel, check_u
 from posetmat.compose import (
     ALL_BOXED,
     ALL_KINDS,
+    MASK_KINDS,
     OPERAD_KINDS,
     _lower_left_ok,
     _rule,
@@ -26,22 +27,24 @@ from posetmat.operad import (
     LAWS,
     NESTED,
     PARALLEL,
+    UNIT_LAW,
     _antichain,
     _case,
     _case_key,
-    _defined,
     _enc,
     _exhaustive,
     _groups,
     _holds,
     _outer,
     _report,
+    _sweep,
     _Tally,
+    _unit,
     reverify,
     verify_laws,
 )
 
-from helpers import EX_A, EX_B, EX_C, NESTED_LEFT, NESTED_RIGHT, chain, pm
+from helpers import EX_A, EX_B, EX_C, NESTED_LEFT, NESTED_RIGHT, _defined, chain, pm
 
 
 class TestCheckNested:
@@ -419,6 +422,50 @@ def test_minmax_order_five_exhaustive_past_the_budget():
         ("pass", 1_971, 0, None),
     ]
     assert reverify(reports[0])
+
+
+@pytest.mark.parametrize(
+    "name, checked, skipped",
+    [("boxed:010", 67_253_494, 567_679_123), ("boxed:111", 162_336_020, 472_596_597)],
+)
+def test_parallel_sweep_order_five_is_pinned(name, checked, skipped):
+    # the parallel sweep over PM(<=5), which walks (A, i, j) and counts each
+    # defined one once per B: both kinds pass, so checked + skipped is the
+    # closed form sum C(n,2)|P_n| * S^2 of _check_budget
+    pools = {n: sorted(level, key=_enc) for n, level in enumerate(_levels(5), 1)}
+    tally = _sweep(_rule(parse_kind(name)), PARALLEL, pools)
+    assert (tally.checked, tally.skipped, tally.failures) == (checked, skipped, [])
+    assert checked + skipped == 634_932_617
+
+
+def test_unit_rule_matches_both_sides():
+    # every (kind, A, i) over PM(<=5): _unit gives the verdict of composing
+    # both sides, and None exactly where that is undefined.  Undefined
+    # cases, each constant fill alone wrong, both wrong, neither, and the
+    # mask kinds, whose unit law always holds, all occur.
+    pool = [a for level in _levels(5) for a in level]
+    seen, count = set(), 0
+    for kind in ALL_KINDS:
+        rule = _rule(kind)
+        for a in pool:
+            for i in range(1, len(a) + 1):
+                case = _defined(_case, rule, UNIT_LAW, a, None, None, i, None)
+                got = _unit(rule, a, i)
+                assert got is (None if case is None else case[0]), (kind_name(kind), a, i)
+                count += 1
+                if kind in MASK_KINDS:
+                    seen.add(("mask", got))
+                elif got is None:
+                    seen.add(("undefined",))
+                else:
+                    k = i - 1
+                    low = (1 << k) - 1
+                    u_wrong = a[k] & low != (low if kind.u else 0)
+                    v_wrong = any(x >> k & 1 != kind.v for x in a[i:])
+                    seen.add(("boxed", u_wrong, v_wrong))
+    assert count == 11 * 1_971
+    boxed = {("boxed", *wrong) for wrong in product((False, True), repeat=2)}
+    assert seen == {("mask", True), ("undefined",)} | boxed
 
 
 class TestBoxedKindsMeasured:
