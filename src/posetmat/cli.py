@@ -80,9 +80,12 @@ def _parse_json_matrix(text: str) -> BinaryMatrix:
 
 
 def parse_matrix_file(path) -> BinaryMatrix:
+    """Parse a matrix file, or stdin for "-".  A file is read as UTF-8 with
+    undecodable bytes kept as lone surrogates, so that any byte outside the
+    format, a BOM or an accented letter, is a positioned ParseError."""
     if path == "-":
         return parse_matrix_text(sys.stdin.read())
-    with open(path, "r", encoding="ascii") as fh:
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         return parse_matrix_text(fh.read())
 
 

@@ -8,37 +8,41 @@ verify_laws sweeps each axiom exhaustively over all poset matrices up to a
 given order (grouped by ascending total order so a reported counterexample
 is minimal), or over seeded random samples from the same pools.  Boxed
 kinds have partial domains; triples whose intermediate composition is
-undefined are skipped and counted.  Before any pool is built the cases are
-counted (_check_budget), and a sweep of more than LAW_CASE_BUDGET cases is
-refused.
+undefined are skipped and counted.  Before any pool is built, an
+exhaustive sweep past order LAW_EXHAUSTIVE_ORDER, and a random one of more
+than LAW_CASE_BUDGET cases, is refused (_check_budget).
 
 The law layer works on int row codes (see core) from end to end: the pools
 are the levels of enumeration's walk, taken as code tuples once the order
 cap is checked, and a kind's rule is looked up once.  An associativity case
 (A, i, B, j, C) is decided without composing anything, by the rule proved
-below.  _outer reads A, i, B and j: None when the case is undefined, which
-never depends on C, else whether (A, i, B, j) breaks.  A case fails iff it
-breaks and the law is parallel or C is not an antichain.  A unit case
+below.  _outer reads two signatures, _sig(A, i) and _sig(B, j) (nested) or
+_sig(A, j) (parallel): None when the case is undefined, which never depends
+on C, else whether (A, i, B, j) breaks.  A case fails iff it breaks and the
+law is parallel or C is not an antichain.  A unit case
 (A, i) is decided by _unit, from A's row i and column i, by the unit rule
 at the end.  Random mode and the exhaustive sweep compose nothing; both
 sides are composed (_case) only for the check_* functions and the reported
 witness.
 
-The exhaustive sweep decides each (A, i, B, j) once, for every order of C.
-The positions where a matrix's lower-left block has the kind's constant are
-found once per pool, and per order pair (n, m) _groups walks only those, in
-witness order, counting the defined (A, i, B, j) and keeping the first, so
-least, that breaks.  The parallel law reads no B (see the parallel rule),
-so there _groups walks (A, i, j) alone, with B = pools[m][0], the least B,
-and counts each defined (A, i, j) once per B.  The C that fail a breaking
+The exhaustive sweep reads each position's signature once and visits no
+case.  Per order, _tables counts the matrices by the signatures of all
+their positions, keeping the least of each, and turns that into one table
+per law: per signature of (A, i) (nested, which is also that of
+(B, j)) or pair of signatures of (A, i, j) (parallel), the count and the
+least member, in witness order.  Per order pair (n, m), _groups pairs the
+tables of n and m (nested), or scales the table of n by |P_m| (parallel:
+the parallel rule reads no B, so the least B stands for them all), and
+decides each signature group by _outer.  The C that fail a breaking
 (A, i, B, j) are all of them (parallel) or those that are not antichains
 (nested), the same for every (A, i, B, j); of order k the least is
-pools[k][0], or the least non-antichain (none for k = 1).  The sweep still runs by ascending total
-order n+m+k and stops at the end of the first total with a failure, so it
-counts the same cases.  The least failing case of an (n, m, k) is the least
-breaking (A, B, i, j) with the least failing C, since the witness order
+pools[k][0], or the least non-antichain (none for k = 1).  The sweep runs
+by ascending total order n+m+k and stops at the end of the first total
+with a failure.  The least failing case of a breaking group is its least
+(A, i) and least (B, j) with the least failing C, since the witness order
 compares A, B and C before i and j; the least of a total is the least of
-these.
+these.  The work is the signatures of every position of PM(1), ..., PM(N),
+however many cases they make.
 
 Notation.  By the formulas beside compose._RULES, X o_i Y (X of order x, Y
 of order y) keeps X's rows above i; gives Y's row q the row U_q | y_q << (i-1);
@@ -180,6 +184,23 @@ under COL and COL_AT_MIN.  Under the constant u, L holds u on all of B's
 columns and R the row picked by u, which under the constant v is v on all
 of them: they differ, on every row of C, iff u != v.
 
+Signatures.  Both rules read of (A, i) and (B, j), or of (A, i) and
+(A, j), only _sig: None where the lower-left block lacks the constant, so
+the case is undefined; for a boxed kind (p > 1, p < n); under minmax
+whether X's row prefix at p and its column p below p are nonzero, that is
+whether p is not minimal and not maximal in X (row p holds the elements
+below p, and column p those above); and () for the other mask kinds,
+which break nothing.  With sa and sb the two
+signatures, let u_in = sa[0] and sb[1], v_in = sa[1] and sb[0] (nested)
+or u_in = sa[0], v_in = sb[1] (parallel).  For a boxed kind these say
+where a constant fill lands in an outer lower-left block (i > 1 and
+j < m, j > 1 and i < n; i > 1, j < n), so a case is undefined iff the
+constant landing there differs from a21, and else breaks iff the law is
+parallel and u != v.  Under minmax nested, u_in is (a) and v_in is (b):
+A's row prefix at i is nonzero and j is not maximal in B, or A's column i
+below i is nonzero and j is not minimal in B.  So a minmax case breaks iff
+it is nested and u_in or v_in.
+
 A finer rule could read more of the case, but nothing more changes a
 verdict:
   - whether elements of C stay maximal or minimal in BC where j is maximal
@@ -229,7 +250,7 @@ from .compose import (
     parse_kind,
 )
 from .core import PosetMatrix, UNIT
-from .enumeration import DEFAULT_ORDER_CAP, _check_order, _levels, matrix_count
+from .enumeration import DEFAULT_ORDER_CAP, _check_order, _levels
 from .errors import (
     IndexOutOfRange,
     RequiresDistinctIndices,
@@ -241,12 +262,15 @@ PARALLEL = "parallel"
 UNIT_LAW = "unit"
 LAWS = (NESTED, PARALLEL, UNIT_LAW)
 
-# Most law cases one verify_laws call may run: a limit on the count, not an
-# estimate of the time.  Every kind at order 4 is 2,387,486 cases; up to
-# order 5 they are about 2.2e9, which _exhaustive sweeps in at most about
-# 2.4 s per kind for the nested law and 0.01 s for the parallel one (2-core
-# machine).
+# Most random-mode cases one verify_laws call may run (3 * trials): a limit
+# on the count, not an estimate of the time.
 LAW_CASE_BUDGET = 10**8
+# Largest order the exhaustive sweep takes.  Its work is the signatures of
+# every position of PM(1), ..., PM(N), whatever the number of cases: up to
+# order 7, 705,911 positions, in 0.9-1.9 s per kind as one process at
+# 39 MiB (2-core machine).  Order 8 would need all of PM(8), 2.8 M matrices
+# and about 378 MiB, and 23,109,687 positions.
+LAW_EXHAUSTIVE_ORDER = 7
 
 
 @dataclass(frozen=True)
@@ -316,27 +340,41 @@ def _case(rule, law, a, b, c, i, j):
     return left == right, left, right
 
 
-def _outer(rule, law, a, i, b, j):
-    """The outer half of the associativity case (A, i, B, j, C), the same
-    for every C: None when the case is undefined, else whether it breaks,
-    that is whether it fails for every C (parallel) or for every C that is
-    not an antichain (nested).  See the module docstring for the proofs."""
+def _sig(rule, x, p):
+    """The signature of position p of X, all that the associativity rule
+    reads of (A, i), (B, j) or (A, j): None when X's lower-left block at p
+    lacks the kind's constant; else, for a boxed kind, (p > 1, p < n), where
+    a constant fill can land in an outer lower-left block; under minmax,
+    whether X's row prefix at p and X's column p below p are nonzero, that
+    is whether p is not minimal and not maximal in X; else ()."""
     u_fill, v_fill, a21 = rule
-    n, m, k = len(a), len(b), i - 1
-    nested = law == NESTED
-    if not (_lower_left_ok(a, i, a21) and _lower_left_ok(b if nested else a, j, a21)):
+    if a21 is not None:
+        return (p > 1, p < len(x)) if _lower_left_ok(x, p, a21) else None
+    if (u_fill, v_fill) != (ROW_AT_MAX, COL_AT_MIN):
+        return ()
+    k = p - 1
+    return x[k] != 1 << k, any(y >> k & 1 for y in x[p:])
+
+
+def _outer(rule, law, sa, sb):
+    """The outer half of the associativity case (A, i, B, j, C), the same
+    for every C, from sa = _sig(A, i) and sb = _sig(B, j) (nested) or
+    _sig(A, j) (parallel): None when the case is undefined, else whether it
+    breaks, that is whether it fails for every C (parallel) or for every C
+    that is not an antichain (nested).  See the module docstring for the
+    proofs."""
+    if sa is None or sb is None:
         return None
-    if a21 is not None:  # where a constant fill lands in an outer lower-left block
-        u_in, v_in = (i > 1 and j < m, j > 1 and i < n) if nested else (i > 1, j < n)
-        if u_in and u_fill != a21 or v_in and v_fill != a21:
-            return None
-        return not nested and u_fill != v_fill
-    if not nested or (u_fill, v_fill) != (ROW_AT_MAX, COL_AT_MIN):
+    if not sa:
         return False
-    on = 1 << k
-    return (a[k] & (on - 1) != 0 and any(y >> (j - 1) & 1 for y in b[j:])) or (
-        b[j - 1] != 1 << (j - 1) and any(x & on for x in a[i:])
-    )
+    u_fill, v_fill, a21 = rule
+    nested = law == NESTED
+    u_in, v_in = (sa[0] and sb[1], sa[1] and sb[0]) if nested else (sa[0], sb[1])
+    if a21 is None:
+        return nested and (u_in or v_in)
+    if u_in and u_fill != a21 or v_in and v_fill != a21:
+        return None
+    return not nested and u_fill != v_fill
 
 
 def _unit(rule, a, i):
@@ -358,7 +396,7 @@ def _antichain(c) -> bool:
 
 def _holds(rule, law, a, b, c, i, j):
     """Whether one associativity case holds; None when it is undefined."""
-    breaks = _outer(rule, law, a, i, b, j)
+    breaks = _outer(rule, law, _sig(rule, a, i), _sig(rule, b if law == NESTED else a, j))
     if breaks is None:
         return None
     return not breaks or law == NESTED and _antichain(c)
@@ -418,70 +456,77 @@ class _Tally:
             self.failures.append((a, b, c, i, j))
 
 
-def _groups(rule, law, pools, spots, n, m) -> tuple:
+def _tables(rule, pool) -> dict:
+    """Per law, the table of one order's pool (in witness order): per
+    signature of an (A, i), which is also that of a (B, j), for NESTED, and
+    per pair (_sig(A, i), _sig(A, j)), i < j, for PARALLEL, [count, least
+    member], the member (X, p) or (A, i, j).  Matrices with the same
+    signature at every position are counted together, from the least of
+    them, so the first member met of a signature is the least."""
+    rows = {}
+    for x in pool:
+        key = tuple([_sig(rule, x, p) for p in range(1, len(x) + 1)])
+        rows.setdefault(key, [0, x])[0] += 1
+    nested, parallel = {}, {}
+    for sigs, (count, x) in rows.items():
+        for i, s in enumerate(sigs, 1):
+            nested.setdefault(s, [0, (x, i)])[0] += count
+            for j, t in enumerate(sigs[i:], i + 1):
+                parallel.setdefault((s, t), [0, (x, i, j)])[0] += count
+    return {NESTED: nested, PARALLEL: parallel}
+
+
+def _groups(rule, law, pools, tables, n, m) -> tuple:
     """The outer half of the associativity cases with A, B of orders n, m,
-    which is the same for every C: (undefined, defined, least breaking
-    (A, B, i, j) or None), see _outer.
+    which is the same for every C: (undefined, defined, breaking), with
+    the least (A, B, i, j) of each breaking group, see _outer.
 
-    spots lists, per order and matrix, the positions where its lower-left
-    block has the kind's constant; a case at any other i (or j) is
-    undefined, so only these are walked.  pools lists each order in witness
-    order and A, B, i, j are walked in that order, so the first breaking
-    member met is the least.  The parallel law reads no B, so there one B
-    stands for all of them: the least."""
-    nested = law == NESTED
-    bs = list(zip(pools[m], spots[m])) if nested else [(pools[m][0], None)]
-    defined, least = 0, None
-    for a, a_spots in zip(pools[n], spots[n]):
-        for b, b_spots in bs:
-            for i in a_spots:
-                for j in b_spots if nested else a_spots:
-                    if not nested and j <= i:
-                        continue
-                    breaks = _outer(rule, law, a, i, b, j)
-                    if breaks is not None:
-                        defined += 1
-                        if breaks and least is None:
-                            least = a, b, i, j
-    if not nested:
-        defined *= len(pools[m])
-    cases = len(pools[n]) * len(pools[m]) * (n * m if nested else n * (n - 1) // 2)
-    return cases - defined, defined, least
+    tables holds the _tables of each order.  Nested, each pair of
+    signatures of (A, i) and (B, j) is a group: it counts the product of
+    their counts, and its least case pairs their least members, as the
+    witness order compares A and B before i and j.  The parallel law reads
+    no B, so there each signature of (A, i, j) is a group that counts once
+    per B, and its least case takes the least B."""
+    if law == NESTED:
+        groups = [
+            ((sa, sb), ca * cb, (a, b, i, j))
+            for sa, (ca, (a, i)) in tables[n][law].items()
+            for sb, (cb, (b, j)) in tables[m][law].items()
+        ]
+    else:
+        b, per_b = pools[m][0], len(pools[m])
+        groups = [
+            (sig, count * per_b, (a, b, i, j)) for sig, (count, (a, i, j)) in tables[n][law].items()
+        ]
+    verdicts = [(_outer(rule, law, *sig), count, case) for sig, count, case in groups]
+    undefined = sum(count for breaks, count, _ in verdicts if breaks is None)
+    defined = sum(count for breaks, count, _ in verdicts if breaks is not None)
+    return undefined, defined, [case for breaks, _, case in verdicts if breaks]
 
 
-def _sweep(rule, law, pools) -> _Tally:
+def _sweep(rule, law, pools, tables) -> _Tally:
     """Every case of an associativity law over pools (each order in witness
-    order), by ascending total order, up to the end of the first total
-    order with a failing case.
+    order, with its _tables in tables), by ascending total order, up to the
+    end of the first total order with a failing case.
 
     Each (n, m) is grouped once (_groups), and counts its cases per C of
-    order k; a breaking (A, i, B, j) is recorded as one failing case, with
-    the least C of order k that fails it, which is all the witness needs."""
-    orders = sorted(pools)
-    spots = {
-        n: [[i for i in range(1, n + 1) if _lower_left_ok(a, i, rule[2])] for a in pool]
-        for n, pool in pools.items()
+    order k; each breaking group is recorded as one failing case, its least,
+    with the least C of order k that fails it, which is all the witness
+    needs."""
+    groups = {(n, m): _groups(rule, law, pools, tables, n, m) for n in pools for m in pools}
+    failing = {
+        k: next((c for c in cs if law == PARALLEL or not _antichain(c)), None)
+        for k, cs in pools.items()
     }
-    if law == NESTED:
-        failing = {k: next((c for c in cs if not _antichain(c)), None) for k, cs in pools.items()}
-    else:
-        failing = {k: cs[0] for k, cs in pools.items()}
     tally = _Tally()
-    outer = {}
-    for total in range(3, 3 * orders[-1] + 1):
-        for n in orders:
-            for m in orders:
-                k = total - n - m
-                if k not in pools:
-                    continue
-                if (n, m) not in outer:
-                    outer[n, m] = _groups(rule, law, pools, spots, n, m)
-                undefined, defined, least = outer[n, m]
+    for total in range(3, 3 * max(pools) + 1):
+        for (n, m), (undefined, defined, breaking) in groups.items():
+            k = total - n - m
+            if k in pools:
                 tally.skipped += undefined * len(pools[k])
                 tally.checked += defined * len(pools[k])
-                if least is not None and failing[k] is not None:
-                    a, b, i, j = least
-                    tally.failures.append((a, b, failing[k], i, j))
+                if failing[k] is not None:
+                    tally.failures += [(a, b, failing[k], i, j) for a, b, i, j in breaking]
         if tally.failures:
             break
     return tally
@@ -490,7 +535,8 @@ def _sweep(rule, law, pools) -> _Tally:
 def _exhaustive(rule, pools) -> list:
     """One _Tally per law of LAWS, over every case the pools make."""
     ordered = {n: sorted(pools[n], key=_enc) for n in pools}
-    tallies = [_sweep(rule, law, ordered) for law in (NESTED, PARALLEL)]
+    tables = {n: _tables(rule, pool) for n, pool in ordered.items()}
+    tallies = [_sweep(rule, law, ordered, tables) for law in (NESTED, PARALLEL)]
     unit = _Tally()
     for n in sorted(pools):
         for a in pools[n]:
@@ -544,32 +590,18 @@ def _report(kind, rule, law, tally) -> LawReport:
 
 
 def _check_budget(max_order, trials) -> None:
-    """Refuse a sweep of more than LAW_CASE_BUDGET cases, counted before
-    any pool is built.
-
-    Random mode runs 3 * trials cases.  The exhaustive sweep over the
-    pools P_1, ..., P_N runs, with S = sum |P_n|, sum n|P_n| * sum m|P_m| * S
-    nested cases, sum C(n,2)|P_n| * S^2 parallel ones and sum n|P_n| unit
-    ones.  |P_n| comes from matrix_count in ascending n, and the count
-    stops at the first order over the budget."""
-    if trials is not None:
-        if 3 * trials > LAW_CASE_BUDGET:
-            raise ResourceLimit(
-                f"{trials} trials exceed the case budget {LAW_CASE_BUDGET} ({3 * trials} cases)"
-            )
-        return
-    size = spots = pairs = 0
-    for n in range(1, max_order + 1):
-        count = matrix_count(n)
-        size += count
-        spots += n * count
-        pairs += n * (n - 1) // 2 * count
-        cases = spots * spots * size + pairs * size * size + spots
-        if cases > LAW_CASE_BUDGET:
-            raise ResourceLimit(
-                f"laws up to order {max_order} exceed the case budget {LAW_CASE_BUDGET} "
-                f"({cases} cases up to order {n})"
-            )
+    """Refuse, before any pool is built, an exhaustive sweep past
+    LAW_EXHAUSTIVE_ORDER and random mode of more than LAW_CASE_BUDGET
+    cases (3 * trials)."""
+    if trials is None and max_order > LAW_EXHAUSTIVE_ORDER:
+        raise ResourceLimit(
+            f"exhaustive laws up to order {max_order} exceed the order budget "
+            f"{LAW_EXHAUSTIVE_ORDER}"
+        )
+    if trials is not None and 3 * trials > LAW_CASE_BUDGET:
+        raise ResourceLimit(
+            f"{trials} trials exceed the case budget {LAW_CASE_BUDGET} ({3 * trials} cases)"
+        )
 
 
 def verify_laws(kind, max_order, trials=None, seed=0):
@@ -579,8 +611,9 @@ def verify_laws(kind, max_order, trials=None, seed=0):
     law's scan at the end of the first total-order group containing a
     counterexample, so the reported witness is minimal (smallest n+m+k,
     ties broken lexicographically on the matrix encodings).  Identical
-    seeds give identical reports.  The order cap and then the case budget
-    are checked before the kind is looked up and before any pool is built.
+    seeds give identical reports.  The order cap and then the order or case
+    budget are checked before the kind is looked up and before any pool is
+    built.
     """
     if max_order < 1:
         raise ValueError("max_order must be at least 1")

@@ -20,7 +20,7 @@ from posetmat.cli import (
 )
 from posetmat.core import BinaryMatrix
 from posetmat.enumeration import DEFAULT_ORDER_CAP, generate_all
-from posetmat.operad import LAW_CASE_BUDGET
+from posetmat.operad import LAW_CASE_BUDGET, LAW_EXHAUSTIVE_ORDER
 from posetmat.pascal import PASCAL_ENTRY_BUDGET
 from posetmat.structure import classify_connectivity
 from posetmat.errors import ParseError
@@ -112,6 +112,28 @@ class TestParsing:
 
     def test_parse_file(self, files):
         assert parse_matrix_file(files["chain3"]) == chain(3)
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        (b"\xef\xbb\xbf2\n10\n11\n", "line 1, column 1: order is not an integer: '\\ufeff2'"),
+        ("2\n1\u00e9\n11\n".encode(), "line 2, column 2: invalid character '\u00e9'"),
+    ],
+    ids=["bom", "e-acute"],
+)
+def test_non_ascii_input_is_a_positioned_parse_error(tmp_path, monkeypatch, capsys, data, message):
+    # the same bytes through a file and through "-" end in the same
+    # positioned parse error, exit 2
+    path = tmp_path / "matrix.pm"
+    path.write_bytes(data)
+    assert run(["check", str(path)]) == 2
+    from_file = capsys.readouterr()
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+    assert run(["check", "-"]) == 2
+    from_stdin = capsys.readouterr()
+    assert from_file == from_stdin
+    assert from_file.out == "" and from_file.err == f"parse error: {message}\n"
 
 
 class TestHasseExport:
@@ -240,11 +262,14 @@ class TestCommands:
             assert captured.err.startswith("usage error: ")
 
     def test_laws_over_the_case_budget_refused(self, capsys):
-        for extra in (["--max-n", "5"], ["--max-n", "3", "--random", "10000000000"]):
+        for extra, budget in (
+            (["--max-n", "8"], "order budget"),
+            (["--max-n", "3", "--random", "10000000000"], "case budget"),
+        ):
             assert run(["laws", "--op", "square", *extra]) == 1
             captured = capsys.readouterr()
             assert captured.out == ""
-            assert captured.err.startswith("error: ") and "case budget" in captured.err
+            assert captured.err.startswith("error: ") and budget in captured.err
 
     def test_semiequidual_over_the_search_budget_refused(self, files, capsys):
         # an antichain against itself with a[2,1] = 1 has no witness: at order
@@ -553,9 +578,9 @@ def _argv(order_two, case):
     }[where]
 
 
-# laws refuses orders from 5 up by the case budget, and then by the order cap
+# laws refuses orders from 8 up by the order budget, and then by the order cap
 ARGUMENTS = st.one_of(
-    st.tuples(st.just("laws --max-n"), NON_POSITIVE | _above(4)),
+    st.tuples(st.just("laws --max-n"), NON_POSITIVE | _above(LAW_EXHAUSTIVE_ORDER)),
     st.tuples(st.just("laws --random"), NON_POSITIVE | _above(LAW_CASE_BUDGET // 3)),
     st.tuples(st.just("laws --seed"), st.integers(-BIG, BIG)),
     st.tuples(st.just("enumerate --n"), NON_POSITIVE | _above(DEFAULT_ORDER_CAP)),

@@ -10,13 +10,12 @@ from posetmat.compose import (
     ALL_KINDS,
     MASK_KINDS,
     OPERAD_KINDS,
-    _lower_left_ok,
     _rule,
     kind_name,
     parse_kind,
 )
 from posetmat.core import _maximal_mask, _minimal_mask
-from posetmat.enumeration import _levels, generate_all, matrix_count
+from posetmat.enumeration import DEFAULT_ORDER_CAP, _levels, generate_all, matrix_count
 from posetmat.errors import (
     IndexOutOfRange,
     RequiresDistinctIndices,
@@ -24,6 +23,7 @@ from posetmat.errors import (
 )
 from posetmat.operad import (
     LAW_CASE_BUDGET,
+    LAW_EXHAUSTIVE_ORDER,
     LAWS,
     NESTED,
     PARALLEL,
@@ -32,12 +32,13 @@ from posetmat.operad import (
     _case,
     _case_key,
     _enc,
-    _exhaustive,
+    _check_budget,
     _groups,
     _holds,
     _outer,
-    _report,
+    _sig,
     _sweep,
+    _tables,
     _Tally,
     _unit,
     reverify,
@@ -157,7 +158,7 @@ class TestVerifyLaws:
 
     @pytest.mark.parametrize(
         "max_order, trials",
-        [(5, None), (8, None), (3, 10**10), (3, LAW_CASE_BUDGET // 3 + 1)],
+        [(8, None), (3, 10**10), (3, LAW_CASE_BUDGET // 3 + 1)],
     )
     def test_case_budget_refused_before_any_pool_is_built(self, max_order, trials):
         tracemalloc.start()
@@ -169,8 +170,17 @@ class TestVerifyLaws:
             tracemalloc.stop()
         assert peak < 5 << 20
 
+    def test_budget_takes_the_largest_exhaustive_order_and_trials(self):
+        # the exhaustive sweep is bounded by its top order alone: order 7
+        # passes and order 8 does not, whatever the kind
+        assert LAW_EXHAUSTIVE_ORDER == 7
+        _check_budget(LAW_EXHAUSTIVE_ORDER, None)
+        _check_budget(DEFAULT_ORDER_CAP, LAW_CASE_BUDGET // 3)
+        with pytest.raises(ResourceLimit, match="order budget 7"):
+            _check_budget(LAW_EXHAUSTIVE_ORDER + 1, None)
+
     def test_argument_errors_in_order(self):
-        # order, then trials, then the cap, then the case budget, then the kind
+        # order, then trials, then the cap, then the order budget, then the kind
         with pytest.raises(ValueError, match="max_order"):
             verify_laws("bogus", 0, trials=0)
         with pytest.raises(ValueError, match="trials"):
@@ -178,7 +188,7 @@ class TestVerifyLaws:
         with pytest.raises(ResourceLimit, match="cap"):
             verify_laws("bogus", 9)
         with pytest.raises(ResourceLimit, match="budget"):
-            verify_laws("bogus", 5)
+            verify_laws("bogus", 8)
         with pytest.raises(ValueError, match="unknown"):
             verify_laws("bogus", 2)
 
@@ -329,10 +339,12 @@ def test_block_verdict_matches_both_sides_case_by_case(kind):
 
 def _branch(kind, law, a, b, c, i, j):
     """The branch of the rule that decides one case, worked out from the
-    definitions: None where _outer says the case is undefined; under minmax
-    nested, whether (a) and (b) hold and whether C is an antichain; under a
-    boxed kind parallel, whether u != v; else the law alone."""
-    breaks = _outer(_rule(kind), law, a, i, b, j)
+    definitions, with _outer of the two signatures checked against it: None
+    where _outer says the case is undefined; under minmax nested, whether
+    (a) and (b) hold and whether C is an antichain; under a boxed kind
+    parallel, whether u != v; else the law alone."""
+    rule = _rule(kind)
+    breaks = _outer(rule, law, _sig(rule, a, i), _sig(rule, b if law == NESTED else a, j))
     if breaks is None:
         return law, None
     if law == NESTED and kind == MINMAX:
@@ -375,23 +387,18 @@ def test_every_branch_of_the_rule_occurs():
 def test_grouped_sweep_matches_case_by_case(kind):
     # each (n, m, k) over PM(<=3) grouped alone, without the stop rule: the
     # same checked and skipped counts as deciding every case with _holds, and
-    # the same least failing case, though a group keeps only its least
-    # breaking (A, B, i, j), to be paired with the least C that fails it
+    # the same least failing case, though the signature groups keep only
+    # their least breaking (A, B, i, j), each to be paired with the least C
+    # that fails it; each of those is itself a failing case
     rule = _rule(kind)
     pools = {n: sorted(level, key=_enc) for n, level in enumerate(_levels(3), 1)}
-    spots = {
-        n: [[i for i in range(1, n + 1) if _lower_left_ok(a, i, rule[2])] for a in pool]
-        for n, pool in pools.items()
-    }
+    tables = {n: _tables(rule, pool) for n, pool in pools.items()}
     for law in (NESTED, PARALLEL):
         for n, m, k in product(pools, repeat=3):
-            undefined, defined, least = _groups(rule, law, pools, spots, n, m)
+            undefined, defined, breaking = _groups(rule, law, pools, tables, n, m)
             failing = [c for c in pools[k] if law == PARALLEL or not _antichain(c)]
-            if least and failing:
-                a, b, i, j = least
-                least = a, b, failing[0], i, j
-            else:
-                least = None
+            cases = [(a, b, failing[0], i, j) for a, b, i, j in breaking] if failing else []
+            assert all(_holds(rule, law, *case) is False for case in cases), (law, n, m, k)
             single = _Tally()
             for a, b, c in product(pools[n], pools[m], pools[k]):
                 for i in range(1, n + 1):
@@ -399,24 +406,22 @@ def test_grouped_sweep_matches_case_by_case(kind):
                         single.add(a, b, c, i, j, _holds(rule, law, a, b, c, i, j))
             counts = undefined * len(pools[k]), defined * len(pools[k])
             assert counts == (single.skipped, single.checked), (law, n, m, k)
+            least = min(cases, key=_case_key, default=None)
             assert least == min(single.failures, key=_case_key, default=None), (law, n, m, k)
 
 
+def _pinned(report):
+    """(verdict, checked, skipped, witness A, B, C, i, j) of one report."""
+    w = report.witness
+    got = w and tuple(x and ";".join(x.bit_rows()) for x in (w.a, w.b, w.c)) + (w.i, w.j)
+    return report.verdict, report.cases_checked, report.cases_skipped, got
+
+
 def test_minmax_order_five_exhaustive_past_the_budget():
-    # verify_laws refuses order 5 by the case budget; the sweep itself, called
-    # directly on PM(<=5), is cheap for minmax, the one kind whose verdict
-    # reads C.  A passing law counts the closed forms of _check_budget.
-    rule = _rule(MINMAX)
-    tallies = _exhaustive(rule, dict(enumerate(_levels(5), 1)))
-    reports = [_report(MINMAX, rule, law, t) for law, t in zip(LAWS, tallies)]
-    got = []
-    for r in reports:
-        w = r.witness
-        got.append(
-            (r.verdict, r.cases_checked, r.cases_skipped)
-            + (w and tuple(x and ";".join(x.bit_rows()) for x in (w.a, w.b, w.c)) + (w.i, w.j),)
-        )
-    assert got == [
+    # minmax at order 5 through verify_laws: the one kind whose verdict
+    # reads C.  A passing law counts the closed forms of _closed_forms.
+    reports = verify_laws(MINMAX, 5)
+    assert [_pinned(r) for r in reports] == [
         ("fail", 792, 0, ("10;11", "10;11", "10;11", 1, 2)),
         ("pass", 634_932_617, 0, None),
         ("pass", 1_971, 0, None),
@@ -424,18 +429,104 @@ def test_minmax_order_five_exhaustive_past_the_budget():
     assert reverify(reports[0])
 
 
+# verify_laws(kind, 5) for every kind, recorded from the sweep that walked
+# each (A, i, B, j): per law (verdict, checked, skipped, witness A, B, C, i, j)
+PASS_5 = (("pass", 1_581_130_287, 0, None), ("pass", 634_932_617, 0, None), ("pass", 1_971, 0, None))
+ORDER_FIVE = {
+    "square": PASS_5,
+    "min": PASS_5,
+    "max": PASS_5,
+    "minmax": (
+        ("fail", 792, 0, ("10;11", "10;11", "10;11", 1, 2)),
+        ("pass", 634_932_617, 0, None),
+        ("pass", 1_971, 0, None),
+    ),
+    "boxed:111": (
+        ("pass", 452_142_812, 1_128_987_475, None),
+        ("pass", 162_336_020, 472_596_597, None),
+        ("fail", 5, 0, ("10;01", None, None, 1, None)),
+    ),
+    "boxed:110": (
+        ("pass", 281_768_949, 1_299_361_338, None),
+        PARALLEL_2,
+        ("fail", 5, 0, ("10;01", None, None, 2, None)),
+    ),
+    "boxed:100": (
+        ("pass", 247_976_553, 1_333_153_734, None),
+        PARALLEL_2,
+        ("fail", 5, 0, ("10;01", None, None, 2, None)),
+    ),
+    "boxed:011": (
+        ("pass", 281_768_949, 1_299_361_338, None),
+        PARALLEL_2,
+        ("fail", 5, 0, ("10;01", None, None, 1, None)),
+    ),
+    "boxed:010": (
+        ("pass", 135_034_053, 1_446_096_234, None),
+        ("pass", 67_253_494, 567_679_123, None),
+        ("fail", 5, 0, ("10;11", None, None, 1, None)),
+    ),
+    "boxed:001": (
+        ("pass", 247_976_553, 1_333_153_734, None),
+        PARALLEL_2,
+        ("fail", 5, 0, ("10;01", None, None, 1, None)),
+    ),
+    "boxed:000": (
+        ("pass", 368_865_728, 1_212_264_559, None),
+        ("pass", 121_420_717, 513_511_900, None),
+        ("fail", 5, 0, ("10;11", None, None, 1, None)),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", ORDER_FIVE)
+def test_order_five_reports_are_pinned(name):
+    reports = verify_laws(parse_kind(name), 5)
+    assert [r.law for r in reports] == list(LAWS)
+    assert [_pinned(r) for r in reports] == list(ORDER_FIVE[name])
+    for report in reports:
+        if report.passed:
+            assert report.cases_checked + report.cases_skipped == _closed_forms(5)[report.law]
+        else:
+            assert reverify(report)
+
+
+def _closed_forms(top):
+    """The number of cases of each law over PM(<=top): nested
+    sum n|P_n| * sum m|P_m| * S, parallel sum C(n,2)|P_n| * S^2 and unit
+    sum n|P_n|, with S = sum |P_n|."""
+    sizes = {n: matrix_count(n) for n in range(1, top + 1)}
+    size = sum(sizes.values())
+    spots = sum(n * p for n, p in sizes.items())
+    pairs = sum(n * (n - 1) // 2 * p for n, p in sizes.items())
+    return {NESTED: spots * spots * size, PARALLEL: pairs * size * size, UNIT_LAW: spots}
+
+
+@pytest.mark.parametrize("kind", OPERAD_KINDS)
+def test_order_six_counts_are_the_closed_forms(kind):
+    # the three operads pass every case up to order 6, counted by the
+    # closed forms from matrix_count, not from the sweep
+    totals = _closed_forms(6)
+    assert totals == {NESTED: 4_999_461_423_975, PARALLEL: 2_084_896_564_673, UNIT_LAW: 30_915}
+    reports = verify_laws(kind, 6)
+    assert [(r.law, r.verdict, r.cases_checked, r.cases_skipped, r.witness) for r in reports] == [
+        (law, "pass", totals[law], 0, None) for law in LAWS
+    ]
+
+
 @pytest.mark.parametrize(
     "name, checked, skipped",
     [("boxed:010", 67_253_494, 567_679_123), ("boxed:111", 162_336_020, 472_596_597)],
 )
 def test_parallel_sweep_order_five_is_pinned(name, checked, skipped):
-    # the parallel sweep over PM(<=5), which walks (A, i, j) and counts each
-    # defined one once per B: both kinds pass, so checked + skipped is the
-    # closed form sum C(n,2)|P_n| * S^2 of _check_budget
+    # the parallel sweep over PM(<=5), which counts each signature of
+    # (A, i, j) once per B: both kinds pass, so checked + skipped is the
+    # closed form sum C(n,2)|P_n| * S^2
+    rule = _rule(parse_kind(name))
     pools = {n: sorted(level, key=_enc) for n, level in enumerate(_levels(5), 1)}
-    tally = _sweep(_rule(parse_kind(name)), PARALLEL, pools)
+    tally = _sweep(rule, PARALLEL, pools, {n: _tables(rule, pool) for n, pool in pools.items()})
     assert (tally.checked, tally.skipped, tally.failures) == (checked, skipped, [])
-    assert checked + skipped == 634_932_617
+    assert checked + skipped == _closed_forms(5)[PARALLEL] == 634_932_617
 
 
 def test_unit_rule_matches_both_sides():
