@@ -3,8 +3,10 @@
 All of them replace the diagonal entry at position i of an order-n matrix A
 with an order-m matrix B, producing an order n+m-1 matrix; they differ only
 in how the m x (i-1) block U left of B and the (n-i) x m block V below B are
-filled.  _RULES is the definition: it maps each kind to its U-fill, its
-V-fill and its precondition on A, and compose reads nothing else.  U is
+filled.  A kind's rule is the definition: its U-fill, its V-fill and its
+precondition on A, and compose reads nothing else.  _RULES holds the rules
+of the four mask kinds; a boxed kind (u, a21, v) is its own rule, (u, v) with
+the precondition a21, read from its fields by _rule.  U is
 A's row prefix at i in every row of B (ROW), only in the rows of B's
 maximal elements (ROW_AT_MAX), or a constant; V is A's column suffix at i
 in every column of B (COL), only in those of B's minimal elements
@@ -25,9 +27,7 @@ is how structure.factor finds its factorizations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .core import BinaryMatrix, PosetMatrix, _maximal_mask, _minimal_mask
+from .core import BinaryMatrix, PosetMatrix, Record, _maximal_mask, _minimal_mask
 from .errors import DimensionMismatch, IndexOutOfRange, PreconditionViolated
 
 SQUARE = "square"
@@ -46,20 +46,29 @@ _ADMISSIBLE = {
 }
 
 
-@dataclass(frozen=True)
-class Boxed:
+class Boxed(Record):
     """Constant-fill insertion (u, a21, v); (1, 0, 1) is unrepresentable."""
 
+    __slots__ = ("u", "a21", "v")
     u: int
     a21: int
     v: int
 
-    def __post_init__(self):
-        if (self.u, self.a21, self.v) not in _ADMISSIBLE:
+    def __init__(self, u, a21, v):
+        if (u, a21, v) not in _ADMISSIBLE:
             raise ValueError(
-                f"fill triple ({self.u},{self.a21},{self.v}) is not one of the "
-                f"seven admissible patterns"
+                f"fill triple ({u},{a21},{v}) is not one of the seven admissible patterns"
             )
+        # Record's __init__, without its generic count and keyword checks
+        _set_u(self, u)
+        _set_a21(self, a21)
+        _set_v(self, v)
+
+    def __hash__(self):  # as Record's, without its generic field getter
+        return hash((self.u, self.a21, self.v))
+
+
+_set_u, _set_a21, _set_v = Boxed._setters
 
 
 ALL_BOXED = tuple(Boxed(*t) for t in sorted(_ADMISSIBLE, reverse=True))
@@ -73,7 +82,8 @@ ROW_AT_MAX = "row@max"
 COL = "col"
 COL_AT_MIN = "col@min"
 
-# kind -> (U-fill, V-fill, constant a21 required of A's lower-left block or None)
+# kind -> (U-fill, V-fill, constant a21 required of A's lower-left block or None),
+# for the mask kinds; _rule gives a boxed kind's.
 # compose builds the composite from int row codes (bit j is column j+1; see
 # core).  With a_s A's row s, b_q B's row q, k = i-1, low = 2^k - 1 and
 # full = 2^m - 1: rows above i are A's, unchanged; B's row q becomes
@@ -90,7 +100,6 @@ _RULES = {
     MIN: (ROW, COL_AT_MIN, None),
     MAX: (ROW_AT_MAX, COL, None),
     MINMAX: (ROW_AT_MAX, COL_AT_MIN, None),
-    **{k: (k.u, k.v, k.a21) for k in ALL_BOXED},
 }
 
 
@@ -110,6 +119,10 @@ def parse_kind(name: str):
 
 
 def _rule(kind):
+    """kind's (U-fill, V-fill, a21): a Boxed's fields, so that no call hashes
+    one, or a mask kind's entry in _RULES."""
+    if type(kind) is Boxed:
+        return kind.u, kind.v, kind.a21
     try:
         return _RULES[kind]
     except (KeyError, TypeError):
@@ -178,7 +191,7 @@ def max_mask(a: PosetMatrix, i: int, b: PosetMatrix) -> BinaryMatrix:
 
 
 def _compose(rule, ac, i: int, bc) -> tuple:
-    """Row codes of A o_i B from those of A and B under rule = _RULES[kind],
+    """Row codes of A o_i B from those of A and B under rule = _rule(kind),
     by the shift and mask formulas beside _RULES.  B's extremal masks are
     read only by the fills that need them."""
     u_fill, v_fill, a21 = rule
@@ -209,8 +222,8 @@ def _compose(rule, ac, i: int, bc) -> tuple:
 def compose(kind, a: PosetMatrix, i: int, b: PosetMatrix) -> PosetMatrix:
     """A with B inserted at position i under kind.
 
-    _RULES is the definition of every kind: compose looks up the kind's
-    U-fill, V-fill and precondition there and builds nothing else.  An
+    The kind's rule is its definition: compose looks up the kind's U-fill,
+    V-fill and precondition (_rule) and builds nothing else.  An
     unknown kind raises ValueError, then a position outside [1, n]
     IndexOutOfRange, then a failed precondition PreconditionViolated.
     """

@@ -17,8 +17,8 @@ Indices on the public surface are 1-based.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from operator import attrgetter
 
 from .errors import (
     IndexOutOfRange,
@@ -27,6 +27,61 @@ from .errors import (
     TransitivityViolation,
     ValidationError,
 )
+
+
+class Record:
+    """Immutable value with named fields, the base of the result types.
+
+    A subclass lists its fields, two or more, in order, as its __slots__, and
+    annotates them in the same order; they are set by position or by keyword
+    and never again.  Records are equal when their types and fields are,
+    hash by their fields, print as Name(field=value, ...), and pickle and
+    copy by being built anew from their fields.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        fields = cls.__slots__
+        cls._fields = fields
+        cls._setters = tuple(cls.__dict__[name].__set__ for name in fields)
+        cls._values = staticmethod(attrgetter(*fields))  # a tuple: two fields or more
+
+    def __init__(self, *args, **kwargs):
+        fields = self._fields
+        if kwargs:
+            args += tuple([kwargs.pop(f) for f in fields[len(args) :] if f in kwargs])
+        if kwargs or len(args) != len(fields):
+            raise TypeError(
+                f"{type(self).__qualname__}() takes the fields {', '.join(fields)}, "
+                "each once, by position or keyword"
+            )
+        for put, value in zip(self._setters, args):
+            put(self, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values(self) == self._values(other)
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={v!r}" for f, v in zip(self._fields, self._values(self)))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        # Rebuild through __init__: a raising __setattr__ rules out the
+        # default restore of slots.
+        return type(self), self._values(self)
 
 
 @lru_cache(maxsize=None)
@@ -114,6 +169,11 @@ class BinaryMatrix:
 
     def __repr__(self):
         return f"{type(self).__name__}({';'.join(self.bit_rows())!r})"
+
+    def __reduce__(self):
+        # Rebuild from the codes: a raising __setattr__ rules out the default
+        # restore of slots, for pickle, copy and deepcopy alike.
+        return type(self)._of, (self.codes, self.width)
 
 
 _new = object.__new__
@@ -203,8 +263,7 @@ def index_set(alpha, n: int) -> tuple:
     return alpha
 
 
-@dataclass(frozen=True)
-class BlockView:
+class BlockView(Record):
     """The five blocks of a poset matrix around insertion position i.
 
     a11 is the order-(i-1) top-left principal block, row/col are the entries
@@ -213,6 +272,7 @@ class BlockView:
     block.  Boundary positions (i = 1 or i = n) just make blocks empty.
     """
 
+    __slots__ = ("i", "a11", "row", "col", "a21", "a22")
     i: int
     a11: PosetMatrix
     row: tuple

@@ -8,12 +8,11 @@ maximal elements, and interacts with the compositions by
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
 from .compose import SQUARE, compose
-from .core import PosetMatrix, _gather
+from .core import PosetMatrix, Record, _gather
 from .enumeration import generate_all
 from .errors import IndexOutOfRange, OrderMismatch, ResourceLimit
 from .structure import _components
@@ -48,11 +47,11 @@ def dual_index_set(alpha, n: int) -> tuple:
     return tuple(sorted(n - i + 1 for i in alpha))
 
 
-@dataclass(frozen=True)
-class SemiEquidualWitness:
+class SemiEquidualWitness(Record):
     """Index set on which the two matrices carry mutually dual disconnected
     blocks while agreeing everywhere outside the block region."""
 
+    __slots__ = ("alpha", "block_a", "block_b")
     alpha: tuple
     block_a: PosetMatrix
     block_b: PosetMatrix

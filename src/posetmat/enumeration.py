@@ -35,9 +35,7 @@ parent to child by a transfer identity proved in its docstring.  At order
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .core import UNIT, PosetMatrix, relabel  # noqa: F401  (relabel: re-exported)
+from .core import UNIT, PosetMatrix, Record, relabel  # noqa: F401  (relabel: re-exported)
 from .errors import ResourceLimit
 from .structure import _components, classify_connectivity
 
@@ -269,10 +267,10 @@ def canonical_form(a: PosetMatrix) -> PosetMatrix:
     )
 
 
-@dataclass(frozen=True)
-class IsoClass:
+class IsoClass(Record):
     """One permutation-equivalence class of poset matrices."""
 
+    __slots__ = ("canonical", "labeled_count", "connected")
     canonical: PosetMatrix
     labeled_count: int
     connected: bool

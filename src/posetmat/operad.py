@@ -21,13 +21,16 @@ _sig(A, j) (parallel): None when the case is undefined, which never depends
 on C, else whether (A, i, B, j) breaks.  A case fails iff it breaks and the
 law is parallel or C is not an antichain.  A unit case
 (A, i) is decided by _unit, from A's row i and column i, by the unit rule
-at the end.  Random mode and the exhaustive sweep compose nothing; both
+at the end; by that rule every unit case of a mask kind holds, so the
+exhaustive sweep counts them, n per matrix of order n, without visiting
+one.  Random mode and the exhaustive sweep compose nothing; both
 sides are composed (_case) only for the check_* functions and the reported
 witness.
 
 The exhaustive sweep reads each position's signature once and visits no
 case.  Per order, _tables counts the matrices by the signatures of all
-their positions, keeping the least of each, and turns that into one table
+their positions (under minmax read in one pass over the rows,
+_minmax_sigs), keeping the least of each, and turns that into one table
 per law: per signature of (A, i) (nested, which is also that of
 (B, j)) or pair of signatures of (A, i, j) (parallel), the count and the
 least member, in witness order.  Per order pair (n, m), _groups pairs the
@@ -237,8 +240,6 @@ constant fill, so its unit law always holds.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import Optional
 
 from .compose import (
     COL_AT_MIN,
@@ -249,7 +250,7 @@ from .compose import (
     kind_name,
     parse_kind,
 )
-from .core import PosetMatrix, UNIT
+from .core import PosetMatrix, Record, UNIT
 from .enumeration import DEFAULT_ORDER_CAP, _check_order, _levels
 from .errors import (
     IndexOutOfRange,
@@ -267,33 +268,33 @@ LAWS = (NESTED, PARALLEL, UNIT_LAW)
 LAW_CASE_BUDGET = 10**8
 # Largest order the exhaustive sweep takes.  Its work is the signatures of
 # every position of PM(1), ..., PM(N), whatever the number of cases: up to
-# order 7, 705,911 positions, in 0.9-1.9 s per kind as one process at
-# 39 MiB (2-core machine).  Order 8 would need all of PM(8), 2.8 M matrices
+# order 7, 705,911 positions, in 0.5-1.2 s per kind as one process at
+# 38 MiB (2-core machine).  Order 8 would need all of PM(8), 2.8 M matrices
 # and about 378 MiB, and 23,109,687 positions.
 LAW_EXHAUSTIVE_ORDER = 7
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(Record):
     """A failing instance with both evaluated sides, re-checkable as is."""
 
+    __slots__ = ("a", "b", "c", "i", "j", "left", "right")
     a: PosetMatrix
-    b: Optional[PosetMatrix]
-    c: Optional[PosetMatrix]
+    b: PosetMatrix | None
+    c: PosetMatrix | None
     i: int
-    j: Optional[int]
+    j: int | None
     left: PosetMatrix
     right: PosetMatrix
 
 
-@dataclass(frozen=True)
-class LawReport:
+class LawReport(Record):
+    __slots__ = ("law", "kind", "verdict", "cases_checked", "cases_skipped", "witness")
     law: str
     kind: str
     verdict: str  # "pass" | "fail"
     cases_checked: int
     cases_skipped: int
-    witness: Optional[Witness]
+    witness: Witness | None
 
     @property
     def passed(self) -> bool:
@@ -354,6 +355,16 @@ def _sig(rule, x, p):
         return ()
     k = p - 1
     return x[k] != 1 << k, any(y >> k & 1 for y in x[p:])
+
+
+def _minmax_sigs(x) -> tuple:
+    """_sig under minmax of every position of X, in order.  X's rows are
+    read once for the elements that lie below another (the union of the
+    rows off the diagonal), so each signature is two bit tests."""
+    below = 0
+    for k, y in enumerate(x):
+        below |= y ^ 1 << k
+    return tuple([(y != 1 << k, below >> k & 1 == 1) for k, y in enumerate(x)])
 
 
 def _outer(rule, law, sa, sb):
@@ -463,9 +474,12 @@ def _tables(rule, pool) -> dict:
     member], the member (X, p) or (A, i, j).  Matrices with the same
     signature at every position are counted together, from the least of
     them, so the first member met of a signature is the least."""
-    rows = {}
+    rows, minmax = {}, rule == (ROW_AT_MAX, COL_AT_MIN, None)
     for x in pool:
-        key = tuple([_sig(rule, x, p) for p in range(1, len(x) + 1)])
+        if minmax:
+            key = _minmax_sigs(x)
+        else:
+            key = tuple([_sig(rule, x, p) for p in range(1, len(x) + 1)])
         rows.setdefault(key, [0, x])[0] += 1
     nested, parallel = {}, {}
     for sigs, (count, x) in rows.items():
@@ -538,12 +552,15 @@ def _exhaustive(rule, pools) -> list:
     tables = {n: _tables(rule, pool) for n, pool in ordered.items()}
     tallies = [_sweep(rule, law, ordered, tables) for law in (NESTED, PARALLEL)]
     unit = _Tally()
-    for n in sorted(pools):
-        for a in pools[n]:
-            for i in range(1, n + 1):
-                unit.add(a, None, None, i, None, _unit(rule, a, i))
-        if unit.failures:
-            break
+    if rule[2] is None:  # a mask kind's unit law always holds: see the unit rule
+        unit.checked = sum(n * len(pool) for n, pool in pools.items())
+    else:
+        for n in sorted(pools):
+            for a in pools[n]:
+                for i in range(1, n + 1):
+                    unit.add(a, None, None, i, None, _unit(rule, a, i))
+            if unit.failures:
+                break
     return tallies + [unit]
 
 

@@ -7,18 +7,23 @@ graph is disconnected, which is what classify_connectivity computes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
-
 from .compose import SQUARE, _compose, _host, _rule, compose
-from .core import BinaryMatrix, PosetMatrix, _check_poset, principal_subposet, relabel, submatrix
+from .core import (
+    BinaryMatrix,
+    PosetMatrix,
+    Record,
+    _check_poset,
+    principal_subposet,
+    relabel,
+    submatrix,
+)
 from .errors import PreconditionViolated, ValidationError
 
 
-@dataclass(frozen=True)
-class ConnectivityClass:
+class ConnectivityClass(Record):
+    __slots__ = ("connected", "witness")
     connected: bool
-    witness: Optional[tuple]  # an isolated component when disconnected
+    witness: tuple | None  # an isolated component when disconnected
 
     @property
     def kind(self) -> str:
@@ -217,10 +222,10 @@ def component_contiguous_form(c: PosetMatrix) -> PosetMatrix:
     return relabel(c, order)
 
 
-@dataclass(frozen=True)
-class Factorization:
+class Factorization(Record):
     """a composed with b at position i under kind reproduces the source exactly."""
 
+    __slots__ = ("a", "i", "b", "kind")
     a: PosetMatrix
     i: int
     b: PosetMatrix

@@ -30,12 +30,14 @@ from posetmat.operad import (
     UNIT_LAW,
     _antichain,
     _case,
+    _exhaustive,
     _case_key,
     _enc,
     _check_budget,
     _groups,
     _holds,
     _outer,
+    _minmax_sigs,
     _sig,
     _sweep,
     _tables,
@@ -593,3 +595,23 @@ class TestBoxedKindsMeasured:
             for report in verify_laws(kind, 2):
                 if report.verdict == "fail":
                     assert reverify(report)
+
+
+def test_minmax_signatures_of_a_matrix_are_those_of_its_positions():
+    # _minmax_sigs, which reads a matrix's rows once, gives _sig of each
+    # position under minmax over PM(<=5)
+    rule = _rule(MINMAX)
+    for a in (a for level in _levels(5) for a in level):
+        assert _minmax_sigs(a) == tuple(_sig(rule, a, p) for p in range(1, len(a) + 1)), a
+
+
+@pytest.mark.parametrize("kind", MASK_KINDS)
+def test_mask_unit_sweep_is_the_closed_form(kind):
+    # a mask kind's exhaustive unit tally, counted without visiting a case,
+    # is what deciding every (A, i) of PM(<=5) with _unit gives
+    rule = _rule(kind)
+    pools = dict(enumerate(_levels(5), 1))
+    unit = _exhaustive(rule, pools)[2]
+    verdicts = [_unit(rule, a, i) for n in pools for a in pools[n] for i in range(1, n + 1)]
+    assert verdicts == [True] * 1_971
+    assert (unit.checked, unit.skipped, unit.failures) == (1_971, 0, [])
