@@ -10,6 +10,7 @@ violated law), 2 usage or parse error.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 
@@ -430,6 +431,14 @@ def run(argv=None) -> int:
 
 def main() -> None:
     sys.exit(run())
+
+
+# Every command is a process of its own, and what importing the program made
+# (modules, classes, functions, tables) lives until that process exits.  Move
+# it to the collector's permanent generation, so that no collection during the
+# command traverses it again.  Reference counting still frees frozen objects;
+# only a cycle among them would outlive its use.
+gc.freeze()
 
 
 if __name__ == "__main__":

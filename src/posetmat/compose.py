@@ -59,19 +59,11 @@ class Boxed(Record):
             raise ValueError(
                 f"fill triple ({u},{a21},{v}) is not one of the seven admissible patterns"
             )
-        # Record's __init__, without its generic count and keyword checks
-        _set_u(self, u)
-        _set_a21(self, a21)
-        _set_v(self, v)
-
-    def __hash__(self):  # as Record's, without its generic field getter
-        return hash((self.u, self.a21, self.v))
-
-
-_set_u, _set_a21, _set_v = Boxed._setters
+        super().__init__(u, a21, v)
 
 
 ALL_BOXED = tuple(Boxed(*t) for t in sorted(_ADMISSIBLE, reverse=True))
+_BOXED = {(k.u, k.a21, k.v): k for k in ALL_BOXED}  # parse_kind builds none anew
 MASK_KINDS = (SQUARE, MIN, MAX, MINMAX)
 ALL_KINDS = MASK_KINDS + ALL_BOXED
 
@@ -114,7 +106,8 @@ def parse_kind(name: str):
     if name in MASK_KINDS:
         return name
     if name.startswith("boxed:") and len(name) == 9 and set(name[6:]) <= {"0", "1"}:
-        return Boxed(int(name[6]), int(name[7]), int(name[8]))
+        fills = int(name[6]), int(name[7]), int(name[8])
+        return _BOXED.get(fills) or Boxed(*fills)  # Boxed raises for (1, 0, 1)
     raise ValueError(f"unknown composition kind {name!r}")
 
 

@@ -183,8 +183,8 @@ class TestBoxed:
 
     def test_kind_names_round_trip(self):
         for kind in ALL_KINDS:
-            assert parse_kind(kind_name(kind)) == kind
-        with pytest.raises(ValueError):
+            assert parse_kind(kind_name(kind)) is kind  # the shared kind, not a new one
+        with pytest.raises(ValueError, match=r"fill triple \(1,0,1\) is not one of"):
             parse_kind("boxed:101")
 
 

@@ -174,15 +174,28 @@ class TestBoxed:
         assert compose(Boxed(1, 1, 1), a, 1, b) == a
 
 
-def test_cli_import_needs_no_dataclasses_inspect_or_typing():
+def _fresh(probe):
+    """What a fresh `python -S` prints for probe, with this posetmat on its path."""
     src = Path(posetmat.__file__).resolve().parents[1]
-    probe = (
-        "import sys, posetmat.cli; "
-        "print(' '.join(m for m in ('dataclasses', 'inspect', 'typing') if m in sys.modules))"
-    )
     out = subprocess.run(
         [sys.executable, "-S", "-c", probe],
         env=dict(os.environ, PYTHONPATH=str(src)),
         capture_output=True, text=True, check=True,
     )
-    assert out.stdout.strip() == ""
+    return out.stdout.strip()
+
+
+def test_cli_import_needs_no_dataclasses_inspect_or_typing():
+    probe = (
+        "import sys, posetmat.cli; "
+        "print(' '.join(m for m in ('dataclasses', 'inspect', 'typing') if m in sys.modules))"
+    )
+    assert _fresh(probe) == ""
+
+
+def test_cli_import_leaves_no_object_to_the_older_generations():
+    # The import froze what it made, so no collection a command triggers
+    # traverses the program's modules, classes and functions.
+    probe = "import gc, posetmat.cli; print(gc.get_freeze_count(), len(gc.get_objects(1)), len(gc.get_objects(2)))"
+    frozen, older, oldest = map(int, _fresh(probe).split())
+    assert frozen > 1000 and older == oldest == 0
