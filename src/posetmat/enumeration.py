@@ -2,42 +2,28 @@
 
 Every enumeration here rests on one step, _children: the largest label is
 maximal, so a matrix of order k+1 is one of order k with a new last row
-whose strict part is a down-set (an ideal) of it.  The step lists those
-ideals directly: elements are decided in label order, "exclude" before
-"include", and j may be included only when its strict down-set (below j by
-natural labelling) is chosen.  They come out in ascending row order, so
-_levels(n), which walks the step from the empty matrix and yields PM(1),
-..., PM(n) as lists of row-code tuples, gives each level in lexicographic
-order with no sorting.  generate_all(n) and matrices_by_parent(n)
-(below) wrap the same per-parent listing of the last step, and neither
-keeps a cache; verify_laws takes its pools from the walk as codes.
-
-Nothing of order n has to exist to be counted or listed.  matrix_count(n)
-walks to PM(n-1) and sums the ideal counts of each parent, and splits
-them into connected and disconnected children by the components of the
-parent (proved in its docstring).  matrices_by_parent(n) yields the
-children of one parent at a time, in the same order as generate_all(n).
+whose strict part is a down-set (an ideal) of it.  _ideals lists those
+ideals directly, in ascending row order, so _levels(n), which walks the
+step from the empty matrix and yields PM(1), ..., PM(n) as lists of
+row-code tuples, gives each level in lexicographic order with no sorting.
+generate_all(n) and matrices_by_parent(n) (below) wrap the same
+per-parent listing of the last step, and neither keeps a cache;
+verify_laws takes its pools from the walk as codes.
 
 Two matrices are permutation equivalent (same unlabelled poset) iff one is
 Q^T A Q for a permutation Q keeping the result lower triangular; those Q
-are precisely the linear extensions of the order.  canonical_form takes the
-lexicographically least relabelling, found by a DFS over linear extensions
-with two exact prunings: only candidates of least row code branch, and
-interchangeable candidates (same row code, same up-set among the elements
-still to be placed) branch once.
-
-classes(n) never visits PM(n).  It applies the same step to class
-representatives only: every class of order k is canon(D + I) for a class
-D of order k-1 and an ideal I of canon(D), and labelled counts pass from
-parent to child by a transfer identity proved in its docstring.  At order
-7 that is 6,377 canonical_form calls, where PM(7) holds 96,428 matrices.
+are precisely the linear extensions of the order.  One search, _search,
+walks them from a matrix's own rows: canonical_form takes the least
+relabelling it finds, and classes(n) uses it as a canonicity test, keeping
+the children of the classes of order n-1 that are their own canonical form
+(orderly generation).  classes(n) never visits PM(n).
 """
 
 from __future__ import annotations
 
-from .core import UNIT, PosetMatrix, Record, relabel  # noqa: F401  (relabel: re-exported)
+from .core import PosetMatrix, Record, relabel  # noqa: F401  (relabel: re-exported)
 from .errors import ResourceLimit
-from .structure import _components, classify_connectivity
+from .structure import _components
 
 DEFAULT_ORDER_CAP = 8
 
@@ -112,25 +98,21 @@ def matrix_count(n: int, which: str = "all") -> int:
     disconnected ones, counted from PM(n-1) without building any of order n.
 
     Every matrix of order n is M + I, one new maximal element over an ideal
-    I of a unique M in PM(n-1) (see classes), so |PM(n)| is the sum of
-    #ideals(M) over PM(n-1).  For each M,
+    I of a unique M in PM(n-1) (see classes), so |PM(n)| sums #ideals(M)
+    over PM(n-1).  For each M, over the components c of M,
 
-        #ideals(M) = prod over components c of M of #ideals(c),
-        #{I : M + I connected} = prod over components c of (#ideals(c) - 1).
+        #ideals(M) = prod #ideals(c),  #{I : M + I connected} = prod (#ideals(c) - 1).
 
-    Proof.  (1) M + I is connected iff I meets every component of M.  Its
-    comparability graph is that of M with the new element joined to
-    exactly the elements of I.  So the new element merges the components
-    of M that meet I into one, and every component of M that misses I
-    stays a component of M + I.  (2) No relation of M joins two
-    components, so a set I is closed downward in M iff I & c is closed
-    downward in each component c.  I -> (I & c) over the components is
-    then a bijection from the ideals of M onto the tuples of ideals of the
-    components, and I meets c iff I & c is not empty.  Counting the tuples
-    gives the first product; by (1), counting those with no empty entry
-    gives the second.  At n = 1, M is empty, both products are empty, and
-    the single point is connected.  The disconnected count is the
-    difference.
+    Proof.  (1) M + I is connected iff I meets every component of M: the
+    new element joins exactly the elements of I, so it merges the
+    components of M that meet I, and every other one stays a component.
+    (2) No relation of M joins two components, so I -> (I & c) over the
+    components is a bijection from the ideals of M onto the tuples of
+    ideals of the components, and I meets c iff I & c is not empty.
+    Counting the tuples gives the first product; by (1), counting those
+    with no empty entry gives the second.  At n = 1, M is empty, both
+    products are empty, and the single point is connected.  The
+    disconnected count is the difference.
     """
     _check_filter(which)
     _check_order(n, DEFAULT_ORDER_CAP)
@@ -150,11 +132,9 @@ def matrix_count(n: int, which: str = "all") -> int:
 
 def _groups(n: int, which: str):
     """Yield the row codes of the poset matrices of order n that pass the
-    filter which, as one list per parent in PM(n-1), in the order of
-    generate_all(n).
-
-    A child keeps the filter by the component test proved in matrix_count:
-    it is connected iff its new row meets every component of its parent."""
+    filter which, one list per parent in PM(n-1), in the order of
+    generate_all(n).  A child is connected iff its new row meets every
+    component of its parent (proved in matrix_count)."""
     want = which == "connected"
     for codes in _parents(n):
         children = _children(codes)
@@ -166,10 +146,8 @@ def _groups(n: int, which: str):
 
 def matrices_by_parent(n: int, which: str = "all"):
     """Yield the poset matrices of order n, all or only the connected or
-    disconnected ones, as one list per parent in PM(n-1).
-
-    The lists concatenate to generate_all(n), filtered, in the same order
-    (see _groups), and no more than one parent's children exist at a time.
+    disconnected ones, as one list per parent in PM(n-1): the lists make
+    up generate_all(n), filtered, in order, and one list exists at a time.
     As a generator, it checks its arguments when first advanced."""
     _check_filter(which)
     _check_order(n, DEFAULT_ORDER_CAP)
@@ -178,93 +156,123 @@ def matrices_by_parent(n: int, which: str = "all"):
         yield [wrap(c) for c in group]
 
 
-def _strict_downsets(a: PosetMatrix) -> list:
-    """Bitmask of the elements strictly below each element, all 0-based."""
-    return [code & ~(1 << i) for i, code in enumerate(a.codes)]
-
-
 def linear_extensions(a: PosetMatrix):
     """Yield all linear extensions as tuples of 1-based elements."""
-    n = a.n
-    below = _strict_downsets(a)
+    below = [code & ~(1 << i) for i, code in enumerate(a.codes)]
 
-    order = []
+    def rec(used, order):
+        if len(order) == len(below):
+            yield order
+        for x, down in enumerate(below):
+            if not used >> x & 1 and not down & ~used:
+                yield from rec(used | 1 << x, order + (x + 1,))
 
-    def rec(used):
-        if len(order) == n:
-            yield tuple(x + 1 for x in order)
-            return
-        for x in range(n):
-            if not (used >> x) & 1 and not (below[x] & ~used):
-                order.append(x)
-                yield from rec(used | (1 << x))
-                order.pop()
+    return rec(0, ())
 
-    yield from rec(0)
+
+def _search(codes: tuple, test: bool) -> tuple:
+    """(|Aut|, rows) of the least relabelling of the poset matrix with row
+    codes codes; with test, |Aut| is 0 once codes is shown not to be least.
+
+    A DFS places the elements along the linear extensions.  Rows are codes
+    in fixed weights, position q weighing 1 << (n-1-q), so placing x adds
+    to the codes of x's unplaced up-set alone.  best starts as codes' own
+    rows; a prefix above it is cut, and one below it fails the test or
+    else replaces the rest of best.  (1) Only candidates of least code
+    branch: all leaves below a node share its prefix.  (2) Candidates with
+    the same code and up-set among the unplaced have the same down-set,
+    all placed, so swapping them keeps every relation: they branch once,
+    and each leaf equal to best adds the product of its path's group
+    sizes.  The sum counts the extensions relabelling codes onto best, |Aut|.
+    """
+    n = len(codes)
+    big, aut = 1 << n, 0  # aut is -1 once the test fails
+    below, above, best = [0] * n, [0] * (n + 1), [0] * n
+    for y, code in enumerate(codes):
+        below[y] = rest = code ^ 1 << y
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            x = bit.bit_length() - 1
+            above[x] |= 1 << y
+            best[y] |= big >> (x + 1)
+
+    def rec(p, free, cands, mult, cur, x):
+        # place x at position p, then each lone group after it
+        nonlocal aut
+        while True:
+            free ^= 1 << x
+            cands ^= 1 << x
+            p += 1
+            weight = big >> p
+            ups = above[x] & free
+            while ups:
+                bit = ups & -ups
+                ups ^= bit
+                y = bit.bit_length() - 1
+                cur[y] |= weight
+                if not below[y] & free:
+                    cands |= bit
+            if p == n:
+                aut += mult
+                return
+            low, rest = big, cands
+            while rest:
+                bit = rest & -rest
+                rest ^= bit
+                y = bit.bit_length() - 1
+                code = cur[y]
+                if code < low:
+                    low, tied = code, [y]
+                elif code == low:
+                    tied.append(y)
+            if low != best[p]:
+                if low > best[p]:
+                    return
+                if test:
+                    aut = -1
+                    return
+                best[p] = low
+                best[p + 1 :] = [big] * (n - 1 - p)
+                aut = 0
+            if len(tied) > 1:
+                groups = {}
+                for y in tied:
+                    groups.setdefault(above[y] & free, []).append(y)
+                if len(groups) > 1:
+                    for group in groups.values():
+                        rec(p, free, cands, mult * len(group), cur[:], group[0])
+                        if aut < 0:
+                            return
+                    return
+                mult *= len(tied)
+            x = tied[0]
+
+    # start from a phantom element n, placed at position -1 above nothing
+    minimal = sum(1 << x for x in range(n) if not below[x])
+    rec(-1, (2 << n) - 1, minimal | big, 1, [0] * n, n)
+    return max(aut, 0), best
 
 
 def canonical_form(a: PosetMatrix) -> PosetMatrix:
-    """Lexicographically least member of a's permutation-equivalence class.
-
-    The members are the relabellings along the linear extensions of a, which
-    a DFS places one element per position.  The row at position p is kept as
-    an int code of the relabelled row, column 1 the most significant bit, so
-    codes at one position compare as rows do; each unplaced element's code
-    gains one bit as each element is placed.  Two prunings keep the search
-    exact:
-
-    1. Only candidates of minimum code branch.  All completions below a node
-       share its prefix, and any candidate can come next, so the least of
-       them has at position p the smallest code among the candidates.  A
-       node whose prefix, with that code, exceeds the best leaf found so far
-       is cut.
-    2. Interchangeable candidates branch once.  Candidates x and y with the
-       same code and the same up-set among the unplaced elements are both
-       minimal there, so neither is below the other, and no placed element
-       is above an unplaced one.  Swapping x and y is then an automorphism
-       of everything still to be placed that keeps every relation to the
-       prefix, so the two subtrees give the same rows.
-    """
-    n = a.n
-    below = _strict_downsets(a)
-    above = [0] * n  # strict up-set bitmask per element
-    for y in range(n):
-        for x in range(y):
-            if (below[y] >> x) & 1:
-                above[x] |= 1 << y
-
-    best = []  # row codes of the least relabelling found so far
-    prefix = []
-
-    def rec(free, codes):  # free: bitmask of the unplaced; codes: their row codes
-        nonlocal best
-        cands = [x for x in codes if not below[x] & free]
-        low = min([codes[x] for x in cands])
-        prefix.append(low)
-        if not best or prefix <= best[: len(prefix)]:
-            if len(codes) == 1:
-                best = prefix[:]
-            else:
-                branched = set()  # up-sets among the unplaced already branched on
-                for x in cands:
-                    up = above[x] & free
-                    if codes[x] == low and up not in branched:
-                        branched.add(up)
-                        rec(
-                            free & ~(1 << x),
-                            {
-                                y: (c << 1) | ((below[y] >> x) & 1)
-                                for y, c in codes.items()
-                                if y != x
-                            },
-                        )
-        prefix.pop()
-
-    rec((1 << n) - 1, dict.fromkeys(range(n), 0))
-    # best[p] lists columns 1..p from its most significant bit down
+    """Lexicographically least member of a's permutation-equivalence class."""
+    n, best = a.n, _search(a.codes, False)[1]  # column 1 is best[p]'s top bit
     return PosetMatrix._wrap(
-        tuple(int("1" + f"{code:0{p}b}"[::-1], 2) if p else 1 for p, code in enumerate(best))
+        tuple([int(f"{code:0{n}b}"[::-1], 2) | 1 << p for p, code in enumerate(best)])
     )
+
+
+def _placements(codes: tuple, ideals: list) -> list:
+    """(S, f(S) * h(S)) for each ideal S of codes, from ideals, the list of
+    them in ascending row order: f(S) ways to place S first, one element
+    at a time, and h(S) ways to place the rest after it."""
+    bits = [1 << x for x in range(len(codes))]
+    first, rest = {}, {}
+    for s in ideals:  # S minus a maximal element comes before S
+        first[s] = sum([first.get(s ^ b, 0) for b in bits if s & b]) or 1
+    for s in reversed(ideals):
+        rest[s] = sum([rest.get(s | b, 0) for b in bits if not s & b]) or 1
+    return [(s, first[s] * rest[s]) for s in ideals]
 
 
 class IsoClass(Record):
@@ -282,47 +290,39 @@ def classes(n: int, which: str = "all", order_cap: int = DEFAULT_ORDER_CAP) -> t
     which filters to "connected" or "disconnected"; labelled counts over all
     classes sum to the number of matrices of order n.
 
-    The catalogue is built by one-point extension, one order at a time,
-    from the single class of order 1 with labelled count 1.  Each class D
-    of order k-1 contributes, for every ideal I of canon(D), the child
-    canon(canon(D) + I): canon(D) with a new last row whose strict part is
-    I.  Equal children are merged, and
+    By orderly generation (R. C. Read, "Every one a winner", 1978; B. D.
+    McKay, "Isomorph-free exhaustive generation", 1998), the canonical
+    forms of order k are the children D + I of those of order k-1 that
+    pass _search's test.  Proof: element k of a matrix X of order k is
+    maximal, so X is uniquely D + I, with D its leading block and I, the
+    strict part of its last row, an ideal of D.  Let X be canonical.  Any
+    linear extension of D, then k, is one of X and gives X the leading
+    block it gives D; rows compare from row 1, so D is canonical too.
+    Each class is thus met once, and in sorted order: parents come sorted
+    and their children in ascending last row.  Every level keeps all
+    classes, as a connected poset can grow from a disconnected one.
 
-        labeled_count(C) = sum over D of labeled_count(D)
-                           * #{ideals I of canon(D) : canon(canon(D) + I) = C}.
-
-    Proof.  In a matrix X of order k, element k is maximal, since natural
-    labelling puts nothing above the largest label.  So X is uniquely
-    M + I: M, its leading principal block, is a poset matrix of order k-1,
-    and I, the strict part of its last row, is an ideal of M; every such
-    pair gives a matrix of order k.  Hence labeled_count(C) counts the pairs
-    (M, I) with M + I in C.  Let M lie in class D.  Then M relabels
-    canon(D) by a bijection p that keeps the order; p maps the ideals of
-    canon(D) one-to-one onto those of M, and p, with k fixed, relabels
-    canon(D) + I onto M + p(I).  So every M in D has the same number of
-    ideals leading into C as canon(D) has, and D contributes that number
-    labeled_count(D) times.
-
-    Every level keeps all its classes, since a connected poset can grow
-    from a disconnected one; the filter applies only to the last level.
+    labeled_count(C) = e(C) / |Aut(C)|: C's class holds its relabellings
+    along its e(C) linear extensions, two equal iff the extensions differ
+    by an automorphism.  For C = D + I, a linear extension of C places the
+    new element right after an ideal S of D that contains I, so e(C) sums
+    f(S) h(S) from _placements over those S.
     """
     _check_filter(which)
     _check_order(n, order_cap)
-    wrap = PosetMatrix._wrap
-    counts = {UNIT: 1}
-    for _ in range(1, n):
-        grown = {}
-        for parent, weight in counts.items():
-            for codes in _children(parent.codes):
-                child = canonical_form(wrap(codes))
-                grown[child] = grown.get(child, 0) + weight
-        counts = grown
+    level = [()]
+    for _ in range(n - 1):
+        level = [c for d in level for c in _children(d) if _search(c, True)[0]]
     out = []
-    for canon in sorted(counts, key=lambda m: m.bit_rows()):
-        connected = classify_connectivity(canon).connected
-        if which == "connected" and not connected:
-            continue
-        if which == "disconnected" and connected:
-            continue
-        out.append(IsoClass(canon, counts[canon], connected))
+    for d in level:
+        ideals, top = _ideals(d), 1 << len(d)
+        weights = _placements(d, ideals)
+        for s in ideals:
+            codes = d + (s | top,)
+            aut = _search(codes, True)[0]
+            if aut:
+                connected = len(_components(codes)) == 1
+                if which == "all" or connected == (which == "connected"):
+                    count = sum([w for t, w in weights if t & s == s]) // aut
+                    out.append(IsoClass(PosetMatrix._wrap(codes), count, connected))
     return tuple(out)

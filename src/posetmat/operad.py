@@ -29,23 +29,23 @@ witness.
 
 The exhaustive sweep reads each position's signature once and visits no
 case.  Per order, _tables counts the matrices by the signatures of all
-their positions (under minmax read in one pass over the rows,
-_minmax_sigs), keeping the least of each, and turns that into one table
-per law: per signature of (A, i) (nested, which is also that of
-(B, j)) or pair of signatures of (A, i, j) (parallel), the count and the
-least member, in witness order.  Per order pair (n, m), _groups pairs the
-tables of n and m (nested), or scales the table of n by |P_m| (parallel:
-the parallel rule reads no B, so the least B stands for them all), and
-decides each signature group by _outer.  The C that fail a breaking
-(A, i, B, j) are all of them (parallel) or those that are not antichains
-(nested), the same for every (A, i, B, j); of order k the least is
-pools[k][0], or the least non-antichain (none for k = 1).  The sweep runs
-by ascending total order n+m+k and stops at the end of the first total
-with a failure.  The least failing case of a breaking group is its least
-(A, i) and least (B, j) with the least failing C, since the witness order
-compares A, B and C before i and j; the least of a total is the least of
-these.  The work is the signatures of every position of PM(1), ..., PM(N),
-however many cases they make.
+their positions (read in one pass over the rows, _sigs), keeping the
+least of each, and turns that into one table per law: per signature of
+(A, i) (nested, which is also that of (B, j)) or pair of signatures of
+(A, i, j) (parallel), the count and the least member, in witness order.
+Per order pair (n, m), _groups pairs the tables of n and m (nested), or
+scales the table of n by |P_m| (parallel: the parallel rule reads no B,
+so the least B stands for them all), and decides each signature group
+by _outer.  The C that fail a breaking (A, i, B, j) are all of them
+(parallel) or those that are not antichains (nested), the same for every
+(A, i, B, j); of order k the least is pools[k][0], or the least
+non-antichain (none for k = 1).  The sweep runs by ascending total order
+n+m+k and stops at the end of the first total with a failure.  The least
+failing case of a breaking group is its least (A, i) and least (B, j)
+with the least failing C, since the witness order compares A, B and C
+before i and j; the least of a total is the least of these.  The work is
+the signatures of every position of PM(1), ..., PM(N), however many cases
+they make.
 
 Notation.  By the formulas beside compose._RULES, X o_i Y (X of order x, Y
 of order y) keeps X's rows above i; gives Y's row q the row U_q | y_q << (i-1);
@@ -357,10 +357,27 @@ def _sig(rule, x, p):
     return x[k] != 1 << k, any(y >> k & 1 for y in x[p:])
 
 
-def _minmax_sigs(x) -> tuple:
-    """_sig under minmax of every position of X, in order.  X's rows are
-    read once for the elements that lie below another (the union of the
-    rows off the diagonal), so each signature is two bit tests."""
+def _sigs(rule, x) -> tuple:
+    """_sig of every position of X, in order, from one pass over X's rows.
+
+    For a boxed kind, the rows are read from the bottom up, keeping the
+    least column at which a row below p breaks the constant a21 (its
+    lowest 1 if a21 is 0, its lowest 0 if a21 is 1); X's lower-left block
+    at p has the constant iff that column is p - 1 or more.  Under minmax,
+    the rows are read once for the elements that lie below another (the
+    union of the rows off the diagonal), so each signature is two bit
+    tests."""
+    u_fill, v_fill, a21 = rule
+    n = len(x)
+    if a21 is not None:
+        sigs, reach = [], n
+        for p in range(n, 0, -1):
+            sigs.append((p > 1, p < n) if reach >= p - 1 else None)
+            y = ~x[p - 1] if a21 else x[p - 1]
+            reach = min(reach, (y & -y).bit_length() - 1)
+        return tuple(sigs[::-1])
+    if (u_fill, v_fill) != (ROW_AT_MAX, COL_AT_MIN):
+        return ((),) * n
     below = 0
     for k, y in enumerate(x):
         below |= y ^ 1 << k
@@ -474,13 +491,9 @@ def _tables(rule, pool) -> dict:
     member], the member (X, p) or (A, i, j).  Matrices with the same
     signature at every position are counted together, from the least of
     them, so the first member met of a signature is the least."""
-    rows, minmax = {}, rule == (ROW_AT_MAX, COL_AT_MIN, None)
+    rows = {}
     for x in pool:
-        if minmax:
-            key = _minmax_sigs(x)
-        else:
-            key = tuple([_sig(rule, x, p) for p in range(1, len(x) + 1)])
-        rows.setdefault(key, [0, x])[0] += 1
+        rows.setdefault(_sigs(rule, x), [0, x])[0] += 1
     nested, parallel = {}, {}
     for sigs, (count, x) in rows.items():
         for i, s in enumerate(sigs, 1):

@@ -67,9 +67,8 @@ def classify_connectivity(a: PosetMatrix) -> ConnectivityClass:
     """Connected/disconnected, with a smallest (then lex-least) component as witness."""
     comps = components(a)
     if len(comps) == 1:
-        return ConnectivityClass(connected=True, witness=None)
-    witness = min(comps, key=lambda c: (len(c), c))
-    return ConnectivityClass(connected=False, witness=witness)
+        return ConnectivityClass(True, None)
+    return ConnectivityClass(False, min(comps, key=lambda c: (len(c), c)))
 
 
 def is_totally_connected(a: PosetMatrix) -> bool:

@@ -5,7 +5,7 @@ from itertools import combinations, product
 from posetmat import SQUARE, UNIT, PosetMatrix, compose
 from posetmat.compose import kind_name
 from posetmat.duality import semi_equidual
-from posetmat.enumeration import IsoClass, canonical_form, generate_all
+from posetmat.enumeration import IsoClass, _children, canonical_form, generate_all
 from posetmat.errors import PreconditionViolated
 from posetmat.operad import LawReport, Witness
 from posetmat.structure import (
@@ -114,6 +114,32 @@ def brute_force_classes(n: int, which: str = "all") -> tuple:
         if which == "all" or connected == (which == "connected"):
             out.append(IsoClass(canon, counts[canon], connected))
     return tuple(out)
+
+
+def labelled_counts_by_transfer(n: int) -> dict:
+    """{canonical form: labelled count} of the classes of order n, by
+    one-point extension and the transfer identity: each class D of order
+    k-1 passes its labelled count to the class of canon(D) + I once per
+    ideal I of canon(D), so
+
+        labeled_count(C) = sum over D of labeled_count(D)
+                           * #{ideals I of canon(D) : canon(canon(D) + I) = C}.
+
+    Proof.  A matrix X of order k is uniquely M + I, M its leading block in
+    PM(k-1) and I an ideal of M, so labeled_count(C) counts the pairs
+    (M, I) with M + I in C.  Let M lie in class D.  M relabels canon(D) by
+    an order-keeping bijection p, which maps the ideals of canon(D) onto
+    those of M, and, with k fixed, relabels canon(D) + I onto M + p(I).  So
+    every M in D has as many ideals leading into C as canon(D) has."""
+    counts = {UNIT: 1}
+    for _ in range(1, n):
+        grown = {}
+        for parent, weight in counts.items():
+            for codes in _children(parent.codes):
+                child = canonical_form(PosetMatrix._wrap(codes))
+                grown[child] = grown.get(child, 0) + weight
+        counts = grown
+    return counts
 
 
 def components_by_search(a: PosetMatrix) -> tuple:

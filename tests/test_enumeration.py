@@ -9,6 +9,7 @@ from posetmat import canonical_form, classes, classify_connectivity, generate_al
 from posetmat.compose import compose
 from posetmat.core import BinaryMatrix, PosetMatrix, closure_of_covers
 from posetmat.enumeration import (
+    _search,
     linear_extensions,
     matrices_by_parent,
     matrix_count,
@@ -25,6 +26,7 @@ from helpers import (
     brute_force_classes,
     chain,
     conjugate,
+    labelled_counts_by_transfer,
     pm,
 )
 
@@ -344,8 +346,30 @@ def automorphism_count(a):
 class TestLabelledCountOracle:
     """labeled_count(C) = e(C) / |Aut(C)|: each class C holds e(C) labelled
     relabellings of canon(C), one per linear extension, and two extensions
-    give the same matrix iff they differ by an automorphism.  This does not
-    use the transfer identity that classes() computes its counts by."""
+    give the same matrix iff they differ by an automorphism.  classes()
+    computes that identity, so its counts are also checked against the
+    transfer identity, and its canonicity test and automorphism counts
+    against canonical_form and the definition."""
+
+    def test_transfer_identity(self):
+        for n in range(1, 8):
+            got = {c.canonical: c.labeled_count for c in classes(n)}
+            assert got == labelled_counts_by_transfer(n), n
+
+    def test_canonicity_test_and_automorphism_count(self):
+        # _search's test accepts exactly the canonical forms and counts
+        # their automorphisms; from any labelling it finds the least rows
+        # and the automorphisms of the class
+        for n in range(1, 7):
+            for a in generate_all(n):
+                canon = canonical_form(a)
+                aut = _search(a.codes, True)[0]
+                if canon == a:
+                    assert aut == automorphism_count(a), a
+                else:
+                    assert aut == 0, a
+                if n < 6:
+                    assert _search(a.codes, False)[0] == automorphism_count(canon), a
 
     def test_automorphism_count_is_the_relabelling_definition(self):
         for n in range(1, 6):

@@ -37,8 +37,8 @@ from posetmat.operad import (
     _groups,
     _holds,
     _outer,
-    _minmax_sigs,
     _sig,
+    _sigs,
     _sweep,
     _tables,
     _Tally,
@@ -597,12 +597,13 @@ class TestBoxedKindsMeasured:
                     assert reverify(report)
 
 
-def test_minmax_signatures_of_a_matrix_are_those_of_its_positions():
-    # _minmax_sigs, which reads a matrix's rows once, gives _sig of each
-    # position under minmax over PM(<=5)
-    rule = _rule(MINMAX)
-    for a in (a for level in _levels(5) for a in level):
-        assert _minmax_sigs(a) == tuple(_sig(rule, a, p) for p in range(1, len(a) + 1)), a
+@pytest.mark.parametrize("kind", ALL_KINDS, ids=kind_name)
+def test_signatures_of_a_matrix_are_those_of_its_positions(kind):
+    # _sigs, which reads a matrix's rows once, gives _sig of each position
+    # over PM(<=6)
+    rule = _rule(kind)
+    for a in (a for level in _levels(6) for a in level):
+        assert _sigs(rule, a) == tuple(_sig(rule, a, p) for p in range(1, len(a) + 1)), a
 
 
 @pytest.mark.parametrize("kind", MASK_KINDS)
