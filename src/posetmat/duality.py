@@ -13,13 +13,17 @@ from math import comb
 
 from .compose import SQUARE, compose
 from .core import PosetMatrix, Record, _gather
-from .enumeration import generate_all
+from .enumeration import generate_all, matrix_count
 from .errors import IndexOutOfRange, OrderMismatch, ResourceLimit
 from .structure import _components
 
 # Most index sets one semi_equidual search may test.  Each is tested on row
 # codes, so a search within the budget ends in well under a second.
 SEMI_EQUIDUAL_BUDGET = 2**16
+# Most compositions one self_dual_closure_counterexamples sweep may make:
+# up to order 5 it makes 802,197 (several seconds), up to order 6
+# 161,716,365.
+SELF_DUAL_CLOSURE_BUDGET = 10**6
 
 
 def _dual_codes(codes) -> tuple:
@@ -107,7 +111,21 @@ def self_dual_closure_counterexamples(max_order: int) -> list:
     position, so self-dual factors give a self-dual composite; and since
     square composition at a fixed position and fixed orders is injective,
     a self-dual composite forces A = A* and B = B*.
+
+    The sweep makes |pool| * sum of n * |PM(n)| compositions.  They are
+    counted first, by matrix_count, and a sweep of more than
+    SELF_DUAL_CLOSURE_BUDGET is refused with ResourceLimit before any pool
+    is built.
     """
+    size = positions = 0
+    for n in range(1, max_order + 1):
+        count = matrix_count(n)
+        size, positions = size + count, positions + n * count
+        if size * positions > SELF_DUAL_CLOSURE_BUDGET:
+            raise ResourceLimit(
+                f"self-dual sweep up to order {max_order} exceeds the composition budget "
+                f"{SELF_DUAL_CLOSURE_BUDGET}"
+            )
     found = []
     pool = [m for n in range(1, max_order + 1) for m in generate_all(n)]
     for a in pool:

@@ -5,7 +5,8 @@ maximal, so a matrix of order k+1 is one of order k with a new last row
 whose strict part is a down-set (an ideal) of it.  _ideals lists those
 ideals directly, in ascending row order, so _levels(n), which walks the
 step from the empty matrix and yields PM(1), ..., PM(n) as lists of
-row-code tuples, gives each level in lexicographic order with no sorting.
+row-code tuples, gives each level with no sorting in ascending order of
+its rows read as bit strings, column 1 first (proved at _levels).
 generate_all(n) and matrices_by_parent(n) (below) wrap the same
 per-parent listing of the last step, and neither keeps a cache;
 verify_laws takes its pools from the walk as codes.
@@ -26,6 +27,11 @@ from .errors import ResourceLimit
 from .structure import _components
 
 DEFAULT_ORDER_CAP = 8
+# Most search nodes (calls of _search's rec) one _search may visit.  No
+# canonicity test of classes(9) visits more than 1,237, nor canonical_form
+# over PM(<=7) more than 105; a sparse poset whose tied candidates share a
+# code but not an up-set can need millions.
+SEARCH_BUDGET = 10**5
 
 
 def _check_order(n: int, order_cap: int) -> None:
@@ -63,7 +69,16 @@ def _children(codes: tuple) -> list:
 
 
 def _levels(n: int):
-    """Yield PM(1), ..., PM(n), each a lexicographically sorted list of row-code tuples."""
+    """Yield PM(1), ..., PM(n) as lists of row-code tuples, each ascending
+    in its rows read as bit strings, column 1 first.
+
+    That is the order of the matrices' rows and, within one order, of
+    operad's witness key _enc; it is not the order of the code tuples,
+    whose column 1 is the least significant bit.  Proof, by induction:
+    _ideals follows each set at once with that set plus the element it
+    decides, so the first-decided element, column 1, is the most
+    significant, and a parent's children come in ascending last row.  Parents keep their
+    order under the new 0 column, so the level ascends."""
     level = [()]
     for _ in range(n):
         level = [child for codes in level for child in _children(codes)]
@@ -84,7 +99,8 @@ def _check_filter(which: str) -> None:
 
 
 def generate_all(n: int, order_cap: int = DEFAULT_ORDER_CAP) -> tuple:
-    """All poset matrices of order n, lexicographically sorted; nothing is cached.
+    """All poset matrices of order n, ascending in their rows read as bit
+    strings, column 1 first (see _levels); nothing is cached.
 
     The last step wraps each child as it is made; wrapping PM(8)'s finished
     code list afterwards made the collector's full passes 1.5 times as long."""
@@ -184,9 +200,10 @@ def _search(codes: tuple, test: bool) -> tuple:
     all placed, so swapping them keeps every relation: they branch once,
     and each leaf equal to best adds the product of its path's group
     sizes.  The sum counts the extensions relabelling codes onto best, |Aut|.
+    A search past SEARCH_BUDGET nodes is refused with ResourceLimit.
     """
     n = len(codes)
-    big, aut = 1 << n, 0  # aut is -1 once the test fails
+    big, aut, nodes = 1 << n, 0, 0  # aut is -1 once the test fails
     below, above, best = [0] * n, [0] * (n + 1), [0] * n
     for y, code in enumerate(codes):
         below[y] = rest = code ^ 1 << y
@@ -199,7 +216,10 @@ def _search(codes: tuple, test: bool) -> tuple:
 
     def rec(p, free, cands, mult, cur, x):
         # place x at position p, then each lone group after it
-        nonlocal aut
+        nonlocal aut, nodes
+        nodes += 1
+        if nodes > SEARCH_BUDGET:
+            raise ResourceLimit(f"search of order {n} exceeds the node budget {SEARCH_BUDGET}")
         while True:
             free ^= 1 << x
             cands ^= 1 << x

@@ -14,18 +14,20 @@ than LAW_CASE_BUDGET cases, is refused (_check_budget).
 
 The law layer works on int row codes (see core) from end to end: the pools
 are the levels of enumeration's walk, taken as code tuples once the order
-cap is checked, and a kind's rule is looked up once.  An associativity case
-(A, i, B, j, C) is decided without composing anything, by the rule proved
-below.  _outer reads two signatures, _sig(A, i) and _sig(B, j) (nested) or
-_sig(A, j) (parallel): None when the case is undefined, which never depends
-on C, else whether (A, i, B, j) breaks.  A case fails iff it breaks and the
-law is parallel or C is not an antichain.  A unit case
-(A, i) is decided by _unit, from A's row i and column i, by the unit rule
-at the end; by that rule every unit case of a mask kind holds, so the
-exhaustive sweep counts them, n per matrix of order n, without visiting
-one.  Random mode and the exhaustive sweep compose nothing; both
-sides are composed (_case) only for the check_* functions and the reported
-witness.
+cap is checked, and a kind's rule is looked up once.  Each level comes
+ascending in its rows read as bit strings, column 1 first (_levels), which
+within one order is the witness order _enc compares, so no pool is sorted.
+An associativity case (A, i, B, j, C) is decided without composing
+anything, by the rule proved below.  _outer reads two signatures,
+_sig(A, i) and _sig(B, j) (nested) or _sig(A, j) (parallel): None when the
+case is undefined, which never depends on C, else whether (A, i, B, j)
+breaks.  A case fails iff it breaks and the law is parallel or C is not an
+antichain.  A unit case (A, i) is decided by _unit, from A's row i and
+column i, by the unit rule at the end; by that rule every unit case of a
+mask kind holds, so the exhaustive sweep counts them, n per matrix of
+order n, without visiting one.  Random mode and the exhaustive sweep
+compose nothing; both sides are composed (_case) only for the check_*
+functions and the reported witness.
 
 The exhaustive sweep reads each position's signature once and visits no
 case.  Per order, _tables counts the matrices by the signatures of all
@@ -268,9 +270,10 @@ LAWS = (NESTED, PARALLEL, UNIT_LAW)
 LAW_CASE_BUDGET = 10**8
 # Largest order the exhaustive sweep takes.  Its work is the signatures of
 # every position of PM(1), ..., PM(N), whatever the number of cases: up to
-# order 7, 705,911 positions, in 0.5-1.2 s per kind as one process at
-# 38 MiB (2-core machine).  Order 8 would need all of PM(8), 2.8 M matrices
-# and about 378 MiB, and 23,109,687 positions.
+# order 7, 705,911 positions, in 0.12-0.14 s (square, min, max) or
+# 0.33-0.46 s (minmax, boxed) per kind as one process at 25 MiB (2-core
+# machine).  Order 8 would need all of PM(8), 2.8 M matrices and about
+# 378 MiB, and 23,109,687 positions.
 LAW_EXHAUSTIVE_ORDER = 7
 
 
@@ -485,12 +488,13 @@ class _Tally:
 
 
 def _tables(rule, pool) -> dict:
-    """Per law, the table of one order's pool (in witness order): per
-    signature of an (A, i), which is also that of a (B, j), for NESTED, and
-    per pair (_sig(A, i), _sig(A, j)), i < j, for PARALLEL, [count, least
-    member], the member (X, p) or (A, i, j).  Matrices with the same
-    signature at every position are counted together, from the least of
-    them, so the first member met of a signature is the least."""
+    """Per law, the table of one order's pool, a level of enumeration's
+    walk and so already in witness order (see _levels): per signature of
+    an (A, i), which is also that of a (B, j), for NESTED, and per pair
+    (_sig(A, i), _sig(A, j)), i < j, for PARALLEL, [count, least member],
+    the member (X, p) or (A, i, j).  Matrices with the same signature at
+    every position are counted together, from the least of them, so the
+    first member met of a signature is the least."""
     rows = {}
     for x in pool:
         rows.setdefault(_sigs(rule, x), [0, x])[0] += 1
@@ -560,16 +564,17 @@ def _sweep(rule, law, pools, tables) -> _Tally:
 
 
 def _exhaustive(rule, pools) -> list:
-    """One _Tally per law of LAWS, over every case the pools make."""
-    ordered = {n: sorted(pools[n], key=_enc) for n in pools}
-    tables = {n: _tables(rule, pool) for n, pool in ordered.items()}
-    tallies = [_sweep(rule, law, ordered, tables) for law in (NESTED, PARALLEL)]
+    """One _Tally per law of LAWS, over every case the pools make.  The
+    pools are the levels of enumeration's walk, by ascending order, each
+    already in witness order (see _levels), so nothing is sorted."""
+    tables = {n: _tables(rule, pool) for n, pool in pools.items()}
+    tallies = [_sweep(rule, law, pools, tables) for law in (NESTED, PARALLEL)]
     unit = _Tally()
     if rule[2] is None:  # a mask kind's unit law always holds: see the unit rule
         unit.checked = sum(n * len(pool) for n, pool in pools.items())
     else:
-        for n in sorted(pools):
-            for a in pools[n]:
+        for n, pool in pools.items():
+            for a in pool:
                 for i in range(1, n + 1):
                     unit.add(a, None, None, i, None, _unit(rule, a, i))
             if unit.failures:
@@ -579,7 +584,7 @@ def _exhaustive(rule, pools) -> list:
 
 def _random(rule, law, pools, trials, seed) -> _Tally:
     rng = random.Random(seed)
-    flat = [m for n in sorted(pools) for m in pools[n]]
+    flat = [m for pool in pools.values() for m in pool]
     tally = _Tally()
     for _ in range(trials):
         a = rng.choice(flat)

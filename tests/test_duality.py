@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from posetmat import (
@@ -13,9 +15,9 @@ from posetmat import (
     principal_subposet,
     semi_equidual,
 )
-from posetmat.duality import self_dual_closure_counterexamples
+from posetmat.duality import SELF_DUAL_CLOSURE_BUDGET, self_dual_closure_counterexamples
 from posetmat.enumeration import generate_all
-from posetmat.errors import IndexOutOfRange, OrderMismatch
+from posetmat.errors import IndexOutOfRange, OrderMismatch, ResourceLimit
 
 from helpers import chain, pm, semi_equidual_by_definition
 
@@ -147,6 +149,20 @@ class TestSelfDualClosureReport:
             assert compose(SQUARE, a, i, b) == comp
             both = is_self_dual(a) and is_self_dual(b)
             assert is_self_dual(comp) != both
+
+    @pytest.mark.parametrize("max_order", [6, 8, 9])
+    def test_composition_budget_refused_before_any_pool_is_built(self, max_order):
+        # |pool| * sum n|PM(n)| compositions: 407 * 1,971 up to order 5,
+        # 5,231 * 30,915 up to order 6; PM(<=6) alone takes about 0.8 MB
+        assert 407 * 1_971 <= SELF_DUAL_CLOSURE_BUDGET < 5_231 * 30_915
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimit, match="budget"):
+                self_dual_closure_counterexamples(max_order)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 18
 
 
 class TestSemiEquidual:

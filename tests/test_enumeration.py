@@ -6,9 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from posetmat import canonical_form, classes, classify_connectivity, generate_all, validate
+from posetmat import enumeration
 from posetmat.compose import compose
 from posetmat.core import BinaryMatrix, PosetMatrix, closure_of_covers
 from posetmat.enumeration import (
+    _levels,
     _search,
     linear_extensions,
     matrices_by_parent,
@@ -16,6 +18,7 @@ from posetmat.enumeration import (
     relabel,
 )
 from posetmat.errors import ResourceLimit
+from posetmat.operad import _enc
 
 from helpers import (
     CONNECTED_3,
@@ -28,6 +31,7 @@ from helpers import (
     conjugate,
     labelled_counts_by_transfer,
     pm,
+    random_poset_matrix,
 )
 
 # Published counts, indexed by order n:
@@ -75,6 +79,11 @@ class TestGenerateAll:
         for n in (3, 4, 5, 6, 7):
             rows = [m.rows for m in generate_all(n)]
             assert rows == sorted(rows)
+        # so each level of the walk is in the law sweep's witness order,
+        # which is not the order of the code tuples from order 3 on
+        for n, level in enumerate(_levels(7), 1):
+            assert level == sorted(level, key=_enc), n
+            assert (level == sorted(level)) == (n < 3), n
 
     def test_order_two(self):
         assert generate_all(2) == (pm("10;01"), pm("10;11"))
@@ -220,6 +229,22 @@ def test_canonical_form_hard_cases(name):
     assert expected.rows == min(relabel(a, o).rows for o in linear_extensions(a))
     for order in linear_extensions(a):
         assert canonical_form(relabel(a, order)) == expected
+
+
+def test_canonical_form_search_is_bounded_by_nodes(monkeypatch):
+    # sparse order-20 draws: the first two need 60,209 and 3,020 search
+    # nodes, the third more than 10**6, so it is refused by the node count
+    rng = random.Random(5)
+    first, second, third = [random_poset_matrix(rng, 20, 0.05) for _ in range(3)]
+    for a in (first, second):
+        assert canonical_form(a).rows <= a.rows
+    with pytest.raises(ResourceLimit, match="node budget"):
+        canonical_form(third)
+    monkeypatch.setattr(enumeration, "SEARCH_BUDGET", 60_208)
+    with pytest.raises(ResourceLimit, match="node budget 60208"):
+        canonical_form(first)
+    monkeypatch.setattr(enumeration, "SEARCH_BUDGET", 60_209)
+    canonical_form(first)
 
 
 class TestClasses:

@@ -32,7 +32,6 @@ from posetmat.operad import (
     _case,
     _exhaustive,
     _case_key,
-    _enc,
     _check_budget,
     _groups,
     _holds,
@@ -393,7 +392,7 @@ def test_grouped_sweep_matches_case_by_case(kind):
     # their least breaking (A, B, i, j), each to be paired with the least C
     # that fails it; each of those is itself a failing case
     rule = _rule(kind)
-    pools = {n: sorted(level, key=_enc) for n, level in enumerate(_levels(3), 1)}
+    pools = dict(enumerate(_levels(3), 1))
     tables = {n: _tables(rule, pool) for n, pool in pools.items()}
     for law in (NESTED, PARALLEL):
         for n, m, k in product(pools, repeat=3):
@@ -525,7 +524,7 @@ def test_parallel_sweep_order_five_is_pinned(name, checked, skipped):
     # (A, i, j) once per B: both kinds pass, so checked + skipped is the
     # closed form sum C(n,2)|P_n| * S^2
     rule = _rule(parse_kind(name))
-    pools = {n: sorted(level, key=_enc) for n, level in enumerate(_levels(5), 1)}
+    pools = dict(enumerate(_levels(5), 1))
     tally = _sweep(rule, PARALLEL, pools, {n: _tables(rule, pool) for n, pool in pools.items()})
     assert (tally.checked, tally.skipped, tally.failures) == (checked, skipped, [])
     assert checked + skipped == _closed_forms(5)[PARALLEL] == 634_932_617
