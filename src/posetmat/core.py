@@ -342,9 +342,17 @@ def principal_subposet(a: PosetMatrix, alpha) -> PosetMatrix:
 
 
 def relabel(a: PosetMatrix, order) -> PosetMatrix:
-    """Relabel by a linear extension listing (element at position p gets label p)."""
+    """Relabel by a linear extension listing (element at position p gets label p).
+
+    order must list 1..n once each, else IndexOutOfRange.  A permutation
+    keeps the diagonal and every relation, so the result is a poset matrix
+    exactly when it is lower triangular, that is when order is a linear
+    extension of a; any other permutation raises NotLowerTriangular."""
     idx = [x - 1 for x in order]
-    return PosetMatrix._wrap(_gather(a.codes, idx, idx))
+    if sorted(idx) != list(range(a.n)):
+        listed = tuple(x + 1 for x in idx)
+        raise IndexOutOfRange(f"order {listed} is not a permutation of [1,{a.n}]")
+    return validate(BinaryMatrix._of(_gather(a.codes, idx, idx), len(idx)))
 
 
 # Compositions insert the same B many times: memoise its masks (bounded).
@@ -395,16 +403,14 @@ def cover_relation(a: PosetMatrix) -> tuple:
 
 
 def closure_of_covers(n: int, covers) -> PosetMatrix:
-    """Reflexive-transitive closure of a cover set; oracle inverse of cover_relation."""
+    """Reflexive-transitive closure of a cover set; oracle inverse of cover_relation.
+
+    Every pair (i, j) must have 1 <= i < j <= n, else IndexOutOfRange.  One
+    pass in sorted order closes the set: each pair (h, i) sorts before each
+    (i, j), as h < i, so i's down-set is final when (i, j) reads it."""
     below = [1 << i for i in range(n)]  # down-set bitmask per element, self included
     for i, j in sorted(covers):
+        if not 1 <= i < j <= n:
+            raise IndexOutOfRange(f"cover ({i},{j}) is not a pair 1 <= i < j <= {n}")
         below[j - 1] |= below[i - 1]
-    changed = True
-    while changed:
-        changed = False
-        for i, j in covers:
-            merged = below[j - 1] | below[i - 1]
-            if merged != below[j - 1]:
-                below[j - 1] = merged
-                changed = True
     return validate(BinaryMatrix._of(tuple(below), n))

@@ -22,7 +22,7 @@ the children of the classes of order n-1 that are their own canonical form
 
 from __future__ import annotations
 
-from .core import PosetMatrix, Record, relabel  # noqa: F401  (relabel: re-exported)
+from .core import PosetMatrix, Record
 from .errors import ResourceLimit
 from .structure import _components
 
@@ -73,7 +73,7 @@ def _levels(n: int):
     in its rows read as bit strings, column 1 first.
 
     That is the order of the matrices' rows and, within one order, of
-    operad's witness key _enc; it is not the order of the code tuples,
+    the witness key _enc below; it is not the order of the code tuples,
     whose column 1 is the least significant bit.  Proof, by induction:
     _ideals follows each set at once with that set plus the element it
     decides, so the first-decided element, column 1, is the most
@@ -83,6 +83,12 @@ def _levels(n: int):
     for _ in range(n):
         level = [child for codes in level for child in _children(codes)]
         yield level
+
+
+def _enc(codes) -> str:
+    """The ;-joined bit rows of a matrix given by row codes, "" for None:
+    the law sweep's witness key, ascending along each level of _levels."""
+    return "" if codes is None else ";".join(PosetMatrix._wrap(codes).bit_rows())
 
 
 def _parents(n: int) -> list:
@@ -98,13 +104,13 @@ def _check_filter(which: str) -> None:
         raise ValueError(f"unknown filter {which!r}")
 
 
-def generate_all(n: int, order_cap: int = DEFAULT_ORDER_CAP) -> tuple:
+def generate_all(n: int) -> tuple:
     """All poset matrices of order n, ascending in their rows read as bit
     strings, column 1 first (see _levels); nothing is cached.
 
     The last step wraps each child as it is made; wrapping PM(8)'s finished
     code list afterwards made the collector's full passes 1.5 times as long."""
-    _check_order(n, order_cap)
+    _check_order(n, DEFAULT_ORDER_CAP)
     wrap = PosetMatrix._wrap
     return tuple([wrap(c) for group in _groups(n, "all") for c in group])
 

@@ -253,7 +253,7 @@ from .compose import (
     parse_kind,
 )
 from .core import PosetMatrix, Record, UNIT
-from .enumeration import DEFAULT_ORDER_CAP, _check_order, _levels
+from .enumeration import DEFAULT_ORDER_CAP, _check_order, _enc, _levels
 from .errors import (
     IndexOutOfRange,
     RequiresDistinctIndices,
@@ -458,10 +458,6 @@ def check_unit(kind, a, i) -> bool:
     if not 1 <= i <= a.n:
         raise IndexOutOfRange(f"i={i} outside [1,{a.n}]")
     return _case(_rule(kind), UNIT_LAW, a.codes, None, None, i, None)[0]
-
-
-def _enc(codes) -> str:
-    return "" if codes is None else ";".join(PosetMatrix._wrap(codes).bit_rows())
 
 
 def _case_key(case):

@@ -13,6 +13,7 @@ from .core import (
     PosetMatrix,
     Record,
     _check_poset,
+    index_set,
     principal_subposet,
     relabel,
     submatrix,
@@ -91,8 +92,13 @@ def equal_rows(d: BinaryMatrix) -> bool:
     return all(x == d.codes[0] for x in d.codes)
 
 
-def _contiguous(alpha) -> bool:
-    return all(alpha[t + 1] == alpha[t] + 1 for t in range(len(alpha) - 1))
+def _range(a: PosetMatrix, alpha) -> tuple:
+    """alpha as a tuple of indices: PreconditionViolated unless it is a
+    nonempty contiguous range, then IndexOutOfRange unless it lies in [1, n]."""
+    alpha = tuple(alpha)
+    if not alpha or any(alpha[t + 1] != alpha[t] + 1 for t in range(len(alpha) - 1)):
+        raise PreconditionViolated(f"alpha {alpha} is not a contiguous range")
+    return index_set(alpha, a.n)
 
 
 def insertion_invariance_class(a: PosetMatrix, alpha, b: PosetMatrix) -> bool:
@@ -102,9 +108,7 @@ def insertion_invariance_class(a: PosetMatrix, alpha, b: PosetMatrix) -> bool:
     totally connected (with b totally connected) or totally disconnected
     (with b totally disconnected).
     """
-    alpha = tuple(alpha)
-    if not alpha or not _contiguous(alpha):
-        raise PreconditionViolated(f"alpha {alpha} is not a contiguous range")
+    alpha = _range(a, alpha)
     block = principal_subposet(a, alpha)
     if not (
         (is_totally_connected(block) and is_totally_connected(b))
@@ -124,7 +128,7 @@ def insertion_invariance_condition(a: PosetMatrix, alpha) -> bool:
     columns of a[k+1..n | alpha] are all equal.  For a prefix or suffix alpha
     one strip is empty and this is exactly the single stated strip condition.
     """
-    alpha = tuple(alpha)
+    alpha = _range(a, alpha)
     d, k, n = alpha[0], alpha[-1], a.n
     if d > 1:
         left = submatrix(a, alpha, range(1, d))
@@ -141,14 +145,12 @@ def case3_literal_condition(a: PosetMatrix, alpha) -> bool:
     """Interior-range condition as literally stated: rows k..n over columns
     1..k-1 pairwise equal and each a constant vector.  Known to be weaker
     than insertion_invariance_condition; see case3_literal_discrepancies."""
-    alpha = tuple(alpha)
+    alpha = _range(a, alpha)
     d, k, n = alpha[0], alpha[-1], a.n
     if not (1 < d < k < n):
         return False
     strip = submatrix(a, range(k, n + 1), range(1, k))
-    if not equal_rows(strip):
-        return False
-    return strip.codes[0] in (0, (1 << strip.width) - 1)
+    return equal_rows(strip) and equal_columns(strip)
 
 
 def case3_literal_discrepancies(matrices, b: PosetMatrix) -> list:
@@ -205,7 +207,7 @@ def decompose_disconnected(c: PosetMatrix):
     comps = components(c)
     if len(comps) == 1:
         return None
-    first = next(comp for comp in comps if 1 in comp)
+    first = comps[0]  # components come in the order of their lowest elements
     rest = tuple(i for i in range(1, c.n + 1) if i not in first)
     return principal_subposet(c, first), principal_subposet(c, rest)
 

@@ -75,9 +75,16 @@ class TestParsing:
         assert (err.value.line, err.value.column) == (3, 2)
 
     def test_bad_order_line(self):
-        with pytest.raises(ParseError) as err:
-            parse_matrix_text("abc\n")
-        assert err.value.line == 1
+        for text, reason in (
+            ("abc\n", "order is not an integer: 'abc'"),
+            ("", "missing order line"),
+            ("  \n10\n", "missing order line"),
+            ("0\n", "order must be positive, got 0"),
+            ("-2\n", "order must be positive, got -2"),
+        ):
+            with pytest.raises(ParseError) as err:
+                parse_matrix_text(text)
+            assert (err.value.line, err.value.column, err.value.reason) == (1, 1, reason)
 
     def test_missing_row(self):
         with pytest.raises(ParseError) as err:
@@ -97,6 +104,12 @@ class TestParsing:
             '{"n": 2, "rows": ["10"]}',
             '{"n": true, "rows": ["1"]}',
             '{"n": 0, "rows": []}',
+            "{\n",
+            '{"n": 1}',
+            '{"rows": ["1"]}',
+            '{"n": 2, "rows": ["10", "1x"]}',
+            '{"n": 2, "rows": ["10", 11]}',
+            '{"n": 2, "rows": ["10", "110"]}',
             DEEP_OBJECTS,
             DEEP_ROWS,
         ):
@@ -169,9 +182,16 @@ class TestCommands:
         assert "invalid poset matrix" in capsys.readouterr().out
 
     def test_check_parse_error_exit_two(self, tmp_path, capsys):
-        path = write(tmp_path, "short.pm", "2\n10\n1\n")
-        assert run(["check", path]) == 2
-        assert "line 3" in capsys.readouterr().err
+        for text, message in (
+            ("2\n10\n1\n", "line 3, column 2: row too short"),
+            ("", "line 1, column 1: missing order line"),
+            ("0\n", "line 1, column 1: order must be positive, got 0"),
+            ("{\n", "line 2, column 1: bad JSON: Expecting property name enclosed in double quotes"),
+            ('{"n": 1}\n', 'line 1, column 1: JSON matrix needs keys "n" and "rows"'),
+            ('{"n": 2, "rows": ["10", "1x"]}\n', "line 1, column 1: row 2 is not an n-character bit string"),
+        ):
+            assert run(["check", write(tmp_path, "in.pm", text)]) == 2
+            assert capsys.readouterr() == ("", f"parse error: {message}\n")
 
     def test_order_zero_json_exit_two(self, tmp_path, capsys):
         path = write(tmp_path, "empty.json", '{"n": 0, "rows": []}')
@@ -193,6 +213,9 @@ class TestCommands:
         assert run(["check", "--json", files["hasse"]]) == 0
         data = json.loads(capsys.readouterr().out)
         assert data == {"valid": True, "n": 4, "connectivity": "connected"}
+        assert run(["check", "--json", files["bad"]]) == 1
+        data = json.loads(capsys.readouterr().out)
+        assert data == {"valid": False, "reason": "a[3,2]=1 and a[2,1]=1 but a[3,1]=0"}
 
     def test_compose_square_golden(self, files, capsys):
         assert run(["compose", "--op", "square", "--i", "2", files["A"], files["B"]]) == 0
@@ -337,12 +360,19 @@ class TestCommands:
         assert capsys.readouterr().out.strip() == "disconnected (witness: 3)"
         assert run(["classify", files["chain3"]]) == 0
         assert capsys.readouterr().out.strip() == "connected"
+        assert run(["classify", "--json", disc]) == 0
+        assert capsys.readouterr().out == '{"connectivity": "disconnected", "witness": [3]}\n'
+        assert run(["classify", "--json", files["chain3"]]) == 0
+        assert capsys.readouterr().out == '{"connectivity": "connected"}\n'
 
     def test_factor(self, files, capsys):
         c = write(files["dir"], "c.pm", to_pm_text(pm("1000;0100;0110;1111")))
         assert run(["factor", "--op", "square", "--json", c]) == 0
         found = json.loads(capsys.readouterr().out)
         assert {"a": ["100", "010", "111"], "i": 2, "b": ["10", "11"], "op": "square"} in found
+        two = write(files["dir"], "two.pm", "2\n10\n11\n")  # both factors need order 2
+        assert run(["factor", two]) == 0
+        assert capsys.readouterr().out == "no factorization\n"
 
     def test_invariance(self, files, capsys):
         a = write(files["dir"], "inv.pm", to_pm_text(pm("1000;1100;1110;1101")))

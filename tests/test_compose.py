@@ -73,6 +73,13 @@ class TestInsert:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             insert(EX_A, 2, EX_B, BinaryMatrix.zeros(3, 2), BinaryMatrix.zeros(2, 3))
+        with pytest.raises(DimensionMismatch, match="V is 2x2, expected 2x3"):
+            insert(EX_A, 2, EX_B, BinaryMatrix.zeros(3, 1), BinaryMatrix.zeros(2, 2))
+
+    def test_position_out_of_range(self):
+        for i in (0, 5):
+            with pytest.raises(IndexOutOfRange):
+                insert(EX_A, i, EX_B, BinaryMatrix.zeros(3, 1), BinaryMatrix.zeros(2, 3))
 
 
 class TestGoldenComposites:

@@ -1,3 +1,5 @@
+from itertools import permutations
+
 import pytest
 
 from posetmat import (
@@ -12,11 +14,12 @@ from posetmat import (
     validate,
 )
 from posetmat.compose import insert
-from posetmat.core import closure_of_covers, index_set, is_poset_matrix
-from posetmat.enumeration import generate_all
+from posetmat.core import closure_of_covers, index_set, is_poset_matrix, relabel
+from posetmat.enumeration import generate_all, linear_extensions
 from posetmat.errors import (
     IndexOutOfRange,
     NotLowerTriangular,
+    PosetMatError,
     NotReflexive,
     TransitivityViolation,
     ValidationError,
@@ -175,6 +178,25 @@ class TestRepresentation:
         assert at_one.bit_rows() == ("10000", "11000", "00100", "00010", "00111")
         assert at_end.bit_rows() == ("10000", "11000", "10100", "00010", "00011")
 
+    def test_fields_cannot_be_assigned(self):
+        m = BinaryMatrix.zeros(2, 3)
+        for name in ("codes", "width", "other"):
+            with pytest.raises(AttributeError, match="immutable"):
+                setattr(m, name, 1)
+        assert (m.codes, m.width) == ((0, 0), 3)
+
+    def test_order_of_a_grid_needs_a_square(self):
+        assert BinaryMatrix.zeros(3, 3).n == 3
+        with pytest.raises(ValueError, match="2x3, not square"):
+            BinaryMatrix.zeros(2, 3).n
+
+    def test_entry_out_of_range(self):
+        a = pm("10;11")
+        assert a.entry(2, 1) == 1
+        for i, j in ((0, 1), (3, 1), (1, 0), (1, 3)):
+            with pytest.raises(IndexOutOfRange):
+                a.entry(i, j)
+
     def test_binary_and_poset_matrices_with_equal_entries_are_equal(self):
         for a in all_upto(4):
             grid = BinaryMatrix(a.rows)
@@ -216,6 +238,10 @@ class TestPrincipalSubposet:
 
     def test_singleton(self):
         assert principal_subposet(pm("100;110;111"), (2,)) == pm("1")
+
+    def test_empty_index_set_refused(self):
+        with pytest.raises(IndexOutOfRange, match="empty index set"):
+            principal_subposet(pm("100;110;111"), ())
 
     def test_always_valid_exhaustive(self):
         from itertools import combinations
@@ -271,3 +297,37 @@ class TestCoverRelation:
     def test_closure_of_covers_recovers_matrix(self):
         for a in all_upto(6):
             assert closure_of_covers(a.n, cover_relation(a)) == a
+        # the pairs may come in any order
+        assert closure_of_covers(4, [(3, 4), (2, 3), (1, 2)]) == chain(4)
+
+    @pytest.mark.parametrize("pair", [(0, 1), (1, 5), (1, 1), (2, 1), (-1, 2)])
+    def test_closure_of_covers_refuses_pairs_outside_the_order(self, pair):
+        with pytest.raises(IndexOutOfRange, match=r"1 <= i < j <= 4"):
+            closure_of_covers(4, [(1, 2), pair])
+
+
+class TestRelabel:
+    def test_refuses_what_is_not_a_linear_extension(self):
+        with pytest.raises(NotLowerTriangular):
+            relabel(chain(2), [2, 1])
+        for order in ([1, 1], [0], [1], [1, 2, 3], [0, 1], [2, 3]):
+            with pytest.raises(IndexOutOfRange):
+                relabel(chain(2), order)
+
+    def test_accepts_exactly_the_linear_extensions(self):
+        # a permutation of 1..n gives a poset matrix iff it is a linear
+        # extension; every other one is a typed error, never a bad matrix
+        for a in all_upto(4):
+            extensions = set(linear_extensions(a))
+            for order in permutations(range(1, a.n + 1)):
+                if order in extensions:
+                    b = relabel(a, order)
+                    assert validate(BinaryMatrix(b.rows)) == b
+                    assert all(
+                        b.entry(p, q) == a.entry(order[p - 1], order[q - 1])
+                        for p in range(1, a.n + 1)
+                        for q in range(1, a.n + 1)
+                    )
+                else:
+                    with pytest.raises(PosetMatError):
+                        relabel(a, order)

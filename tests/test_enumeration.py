@@ -8,17 +8,16 @@ from hypothesis import strategies as st
 from posetmat import canonical_form, classes, classify_connectivity, generate_all, validate
 from posetmat import enumeration
 from posetmat.compose import compose
-from posetmat.core import BinaryMatrix, PosetMatrix, closure_of_covers
+from posetmat.core import BinaryMatrix, PosetMatrix, closure_of_covers, relabel
 from posetmat.enumeration import (
+    _enc,
     _levels,
     _search,
     linear_extensions,
     matrices_by_parent,
     matrix_count,
-    relabel,
 )
 from posetmat.errors import ResourceLimit
-from posetmat.operad import _enc
 
 from helpers import (
     CONNECTED_3,
@@ -91,7 +90,6 @@ class TestGenerateAll:
     def test_cap(self):
         with pytest.raises(ResourceLimit):
             generate_all(9)
-        generate_all(3, order_cap=3)
 
 
 def filtered(n):

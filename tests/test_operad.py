@@ -89,6 +89,11 @@ class TestCheckParallel:
         with pytest.raises(RequiresDistinctIndices):
             check_parallel(SQUARE, UNIT, EX_B, EX_C, 1, 1)
 
+    def test_index_bounds(self):
+        for i, j in ((0, 2), (1, 5), (-1, 2)):
+            with pytest.raises(IndexOutOfRange):
+                check_parallel(SQUARE, EX_A, EX_B, EX_C, i, j)
+
     def test_min_exhaustive_small(self):
         pool = [m for n in (1, 2, 3) for m in generate_all(n)]
         for a in pool:
@@ -115,6 +120,11 @@ class TestCheckUnit:
     def test_trivial(self):
         assert check_unit(SQUARE, UNIT, 1)
 
+    def test_index_bounds(self):
+        for i in (0, 2):
+            with pytest.raises(IndexOutOfRange):
+                check_unit(SQUARE, UNIT, i)
+
 
 class TestVerifyLaws:
     def test_square_order_three_all_pass(self):
@@ -122,6 +132,8 @@ class TestVerifyLaws:
         assert [r.law for r in reports] == list(LAWS)
         assert all(r.verdict == "pass" for r in reports)
         assert all(r.witness is None for r in reports)
+        # a passing report has no witness to reproduce
+        assert not any(reverify(r) for r in reports)
 
     def test_minmax_nested_fails_with_minimal_witness(self):
         reports = verify_laws(MINMAX, 2)

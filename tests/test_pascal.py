@@ -51,6 +51,10 @@ class TestDecomposition:
     def test_order_two_unit_case(self):
         assert pascal_decomposition_check(2)
 
+    def test_needs_order_two(self):
+        with pytest.raises(ValueError, match="at least 2"):
+            pascal_decomposition_check(1)
+
     def test_order_sixteen(self):
         assert pascal_decomposition_check(16)
 

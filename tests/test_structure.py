@@ -21,7 +21,7 @@ from posetmat import (
 from posetmat.compose import ALL_KINDS
 from posetmat.core import UNIT, BinaryMatrix, block_decompose
 from posetmat.enumeration import generate_all
-from posetmat.errors import PreconditionViolated
+from posetmat.errors import IndexOutOfRange, PreconditionViolated
 from posetmat.structure import (
     case3_literal_condition,
     case3_literal_discrepancies,
@@ -163,6 +163,28 @@ class TestInsertionInvariance:
         with pytest.raises(PreconditionViolated):
             insertion_invariance_class(self.A1, (1, 3), chain(2))
 
+    @pytest.mark.parametrize(
+        "alpha, error",
+        [
+            ((), PreconditionViolated),
+            ((1, 3), PreconditionViolated),
+            ((2, 1), PreconditionViolated),
+            ((1, 2, 3, 4), IndexOutOfRange),
+            ((0, 1, 2, 3), IndexOutOfRange),
+        ],
+    )
+    def test_every_alpha_predicate_checks_the_range_alike(self, alpha, error):
+        messages = set()
+        for check in (
+            lambda a, alpha: insertion_invariance_class(a, alpha, antichain(2)),
+            insertion_invariance_condition,
+            case3_literal_condition,
+        ):
+            with pytest.raises(error) as err:
+                check(antichain(3), alpha)
+            messages.add(str(err.value))
+        assert len(messages) == 1
+
     def test_mismatched_pairing_rejected(self):
         with pytest.raises(PreconditionViolated):
             insertion_invariance_class(self.A1, (1, 2), antichain(2))
@@ -182,6 +204,9 @@ class TestInvarianceSweeps:
         for a, alpha in discrepancies:
             assert case3_literal_condition(a, alpha)
             assert not insertion_invariance_condition(a, alpha)
+        # the literal condition speaks of interior ranges alone
+        for alpha in ((1, 2), (3, 4), (2,)):
+            assert not case3_literal_condition(antichain(4), alpha)
 
     def test_semi_equidual_at_block_ends(self):
         assert sweep_semi_equidual(max_n=5, max_m=3) == []
