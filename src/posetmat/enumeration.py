@@ -9,7 +9,9 @@ row-code tuples, gives each level with no sorting in ascending order of
 its rows read as bit strings, column 1 first (proved at _levels).
 generate_all(n) and matrices_by_parent(n) (below) wrap the same
 per-parent listing of the last step, and neither keeps a cache;
-verify_laws takes its pools from the walk as codes.
+verify_laws takes its pools from the walk as codes.  matrix_count(n)
+takes the step twice in closed form, from the ideals of the components
+of each matrix of PM(n-2), and lists no matrix of order n-1 or n.
 
 Two matrices are permutation equivalent (same unlabelled poset) iff one is
 Q^T A Q for a permutation Q keeping the result lower triangular; those Q
@@ -117,36 +119,61 @@ def generate_all(n: int) -> tuple:
 
 def matrix_count(n: int, which: str = "all") -> int:
     """Number of poset matrices of order n, all or only the connected or
-    disconnected ones, counted from PM(n-1) without building any of order n.
+    disconnected ones, counted in closed form over PM(n-2) without
+    building any matrix of order n-1 or n.
 
     Every matrix of order n is M + I, one new maximal element over an ideal
-    I of a unique M in PM(n-1) (see classes), so |PM(n)| sums #ideals(M)
-    over PM(n-1).  For each M, over the components c of M,
+    I of a unique M in PM(n-1) (see classes), and M is D + J for a unique D
+    in PM(n-2).  For each D, over its components c, with k_c the number of
+    ideals of c and P_c the number of nested pairs J <= S among them,
 
-        #ideals(M) = prod #ideals(c),  #{I : M + I connected} = prod (#ideals(c) - 1).
+        #{D + J + I} = (prod k_c)^2 + prod P_c,
+        #{D + J + I connected} = prod (k_c^2 - 1) + prod (P_c - 1) - prod 2(k_c - 1).
 
     Proof.  (1) M + I is connected iff I meets every component of M: the
     new element joins exactly the elements of I, so it merges the
     components of M that meet I, and every other one stays a component.
     (2) No relation of M joins two components, so I -> (I & c) over the
     components is a bijection from the ideals of M onto the tuples of
-    ideals of the components, and I meets c iff I & c is not empty.
-    Counting the tuples gives the first product; by (1), counting those
-    with no empty entry gives the second.  At n = 1, M is empty, both
-    products are empty, and the single point is connected.  The
-    disconnected count is the difference.
+    ideals of the components, and I meets c iff I & c is not empty.  So M
+    has #ideals(M) = prod #ideals(c) children, and by (1) prod
+    (#ideals(c) - 1) connected ones, over M's components c.
+    (3) The ideals of M = D + J are the ideals S of D, and S plus the new
+    element for each S containing J, so #ideals(D + J) = prod k_c + prod
+    #{S_c >= J_c}, the second product by (2) with J_c = J & c.  Summed over
+    the prod k_c ideals J, this gives the first line.
+    (4) By (1) the components of D + J are the c that J misses and one
+    more, the new element with the c that J meets, whose ideals (3) counts
+    over those c alone.  So D + J has
+
+        prod_missed (k_c - 1) * (prod_met k_c + prod_met #{S_c >= J_c} - 1)
+
+    connected children.  Each of the three terms is a product over c of a
+    factor chosen by whether J_c is empty, so its sum over the tuples
+    (J_c) is the product over c of the factor summed over J_c: (k_c - 1) +
+    (k_c - 1) k_c, (k_c - 1) + (P_c - k_c) and (k_c - 1) + (k_c - 1).  This
+    gives the second line.  At n = 2, D is empty, all products are empty,
+    and the counts are 2 and 1; at n = 1 the single point is connected.
+    The disconnected count is the difference.
     """
     _check_filter(which)
     _check_order(n, DEFAULT_ORDER_CAP)
+    if n == 1:
+        return 0 if which == "disconnected" else 1
     total = connected = 0
-    for codes in _parents(n):
-        every = joined = 1
+    for codes in _parents(n - 1):
+        ks = ps = grow = nest = split = 1
         for comp in _components(codes):
-            k = len(_ideals(codes, comp))
-            every *= k
-            joined *= k - 1
-        total += every
-        connected += joined
+            ideals = _ideals(codes, comp)
+            k = len(ideals)
+            p = sum([1 for s in ideals for j in ideals if j & s == j])
+            ks *= k
+            ps *= p
+            grow *= k * k - 1
+            nest *= p - 1
+            split *= 2 * (k - 1)
+        total += ks * ks + ps
+        connected += grow + nest - split
     if which == "all":
         return total
     return connected if which == "connected" else total - connected

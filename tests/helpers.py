@@ -5,10 +5,11 @@ from itertools import combinations, product
 from posetmat import SQUARE, UNIT, PosetMatrix, compose
 from posetmat.compose import kind_name
 from posetmat.duality import semi_equidual
-from posetmat.enumeration import IsoClass, _children, canonical_form, generate_all
+from posetmat.enumeration import IsoClass, _children, _ideals, _parents, canonical_form, generate_all
 from posetmat.errors import PreconditionViolated
 from posetmat.operad import LawReport, Witness
 from posetmat.structure import (
+    _components,
     classify_connectivity,
     insertion_invariance_condition,
     is_totally_connected,
@@ -140,6 +141,24 @@ def labelled_counts_by_transfer(n: int) -> dict:
                 grown[child] = grown.get(child, 0) + weight
         counts = grown
     return counts
+
+
+def matrix_count_by_parent(n: int, which: str = "all") -> int:
+    """matrix_count(n, which) one order down: sum over M in PM(n-1) of
+    #ideals(M) = prod #ideals(c), and of prod (#ideals(c) - 1) for the
+    connected children, over M's components c (proved at matrix_count)."""
+    total = connected = 0
+    for codes in _parents(n):
+        every = joined = 1
+        for comp in _components(codes):
+            k = len(_ideals(codes, comp))
+            every *= k
+            joined *= k - 1
+        total += every
+        connected += joined
+    if which == "all":
+        return total
+    return connected if which == "connected" else total - connected
 
 
 def components_by_search(a: PosetMatrix) -> tuple:

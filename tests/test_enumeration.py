@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from itertools import permutations, product
 
 import pytest
@@ -29,6 +30,7 @@ from helpers import (
     chain,
     conjugate,
     labelled_counts_by_transfer,
+    matrix_count_by_parent,
     pm,
     random_poset_matrix,
 )
@@ -115,6 +117,24 @@ class TestCountAndListWithoutTheLevel:
         # A006455, and the labelled sum of classes(8, "connected")
         assert matrix_count(8) == 2800472
         assert matrix_count(8, "connected") == 2020256
+        assert matrix_count(8, "disconnected") == 780216
+
+    def test_closed_form_matches_count_one_order_down(self):
+        for n in range(1, 8):
+            for which in ("all", "connected", "disconnected"):
+                assert matrix_count(n, which) == matrix_count_by_parent(n, which), (n, which)
+
+    @pytest.mark.parametrize("which", ["all", "connected", "disconnected"])
+    def test_count_of_order_eight_holds_no_level(self, which):
+        # holding PM(7), as a count one order down must, takes about
+        # 10 MiB; PM(6) and one component's ideals stay far below 1 MiB
+        tracemalloc.start()
+        try:
+            matrix_count(8, which)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_listing_per_parent_concatenates_to_filtered_generate_all(self):
         for n in range(1, 7):
