@@ -238,11 +238,16 @@ def cmd_factor(args) -> int:
 
 def _parse_alpha(spec: str, n: int) -> tuple:
     """LO..HI stops at its first index outside [1, n], which index_set refuses."""
-    if ".." in spec:
-        lo, hi = (int(x) for x in spec.split("..", 1))
-        last = lo if not 1 <= lo <= n else n + 1
-        return tuple(range(lo, min(hi, last) + 1))
-    return tuple(int(x) for x in spec.split(","))
+    try:
+        if ".." not in spec:
+            return tuple(int(x) for x in spec.split(","))
+        lo, hi = (int(x) for x in spec.split(".."))
+    except ValueError:
+        raise ValueError(
+            f"--alpha must be LO..HI or a comma-separated list of integers, got {spec!r}"
+        ) from None
+    last = lo if not 1 <= lo <= n else n + 1
+    return tuple(range(lo, min(hi, last) + 1))
 
 
 def cmd_invariance(args) -> int:
@@ -305,6 +310,7 @@ def _arg(*flags, **kwargs):
 
 
 _OUTPUT = _arg("-o", "--output", default=None)
+_JSON = _arg("--json", action="store_true", help="machine-readable output")
 
 # name -> (handler, help, whether it takes --json, its arguments)
 COMMANDS = {
@@ -380,36 +386,89 @@ COMMANDS = {
 }
 
 
-def build_parser(command=None) -> argparse.ArgumentParser:
-    """The parser of every command, or, when command names one, of that
-    command alone.  Each parses an argv that starts with command alike,
-    with the same messages: the usage line lists every command in both."""
+def _arguments(name):
+    """(flags, kwargs) of each argument of command name, --json first."""
+    _, _, takes_json, arguments = COMMANDS[name]
+    return (_JSON,) + arguments if takes_json else arguments
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The parser of every command, for what _plain_args leaves to argparse."""
     top = argparse.ArgumentParser(
         prog="posetmat",
         description="Poset matrices: compositions, operad laws, duality, "
         "structure, enumeration.",
     )
     sub = top.add_subparsers(dest="command", required=True)
-    names = COMMANDS
-    if command in COMMANDS:
-        names = (command,)
-        # only here: in the full parser a metavar would also rename the
-        # action in its "required" and "invalid choice" messages
-        sub.metavar = "{" + ",".join(COMMANDS) + "}"
-    for name in names:
-        fn, help_text, takes_json, arguments = COMMANDS[name]
+    for name, (fn, help_text, _, _) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(fn=fn)
-        if takes_json:
-            p.add_argument("--json", action="store_true", help="machine-readable output")
-        for flags, kwargs in arguments:
+        for flags, kwargs in _arguments(name):
             p.add_argument(*flags, **kwargs)
     return top
 
 
+def _plain_args(argv):
+    """The namespace build_parser().parse_args(argv) returns, read from
+    COMMANDS alone, when argv is plain: a command name, then that command's
+    exact flags, each value flag followed by a value that does not start
+    with "-" and passes its type and choices, every required flag, and
+    exactly its positionals.  A flag given twice keeps its last value.
+    Anything else (help, "--", "--op=x", abbreviations, negative numbers,
+    "-" for stdin, every error) gives None, and argparse reads argv."""
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    name = argv[0]
+    values = {"command": name, "fn": COMMANDS[name][0]}
+    options, required, positionals = {}, set(), []
+    for flags, kwargs in _arguments(name):
+        if not flags[0].startswith("-"):
+            positionals.append(flags[0])
+            continue
+        dest = kwargs.get("dest")
+        if dest is None:  # as argparse names it: the first long flag
+            dest = next((f for f in flags if f.startswith("--")), flags[0])
+            dest = dest.lstrip("-").replace("-", "_")
+        switch = kwargs.get("action") == "store_true"
+        values[dest] = kwargs.get("default", False if switch else None)
+        if kwargs.get("required"):
+            required.add(dest)
+        for flag in flags:
+            options[flag] = (dest, switch, kwargs)
+    given, seen = [], set()
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if not token.startswith("-"):
+            given.append(token)
+            continue
+        if token not in options:
+            return None
+        dest, switch, kwargs = options[token]
+        seen.add(dest)
+        if switch:
+            values[dest] = True
+            continue
+        token = next(tokens, None)
+        if token is None or token.startswith("-"):
+            return None
+        try:
+            value = kwargs.get("type", str)(token)
+        except (TypeError, ValueError):
+            return None
+        if "choices" in kwargs and value not in kwargs["choices"]:
+            return None
+        values[dest] = value
+    if len(given) != len(positionals) or not required <= seen:
+        return None
+    values.update(zip(positionals, given))
+    return argparse.Namespace(**values)
+
+
 def run(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    args = build_parser(argv[0] if argv else None).parse_args(argv)
+    args = _plain_args(argv)
+    if args is None:
+        args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
     except ParseError as e:

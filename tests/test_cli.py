@@ -18,6 +18,7 @@ from posetmat.cli import (
     to_json_obj,
     to_pm_text,
 )
+from posetmat.compose import ALL_KINDS, kind_name
 from posetmat.core import BinaryMatrix
 from posetmat.enumeration import DEFAULT_ORDER_CAP, generate_all
 from posetmat.operad import LAW_CASE_BUDGET, LAW_EXHAUSTIVE_ORDER
@@ -405,6 +406,12 @@ class TestCommands:
         assert (code, capsys.readouterr()) == (1, ("", f"error: {message}\n"))
         assert peak < 5 << 20
 
+    @pytest.mark.parametrize("spec", ["1,x", "..", "1..2..3"])
+    def test_invariance_alpha_malformed(self, files, capsys, spec):
+        code = run(["invariance", "--alpha", spec, files["chain3"], files["chain3"]])
+        message = f"--alpha must be LO..HI or a comma-separated list of integers, got {spec!r}"
+        assert (code, capsys.readouterr()) == (2, ("", f"usage error: {message}\n"))
+
     def test_enumerate_counts(self, capsys):
         assert run(["enumerate", "--n", "4"]) == 0
         assert "40 matrices" in capsys.readouterr().out
@@ -708,32 +715,120 @@ def test_parser_cases_cover_every_command():
 
 
 @pytest.mark.parametrize(
-    "argv, message", [pytest.param(argv, message, id=id) for id, argv, message in _parser_argvs()]
+    "case, argv, message", [pytest.param(*c, id=c[0]) for c in _parser_argvs()]
 )
-def test_run_answers_as_the_full_parser(files, monkeypatch, argv, message):
-    # run builds the parser of argv[0] alone when it names a command; it
-    # must answer every argv as the parser of every command does: the same
-    # exit code, stdout and stderr, usage lines and error messages included
+def test_run_answers_as_the_full_parser(files, monkeypatch, case, argv, message):
+    # run reads a plain argv (each command's valid one) without building a
+    # parser, and hands every other argv to the full parser; either way it
+    # answers as the full parser does: the same exit code, stdout and
+    # stderr, usage lines and error messages included
     paths = {"A": files["A"], "B": files["B"]}
     argv = [paths.get(x, x) for x in argv]
-    asked = []
+    builds = []
 
-    def spy(command=None):
-        asked.append(command)
-        return build_parser(command)
+    def spy():
+        builds.append(1)
+        return build_parser()
 
     monkeypatch.setattr(cli, "build_parser", spy)
     got = _outcome(argv)
-    assert asked == [argv[0] if argv else None]
-    monkeypatch.setattr(cli, "build_parser", lambda command=None: build_parser())
+    assert len(builds) == (0 if case.endswith("-valid") else 1)
+    monkeypatch.setattr(cli, "_plain_args", lambda argv: None)
     assert got == _outcome(argv)
     if message is not None:
         assert message in got[2]
 
 
-def test_named_parser_knows_that_command_alone(capsys):
-    assert build_parser().parse_args(["pascal", "--n", "2"]).n == 2
-    with pytest.raises(SystemExit) as exc:
-        build_parser("laws").parse_args(["pascal", "--n", "2"])
-    assert exc.value.code == 2
-    assert "invalid choice: 'pascal'" in capsys.readouterr().err
+# what each command's flags take: values that pass, values that argparse
+# reads another way or refuses, and stray tokens of every kind
+_ODD = ["-1", "-", "", " 3", "3_0", "\u0663", "x"]
+_VALUES = {int: ["0", "2", "3"], str: ["square", "minmax", "1..2", "A"]}
+_STRAYS = ["--", "-h", "-o", "--bogus", "-1", "-", "", "A", "B", "extra"]
+
+
+def _pieces(name, odd):
+    """A strategy for one piece of a command line after name: a flag and
+    its value, or a positional.  With odd, also a flag spelt with "=" or
+    abbreviated, a flag without its value, a value argparse reads another
+    way or refuses, or a stray token."""
+    pieces = [st.lists(st.sampled_from(_STRAYS), min_size=1, max_size=2)] if odd else []
+    for flags, kwargs in cli._arguments(name):
+        if not flags[0].startswith("-"):
+            pieces.append(st.sampled_from([["A"], ["B"], ["-"], [""]] if odd else [["A"]]))
+            continue
+        spelt = st.sampled_from(flags)
+        if odd:
+            spelt |= st.sampled_from([f[:k] for f in flags for k in range(2, len(f))] or flags)
+        if kwargs.get("action") == "store_true":
+            pieces.append(st.builds(lambda f: [f], spelt))
+            if odd:
+                pieces.append(st.builds(lambda f: [f + "=1"], spelt))
+            continue
+        value = st.sampled_from([*kwargs.get("choices", ()), *_VALUES[kwargs.get("type", str)]])
+        if odd:
+            value |= st.sampled_from(_ODD + ["odd"])
+        pieces.append(st.builds(lambda f, v: [f, v], spelt, value))
+        if odd:
+            pieces.append(st.builds(lambda f, v: [f"{f}={v}"], spelt, value))
+            pieces.append(st.builds(lambda f: [f], spelt))
+    return st.one_of(pieces)
+
+
+@st.composite
+def _command_lines(draw):
+    name = draw(st.sampled_from([*COMMANDS, "lawz", "-h", ""]))
+    if name not in COMMANDS:
+        return [name, *draw(st.lists(st.sampled_from(_STRAYS), max_size=2))]
+    # a valid command line with some pieces removed and some added, shuffled
+    valid = PARSER_CASES[name][0]
+    pieces = [valid[k : k + 2] for k in range(0, len(valid), 2)]
+    pieces = [piece for piece in pieces if draw(st.integers(0, 4))]
+    pieces += draw(st.lists(_pieces(name, False), max_size=2))
+    pieces += draw(st.lists(_pieces(name, True), max_size=1))
+    return [name, *(token for piece in draw(st.permutations(pieces)) for token in piece)]
+
+
+@settings(max_examples=400, deadline=None)
+@given(argv=_command_lines())
+def test_plain_reader_agrees_with_the_full_parser(argv):
+    # whenever the plain reader answers, argparse answers the same
+    plain = cli._plain_args(argv)
+    if plain is not None:
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            try:
+                parsed = build_parser().parse_args(argv)
+            except SystemExit:
+                pytest.fail(f"argparse refuses {argv!r}: {err.getvalue()}")
+        assert vars(plain) == vars(parsed)
+
+
+# the command lines of the benchmark's workloads and of the CI smoke step
+PLAIN_ARGVS = [
+    *(["laws", "--op", kind_name(k), "--max-n", "3", "--json"] for k in ALL_KINDS),
+    *(
+        ["laws", "--op", kind, "--max-n", "6", "--random", "1000", "--seed", str(seed), "--json"]
+        for kind in ("square", "min", "max", "minmax")
+        for seed in (0, 1, 2**31 - 1)
+    ),
+    ["enumerate", "--n", "6", "--classes", "--format", "json", "--print"],
+    ["enumerate", "--n", "6", "--classes", "--filter", "connected", "--format", "json", "--print"],
+    ["enumerate", "--n", "7"],
+    ["enumerate", "--n", "8"],
+    ["enumerate", "--n", "8", "--filter", "connected"],
+    ["enumerate", "--n", "8", "--filter", "disconnected"],
+    ["enumerate", "--n", "8", "--classes"],
+    ["check", "."],
+    ["check", "deep.json"],
+    ["laws", "--op", "minmax", "--max-n", "2"],
+    ["laws", "--op", "boxed:110", "--max-n", "6", "--random", "1000", "--seed", "1"],
+    ["laws", "--op", "minmax", "--max-n", "3"],
+    ["pascal", "--n", "1000000000000"],
+]
+
+
+@pytest.mark.parametrize("argv", PLAIN_ARGVS, ids=" ".join)
+def test_benchmark_and_ci_command_lines_are_plain(argv):
+    plain = cli._plain_args(argv)
+    assert plain is not None
+    assert vars(plain) == vars(build_parser().parse_args(argv))

@@ -193,6 +193,19 @@ def test_cli_import_needs_no_dataclasses_inspect_or_typing():
     assert _fresh(probe) == ""
 
 
+def test_plain_command_line_touches_no_argparse_parser():
+    # A plain command line is read from the command table: no parser is
+    # built, so argparse's messages never look up a translation (locale).
+    probe = (
+        "import argparse, sys; made = []; init = argparse.ArgumentParser.__init__; "
+        "argparse.ArgumentParser.__init__ = lambda *a, **k: made.append(1) or init(*a, **k); "
+        "import posetmat.cli; "
+        "code = posetmat.cli.run(['laws', '--op', 'square', '--max-n', '3', '--json']); "
+        "print(code, 'locale' in sys.modules, len(made))"
+    )
+    assert _fresh(probe).splitlines()[-1] == "0 False 0"
+
+
 def test_cli_import_leaves_no_object_to_the_older_generations():
     # The import froze what it made, so no collection a command triggers
     # traverses the program's modules, classes and functions.
