@@ -32,10 +32,15 @@ def parse_matrix_text(text: str) -> BinaryMatrix:
     lines = text.splitlines()
     if not lines or not lines[0].strip():
         raise ParseError(1, 1, "missing order line")
+    order = lines[0].strip()
     try:
-        n = int(lines[0].strip())
+        # ASCII digits after at most one minus sign: int() would also read
+        # "+3", "1_0" and the digits of other scripts
+        if not (order.isascii() and order.removeprefix("-").isdigit()):
+            raise ValueError
+        n = int(order)  # past int()'s digit limit, ValueError too
     except ValueError:
-        raise ParseError(1, 1, f"order is not an integer: {lines[0].strip()!r}")
+        raise ParseError(1, 1, f"order is not an integer: {order!r}")
     if n < 1:
         raise ParseError(1, 1, f"order must be positive, got {n}")
     codes = []

@@ -10,9 +10,12 @@ the precondition a21, read from its fields by _rule.  U is
 A's row prefix at i in every row of B (ROW), only in the rows of B's
 maximal elements (ROW_AT_MAX), or a constant; V is A's column suffix at i
 in every column of B (COL), only in those of B's minimal elements
-(COL_AT_MIN), or a constant.  The same rules read backwards give the one
-host A that could have produced a composite at a given split (_host); this
-is how structure.factor finds its factorizations.
+(COL_AT_MIN), or a constant.  The precondition has one reader,
+_lower_left_wrong, which names the first entry of A's lower-left block
+that breaks it: compose raises from it, and the law sweep in operad tests
+it.  The same rules read backwards give the one host A that could have
+produced a composite at a given split (_host); this is how
+structure.factor finds its factorizations.
 
   square    (ROW, COL), an operad.
   min       (ROW, COL_AT_MIN), an operad.
@@ -138,35 +141,21 @@ def insert(a: PosetMatrix, i: int, b: PosetMatrix, u: BinaryMatrix, v: BinaryMat
     return BinaryMatrix._of(ac[:k] + mid + bottom, n + m - 1)
 
 
-def _lower_left_ok(ac, i: int, a21) -> bool:
-    """Whether A's lower-left block at i is constantly a21; always, when
-    a21 is None (the kind has no precondition).  Empty blocks (i = 1 or
-    i = n) satisfy either fill.  Each row takes one masked compare."""
-    if a21 is None:
-        return True
+def _lower_left_wrong(ac, i: int, a21):
+    """The first entry (s, q) of A's lower-left block at i, 1-based and in
+    row-major order, that is not the constant a21, or None when there is
+    none.  Empty blocks (i = 1 or i = n) satisfy either fill.  Each row
+    takes one masked compare; the first row that fails is the first row
+    equal to it, as an earlier equal one would have failed, so its number
+    is found by rows.index."""
     low = (1 << (i - 1)) - 1
     want = low if a21 else 0
-    for x in ac[i:]:
+    rows = ac[i:]
+    for x in rows:
         if x & low != want:
-            return False
-    return True
-
-
-def _check_lower_left(ac, i: int, a21: int) -> None:
-    """Raise PreconditionViolated, naming the first wrong entry, unless
-    _lower_left_ok: the precondition is a condition on A, not a rewrite of
-    it, so a mismatched block is never silently overwritten."""
-    if _lower_left_ok(ac, i, a21):
-        return
-    low = (1 << (i - 1)) - 1
-    for s in range(i, len(ac)):
-        diff = (ac[s] & low) ^ (low if a21 else 0)
-        if diff:
-            q = (diff & -diff).bit_length() - 1
-            raise PreconditionViolated(
-                f"lower-left block of A at position {i} has entry "
-                f"{(ac[s] >> q) & 1} at ({s + 1},{q + 1}), expected constant {a21}"
-            )
+            diff = x & low ^ want
+            return i + 1 + rows.index(x), (diff & -diff).bit_length()
+    return None
 
 
 def min_mask(a: PosetMatrix, i: int, b: PosetMatrix) -> BinaryMatrix:
@@ -185,13 +174,21 @@ def max_mask(a: PosetMatrix, i: int, b: PosetMatrix) -> BinaryMatrix:
 
 def _compose(rule, ac, i: int, bc) -> tuple:
     """Row codes of A o_i B from those of A and B under rule = _rule(kind),
-    by the shift and mask formulas beside _RULES.  B's extremal masks are
-    read only by the fills that need them."""
+    by the shift and mask formulas beside _RULES, once A passes the
+    kind's precondition.  B's extremal masks are read only by the fills
+    that need them."""
     u_fill, v_fill, a21 = rule
     if not 1 <= i <= len(ac):
         raise IndexOutOfRange(f"position {i} outside [1,{len(ac)}]")
     if a21 is not None:
-        _check_lower_left(ac, i, a21)
+        # the precondition is a condition on A, not a rewrite of it: a
+        # mismatched block is refused, never silently overwritten
+        wrong = _lower_left_wrong(ac, i, a21)
+        if wrong:
+            raise PreconditionViolated(
+                f"lower-left block of A at position {i} has entry {1 - a21} "
+                f"at ({wrong[0]},{wrong[1]}), expected constant {a21}"
+            )
     k = i - 1
     low = (1 << k) - 1
     if u_fill == ROW_AT_MAX:
@@ -218,7 +215,8 @@ def compose(kind, a: PosetMatrix, i: int, b: PosetMatrix) -> PosetMatrix:
     The kind's rule is its definition: compose looks up the kind's U-fill,
     V-fill and precondition (_rule) and builds nothing else.  An
     unknown kind raises ValueError, then a position outside [1, n]
-    IndexOutOfRange, then a failed precondition PreconditionViolated.
+    IndexOutOfRange, then a failed precondition PreconditionViolated,
+    which names the first wrong entry (_lower_left_wrong).
     """
     return PosetMatrix._wrap(_compose(_rule(kind), a.codes, i, b.codes))
 

@@ -18,7 +18,7 @@ Indices on the public surface are 1-based.
 from __future__ import annotations
 
 from functools import lru_cache
-from operator import attrgetter
+from operator import attrgetter, index
 
 from .errors import (
     IndexOutOfRange,
@@ -253,8 +253,9 @@ def is_poset_matrix(m) -> bool:
 
 
 def index_set(alpha, n: int) -> tuple:
-    """Normalise an index set: strictly increasing 1-based indices within [n]."""
-    alpha = tuple(int(a) for a in alpha)
+    """Normalise an index set: strictly increasing 1-based indices within [n].
+    An index that is not an integer (1.5, "1") raises TypeError."""
+    alpha = tuple(map(index, alpha))
     for a in alpha:
         if not 1 <= a <= n:
             raise IndexOutOfRange(f"index {a} outside [1,{n}]")
@@ -371,16 +372,25 @@ def _maximal_mask(codes) -> int:
     return ((1 << len(codes)) - 1) & ~below
 
 
+def _members(mask: int) -> tuple:
+    """The elements of a bit mask, ascending and 1-based: bit q is element
+    q+1.  It takes one step per set bit."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length())
+        mask ^= low
+    return tuple(out)
+
+
 def minimal_elements(a: PosetMatrix) -> tuple:
     """Elements whose sub-diagonal row is empty or all zero."""
-    mins = _minimal_mask(a.codes)
-    return tuple(q + 1 for q in range(a.n) if (mins >> q) & 1)
+    return _members(_minimal_mask(a.codes))
 
 
 def maximal_elements(a: PosetMatrix) -> tuple:
     """Elements whose sub-diagonal column is empty or all zero."""
-    maxs = _maximal_mask(a.codes)
-    return tuple(q + 1 for q in range(a.n) if (maxs >> q) & 1)
+    return _members(_maximal_mask(a.codes))
 
 
 def cover_relation(a: PosetMatrix) -> tuple:
@@ -397,8 +407,7 @@ def cover_relation(a: PosetMatrix) -> tuple:
             k = low.bit_length() - 1
             inside |= codes[k] ^ low
             rest ^= low
-        tops = strict & ~inside
-        covers += [(i + 1, j + 1) for i in range(j) if (tops >> i) & 1]
+        covers += [(i, j + 1) for i in _members(strict & ~inside)]
     return tuple(sorted(covers))
 
 

@@ -12,9 +12,9 @@ from itertools import combinations
 from math import comb
 
 from .compose import SQUARE, compose
-from .core import PosetMatrix, Record, _gather
+from .core import PosetMatrix, Record, _gather, _members, index_set
 from .enumeration import generate_all, matrix_count
-from .errors import IndexOutOfRange, OrderMismatch, ResourceLimit
+from .errors import OrderMismatch, ResourceLimit
 from .structure import _components
 
 # Most index sets one semi_equidual search may test.  Each is tested on row
@@ -43,12 +43,9 @@ def is_self_dual(a: PosetMatrix) -> bool:
 
 
 def dual_index_set(alpha, n: int) -> tuple:
-    """{n-i+1 : i in alpha}, re-sorted."""
-    alpha = tuple(alpha)
-    for i in alpha:
-        if not 1 <= i <= n:
-            raise IndexOutOfRange(f"index {i} outside [1,{n}]")
-    return tuple(sorted(n - i + 1 for i in alpha))
+    """{n-i+1 : i in alpha}, ascending: alpha is sorted, then checked by
+    index_set, so it must hold distinct integers in [1, n]."""
+    return tuple([n + 1 - i for i in reversed(index_set(sorted(alpha), n))])
 
 
 class SemiEquidualWitness(Record):
@@ -77,8 +74,7 @@ def semi_equidual(a: PosetMatrix, b: PosetMatrix):
     for p, (x, y) in enumerate(zip(a.codes, b.codes)):
         if x != y:
             need |= x ^ y | 1 << p
-    required = tuple(q for q in range(1, n + 1) if (need >> (q - 1)) & 1)
-    others = tuple(q for q in range(1, n + 1) if not (need >> (q - 1)) & 1)
+    required, others = _members(need), _members((1 << n) - 1 & ~need)
     sizes = range(max(2, len(required)), n + 1)
     sets = sum(comb(len(others), size - len(required)) for size in sizes)
     if sets > SEMI_EQUIDUAL_BUDGET:

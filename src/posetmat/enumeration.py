@@ -7,9 +7,9 @@ ideals directly, in ascending row order, so _levels(n), which walks the
 step from the empty matrix and yields PM(1), ..., PM(n) as lists of
 row-code tuples, gives each level with no sorting in ascending order of
 its rows read as bit strings, column 1 first (proved at _levels).
-generate_all(n) and matrices_by_parent(n) (below) wrap the same
-per-parent listing of the last step, and neither keeps a cache;
-verify_laws takes its pools from the walk as codes.  matrix_count(n)
+matrices_by_parent(n) (below) lists the last step one parent at a time,
+and generate_all(n) joins its lists; neither keeps a cache.  verify_laws
+takes its pools from the walk as codes.  matrix_count(n)
 takes the step twice in closed form, from the ideals of the components
 of each matrix of PM(n-2), and lists no matrix of order n-1 or n.
 
@@ -110,11 +110,10 @@ def generate_all(n: int) -> tuple:
     """All poset matrices of order n, ascending in their rows read as bit
     strings, column 1 first (see _levels); nothing is cached.
 
-    The last step wraps each child as it is made; wrapping PM(8)'s finished
-    code list afterwards made the collector's full passes 1.5 times as long."""
-    _check_order(n, DEFAULT_ORDER_CAP)
-    wrap = PosetMatrix._wrap
-    return tuple([wrap(c) for group in _groups(n, "all") for c in group])
+    The lists of matrices_by_parent(n), joined: each child is wrapped as it
+    is made, since wrapping PM(8)'s finished code list afterwards made the
+    collector's full passes 1.5 times as long."""
+    return tuple([m for group in matrices_by_parent(n) for m in group])
 
 
 def matrix_count(n: int, which: str = "all") -> int:
@@ -179,30 +178,22 @@ def matrix_count(n: int, which: str = "all") -> int:
     return connected if which == "connected" else total - connected
 
 
-def _groups(n: int, which: str):
-    """Yield the row codes of the poset matrices of order n that pass the
-    filter which, one list per parent in PM(n-1), in the order of
-    generate_all(n).  A child is connected iff its new row meets every
-    component of its parent (proved in matrix_count)."""
-    want = which == "connected"
+def matrices_by_parent(n: int, which: str = "all"):
+    """Yield the poset matrices of order n, all or only the connected or
+    disconnected ones, as one list per parent in PM(n-1), in the order of
+    generate_all(n), with one list at a time.  A child is connected iff
+    its new row meets every component of its parent (proved in
+    matrix_count).  As a generator, it checks its arguments when first
+    advanced."""
+    _check_filter(which)
+    _check_order(n, DEFAULT_ORDER_CAP)
+    want, wrap = which == "connected", PosetMatrix._wrap
     for codes in _parents(n):
         children = _children(codes)
         if which != "all":
             comps = _components(codes)
             children = [c for c in children if all(c[-1] & comp for comp in comps) == want]
-        yield children
-
-
-def matrices_by_parent(n: int, which: str = "all"):
-    """Yield the poset matrices of order n, all or only the connected or
-    disconnected ones, as one list per parent in PM(n-1): the lists make
-    up generate_all(n), filtered, in order, and one list exists at a time.
-    As a generator, it checks its arguments when first advanced."""
-    _check_filter(which)
-    _check_order(n, DEFAULT_ORDER_CAP)
-    wrap = PosetMatrix._wrap
-    for group in _groups(n, which):
-        yield [wrap(c) for c in group]
+        yield [wrap(c) for c in children]
 
 
 def linear_extensions(a: PosetMatrix):

@@ -247,7 +247,7 @@ from .compose import (
     COL_AT_MIN,
     ROW_AT_MAX,
     _compose,
-    _lower_left_ok,
+    _lower_left_wrong,
     _rule,
     kind_name,
     parse_kind,
@@ -353,7 +353,7 @@ def _sig(rule, x, p):
     is whether p is not minimal and not maximal in X; else ()."""
     u_fill, v_fill, a21 = rule
     if a21 is not None:
-        return (p > 1, p < len(x)) if _lower_left_ok(x, p, a21) else None
+        return None if _lower_left_wrong(x, p, a21) else (p > 1, p < len(x))
     if (u_fill, v_fill) != (ROW_AT_MAX, COL_AT_MIN):
         return ()
     k = p - 1
@@ -412,10 +412,10 @@ def _unit(rule, a, i):
     """Whether the unit case (A, i) holds, None when A o_i [1] is undefined,
     without composing: see the unit rule in the module docstring."""
     u_fill, v_fill, a21 = rule
-    if not _lower_left_ok(a, i, a21):
-        return None
     if a21 is None:
         return True
+    if _lower_left_wrong(a, i, a21):
+        return None
     k = i - 1
     low = (1 << k) - 1
     return a[k] & low == (low if u_fill else 0) and all(x >> k & 1 == v_fill for x in a[i:])

@@ -82,6 +82,13 @@ class TestParsing:
             ("  \n10\n", "missing order line"),
             ("0\n", "order must be positive, got 0"),
             ("-2\n", "order must be positive, got -2"),
+            # ASCII digits only, though int() reads the next three as 3, 3 and 10
+            ("\u0663\n100\n110\n111\n", "order is not an integer: '\u0663'"),
+            ("+3\n100\n110\n111\n", "order is not an integer: '+3'"),
+            ("1_0\n", "order is not an integer: '1_0'"),
+            ("\u00b3\n", "order is not an integer: '\u00b3'"),
+            ("--3\n", "order is not an integer: '--3'"),
+            ("-\n", "order is not an integer: '-'"),
         ):
             with pytest.raises(ParseError) as err:
                 parse_matrix_text(text)
@@ -133,8 +140,9 @@ class TestParsing:
     [
         (b"\xef\xbb\xbf2\n10\n11\n", "line 1, column 1: order is not an integer: '\\ufeff2'"),
         ("2\n1\u00e9\n11\n".encode(), "line 2, column 2: invalid character '\u00e9'"),
+        ("\u0663\n100\n110\n111\n".encode(), "line 1, column 1: order is not an integer: '\u0663'"),
     ],
-    ids=["bom", "e-acute"],
+    ids=["bom", "e-acute", "arabic-indic-three"],
 )
 def test_non_ascii_input_is_a_positioned_parse_error(tmp_path, monkeypatch, capsys, data, message):
     # the same bytes through a file and through "-" end in the same
@@ -226,6 +234,15 @@ class TestCommands:
         assert run(["compose", "--op", "boxed:010", "--i", "2", files["A"], files["B"]]) == 0
         out = parse_matrix_text(capsys.readouterr().out)
         assert out.height == 6
+
+    def test_compose_precondition_names_the_first_wrong_entry(self, tmp_path, files, capsys):
+        # column 1 below row 2 is 1, 0, 0: entries (4,1) and (5,1) break boxed:111
+        a = write(tmp_path, "left.pm", "5\n10000\n01000\n10100\n00010\n00001\n")
+        assert run(["compose", "--op", "boxed:111", "--i", "2", a, files["chain3"]]) == 1
+        assert capsys.readouterr() == (
+            "",
+            "error: lower-left block of A at position 2 has entry 0 at (4,1), expected constant 1\n",
+        )
 
     def test_compose_bad_op_exit_two(self, files, capsys):
         assert run(["compose", "--op", "nope", "--i", "1", files["A"], files["B"]]) == 2

@@ -171,6 +171,47 @@ class TestBoxed:
             compose(Boxed(0, 0, 0), EX_A, 2, EX_B)
         compose(Boxed(0, 1, 0), EX_A, 2, EX_B)
 
+    @pytest.mark.parametrize(
+        "rows, a21, entry",
+        [
+            # wrong entries (4,2), (5,1) and (5,2): row-major order names
+            # (4,2), column-major order would name (5,1)
+            ("10000;01000;00100;01010;11001", 0, "1 at (4,2)"),
+            ("10000;01000;00100;10010;00001", 1, "0 at (4,2)"),
+        ],
+    )
+    def test_precondition_names_the_first_wrong_entry(self, rows, a21, entry):
+        kinds = [kind for kind in ALL_BOXED if kind.a21 == a21]
+        assert len(kinds) in (3, 4)
+        for kind in kinds:
+            with pytest.raises(PreconditionViolated) as err:
+                compose(kind, pm(rows), 3, UNIT)
+            assert str(err.value) == (
+                f"lower-left block of A at position 3 has entry {entry}, expected constant {a21}"
+            )
+
+    def test_precondition_message_matches_a_row_major_scan(self):
+        for n in range(1, 6):
+            for a in generate_all(n):
+                for i in range(1, n + 1):
+                    for a21 in (0, 1):
+                        wrong = [
+                            (s, q)
+                            for s in range(i + 1, n + 1)
+                            for q in range(1, i)
+                            if a.entry(s, q) != a21
+                        ]
+                        try:
+                            compose(Boxed(0, a21, 0), a, i, UNIT)
+                        except PreconditionViolated as e:
+                            s, q = wrong[0]
+                            assert str(e) == (
+                                f"lower-left block of A at position {i} has entry "
+                                f"{1 - a21} at ({s},{q}), expected constant {a21}"
+                            )
+                        else:
+                            assert not wrong
+
     def test_boundary_positions_allow_all_kinds(self):
         a = pm("100;110;111")
         for kind in ALL_BOXED:

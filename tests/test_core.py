@@ -14,7 +14,7 @@ from posetmat import (
     validate,
 )
 from posetmat.compose import insert
-from posetmat.core import closure_of_covers, index_set, is_poset_matrix, relabel
+from posetmat.core import _members, closure_of_covers, index_set, is_poset_matrix, relabel
 from posetmat.enumeration import generate_all, linear_extensions
 from posetmat.errors import (
     IndexOutOfRange,
@@ -225,6 +225,14 @@ class TestSubmatrix:
         with pytest.raises(IndexOutOfRange):
             index_set((0,), 4)
 
+    @pytest.mark.parametrize("alpha", [(1.5, 3.2), "12", (1, 2.0)])
+    def test_indices_must_be_integers(self, alpha):
+        # int() would read the first two as (1, 3) and (1, 2)
+        with pytest.raises(TypeError):
+            principal_subposet(self.A, alpha)
+        with pytest.raises(TypeError):
+            submatrix(self.A, alpha, (1,))
+
 
 class TestPrincipalSubposet:
     def test_worked_example(self):
@@ -282,6 +290,11 @@ class TestMinMaxElements:
             )
             assert minimal_elements(a) == mins
             assert maximal_elements(a) == maxs
+
+
+    def test_members_lists_the_set_bits_ascending(self):
+        for mask in range(1 << 10):
+            assert _members(mask) == tuple(q + 1 for q in range(10) if mask >> q & 1)
 
 
 class TestCoverRelation:

@@ -75,6 +75,17 @@ class TestDualIndexSet:
         with pytest.raises(IndexOutOfRange):
             dual_index_set((6,), 5)
 
+    def test_unsorted_input_is_sorted_first(self):
+        assert dual_index_set((3, 1), 4) == (2, 4)
+
+    def test_repeated_index_refused(self):
+        with pytest.raises(IndexOutOfRange, match="not strictly increasing"):
+            dual_index_set((1, 1), 3)
+
+    def test_non_integer_refused(self):
+        with pytest.raises(TypeError):
+            dual_index_set((1.5, 2), 3)
+
 
 class TestDualityTheorems:
     def test_principal_block_commutes_with_dual(self):

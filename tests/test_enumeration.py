@@ -144,6 +144,13 @@ class TestCountAndListWithoutTheLevel:
                 assert len(groups) == parents
                 assert [m for g in groups for m in g] == listing, (n, which)
 
+    def test_generate_all_is_the_last_level_of_the_walk(self):
+        # generate_all joins the lists of matrices_by_parent, so the test
+        # above compares it with itself for "all"; the walk is independent
+        for n in range(1, 8):
+            *_, level = _levels(n)
+            assert generate_all(n) == tuple(map(PosetMatrix._wrap, level)), n
+
     def test_order_and_filter_errors(self):
         for make in (matrix_count, lambda *a: list(matrices_by_parent(*a))):
             with pytest.raises(ValueError, match="at least 1"):
