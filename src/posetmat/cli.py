@@ -24,6 +24,20 @@ USAGE_EXIT = 2
 DOMAIN_EXIT = 1
 
 
+def _integer(text: str) -> int:
+    """The integer written in ASCII digits after at most one minus sign, the
+    one integer reader of the CLI and the .pm order line.  int() would also
+    read "+3", " 3", "1_0" and the digits of other scripts; past int()'s
+    digit limit this raises ValueError too."""
+    if not (text.isascii() and text.removeprefix("-").isdigit()):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
+
+
+# argparse names a flag's type by __name__ in its message "invalid int value"
+_integer.__name__ = "int"
+
+
 def parse_matrix_text(text: str) -> BinaryMatrix:
     """Parse the .pm format or its JSON form, with positioned diagnostics."""
     stripped = text.lstrip()
@@ -34,11 +48,7 @@ def parse_matrix_text(text: str) -> BinaryMatrix:
         raise ParseError(1, 1, "missing order line")
     order = lines[0].strip()
     try:
-        # ASCII digits after at most one minus sign: int() would also read
-        # "+3", "1_0" and the digits of other scripts
-        if not (order.isascii() and order.removeprefix("-").isdigit()):
-            raise ValueError
-        n = int(order)  # past int()'s digit limit, ValueError too
+        n = _integer(order)
     except ValueError:
         raise ParseError(1, 1, f"order is not an integer: {order!r}")
     if n < 1:
@@ -245,8 +255,8 @@ def _parse_alpha(spec: str, n: int) -> tuple:
     """LO..HI stops at its first index outside [1, n], which index_set refuses."""
     try:
         if ".." not in spec:
-            return tuple(int(x) for x in spec.split(","))
-        lo, hi = (int(x) for x in spec.split(".."))
+            return tuple(_integer(x) for x in spec.split(","))
+        lo, hi = (_integer(x) for x in spec.split(".."))
     except ValueError:
         raise ValueError(
             f"--alpha must be LO..HI or a comma-separated list of integers, got {spec!r}"
@@ -326,7 +336,7 @@ COMMANDS = {
         True,
         (
             _arg("--op", required=True, help="square|min|max|minmax|boxed:UAV"),
-            _arg("--i", type=int, required=True, help="insertion position (1-based)"),
+            _arg("--i", type=_integer, required=True, help="insertion position (1-based)"),
             _OUTPUT,
             _arg("a"),
             _arg("b"),
@@ -338,9 +348,9 @@ COMMANDS = {
         True,
         (
             _arg("--op", required=True),
-            _arg("--max-n", type=int, required=True, dest="max_n"),
-            _arg("--random", type=int, default=None, help="random trials per law"),
-            _arg("--seed", type=int, default=0),
+            _arg("--max-n", type=_integer, required=True, dest="max_n"),
+            _arg("--random", type=_integer, default=None, help="random trials per law"),
+            _arg("--seed", type=_integer, default=0),
         ),
     ),
     "dual": (cmd_dual, "flip-transpose dual", True, (_OUTPUT, _arg("matrix"))),
@@ -373,7 +383,7 @@ COMMANDS = {
         "generate all poset matrices of an order",
         False,
         (
-            _arg("--n", type=int, required=True),
+            _arg("--n", type=_integer, required=True),
             _arg("--classes", action="store_true", help="one representative per class"),
             _arg("--filter", choices=["all", "connected", "disconnected"], default="all"),
             _arg("--format", choices=["pm", "json"], default="pm"),
@@ -385,7 +395,7 @@ COMMANDS = {
         cmd_pascal,
         "binary Pascal matrix",
         True,
-        (_arg("--n", type=int, required=True), _OUTPUT),
+        (_arg("--n", type=_integer, required=True), _OUTPUT),
     ),
     "hasse": (cmd_hasse, "export the Hasse diagram as DOT", False, (_OUTPUT, _arg("matrix"))),
 }

@@ -6,7 +6,7 @@ and the unit law [1] o_1 A = A o_i [1] = A.
 
 verify_laws sweeps each axiom exhaustively over all poset matrices up to a
 given order (grouped by ascending total order so a reported counterexample
-is minimal), or over seeded random samples from the same pools.  Boxed
+is minimal), or over seeded random samples drawn from the same pools.  Boxed
 kinds have partial domains; triples whose intermediate composition is
 undefined are skipped and counted.  Before any pool is built, an
 exhaustive sweep past order LAW_EXHAUSTIVE_ORDER, and a random one of more
@@ -18,16 +18,17 @@ cap is checked, and a kind's rule is looked up once.  Each level comes
 ascending in its rows read as bit strings, column 1 first (_levels), which
 within one order is the witness order _enc compares, so no pool is sorted.
 An associativity case (A, i, B, j, C) is decided without composing
-anything, by the rule proved below.  _outer reads two signatures,
-_sig(A, i) and _sig(B, j) (nested) or _sig(A, j) (parallel): None when the
-case is undefined, which never depends on C, else whether (A, i, B, j)
-breaks.  A case fails iff it breaks and the law is parallel or C is not an
-antichain.  A unit case (A, i) is decided by _unit, from A's row i and
-column i, by the unit rule at the end; by that rule every unit case of a
-mask kind holds, so the exhaustive sweep counts them, n per matrix of
-order n, without visiting one.  Random mode and the exhaustive sweep
-compose nothing; both sides are composed (_case) only for the check_*
-functions and the reported witness.
+anything, by the rule proved below.  _outer reads the signatures (_sigs)
+of two positions, (A, i) and (B, j) (nested) or (A, i) and (A, j)
+(parallel): None when the case is undefined, which never depends on C,
+else whether (A, i, B, j) breaks.  A case fails iff it breaks and the law
+is parallel or C is not an antichain.  A unit case (A, i) is decided from
+A's row i and column i by the unit rule at the end (_units, for every i
+at once); by that rule every unit case of a mask kind holds, so the
+exhaustive sweep counts them, n per matrix of order n, without visiting
+one.  Random mode and the exhaustive sweep compose nothing; both sides
+are composed (_case) only for the check_* functions and the reported
+witness.
 
 The exhaustive sweep reads each position's signature once and visits no
 case.  Per order, _tables counts the matrices by the signatures of all
@@ -48,6 +49,9 @@ with the least failing C, since the witness order compares A, B and C
 before i and j; the least of a total is the least of these.  The work is
 the signatures of every position of PM(1), ..., PM(N), however many cases
 they make.
+
+Random mode (the sampling module) lists no pool: it draws pool indices from
+the pool sizes and reads only the drawn matrices that the rule reads.
 
 Notation.  By the formulas beside compose._RULES, X o_i Y (X of order x, Y
 of order y) keeps X's rows above i; gives Y's row q the row U_q | y_q << (i-1);
@@ -190,8 +194,9 @@ columns and R the row picked by u, which under the constant v is v on all
 of them: they differ, on every row of C, iff u != v.
 
 Signatures.  Both rules read of (A, i) and (B, j), or of (A, i) and
-(A, j), only _sig: None where the lower-left block lacks the constant, so
-the case is undefined; for a boxed kind (p > 1, p < n); under minmax
+(A, j), only the signature of each position (_sigs): None where the
+lower-left block lacks the constant, so the case is undefined; for a
+boxed kind (p > 1, p < n); under minmax
 whether X's row prefix at p and its column p below p are nonzero, that is
 whether p is not minimal and not maximal in X (row p holds the elements
 below p, and column p those above); and () for the other mask kinds,
@@ -241,13 +246,10 @@ constant fill, so its unit law always holds.
 
 from __future__ import annotations
 
-import random
-
 from .compose import (
     COL_AT_MIN,
     ROW_AT_MAX,
     _compose,
-    _lower_left_wrong,
     _rule,
     kind_name,
     parse_kind,
@@ -344,24 +346,14 @@ def _case(rule, law, a, b, c, i, j):
     return left == right, left, right
 
 
-def _sig(rule, x, p):
-    """The signature of position p of X, all that the associativity rule
-    reads of (A, i), (B, j) or (A, j): None when X's lower-left block at p
-    lacks the kind's constant; else, for a boxed kind, (p > 1, p < n), where
-    a constant fill can land in an outer lower-left block; under minmax,
-    whether X's row prefix at p and X's column p below p are nonzero, that
-    is whether p is not minimal and not maximal in X; else ()."""
-    u_fill, v_fill, a21 = rule
-    if a21 is not None:
-        return None if _lower_left_wrong(x, p, a21) else (p > 1, p < len(x))
-    if (u_fill, v_fill) != (ROW_AT_MAX, COL_AT_MIN):
-        return ()
-    k = p - 1
-    return x[k] != 1 << k, any(y >> k & 1 for y in x[p:])
-
-
 def _sigs(rule, x) -> tuple:
-    """_sig of every position of X, in order, from one pass over X's rows.
+    """The signature of every position p of X, in order, all that the
+    associativity rule reads of (A, i), (B, j) or (A, j): None when X's
+    lower-left block at p lacks the kind's constant; else, for a boxed
+    kind, (p > 1, p < n), where a constant fill can land in an outer
+    lower-left block; under minmax, whether X's row prefix at p and X's
+    column p below p are nonzero, that is whether p is not minimal and not
+    maximal in X; else ().  They come from one pass over X's rows.
 
     For a boxed kind, the rows are read from the bottom up, keeping the
     least column at which a row below p breaks the constant a21 (its
@@ -389,11 +381,11 @@ def _sigs(rule, x) -> tuple:
 
 def _outer(rule, law, sa, sb):
     """The outer half of the associativity case (A, i, B, j, C), the same
-    for every C, from sa = _sig(A, i) and sb = _sig(B, j) (nested) or
-    _sig(A, j) (parallel): None when the case is undefined, else whether it
-    breaks, that is whether it fails for every C (parallel) or for every C
-    that is not an antichain (nested).  See the module docstring for the
-    proofs."""
+    for every C, from sa, the signature of (A, i), and sb, that of (B, j)
+    (nested) or (A, j) (parallel): None when the case is undefined, else
+    whether it breaks, that is whether it fails for every C (parallel) or
+    for every C that is not an antichain (nested).  See the module
+    docstring for the proofs."""
     if sa is None or sb is None:
         return None
     if not sa:
@@ -408,29 +400,29 @@ def _outer(rule, law, sa, sb):
     return not nested and u_fill != v_fill
 
 
-def _unit(rule, a, i):
-    """Whether the unit case (A, i) holds, None when A o_i [1] is undefined,
-    without composing: see the unit rule in the module docstring."""
+def _units(rule, x) -> tuple:
+    """Whether the unit case (X, p) holds, for every position p of X in
+    order, None where X o_p [1] is undefined, without composing (the unit
+    rule in the module docstring).  One pass over X's rows from the bottom
+    up keeps, as _sigs does, the least column at which a row below p
+    breaks the constant a21, and the columns in which some row below p
+    differs from a constant V-fill."""
     u_fill, v_fill, a21 = rule
+    n = len(x)
     if a21 is None:
-        return True
-    if _lower_left_wrong(a, i, a21):
-        return None
-    k = i - 1
-    low = (1 << k) - 1
-    return a[k] & low == (low if u_fill else 0) and all(x >> k & 1 == v_fill for x in a[i:])
+        return (True,) * n
+    units, reach, off = [], n, 0
+    for k in range(n - 1, -1, -1):
+        y, low = x[k], (1 << k) - 1
+        units.append(None if reach < k else y & low == (low if u_fill else 0) and not off >> k & 1)
+        z = ~y if a21 else y
+        reach = min(reach, (z & -z).bit_length() - 1)
+        off |= ~y if v_fill else y
+    return tuple(units[::-1])
 
 
 def _antichain(c) -> bool:
     return all(x == 1 << r for r, x in enumerate(c))
-
-
-def _holds(rule, law, a, b, c, i, j):
-    """Whether one associativity case holds; None when it is undefined."""
-    breaks = _outer(rule, law, _sig(rule, a, i), _sig(rule, b if law == NESTED else a, j))
-    if breaks is None:
-        return None
-    return not breaks or law == NESTED and _antichain(c)
 
 
 def check_nested(kind, a, b, c, i, j):
@@ -486,11 +478,11 @@ class _Tally:
 def _tables(rule, pool) -> dict:
     """Per law, the table of one order's pool, a level of enumeration's
     walk and so already in witness order (see _levels): per signature of
-    an (A, i), which is also that of a (B, j), for NESTED, and per pair
-    (_sig(A, i), _sig(A, j)), i < j, for PARALLEL, [count, least member],
-    the member (X, p) or (A, i, j).  Matrices with the same signature at
-    every position are counted together, from the least of them, so the
-    first member met of a signature is the least."""
+    an (A, i), which is also that of a (B, j), for NESTED, and per pair of
+    signatures of (A, i) and (A, j), i < j, for PARALLEL, [count, least
+    member], the member (X, p) or (A, i, j).  Matrices with the same
+    signature at every position are counted together, from the least of
+    them, so the first member met of a signature is the least."""
     rows = {}
     for x in pool:
         rows.setdefault(_sigs(rule, x), [0, x])[0] += 1
@@ -569,36 +561,13 @@ def _exhaustive(rule, pools) -> list:
     if rule[2] is None:  # a mask kind's unit law always holds: see the unit rule
         unit.checked = sum(n * len(pool) for n, pool in pools.items())
     else:
-        for n, pool in pools.items():
+        for pool in pools.values():
             for a in pool:
-                for i in range(1, n + 1):
-                    unit.add(a, None, None, i, None, _unit(rule, a, i))
+                for i, holds in enumerate(_units(rule, a), 1):
+                    unit.add(a, None, None, i, None, holds)
             if unit.failures:
                 break
     return tallies + [unit]
-
-
-def _random(rule, law, pools, trials, seed) -> _Tally:
-    rng = random.Random(seed)
-    flat = [m for pool in pools.values() for m in pool]
-    tally = _Tally()
-    for _ in range(trials):
-        a = rng.choice(flat)
-        if law == UNIT_LAW:
-            i = rng.randint(1, len(a))
-            tally.add(a, None, None, i, None, _unit(rule, a, i))
-            continue
-        b = rng.choice(flat)
-        c = rng.choice(flat)
-        if law == NESTED:
-            i, j = rng.randint(1, len(a)), rng.randint(1, len(b))
-        elif len(a) < 2:
-            tally.skipped += 1
-            continue
-        else:
-            i, j = sorted(rng.sample(range(1, len(a) + 1), 2))
-        tally.add(a, b, c, i, j, _holds(rule, law, a, b, c, i, j))
-    return tally
 
 
 def _report(kind, rule, law, tally) -> LawReport:
@@ -653,11 +622,14 @@ def verify_laws(kind, max_order, trials=None, seed=0):
     _check_order(max_order, DEFAULT_ORDER_CAP)
     _check_budget(max_order, trials)
     rule = _rule(kind)
-    pools = dict(enumerate(_levels(max_order), 1))
     if trials is None:
-        tallies = _exhaustive(rule, pools)
+        tallies = _exhaustive(rule, dict(enumerate(_levels(max_order), 1)))
     else:
-        tallies = [_random(rule, law, pools, trials, seed + t) for t, law in enumerate(LAWS)]
+        # sampling imports this module's rule, so it is imported here, when
+        # random mode first runs; no other command pays to compile it
+        from .sampling import random_tallies
+
+        tallies = random_tallies(rule, max_order, trials, seed)
     return [_report(kind, rule, law, tally) for law, tally in zip(LAWS, tallies)]
 
 

@@ -1,13 +1,15 @@
 """Shared fixtures: golden matrices and brute-force sweep drivers."""
 
+import random
+from functools import lru_cache
 from itertools import combinations, product
 
-from posetmat import SQUARE, UNIT, PosetMatrix, compose
-from posetmat.compose import kind_name
+from posetmat import SQUARE, UNIT, PosetMatrix, check_nested, check_parallel, check_unit, compose
+from posetmat.compose import COL_AT_MIN, ROW_AT_MAX, _lower_left_wrong, kind_name
 from posetmat.duality import semi_equidual
 from posetmat.enumeration import IsoClass, _children, _ideals, _parents, canonical_form, generate_all
 from posetmat.errors import PreconditionViolated
-from posetmat.operad import LawReport, Witness
+from posetmat.operad import LawReport, Witness, _antichain, _outer
 from posetmat.structure import (
     _components,
     classify_connectivity,
@@ -232,6 +234,43 @@ def _law_sides(kind, law, a, b, c, i, j):
     return left == right, left, right
 
 
+def signature_at(rule, x, p):
+    """The signature of position p of X, read at p alone: what
+    operad._sigs gives for every position in one pass."""
+    u_fill, v_fill, a21 = rule
+    if a21 is not None:
+        return None if _lower_left_wrong(x, p, a21) else (p > 1, p < len(x))
+    if (u_fill, v_fill) != (ROW_AT_MAX, COL_AT_MIN):
+        return ()
+    k = p - 1
+    return x[k] != 1 << k, any(y >> k & 1 for y in x[p:])
+
+
+def unit_at(rule, a, i):
+    """Whether the unit case (A, i) holds, None when A o_i [1] is
+    undefined, by the unit rule of the operad module read at i alone: what
+    operad._units gives for every position in one pass."""
+    u_fill, v_fill, a21 = rule
+    if a21 is None:
+        return True
+    if _lower_left_wrong(a, i, a21):
+        return None
+    k = i - 1
+    low = (1 << k) - 1
+    return a[k] & low == (low if u_fill else 0) and all(x >> k & 1 == v_fill for x in a[i:])
+
+
+def holds_by_signatures(rule, law, a, b, c, i, j):
+    """Whether one associativity case on row codes holds by the rule of the
+    operad module, from the signatures of its two positions and whether C
+    is an antichain; None when it is undefined."""
+    sb = signature_at(rule, b if law == "nested" else a, j)
+    breaks = _outer(rule, law, signature_at(rule, a, i), sb)
+    if breaks is None:
+        return None
+    return not breaks or law == "nested" and _antichain(c)
+
+
 def _witness_order(w: Witness):
     enc = [";".join(m.bit_rows()) if m is not None else "" for m in (w.a, w.b, w.c)]
     return (*enc, w.i, w.j or 0)
@@ -263,6 +302,71 @@ def brute_force_laws(kind, max_order: int) -> list:
                     failures.append(Witness(a, b, c, i, j, left, right))
             if failures:
                 break
+        witness = min(failures, key=_witness_order) if failures else None
+        verdict = "fail" if failures else "pass"
+        reports.append(LawReport(law, kind_name(kind), verdict, checked, skipped, witness))
+    return reports
+
+
+@lru_cache(maxsize=None)
+def _composed_verdict(kind, law, a, b, c, i, j):
+    """(holds, left, right) of one case, from check_nested, check_parallel
+    or check_unit (the unit sides from compose), or None when a composition
+    it makes is undefined."""
+    if law == "unit":
+        if _defined(check_unit, kind, a, i) is None:
+            return None
+        return _law_sides(kind, law, a, None, None, i, None)
+    check = check_nested if law == "nested" else check_parallel
+    return _defined(check, kind, a, b, c, i, j)
+
+
+def random_cases(max_order: int, trials: int, seed: int) -> dict:
+    """Per law, the seeded random cases (a, b, c, i, j) that random mode
+    drew from the list flat of PM(1), ..., PM(max_order), None for a
+    skipped one: per law a generator random.Random(seed + t);
+    A = choice(flat); for the unit law i = randint(1, n_A); else B and C
+    by choice, then nested i, j by randint, or parallel, skipped if n_A < 2,
+    sorted(sample(range(1, n_A + 1), 2)).  The cases of fewer trials are a
+    prefix of these."""
+    flat = [m for n in range(1, max_order + 1) for m in generate_all(n)]
+    cases = {}
+    for t, law in enumerate(("nested", "parallel", "unit")):
+        rng = random.Random(seed + t)
+        cases[law] = drawn = []
+        for _ in range(trials):
+            a = rng.choice(flat)
+            if law == "unit":
+                drawn.append((a, None, None, rng.randint(1, a.n), None))
+                continue
+            b, c = rng.choice(flat), rng.choice(flat)
+            if law == "nested":
+                drawn.append((a, b, c, rng.randint(1, a.n), rng.randint(1, b.n)))
+            elif a.n < 2:
+                drawn.append(None)
+            else:
+                drawn.append((a, b, c, *sorted(rng.sample(range(1, a.n + 1), 2))))
+    return cases
+
+
+def random_laws_by_composing(kind, cases: dict) -> list:
+    """The three LawReports of the random cases of each law (random_cases),
+    each case decided by composing both sides; a skipped case, or one whose
+    composition is undefined, is skipped.  The witness is the least
+    failure, ordered as brute_force_laws orders them."""
+    reports = []
+    for law, drawn in cases.items():
+        checked = skipped = 0
+        failures = []
+        for case in drawn:
+            verdict = None if case is None else _composed_verdict(kind, law, *case)
+            if verdict is None:
+                skipped += 1
+                continue
+            checked += 1
+            holds, left, right = verdict
+            if not holds:
+                failures.append(Witness(*case, left, right))
         witness = min(failures, key=_witness_order) if failures else None
         verdict = "fail" if failures else "pass"
         reports.append(LawReport(law, kind_name(kind), verdict, checked, skipped, witness))

@@ -671,6 +671,59 @@ def test_any_integer_argument_ends_at_once(order_two, case):
         assert message.count("\n") == 1 and "Traceback" not in message
 
 
+# spellings that int() reads but the CLI refuses: the digits of other
+# scripts (Arabic-Indic, fullwidth), a plus sign, underscores and spaces
+INTEGER_SPELLINGS = ["\u0663", "\uff13", "+3", "1_0", " 3", "3 ", "3\n"]
+
+
+def _integer_argvs(m):
+    """(flag, argv with the value x) for each integer flag of the CLI."""
+    return {
+        "pascal --n": lambda x: ["pascal", "--n", x],
+        "enumerate --n": lambda x: ["enumerate", "--n", x],
+        "compose --i": lambda x: ["compose", "--op", "square", "--i", x, m, m],
+        "laws --max-n": lambda x: ["laws", "--op", "square", "--max-n", x],
+        "laws --random": lambda x: ["laws", "--op", "square", "--max-n", "2", "--random", x],
+        "laws --seed": lambda x: ["laws", "--op", "square", "--max-n", "2", "--random", "3", "--seed", x],
+    }
+
+
+def test_integer_flags_are_all_read_by_the_strict_reader():
+    # every flag that takes an integer names the one reader as its type
+    types = {k.get("type") for name in COMMANDS for f, k in cli._arguments(name)}
+    assert types == {None, cli._integer}
+    assert [cli._integer(x) for x in ("0", "7", "-1", "0012")] == [0, 7, -1, 12]
+
+
+@pytest.mark.parametrize("value", INTEGER_SPELLINGS)
+@pytest.mark.parametrize("where", list(_integer_argvs("A")))
+def test_integer_flags_refuse_other_spellings(order_two, where, value):
+    # exit 2, nothing on stdout, and argparse's one error line after the
+    # usage, which names the flag and the value as before
+    code, out, err = _outcome(_integer_argvs(order_two)[where](value))
+    flag = where.split()[1]
+    assert (code, out) == (2, "")
+    assert err.endswith(f"error: argument {flag}: invalid int value: {value!r}\n"), err
+    assert [line for line in err.splitlines() if "error:" in line] == [err.splitlines()[-1]]
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("spec", ["\u0661..\u0662", "1..\uff12", "+1..2", "1_0..2", "1, 2", "1,+2"])
+def test_alpha_refuses_other_integer_spellings(order_two, spec):
+    code, out, err = _outcome(["invariance", "--alpha", spec, order_two, order_two])
+    message = f"--alpha must be LO..HI or a comma-separated list of integers, got {spec!r}"
+    assert (code, out, err) == (2, "", f"usage error: {message}\n")
+
+
+def test_negative_seed_keeps_the_argparse_path():
+    # a value that starts with "-" is never plain, and argparse reads it
+    argv = ["laws", "--op", "minmax", "--max-n", "3", "--random", "5", "--seed", "-1"]
+    assert cli._plain_args(argv) is None
+    code, out, err = _outcome(argv)
+    assert (code, err) == (0, "")
+    assert out.splitlines()[0] == "nested: pass  (cases=5, skipped=0)"
+
+
 # per command: a valid argv, one missing a required argument and one with a
 # value of the wrong type (or shape); "A" and "B" stand for matrix files
 PARSER_CASES = {
@@ -758,8 +811,8 @@ def test_run_answers_as_the_full_parser(files, monkeypatch, case, argv, message)
 
 # what each command's flags take: values that pass, values that argparse
 # reads another way or refuses, and stray tokens of every kind
-_ODD = ["-1", "-", "", " 3", "3_0", "\u0663", "x"]
-_VALUES = {int: ["0", "2", "3"], str: ["square", "minmax", "1..2", "A"]}
+_ODD = ["-1", "-", "", " 3", "3 ", "+3", "3_0", "\u0663", "\uff13", "x"]
+_VALUES = {cli._integer: ["0", "2", "3"], str: ["square", "minmax", "1..2", "A"]}
 _STRAYS = ["--", "-h", "-o", "--bogus", "-1", "-", "", "A", "B", "extra"]
 
 

@@ -1,10 +1,11 @@
 import random
 import tracemalloc
-from itertools import product
+from itertools import accumulate, product
 
 import pytest
 
 from posetmat import MINMAX, SQUARE, UNIT, check_nested, check_parallel, check_unit
+from posetmat import enumeration, sampling
 from posetmat.compose import (
     ALL_BOXED,
     ALL_KINDS,
@@ -34,19 +35,31 @@ from posetmat.operad import (
     _case_key,
     _check_budget,
     _groups,
-    _holds,
     _outer,
-    _sig,
     _sigs,
     _sweep,
     _tables,
     _Tally,
-    _unit,
+    _units,
     reverify,
     verify_laws,
 )
 
-from helpers import EX_A, EX_B, EX_C, NESTED_LEFT, NESTED_RIGHT, _defined, chain, pm
+from helpers import (
+    EX_A,
+    EX_B,
+    EX_C,
+    NESTED_LEFT,
+    NESTED_RIGHT,
+    _defined,
+    chain,
+    holds_by_signatures,
+    pm,
+    random_cases,
+    random_laws_by_composing,
+    signature_at,
+    unit_at,
+)
 
 
 class TestCheckNested:
@@ -347,7 +360,7 @@ def test_block_verdict_matches_both_sides_case_by_case(kind):
     for law, a, b, c, i, j in _all_cases():
         case = _defined(_case, rule, law, a, b, c, i, j)
         want = None if case is None else case[0]
-        assert _holds(rule, law, a, b, c, i, j) is want, (law, a, b, c, i, j)
+        assert holds_by_signatures(rule, law, a, b, c, i, j) is want, (law, a, b, c, i, j)
 
 
 def _branch(kind, law, a, b, c, i, j):
@@ -357,7 +370,8 @@ def _branch(kind, law, a, b, c, i, j):
     (a) and (b) hold and whether C is an antichain; under a boxed kind
     parallel, whether u != v; else the law alone."""
     rule = _rule(kind)
-    breaks = _outer(rule, law, _sig(rule, a, i), _sig(rule, b if law == NESTED else a, j))
+    sb = signature_at(rule, b if law == NESTED else a, j)
+    breaks = _outer(rule, law, signature_at(rule, a, i), sb)
     if breaks is None:
         return law, None
     if law == NESTED and kind == MINMAX:
@@ -399,10 +413,11 @@ def test_every_branch_of_the_rule_occurs():
 @pytest.mark.parametrize("kind", ALL_KINDS, ids=kind_name)
 def test_grouped_sweep_matches_case_by_case(kind):
     # each (n, m, k) over PM(<=3) grouped alone, without the stop rule: the
-    # same checked and skipped counts as deciding every case with _holds, and
-    # the same least failing case, though the signature groups keep only
-    # their least breaking (A, B, i, j), each to be paired with the least C
-    # that fails it; each of those is itself a failing case
+    # same checked and skipped counts as deciding every case with
+    # holds_by_signatures, and the same least failing case, though the
+    # signature groups keep only their least breaking (A, B, i, j), each to
+    # be paired with the least C that fails it; each of those is itself a
+    # failing case
     rule = _rule(kind)
     pools = dict(enumerate(_levels(3), 1))
     tables = {n: _tables(rule, pool) for n, pool in pools.items()}
@@ -411,12 +426,12 @@ def test_grouped_sweep_matches_case_by_case(kind):
             undefined, defined, breaking = _groups(rule, law, pools, tables, n, m)
             failing = [c for c in pools[k] if law == PARALLEL or not _antichain(c)]
             cases = [(a, b, failing[0], i, j) for a, b, i, j in breaking] if failing else []
-            assert all(_holds(rule, law, *case) is False for case in cases), (law, n, m, k)
+            assert all(holds_by_signatures(rule, law, *case) is False for case in cases), (law, n, m, k)
             single = _Tally()
             for a, b, c in product(pools[n], pools[m], pools[k]):
                 for i in range(1, n + 1):
                     for j in range(1, m + 1) if law == NESTED else range(i + 1, n + 1):
-                        single.add(a, b, c, i, j, _holds(rule, law, a, b, c, i, j))
+                        single.add(a, b, c, i, j, holds_by_signatures(rule, law, a, b, c, i, j))
             counts = undefined * len(pools[k]), defined * len(pools[k])
             assert counts == (single.skipped, single.checked), (law, n, m, k)
             least = min(cases, key=_case_key, default=None)
@@ -543,7 +558,7 @@ def test_parallel_sweep_order_five_is_pinned(name, checked, skipped):
 
 
 def test_unit_rule_matches_both_sides():
-    # every (kind, A, i) over PM(<=5): _unit gives the verdict of composing
+    # every (kind, A, i) over PM(<=5): unit_at gives the verdict of composing
     # both sides, and None exactly where that is undefined.  Undefined
     # cases, each constant fill alone wrong, both wrong, neither, and the
     # mask kinds, whose unit law always holds, all occur.
@@ -554,7 +569,7 @@ def test_unit_rule_matches_both_sides():
         for a in pool:
             for i in range(1, len(a) + 1):
                 case = _defined(_case, rule, UNIT_LAW, a, None, None, i, None)
-                got = _unit(rule, a, i)
+                got = unit_at(rule, a, i)
                 assert got is (None if case is None else case[0]), (kind_name(kind), a, i)
                 count += 1
                 if kind in MASK_KINDS:
@@ -610,20 +625,93 @@ class TestBoxedKindsMeasured:
 
 @pytest.mark.parametrize("kind", ALL_KINDS, ids=kind_name)
 def test_signatures_of_a_matrix_are_those_of_its_positions(kind):
-    # _sigs, which reads a matrix's rows once, gives _sig of each position
-    # over PM(<=6)
+    # _sigs, which reads a matrix's rows once, gives the signature of each
+    # position read alone (signature_at) over PM(<=6)
     rule = _rule(kind)
     for a in (a for level in _levels(6) for a in level):
-        assert _sigs(rule, a) == tuple(_sig(rule, a, p) for p in range(1, len(a) + 1)), a
+        assert _sigs(rule, a) == tuple(signature_at(rule, a, p) for p in range(1, len(a) + 1)), a
 
 
 @pytest.mark.parametrize("kind", MASK_KINDS)
 def test_mask_unit_sweep_is_the_closed_form(kind):
     # a mask kind's exhaustive unit tally, counted without visiting a case,
-    # is what deciding every (A, i) of PM(<=5) with _unit gives
+    # is what deciding every (A, i) of PM(<=5) with unit_at gives
     rule = _rule(kind)
     pools = dict(enumerate(_levels(5), 1))
     unit = _exhaustive(rule, pools)[2]
-    verdicts = [_unit(rule, a, i) for n in pools for a in pools[n] for i in range(1, n + 1)]
+    verdicts = [unit_at(rule, a, i) for n in pools for a in pools[n] for i in range(1, n + 1)]
     assert verdicts == [True] * 1_971
     assert (unit.checked, unit.skipped, unit.failures) == (1_971, 0, [])
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS, ids=kind_name)
+def test_units_of_a_matrix_are_those_of_its_positions(kind):
+    # _units, which reads a matrix's rows once, gives the unit verdict of
+    # each position read alone (unit_at) over PM(<=6)
+    rule = _rule(kind)
+    for a in (a for level in _levels(6) for a in level):
+        assert _units(rule, a) == tuple(unit_at(rule, a, p) for p in range(1, len(a) + 1)), a
+
+
+def test_random_mode_matches_the_composing_oracle():
+    # every kind, orders 1-5, three seeds and three trial counts: the same
+    # JSON reports as drawing from the list of PM(1..N) with choice,
+    # randint and sample and composing both sides of every case.
+    # The draws do not depend on the kind, and fewer trials draw a prefix.
+    for n in range(1, 6):
+        for seed in (0, 1, -3):
+            cases = random_cases(n, 500, seed)
+            for trials in (1, 7, 500):
+                prefix = {law: drawn[:trials] for law, drawn in cases.items()}
+                for kind in ALL_KINDS:
+                    got = [r.to_json() for r in verify_laws(kind, n, trials=trials, seed=seed)]
+                    want = [r.to_json() for r in random_laws_by_composing(kind, prefix)]
+                    assert got == want, (kind_name(kind), n, seed, trials)
+
+
+@pytest.mark.parametrize("kind", OPERAD_KINDS)
+def test_random_operad_trials_build_no_pool(monkeypatch, kind):
+    # square, min and max read no matrix: random mode lists no level and
+    # walks none, and the one enumeration it makes, matrix_count's, builds
+    # no matrix of order N-1 or N
+    def refuse(*args):
+        raise AssertionError("random mode built a pool")
+
+    built = []
+    children = enumeration._children
+
+    def spy(codes):
+        built.append(len(codes) + 1)
+        return children(codes)
+
+    monkeypatch.setattr(sampling, "_levels", refuse)
+    monkeypatch.setattr(sampling, "_ideals", refuse)
+    monkeypatch.setattr(enumeration, "_children", spy)
+    reports = verify_laws(kind, 8, trials=1000, seed=5)
+    assert [(r.verdict, r.cases_checked + r.cases_skipped) for r in reports] == [("pass", 1000)] * 3
+    assert built and max(built) <= 6
+
+
+@pytest.mark.parametrize("name", ["minmax", "boxed:110"])
+def test_random_mode_holds_only_what_it_draws(name):
+    # order 7: PM(7) is walked parent by parent and only the drawn matrices
+    # are read; listing PM(1..7) alone would take about 10 MiB
+    tracemalloc.start()
+    try:
+        verify_laws(parse_kind(name), 7, trials=200, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 << 20
+
+
+def test_rank_is_the_witness_order_on_pool_indices():
+    # over PM(1..5) listed in turn: ordering the indices by _rank orders
+    # the matrices by the witness key, and _Drawn gives each index's codes
+    levels = list(_levels(5))
+    flat = [codes for level in levels for codes in level]
+    starts = [0, *accumulate(len(level) for level in levels)]
+    by_rank = sorted(range(len(flat)), key=lambda g: sampling._rank(starts, g))
+    assert [flat[g] for g in by_rank] == sorted(flat, key=lambda x: _case_key((x, x, x, 1, 1)))
+    drawn = sampling._Drawn(_rule(MINMAX), 5, starts, bytearray(len(flat)))
+    assert [drawn.codes(g) for g in range(len(flat))] == flat
