@@ -10,11 +10,11 @@ the precondition a21, read from its fields by _rule.  U is
 A's row prefix at i in every row of B (ROW), only in the rows of B's
 maximal elements (ROW_AT_MAX), or a constant; V is A's column suffix at i
 in every column of B (COL), only in those of B's minimal elements
-(COL_AT_MIN), or a constant.  The precondition has one reader,
-_lower_left_wrong, which names the first entry of A's lower-left block
-that breaks it: compose raises from it, and the law sweep in operad tests
-it.  The same rules read backwards give the one host A that could have
-produced a composite at a given split (_host); this is how
+(COL_AT_MIN), or a constant.  _lower_left_wrong names the first entry of
+A's lower-left block that breaks the precondition, and compose raises from
+it; the law rules read the precondition at every position of a matrix at
+once (operad._masks).  The same rules read backwards give the one host A
+that could have produced a composite at a given split (_host); this is how
 structure.factor finds its factorizations.
 
   square    (ROW, COL), an operad.

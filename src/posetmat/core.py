@@ -241,17 +241,6 @@ def validate(m) -> PosetMatrix:
     return PosetMatrix._wrap(m.codes)
 
 
-def is_poset_matrix(m) -> bool:
-    """True iff validate(m) succeeds.  Input that is not a grid of 0/1
-    entries (None, a number, ragged rows, other entries) gives False."""
-    try:
-        validate(m)
-        return True
-    except (ValidationError, ValueError, TypeError, OverflowError):
-        # OverflowError: int() of an infinite float entry.
-        return False
-
-
 def index_set(alpha, n: int) -> tuple:
     """Normalise an index set: strictly increasing 1-based indices within [n].
     An index that is not an integer (1.5, "1") raises TypeError."""

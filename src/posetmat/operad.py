@@ -17,41 +17,45 @@ are the levels of enumeration's walk, taken as code tuples once the order
 cap is checked, and a kind's rule is looked up once.  Each level comes
 ascending in its rows read as bit strings, column 1 first (_levels), which
 within one order is the witness order _enc compares, so no pool is sorted.
-An associativity case (A, i, B, j, C) is decided without composing
-anything, by the rule proved below.  _outer reads the signatures (_sigs)
-of two positions, (A, i) and (B, j) (nested) or (A, i) and (A, j)
-(parallel): None when the case is undefined, which never depends on C,
-else whether (A, i, B, j) breaks.  A case fails iff it breaks and the law
-is parallel or C is not an antichain.  A unit case (A, i) is decided from
-A's row i and column i by the unit rule at the end (_units, for every i
-at once); by that rule every unit case of a mask kind holds, so the
-exhaustive sweep counts them, n per matrix of order n, without visiting
-one.  Random mode and the exhaustive sweep compose nothing; both sides
-are composed (_case) only for the check_* functions and the reported
-witness.
+All that the rules read of a matrix comes from one pass over its rows
+(_masks): two bit masks, its minimal and maximal elements under minmax,
+and for a boxed kind the positions whose lower-left block has the
+constant a21 and those whose unit case holds; square, min and max read
+nothing.  _row turns the masks into the signature of every position,
+whether the matrix is an antichain, and every unit verdict.  An
+associativity case (A, i, B, j, C) is decided without composing anything,
+by the rule proved below.  _outer reads the signatures of two positions,
+(A, i) and (B, j) (nested) or (A, i) and (A, j) (parallel): None when the
+case is undefined, which never depends on C, else whether (A, i, B, j)
+breaks.  A case fails iff it breaks and the law is parallel or C is not an
+antichain.  A unit case (A, i) is decided by the unit rule at the end;
+under it every unit case of a mask kind holds.  Random mode and the
+exhaustive sweep compose nothing; both sides are composed (_case) only for
+the check_* functions and the reported witness.
 
-The exhaustive sweep reads each position's signature once and visits no
-case.  Per order, _tables counts the matrices by the signatures of all
-their positions (read in one pass over the rows, _sigs), keeping the
-least of each, and turns that into one table per law: per signature of
-(A, i) (nested, which is also that of (B, j)) or pair of signatures of
-(A, i, j) (parallel), the count and the least member, in witness order.
-Per order pair (n, m), _groups pairs the tables of n and m (nested), or
-scales the table of n by |P_m| (parallel: the parallel rule reads no B,
-so the least B stands for them all), and decides each signature group
-by _outer.  The C that fail a breaking (A, i, B, j) are all of them
-(parallel) or those that are not antichains (nested), the same for every
-(A, i, B, j); of order k the least is pools[k][0], or the least
-non-antichain (none for k = 1).  The sweep runs by ascending total order
-n+m+k and stops at the end of the first total with a failure.  The least
-failing case of a breaking group is its least (A, i) and least (B, j)
-with the least failing C, since the witness order compares A, B and C
-before i and j; the least of a total is the least of these.  The work is
-the signatures of every position of PM(1), ..., PM(N), however many cases
-they make.
+The exhaustive sweep reads each matrix once and visits no case.  Per
+order, _tables counts the matrices by their masks, keeping the least of
+each, and turns that into one table: per signature of (A, i) (nested,
+which is also that of (B, j)) or pair of signatures of (A, i, j)
+(parallel), the count and the least member, in witness order; the order's
+unit tally, with its least failing (A, i); and the least matrix that is
+not an antichain.  Per order pair (n, m), _groups pairs the tables of n
+and m (nested), or scales the table of n by |P_m| (parallel: the parallel
+rule reads no B, so the least B stands for them all), and decides each
+signature group by _outer.  The C that fail a breaking (A, i, B, j) are
+all of them (parallel) or those that are not antichains (nested), the same
+for every (A, i, B, j); of order k the least is the level's first, or the
+least non-antichain (none for k = 1).  The sweep runs by ascending total
+order n+m+k and stops at the end of the first total with a failure, and
+the unit law at the end of the first order with one.  The least failing
+case of a breaking group is its least (A, i) and least (B, j) with the
+least failing C, since the witness order compares A, B and C before i and
+j; the least of a total is the least of these.  The work is one _masks
+read per matrix of PM(1), ..., PM(N), however many cases they make.
 
 Random mode (the sampling module) lists no pool: it draws pool indices from
-the pool sizes and reads only the drawn matrices that the rule reads.
+the pool sizes and reads, once each, only the drawn matrices that the rule
+reads.
 
 Notation.  By the formulas beside compose._RULES, X o_i Y (X of order x, Y
 of order y) keeps X's rows above i; gives Y's row q the row U_q | y_q << (i-1);
@@ -194,7 +198,7 @@ columns and R the row picked by u, which under the constant v is v on all
 of them: they differ, on every row of C, iff u != v.
 
 Signatures.  Both rules read of (A, i) and (B, j), or of (A, i) and
-(A, j), only the signature of each position (_sigs): None where the
+(A, j), only the signature of each position (_row): None where the
 lower-left block lacks the constant, so the case is undefined; for a
 boxed kind (p > 1, p < n); under minmax
 whether X's row prefix at p and its column p below p are nonzero, that is
@@ -270,12 +274,11 @@ LAWS = (NESTED, PARALLEL, UNIT_LAW)
 # Most random-mode cases one verify_laws call may run (3 * trials): a limit
 # on the count, not an estimate of the time.
 LAW_CASE_BUDGET = 10**8
-# Largest order the exhaustive sweep takes.  Its work is the signatures of
-# every position of PM(1), ..., PM(N), whatever the number of cases: up to
-# order 7, 705,911 positions, in 0.12-0.14 s (square, min, max) or
-# 0.33-0.46 s (minmax, boxed) per kind as one process at 25 MiB (2-core
-# machine).  Order 8 would need all of PM(8), 2.8 M matrices and about
-# 378 MiB, and 23,109,687 positions.
+# Largest order the exhaustive sweep takes.  Its work is one _masks read of
+# every matrix of PM(1), ..., PM(N), whatever the number of cases: up to
+# order 7, 101,659 matrices, in 0.09 s (square, min, max) or 0.16-0.18 s
+# (minmax, boxed) per kind as one process at 25-26 MiB (2-core machine).
+# Order 8 would need all of PM(8), 2.8 M matrices and about 378 MiB.
 LAW_EXHAUSTIVE_ORDER = 7
 
 
@@ -346,37 +349,65 @@ def _case(rule, law, a, b, c, i, j):
     return left == right, left, right
 
 
-def _sigs(rule, x) -> tuple:
-    """The signature of every position p of X, in order, all that the
-    associativity rule reads of (A, i), (B, j) or (A, j): None when X's
-    lower-left block at p lacks the kind's constant; else, for a boxed
-    kind, (p > 1, p < n), where a constant fill can land in an outer
-    lower-left block; under minmax, whether X's row prefix at p and X's
-    column p below p are nonzero, that is whether p is not minimal and not
-    maximal in X; else ().  They come from one pass over X's rows.
+def _masks(rule, x) -> tuple:
+    """(n, m1, m2), all that the rules read of X, an order-n matrix, from
+    one pass over its rows.  Under minmax, m1 and m2 are the masks of X's
+    minimal and maximal elements.  For a boxed kind, m1 holds the positions
+    p whose lower-left block has the constant a21, and m2 those whose unit
+    case holds (bit p - 1 each).  The other mask kinds read nothing of X,
+    so both masks are 0.
 
-    For a boxed kind, the rows are read from the bottom up, keeping the
-    least column at which a row below p breaks the constant a21 (its
-    lowest 1 if a21 is 0, its lowest 0 if a21 is 1); X's lower-left block
-    at p has the constant iff that column is p - 1 or more.  Under minmax,
-    the rows are read once for the elements that lie below another (the
-    union of the rows off the diagonal), so each signature is two bit
-    tests."""
+    For a boxed kind the rows are read from the bottom up, keeping the
+    columns in which some row below p differs from the constant a21 (bad)
+    and from a constant V-fill (off); X's block at p has the constant iff
+    bad has none of its first p - 1 columns.  The constant c (0 or 1)
+    fills a row with the bits of -c, so a row y differs from it where
+    y ^ -c has a 1.  Under minmax an element is minimal iff its row is its diagonal 1
+    alone, and maximal iff no other row holds it."""
     u_fill, v_fill, a21 = rule
     n = len(x)
+    m1 = m2 = 0
     if a21 is not None:
-        sigs, reach = [], n
-        for p in range(n, 0, -1):
-            sigs.append((p > 1, p < n) if reach >= p - 1 else None)
-            y = ~x[p - 1] if a21 else x[p - 1]
-            reach = min(reach, (y & -y).bit_length() - 1)
-        return tuple(sigs[::-1])
-    if (u_fill, v_fill) != (ROW_AT_MAX, COL_AT_MIN):
-        return ((),) * n
-    below = 0
-    for k, y in enumerate(x):
-        below |= y ^ 1 << k
-    return tuple([(y != 1 << k, below >> k & 1 == 1) for k, y in enumerate(x)])
+        bad = off = 0
+        for k in range(n - 1, -1, -1):
+            y, low = x[k], (1 << k) - 1
+            if not bad & low:
+                m1 |= 1 << k
+                if not (y ^ -u_fill) & low and not off >> k & 1:
+                    m2 |= 1 << k
+            bad |= y ^ -a21
+            off |= y ^ -v_fill
+    elif (u_fill, v_fill) == (ROW_AT_MAX, COL_AT_MIN):
+        below = 0
+        for k, y in enumerate(x):
+            if y == 1 << k:
+                m1 |= y
+            below |= y ^ 1 << k
+        m2 = ~below & (1 << n) - 1
+    return n, m1, m2
+
+
+def _row(rule, masks) -> tuple:
+    """(sigs, antichain, units) of a matrix with these _masks: the
+    signature of each position, all that the associativity rule reads of
+    (A, i), (B, j) or (A, j); whether it is an antichain, None where the
+    rule reads no C; and whether each unit case holds.
+
+    A signature is None when the lower-left block at p lacks the kind's
+    constant; else, for a boxed kind, (p > 1, p < n), where a constant fill
+    can land in an outer lower-left block; under minmax, whether X's row
+    prefix at p and X's column p below p are nonzero, that is whether p is
+    not minimal and not maximal in X; else ().  A unit verdict is None
+    where X o_p [1] is undefined (the unit rule)."""
+    u_fill, v_fill, a21 = rule
+    n, m1, m2 = masks
+    if a21 is not None:
+        sigs = tuple([(k > 0, k < n - 1) if m1 >> k & 1 else None for k in range(n)])
+        return sigs, None, tuple([m2 >> k & 1 == 1 if m1 >> k & 1 else None for k in range(n)])
+    if (u_fill, v_fill) == (ROW_AT_MAX, COL_AT_MIN):
+        sigs = tuple([(not m1 >> k & 1, not m2 >> k & 1) for k in range(n)])
+        return sigs, m1 == (1 << n) - 1, (True,) * n
+    return ((),) * n, None, (True,) * n
 
 
 def _outer(rule, law, sa, sb):
@@ -398,31 +429,6 @@ def _outer(rule, law, sa, sb):
     if u_in and u_fill != a21 or v_in and v_fill != a21:
         return None
     return not nested and u_fill != v_fill
-
-
-def _units(rule, x) -> tuple:
-    """Whether the unit case (X, p) holds, for every position p of X in
-    order, None where X o_p [1] is undefined, without composing (the unit
-    rule in the module docstring).  One pass over X's rows from the bottom
-    up keeps, as _sigs does, the least column at which a row below p
-    breaks the constant a21, and the columns in which some row below p
-    differs from a constant V-fill."""
-    u_fill, v_fill, a21 = rule
-    n = len(x)
-    if a21 is None:
-        return (True,) * n
-    units, reach, off = [], n, 0
-    for k in range(n - 1, -1, -1):
-        y, low = x[k], (1 << k) - 1
-        units.append(None if reach < k else y & low == (low if u_fill else 0) and not off >> k & 1)
-        z = ~y if a21 else y
-        reach = min(reach, (z & -z).bit_length() - 1)
-        off |= ~y if v_fill else y
-    return tuple(units[::-1])
-
-
-def _antichain(c) -> bool:
-    return all(x == 1 << r for r, x in enumerate(c))
 
 
 def check_nested(kind, a, b, c, i, j):
@@ -465,37 +471,45 @@ class _Tally:
         self.skipped = 0
         self.failures = []
 
-    def add(self, a, b, c, i, j, holds) -> None:
-        """Count one case on row codes: whether it holds, None when undefined."""
-        if holds is None:
-            self.skipped += 1
-            return
-        self.checked += 1
-        if not holds:
-            self.failures.append((a, b, c, i, j))
 
-
-def _tables(rule, pool) -> dict:
-    """Per law, the table of one order's pool, a level of enumeration's
-    walk and so already in witness order (see _levels): per signature of
-    an (A, i), which is also that of a (B, j), for NESTED, and per pair of
-    signatures of (A, i) and (A, j), i < j, for PARALLEL, [count, least
-    member], the member (X, p) or (A, i, j).  Matrices with the same
-    signature at every position are counted together, from the least of
-    them, so the first member met of a signature is the least."""
+def _tables(rule, level) -> dict:
+    """One order's table, from one _masks read of each matrix of its level,
+    a level of enumeration's walk and so already in witness order (see
+    _levels).  Matrices with the same masks are counted together, and
+    their _row is made once, kept with the least of them, so the first
+    member met of anything below is the least.  Per law: for NESTED, per signature of an (A, i), which is also
+    that of a (B, j), and for PARALLEL, per pair of signatures of (A, i)
+    and (A, j), i < j, [count, least member], the member (X, p) or
+    (A, i, j); for UNIT_LAW, the _Tally of the order's unit cases, with its
+    least failing (A, i) if any.  Then "level", and "not antichain", the
+    least matrix that the rule reads as no antichain, or None."""
     rows = {}
-    for x in pool:
-        rows.setdefault(_sigs(rule, x), [0, x])[0] += 1
-    nested, parallel = {}, {}
-    for sigs, (count, x) in rows.items():
+    for x in level:
+        rows.setdefault(_masks(rule, x), [0, x])[0] += 1
+    nested, parallel, unit, not_antichain = {}, {}, _Tally(), None
+    for masks, (count, x) in rows.items():
+        sigs, antichain, units = _row(rule, masks)
+        if antichain is False and not_antichain is None:
+            not_antichain = x
         for i, s in enumerate(sigs, 1):
             nested.setdefault(s, [0, (x, i)])[0] += count
             for j, t in enumerate(sigs[i:], i + 1):
                 parallel.setdefault((s, t), [0, (x, i, j)])[0] += count
-    return {NESTED: nested, PARALLEL: parallel}
+        undefined = units.count(None)
+        unit.skipped += count * undefined
+        unit.checked += count * (len(units) - undefined)
+        if False in units and not unit.failures:
+            unit.failures.append((x, None, None, units.index(False) + 1, None))
+    return {
+        NESTED: nested,
+        PARALLEL: parallel,
+        UNIT_LAW: unit,
+        "level": level,
+        "not antichain": not_antichain,
+    }
 
 
-def _groups(rule, law, pools, tables, n, m) -> tuple:
+def _groups(rule, law, tables, n, m) -> tuple:
     """The outer half of the associativity cases with A, B of orders n, m,
     which is the same for every C: (undefined, defined, breaking), with
     the least (A, B, i, j) of each breaking group, see _outer.
@@ -513,9 +527,10 @@ def _groups(rule, law, pools, tables, n, m) -> tuple:
             for sb, (cb, (b, j)) in tables[m][law].items()
         ]
     else:
-        b, per_b = pools[m][0], len(pools[m])
+        level = tables[m]["level"]
         groups = [
-            (sig, count * per_b, (a, b, i, j)) for sig, (count, (a, i, j)) in tables[n][law].items()
+            (sig, count * len(level), (a, level[0], i, j))
+            for sig, (count, (a, i, j)) in tables[n][law].items()
         ]
     verdicts = [(_outer(rule, law, *sig), count, case) for sig, count, case in groups]
     undefined = sum(count for breaks, count, _ in verdicts if breaks is None)
@@ -523,50 +538,48 @@ def _groups(rule, law, pools, tables, n, m) -> tuple:
     return undefined, defined, [case for breaks, _, case in verdicts if breaks]
 
 
-def _sweep(rule, law, pools, tables) -> _Tally:
-    """Every case of an associativity law over pools (each order in witness
-    order, with its _tables in tables), by ascending total order, up to the
-    end of the first total order with a failing case.
+def _sweep(rule, law, tables) -> _Tally:
+    """Every case of an associativity law over the orders of tables (their
+    _tables), by ascending total order, up to the end of the first total
+    order with a failing case.
 
     Each (n, m) is grouped once (_groups), and counts its cases per C of
     order k; each breaking group is recorded as one failing case, its least,
     with the least C of order k that fails it, which is all the witness
-    needs."""
-    groups = {(n, m): _groups(rule, law, pools, tables, n, m) for n in pools for m in pools}
-    failing = {
-        k: next((c for c in cs if law == PARALLEL or not _antichain(c)), None)
-        for k, cs in pools.items()
-    }
+    needs: any C (parallel), or one the rule reads as no antichain
+    (nested)."""
+    groups = {(n, m): _groups(rule, law, tables, n, m) for n in tables for m in tables}
     tally = _Tally()
-    for total in range(3, 3 * max(pools) + 1):
+    for total in range(3, 3 * max(tables) + 1):
         for (n, m), (undefined, defined, breaking) in groups.items():
-            k = total - n - m
-            if k in pools:
-                tally.skipped += undefined * len(pools[k])
-                tally.checked += defined * len(pools[k])
-                if failing[k] is not None:
-                    tally.failures += [(a, b, failing[k], i, j) for a, b, i, j in breaking]
+            table = tables.get(total - n - m)
+            if table:
+                level = table["level"]
+                tally.skipped += undefined * len(level)
+                tally.checked += defined * len(level)
+                c = level[0] if law == PARALLEL else table["not antichain"]
+                if c is not None:
+                    tally.failures += [(a, b, c, i, j) for a, b, i, j in breaking]
         if tally.failures:
             break
     return tally
 
 
-def _exhaustive(rule, pools) -> list:
-    """One _Tally per law of LAWS, over every case the pools make.  The
-    pools are the levels of enumeration's walk, by ascending order, each
-    already in witness order (see _levels), so nothing is sorted."""
-    tables = {n: _tables(rule, pool) for n, pool in pools.items()}
-    tallies = [_sweep(rule, law, pools, tables) for law in (NESTED, PARALLEL)]
+def _exhaustive(rule, levels) -> list:
+    """One _Tally per law of LAWS, over every case that PM(1), ..., PM(N)
+    make, given as levels of enumeration's walk, each already in witness
+    order (see _levels), so nothing is sorted.  Each matrix is read once,
+    into its order's _tables; the unit law stops at the end of the first
+    order with a failing case."""
+    tables = {n: _tables(rule, level) for n, level in enumerate(levels, 1)}
+    tallies = [_sweep(rule, law, tables) for law in (NESTED, PARALLEL)]
     unit = _Tally()
-    if rule[2] is None:  # a mask kind's unit law always holds: see the unit rule
-        unit.checked = sum(n * len(pool) for n, pool in pools.items())
-    else:
-        for pool in pools.values():
-            for a in pool:
-                for i, holds in enumerate(_units(rule, a), 1):
-                    unit.add(a, None, None, i, None, holds)
-            if unit.failures:
-                break
+    for table in tables.values():
+        unit.checked += table[UNIT_LAW].checked
+        unit.skipped += table[UNIT_LAW].skipped
+        unit.failures = table[UNIT_LAW].failures
+        if unit.failures:
+            break
     return tallies + [unit]
 
 
@@ -623,7 +636,7 @@ def verify_laws(kind, max_order, trials=None, seed=0):
     _check_budget(max_order, trials)
     rule = _rule(kind)
     if trials is None:
-        tallies = _exhaustive(rule, dict(enumerate(_levels(max_order), 1)))
+        tallies = _exhaustive(rule, _levels(max_order))
     else:
         # sampling imports this module's rule, so it is imported here, when
         # random mode first runs; no other command pays to compile it

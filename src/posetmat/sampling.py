@@ -9,14 +9,15 @@ skipped only where A has order 1 and otherwise hold; square, min and max
 hold every nested case.  So those laws read no matrix: the unit and
 nested ones are counted, checked = trials, without a draw, and parallel
 draws only to count its skips.  The rest (_reads) record their draws in
-bytes, then walk the levels once, the last one parent by parent over
-PM(N-1) as matrices_by_parent does, and read only the drawn matrices
-(_Drawn): their signatures (_sigs), whether each is an antichain, or
-their unit verdicts (_units), each distinct row kept once.  Each case is
-then decided from those rows, and only the least failing case is kept,
-by the witness order on pool indices (_rank).  Random mode holds at most
-PM(N-1) and a few bytes per pool index and per trial, however large
-PM(N) is.
+bytes and mark each drawn index that they read with a 1, then walk the
+levels once, the last one parent by parent over PM(N-1) as
+matrices_by_parent does, and read each marked matrix once (_Drawn): its
+two bit masks (operad._masks), of which each distinct key is turned once
+into a row of signatures, antichain and unit verdicts (operad._row).
+Each case is then decided from those rows, and only the least failing
+case is kept, by the witness order on pool indices (_rank).  Random mode
+holds at most PM(N-1) and a few bytes per pool index and per trial,
+however large PM(N) is.
 
 operad imports this module when random mode first runs, as it imports
 operad's rule.
@@ -31,28 +32,24 @@ from struct import Struct
 
 from .compose import COL_AT_MIN, ROW_AT_MAX
 from .enumeration import _ideals, _levels, matrix_count
-from .operad import LAWS, NESTED, PARALLEL, UNIT_LAW, _antichain, _outer, _sigs, _Tally, _units
+from .operad import LAWS, NESTED, PARALLEL, UNIT_LAW, _masks, _outer, _row, _Tally
 
-# What random mode reads of a drawn matrix (_row), as bits of need
-_SIGS, _ANTICHAIN, _UNITS = 1, 2, 4
 # One drawn case (a, b, c, i, j) as five 4-byte ints
 _CASE = Struct("5i")
 
 
 def _reads(rule, law) -> tuple:
-    """What random mode reads of A, B and C in a case of law, as bits of
-    need, by the operad module's rules.  A boxed kind's rule reads the
-    signatures of A (parallel), of A and B (nested, which never breaks
-    there, so C is never read), or A's unit verdicts; minmax nested reads
-    the signatures of A and B and whether C is an antichain.  Nothing else
-    reads a matrix: a mask kind holds every unit case and breaks no
-    parallel case, and square, min and max break no nested case."""
+    """Whether random mode reads A, B and C in a case of law, by the
+    operad module's rules.  A boxed kind's rule reads the signatures of A
+    (parallel), of A and B (nested, which never breaks there, so C is never
+    read), or A's unit verdicts; minmax nested reads the signatures of A
+    and B and whether C is an antichain.  Nothing else reads a matrix: a
+    mask kind holds every unit case and breaks no parallel case, and
+    square, min and max break no nested case."""
     u_fill, v_fill, a21 = rule
     if a21 is not None:
-        return (_UNITS, 0, 0) if law == UNIT_LAW else (_SIGS, _SIGS if law == NESTED else 0, 0)
-    if law == NESTED and (u_fill, v_fill) == (ROW_AT_MAX, COL_AT_MIN):
-        return _SIGS, _SIGS, _ANTICHAIN
-    return 0, 0, 0
+        return True, law == NESTED, False
+    return (law == NESTED and (u_fill, v_fill) == (ROW_AT_MAX, COL_AT_MIN),) * 3
 
 
 def _draw(law, reads, starts, trials, seed, need):
@@ -60,7 +57,7 @@ def _draw(law, reads, starts, trials, seed, need):
     cases), cases the pool indices and positions a, b, c, i, j of each trial
     not skipped, packed in turn (_CASE; b, c and j are 0 for the unit law),
     kept only when the law reads a matrix (reads, from _reads), whose
-    indices are then marked in need.
+    indices are then marked 1 in need.
 
     The pools are PM(1), ..., PM(N) listed in turn, and starts holds the
     index of each one's first matrix and then their total, so index g has
@@ -111,24 +108,15 @@ def _draw(law, reads, starts, trials, seed, need):
     return skipped, cases
 
 
-def _row(rule, x, need) -> tuple:
-    """What random mode reads of a drawn matrix X, as need asks, None for
-    the rest: its _sigs, whether it is an antichain, and its _units."""
-    return (
-        _sigs(rule, x) if need & _SIGS else None,
-        _antichain(x) if need & _ANTICHAIN else None,
-        _units(rule, x) if need & _UNITS else None,
-    )
-
-
 class _Drawn:
     """The rows (_row) of the matrices marked in need, by pool index, read
     in one walk of the levels, and the row codes of any index.
 
     PM(1), ..., PM(N-1) are listed (_levels); PM(N) is walked once, parent
     by parent over PM(N-1), as matrices_by_parent lists it, and only its
-    marked children are built.  Each distinct row is kept once: table[g]
-    is the place of index g's row in rows."""
+    marked children are built.  Each marked matrix is read once (_masks),
+    and each distinct masks key is turned into one row: table[g] is the
+    place of index g's row in rows."""
 
     def __init__(self, rule, max_order, starts, need):
         self.starts = starts
@@ -137,13 +125,13 @@ class _Drawn:
         # the index of each parent's first child, and each index's row
         self.firsts = memoryview(bytearray(4 * len(self.levels[-1]))).cast("I")
         self.table = memoryview(bytearray(4 * starts[-1])).cast("I")
-        marked, ids = need.translate(bytes([0] + [1] * 255)), {}
+        ids = {}
 
         def read(start, end, child):
-            g = marked.find(1, start, end)
+            g = need.find(1, start, end)
             while g >= 0:
-                self.table[g] = ids.setdefault(_row(rule, child(g - start), need[g]), len(ids))
-                g = marked.find(1, g + 1, end)
+                self.table[g] = ids.setdefault(_masks(rule, child(g - start)), len(ids))
+                g = need.find(1, g + 1, end)
 
         for level, start in zip(self.levels[1:], self.starts):
             read(start, start + len(level), level.__getitem__)
@@ -153,7 +141,7 @@ class _Drawn:
             self.firsts[p] = start
             read(start, start + len(ideals), lambda k: parent + (ideals[k] | self.top,))
             start += len(ideals)
-        self.rows = list(ids)
+        self.rows = [_row(rule, masks) for masks in ids]
 
     def row(self, g) -> tuple:
         return self.rows[self.table[g]]

@@ -15,8 +15,6 @@ from .core import (
     _check_poset,
     index_set,
     principal_subposet,
-    relabel,
-    submatrix,
 )
 from .errors import PreconditionViolated, ValidationError
 
@@ -121,74 +119,6 @@ def insertion_invariance_class(a: PosetMatrix, alpha, b: PosetMatrix) -> bool:
     return all(compose(SQUARE, a, i, b) == first for i in alpha[1:])
 
 
-def insertion_invariance_condition(a: PosetMatrix, alpha) -> bool:
-    """Flatness condition making insertions over a contiguous alpha coincide.
-
-    For alpha = {d,..,k}: the rows of a[alpha | 1..d-1] are all equal and the
-    columns of a[k+1..n | alpha] are all equal.  For a prefix or suffix alpha
-    one strip is empty and this is exactly the single stated strip condition.
-    """
-    alpha = _range(a, alpha)
-    d, k, n = alpha[0], alpha[-1], a.n
-    if d > 1:
-        left = submatrix(a, alpha, range(1, d))
-        if not equal_rows(left):
-            return False
-    if k < n:
-        below = submatrix(a, range(k + 1, n + 1), alpha)
-        if not equal_columns(below):
-            return False
-    return True
-
-
-def case3_literal_condition(a: PosetMatrix, alpha) -> bool:
-    """Interior-range condition as literally stated: rows k..n over columns
-    1..k-1 pairwise equal and each a constant vector.  Known to be weaker
-    than insertion_invariance_condition; see case3_literal_discrepancies."""
-    alpha = _range(a, alpha)
-    d, k, n = alpha[0], alpha[-1], a.n
-    if not (1 < d < k < n):
-        return False
-    strip = submatrix(a, range(k, n + 1), range(1, k))
-    return equal_rows(strip) and equal_columns(strip)
-
-
-def case3_literal_discrepancies(matrices, b: PosetMatrix) -> list:
-    """Interior ranges passing the literal condition whose insertions differ.
-
-    Returns (a, alpha) pairs; nonempty on PM(4) already, which is why the
-    sweeps assert the flatness condition instead.  Ranges whose block type
-    does not match b's are outside insertion_invariance_class and skipped.
-    """
-    found = []
-    for a in matrices:
-        for d in range(2, a.n):
-            for k in range(d + 1, a.n):
-                alpha = tuple(range(d, k + 1))
-                if not case3_literal_condition(a, alpha):
-                    continue
-                try:
-                    if not insertion_invariance_class(a, alpha, b):
-                        found.append((a, alpha))
-                except PreconditionViolated:
-                    continue
-    return found
-
-
-def invariance_scan(a: PosetMatrix, b: PosetMatrix) -> tuple:
-    """Maximal contiguous ranges (length >= 2) with identical square insertions."""
-    n = a.n
-    composites = [compose(SQUARE, a, i, b) for i in range(1, n + 1)]
-    runs = []
-    start = 0
-    for i in range(1, n + 1):
-        if i == n or composites[i] != composites[start]:
-            if i - start >= 2:
-                runs.append(tuple(range(start + 1, i + 1)))
-            start = i
-    return tuple(runs)
-
-
 def dpm_check(a: PosetMatrix, b: PosetMatrix) -> bool:
     """Do 'every square insertion of b into a is disconnected' and
     'a is disconnected' agree for this pair?"""
@@ -210,17 +140,6 @@ def decompose_disconnected(c: PosetMatrix):
     first = comps[0]  # components come in the order of their lowest elements
     rest = tuple(i for i in range(1, c.n + 1) if i not in first)
     return principal_subposet(c, first), principal_subposet(c, rest)
-
-
-def direct_sum(g: PosetMatrix, h: PosetMatrix) -> PosetMatrix:
-    """Block-diagonal matrix with g before h."""
-    return PosetMatrix._wrap(g.codes + tuple(x << g.n for x in h.codes))
-
-
-def component_contiguous_form(c: PosetMatrix) -> PosetMatrix:
-    """A permutation-equivalent relabelling listing each component contiguously."""
-    order = [i for comp in components(c) for i in comp]
-    return relabel(c, order)
 
 
 class Factorization(Record):

@@ -8,12 +8,17 @@ from posetmat import SQUARE, UNIT, PosetMatrix, check_nested, check_parallel, ch
 from posetmat.compose import COL_AT_MIN, ROW_AT_MAX, _lower_left_wrong, kind_name
 from posetmat.duality import semi_equidual
 from posetmat.enumeration import IsoClass, _children, _ideals, _parents, canonical_form, generate_all
-from posetmat.errors import PreconditionViolated
-from posetmat.operad import LawReport, Witness, _antichain, _outer
+from posetmat.core import relabel, submatrix, validate
+from posetmat.errors import PreconditionViolated, ValidationError
+from posetmat.operad import LawReport, Witness, _outer
 from posetmat.structure import (
     _components,
+    _range,
     classify_connectivity,
-    insertion_invariance_condition,
+    components,
+    equal_columns,
+    equal_rows,
+    insertion_invariance_class,
     is_totally_connected,
     is_totally_disconnected,
     principal_subposet,
@@ -236,7 +241,7 @@ def _law_sides(kind, law, a, b, c, i, j):
 
 def signature_at(rule, x, p):
     """The signature of position p of X, read at p alone: what
-    operad._sigs gives for every position in one pass."""
+    operad._row gives for every position from the matrix's _masks."""
     u_fill, v_fill, a21 = rule
     if a21 is not None:
         return None if _lower_left_wrong(x, p, a21) else (p > 1, p < len(x))
@@ -249,7 +254,7 @@ def signature_at(rule, x, p):
 def unit_at(rule, a, i):
     """Whether the unit case (A, i) holds, None when A o_i [1] is
     undefined, by the unit rule of the operad module read at i alone: what
-    operad._units gives for every position in one pass."""
+    operad._row gives for every position from the matrix's _masks."""
     u_fill, v_fill, a21 = rule
     if a21 is None:
         return True
@@ -260,6 +265,12 @@ def unit_at(rule, a, i):
     return a[k] & low == (low if u_fill else 0) and all(x >> k & 1 == v_fill for x in a[i:])
 
 
+def is_antichain(c) -> bool:
+    """Whether the matrix of row codes c is an antichain: each row holds
+    its diagonal 1 alone."""
+    return all(x == 1 << r for r, x in enumerate(c))
+
+
 def holds_by_signatures(rule, law, a, b, c, i, j):
     """Whether one associativity case on row codes holds by the rule of the
     operad module, from the signatures of its two positions and whether C
@@ -268,7 +279,7 @@ def holds_by_signatures(rule, law, a, b, c, i, j):
     breaks = _outer(rule, law, signature_at(rule, a, i), sb)
     if breaks is None:
         return None
-    return not breaks or law == "nested" and _antichain(c)
+    return not breaks or law == "nested" and is_antichain(c)
 
 
 def _witness_order(w: Witness):
@@ -454,3 +465,97 @@ def semi_equidual_by_definition(a: PosetMatrix, b: PosetMatrix):
             if all(block_b[s][t] == block_a[last - t][last - s] for s in range(size) for t in range(size)):
                 return tuple(q + 1 for q in alpha), block_a, block_b
     return None
+
+
+# The library functions below are called by the tests alone: oracles and
+# statements of the paper's invariance conditions.
+
+
+def is_poset_matrix(m) -> bool:
+    """True iff validate(m) succeeds.  Input that is not a grid of 0/1
+    entries (None, a number, ragged rows, other entries) gives False."""
+    try:
+        validate(m)
+        return True
+    except (ValidationError, ValueError, TypeError, OverflowError):
+        # OverflowError: int() of an infinite float entry.
+        return False
+
+
+def insertion_invariance_condition(a: PosetMatrix, alpha) -> bool:
+    """Flatness condition making insertions over a contiguous alpha coincide.
+
+    For alpha = {d,..,k}: the rows of a[alpha | 1..d-1] are all equal and the
+    columns of a[k+1..n | alpha] are all equal.  For a prefix or suffix alpha
+    one strip is empty and this is exactly the single stated strip condition.
+    """
+    alpha = _range(a, alpha)
+    d, k, n = alpha[0], alpha[-1], a.n
+    if d > 1:
+        left = submatrix(a, alpha, range(1, d))
+        if not equal_rows(left):
+            return False
+    if k < n:
+        below = submatrix(a, range(k + 1, n + 1), alpha)
+        if not equal_columns(below):
+            return False
+    return True
+
+
+def case3_literal_condition(a: PosetMatrix, alpha) -> bool:
+    """Interior-range condition as literally stated: rows k..n over columns
+    1..k-1 pairwise equal and each a constant vector.  Known to be weaker
+    than insertion_invariance_condition; see case3_literal_discrepancies."""
+    alpha = _range(a, alpha)
+    d, k, n = alpha[0], alpha[-1], a.n
+    if not (1 < d < k < n):
+        return False
+    strip = submatrix(a, range(k, n + 1), range(1, k))
+    return equal_rows(strip) and equal_columns(strip)
+
+
+def case3_literal_discrepancies(matrices, b: PosetMatrix) -> list:
+    """Interior ranges passing the literal condition whose insertions differ.
+
+    Returns (a, alpha) pairs; nonempty on PM(4) already, which is why the
+    sweeps assert the flatness condition instead.  Ranges whose block type
+    does not match b's are outside insertion_invariance_class and skipped.
+    """
+    found = []
+    for a in matrices:
+        for d in range(2, a.n):
+            for k in range(d + 1, a.n):
+                alpha = tuple(range(d, k + 1))
+                if not case3_literal_condition(a, alpha):
+                    continue
+                try:
+                    if not insertion_invariance_class(a, alpha, b):
+                        found.append((a, alpha))
+                except PreconditionViolated:
+                    continue
+    return found
+
+
+def invariance_scan(a: PosetMatrix, b: PosetMatrix) -> tuple:
+    """Maximal contiguous ranges (length >= 2) with identical square insertions."""
+    n = a.n
+    composites = [compose(SQUARE, a, i, b) for i in range(1, n + 1)]
+    runs = []
+    start = 0
+    for i in range(1, n + 1):
+        if i == n or composites[i] != composites[start]:
+            if i - start >= 2:
+                runs.append(tuple(range(start + 1, i + 1)))
+            start = i
+    return tuple(runs)
+
+
+def direct_sum(g: PosetMatrix, h: PosetMatrix) -> PosetMatrix:
+    """Block-diagonal matrix with g before h."""
+    return PosetMatrix._wrap(g.codes + tuple(x << g.n for x in h.codes))
+
+
+def component_contiguous_form(c: PosetMatrix) -> PosetMatrix:
+    """A permutation-equivalent relabelling listing each component contiguously."""
+    order = [i for comp in components(c) for i in comp]
+    return relabel(c, order)

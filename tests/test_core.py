@@ -14,7 +14,7 @@ from posetmat import (
     validate,
 )
 from posetmat.compose import insert
-from posetmat.core import _members, closure_of_covers, index_set, is_poset_matrix, relabel
+from posetmat.core import _members, closure_of_covers, index_set, relabel
 from posetmat.enumeration import generate_all, linear_extensions
 from posetmat.errors import (
     IndexOutOfRange,
@@ -25,7 +25,7 @@ from posetmat.errors import (
     ValidationError,
 )
 
-from helpers import MINMAX_EXAMPLE, chain, pm
+from helpers import MINMAX_EXAMPLE, chain, is_poset_matrix, pm
 
 
 def all_upto(n_max):

@@ -5,7 +5,7 @@ from itertools import accumulate, product
 import pytest
 
 from posetmat import MINMAX, SQUARE, UNIT, check_nested, check_parallel, check_unit
-from posetmat import enumeration, sampling
+from posetmat import enumeration, operad, sampling
 from posetmat.compose import (
     ALL_BOXED,
     ALL_KINDS,
@@ -29,18 +29,16 @@ from posetmat.operad import (
     NESTED,
     PARALLEL,
     UNIT_LAW,
-    _antichain,
     _case,
     _exhaustive,
     _case_key,
     _check_budget,
     _groups,
+    _masks,
     _outer,
-    _sigs,
+    _row,
     _sweep,
     _tables,
-    _Tally,
-    _units,
     reverify,
     verify_laws,
 )
@@ -54,6 +52,7 @@ from helpers import (
     _defined,
     chain,
     holds_by_signatures,
+    is_antichain,
     pm,
     random_cases,
     random_laws_by_composing,
@@ -423,19 +422,24 @@ def test_grouped_sweep_matches_case_by_case(kind):
     tables = {n: _tables(rule, pool) for n, pool in pools.items()}
     for law in (NESTED, PARALLEL):
         for n, m, k in product(pools, repeat=3):
-            undefined, defined, breaking = _groups(rule, law, pools, tables, n, m)
-            failing = [c for c in pools[k] if law == PARALLEL or not _antichain(c)]
+            undefined, defined, breaking = _groups(rule, law, tables, n, m)
+            failing = [c for c in pools[k] if law == PARALLEL or not is_antichain(c)]
             cases = [(a, b, failing[0], i, j) for a, b, i, j in breaking] if failing else []
             assert all(holds_by_signatures(rule, law, *case) is False for case in cases), (law, n, m, k)
-            single = _Tally()
+            verdicts = {}  # a local tally: every case's verdict, None when undefined
             for a, b, c in product(pools[n], pools[m], pools[k]):
                 for i in range(1, n + 1):
                     for j in range(1, m + 1) if law == NESTED else range(i + 1, n + 1):
-                        single.add(a, b, c, i, j, holds_by_signatures(rule, law, a, b, c, i, j))
+                        verdicts[a, b, c, i, j] = holds_by_signatures(rule, law, a, b, c, i, j)
+            skipped = sum(holds is None for holds in verdicts.values())
+            failures = [case for case, holds in verdicts.items() if holds is False]
             counts = undefined * len(pools[k]), defined * len(pools[k])
-            assert counts == (single.skipped, single.checked), (law, n, m, k)
+            assert counts == (skipped, len(verdicts) - skipped), (law, n, m, k)
             least = min(cases, key=_case_key, default=None)
-            assert least == min(single.failures, key=_case_key, default=None), (law, n, m, k)
+            assert least == min(failures, key=_case_key, default=None), (law, n, m, k)
+    if kind == MINMAX:  # the one kind whose rule reads C: its least C that is no antichain
+        for k, pool in pools.items():
+            assert tables[k]["not antichain"] == next((c for c in pool if not is_antichain(c)), None)
 
 
 def _pinned(report):
@@ -551,8 +555,7 @@ def test_parallel_sweep_order_five_is_pinned(name, checked, skipped):
     # (A, i, j) once per B: both kinds pass, so checked + skipped is the
     # closed form sum C(n,2)|P_n| * S^2
     rule = _rule(parse_kind(name))
-    pools = dict(enumerate(_levels(5), 1))
-    tally = _sweep(rule, PARALLEL, pools, {n: _tables(rule, pool) for n, pool in pools.items()})
+    tally = _sweep(rule, PARALLEL, {n: _tables(rule, level) for n, level in enumerate(_levels(5), 1)})
     assert (tally.checked, tally.skipped, tally.failures) == (checked, skipped, [])
     assert checked + skipped == _closed_forms(5)[PARALLEL] == 634_932_617
 
@@ -625,11 +628,15 @@ class TestBoxedKindsMeasured:
 
 @pytest.mark.parametrize("kind", ALL_KINDS, ids=kind_name)
 def test_signatures_of_a_matrix_are_those_of_its_positions(kind):
-    # _sigs, which reads a matrix's rows once, gives the signature of each
-    # position read alone (signature_at) over PM(<=6)
+    # _row of a matrix's _masks, which read its rows once, gives the
+    # signature of each position read alone (signature_at) over PM(<=6),
+    # and, under minmax, the one kind whose rule reads C, whether it is an
+    # antichain (None for the other kinds)
     rule = _rule(kind)
     for a in (a for level in _levels(6) for a in level):
-        assert _sigs(rule, a) == tuple(signature_at(rule, a, p) for p in range(1, len(a) + 1)), a
+        sigs, antichain, _ = _row(rule, _masks(rule, a))
+        assert sigs == tuple(signature_at(rule, a, p) for p in range(1, len(a) + 1)), a
+        assert antichain is (is_antichain(a) if kind == MINMAX else None), a
 
 
 @pytest.mark.parametrize("kind", MASK_KINDS)
@@ -638,7 +645,7 @@ def test_mask_unit_sweep_is_the_closed_form(kind):
     # is what deciding every (A, i) of PM(<=5) with unit_at gives
     rule = _rule(kind)
     pools = dict(enumerate(_levels(5), 1))
-    unit = _exhaustive(rule, pools)[2]
+    unit = _exhaustive(rule, pools.values())[2]
     verdicts = [unit_at(rule, a, i) for n in pools for a in pools[n] for i in range(1, n + 1)]
     assert verdicts == [True] * 1_971
     assert (unit.checked, unit.skipped, unit.failures) == (1_971, 0, [])
@@ -646,11 +653,41 @@ def test_mask_unit_sweep_is_the_closed_form(kind):
 
 @pytest.mark.parametrize("kind", ALL_KINDS, ids=kind_name)
 def test_units_of_a_matrix_are_those_of_its_positions(kind):
-    # _units, which reads a matrix's rows once, gives the unit verdict of
-    # each position read alone (unit_at) over PM(<=6)
+    # _row of a matrix's _masks, which read its rows once, gives the unit
+    # verdict of each position read alone (unit_at) over PM(<=6)
     rule = _rule(kind)
     for a in (a for level in _levels(6) for a in level):
-        assert _units(rule, a) == tuple(unit_at(rule, a, p) for p in range(1, len(a) + 1)), a
+        units = _row(rule, _masks(rule, a))[2]
+        assert units == tuple(unit_at(rule, a, p) for p in range(1, len(a) + 1)), a
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS, ids=kind_name)
+def test_each_matrix_is_read_once(monkeypatch, kind):
+    # _masks is the one reader of a matrix for the law rules.  Exhaustive
+    # mode reads each matrix of PM(1..5) once; random mode reads none under
+    # square, min and max, and else at most each index it marked.
+    reads, marked = [], []
+    masks, drawn = operad._masks, sampling._Drawn
+
+    def read(rule, x):
+        reads.append(x)
+        return masks(rule, x)
+
+    def mark(rule, max_order, starts, need):
+        marked.append(need.count(1))
+        return drawn(rule, max_order, starts, need)
+
+    monkeypatch.setattr(operad, "_masks", read)
+    monkeypatch.setattr(sampling, "_masks", read)
+    monkeypatch.setattr(sampling, "_Drawn", mark)
+    verify_laws(kind, 5)
+    assert len(reads) == len(set(reads)) == 407 == sum(map(matrix_count, range(1, 6)))
+    reads.clear()
+    verify_laws(kind, 6, trials=500, seed=2)
+    if kind in OPERAD_KINDS:
+        assert reads == marked == []
+    else:
+        assert 0 < len(reads) <= marked[0], (len(reads), marked)
 
 
 def test_random_mode_matches_the_composing_oracle():

@@ -22,20 +22,18 @@ from posetmat.compose import ALL_KINDS
 from posetmat.core import UNIT, BinaryMatrix, block_decompose
 from posetmat.enumeration import generate_all
 from posetmat.errors import IndexOutOfRange, PreconditionViolated
-from posetmat.structure import (
-    case3_literal_condition,
-    case3_literal_discrepancies,
-    component_contiguous_form,
-    components,
-    direct_sum,
-    insertion_invariance_condition,
-    invariance_scan,
-)
+from posetmat.structure import components
 
 from helpers import (
     antichain,
+    case3_literal_condition,
+    case3_literal_discrepancies,
     chain,
+    component_contiguous_form,
     components_by_search,
+    direct_sum,
+    insertion_invariance_condition,
+    invariance_scan,
     pm,
     random_poset_matrix,
     sweep_insertion_invariance,
