@@ -53,24 +53,24 @@ def parse_matrix_text(text: str) -> BinaryMatrix:
         raise ParseError(1, 1, f"order is not an integer: {order!r}")
     if n < 1:
         raise ParseError(1, 1, f"order must be positive, got {n}")
-    codes = []
-    for r in range(n):
-        lineno = r + 2
-        if lineno > len(lines) or not lines[lineno - 1].strip():
-            raise ParseError(lineno, 1, "missing row")
-        line = lines[lineno - 1].strip()
-        if len(line) < n:
-            raise ParseError(lineno, len(line) + 1, "row too short")
-        if len(line) > n:
-            raise ParseError(lineno, n + 1, "row too long")
-        for c, ch in enumerate(line):
-            if ch not in "01":
-                raise ParseError(lineno, c + 1, f"invalid character {ch!r}")
-        codes.append(int(line[::-1], 2))
+    rows = [line.strip() for line in lines[1 : n + 1]]
+    for lineno, line in enumerate(rows, 2):
+        if len(line) != n or line.strip("01"):  # one C-level test; the scan below finds the fault
+            if not line:
+                raise ParseError(lineno, 1, "missing row")
+            if len(line) < n:
+                raise ParseError(lineno, len(line) + 1, "row too short")
+            if len(line) > n:
+                raise ParseError(lineno, n + 1, "row too long")
+            for c, ch in enumerate(line):
+                if ch not in "01":
+                    raise ParseError(lineno, c + 1, f"invalid character {ch!r}")
+    if len(rows) < n:
+        raise ParseError(len(rows) + 2, 1, "missing row")
     for lineno in range(n + 2, len(lines) + 1):
         if lines[lineno - 1].strip():
             raise ParseError(lineno, 1, "unexpected extra line")
-    return BinaryMatrix._of(tuple(codes), n)
+    return BinaryMatrix._of(tuple([int(line[::-1], 2) for line in rows]), n)
 
 
 def _parse_json_matrix(text: str) -> BinaryMatrix:
@@ -90,9 +90,9 @@ def _parse_json_matrix(text: str) -> BinaryMatrix:
     if n < 1:
         raise ParseError(1, 1, f"order must be positive, got {n}")
     for r, row in enumerate(rows):
-        if not isinstance(row, str) or len(row) != n or set(row) - {"0", "1"}:
+        if not isinstance(row, str) or len(row) != n or row.strip("01"):
             raise ParseError(1, 1, f"row {r + 1} is not an n-character bit string")
-    return BinaryMatrix._of(tuple(int(row[::-1], 2) for row in rows), n)
+    return BinaryMatrix._of(tuple([int(row[::-1], 2) for row in rows]), n)
 
 
 def parse_matrix_file(path) -> BinaryMatrix:

@@ -209,7 +209,11 @@ UNIT = PosetMatrix._wrap((1,))
 
 
 def _check_poset(codes) -> None:
-    """Raise the first violation in row-major scan order."""
+    """Raise the first violation in row-major scan order.
+
+    Transitivity is checked by the cover walk that cover_relation also
+    takes: the highest element left in a row's strict down-set is covered
+    by the row's element, and dropping its down-set leaves the next one."""
     if not codes:
         raise ValidationError("order must be positive")
     for i, x in enumerate(codes):
@@ -383,21 +387,24 @@ def maximal_elements(a: PosetMatrix) -> tuple:
 
 
 def cover_relation(a: PosetMatrix) -> tuple:
-    """Transitive reduction: pairs (i, j) with j covering i, sorted."""
-    codes = a.codes
+    """Transitive reduction: pairs (i, j) with j covering i, sorted.
+
+    The cover walk of _check_poset: the highest element k left in j's strict
+    down-set is covered by j, as anything between k and j would have a label
+    above k and, once dropped, would have taken k with it.  Dropping k's
+    down-set leaves the next cover, so each cover costs one step.  A matrix
+    that is not a PosetMatrix is validated first: the walk ends only on a
+    unit diagonal."""
+    codes = (a if isinstance(a, PosetMatrix) else validate(a)).codes
     covers = []
-    for j, x in enumerate(codes):
-        strict = x ^ (1 << j)
-        # i is covered by j when no k strictly between them lies below j
-        inside = 0
-        rest = strict
+    for j, x in enumerate(codes, 1):
+        rest = x ^ 1 << j - 1
         while rest:
-            low = rest & -rest
-            k = low.bit_length() - 1
-            inside |= codes[k] ^ low
-            rest ^= low
-        covers += [(i, j + 1) for i in _members(strict & ~inside)]
-    return tuple(sorted(covers))
+            k = rest.bit_length()
+            covers.append((k, j))
+            rest &= ~codes[k - 1]
+    covers.sort()
+    return tuple(covers)
 
 
 def closure_of_covers(n: int, covers) -> PosetMatrix:

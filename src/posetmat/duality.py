@@ -8,7 +8,7 @@ maximal elements, and interacts with the compositions by
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, repeat
 from math import comb
 
 from .compose import SQUARE, compose
@@ -27,10 +27,12 @@ SELF_DUAL_CLOSURE_BUDGET = 10**6
 
 
 def _dual_codes(codes) -> tuple:
-    """Row codes of the flip-transpose: with rows written from column n down, string
-    column t read as a number has bit n-s where a(s, n+1-t) = 1: row t of the dual."""
-    width = f"0{len(codes)}b"
-    return tuple(int("".join(col), 2) for col in zip(*[format(x, width) for x in codes]))
+    """Row codes of the flip-transpose: with rows written from column n down and
+    joined, the stride s[t::n] read as a number has bit n-r where a(r, n-t) = 1:
+    row t+1 of the dual."""
+    n = len(codes)
+    s = "".join(map(format, codes, repeat(f"0{n}b")))
+    return tuple([int(s[t::n], 2) for t in range(n)])
 
 
 def dual(a: PosetMatrix) -> PosetMatrix:
@@ -39,7 +41,10 @@ def dual(a: PosetMatrix) -> PosetMatrix:
 
 
 def is_self_dual(a: PosetMatrix) -> bool:
-    return _dual_codes(a.codes) == a.codes
+    """dual(a) == a: the rows of _dual_codes, compared in order up to the first that differs."""
+    codes, n = a.codes, a.width
+    s = "".join(map(format, codes, repeat(f"0{n}b")))
+    return all(int(s[t::n], 2) == x for t, x in enumerate(codes))
 
 
 def dual_index_set(alpha, n: int) -> tuple:

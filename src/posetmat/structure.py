@@ -13,6 +13,7 @@ from .core import (
     PosetMatrix,
     Record,
     _check_poset,
+    _members,
     index_set,
     principal_subposet,
 )
@@ -51,23 +52,19 @@ def _components(codes: tuple) -> list:
 def components(a: PosetMatrix) -> tuple:
     """Connected components of the comparability graph, as sorted index
     tuples, in the order of their lowest elements."""
-    out = []
-    for comp in sorted(_components(a.codes), key=lambda comp: comp & -comp):
-        members = []
-        while comp:
-            low = comp & -comp
-            members.append(low.bit_length())
-            comp ^= low
-        out.append(tuple(members))
-    return tuple(out)
+    return tuple(map(_members, sorted(_components(a.codes), key=lambda comp: comp & -comp)))
 
 
 def classify_connectivity(a: PosetMatrix) -> ConnectivityClass:
-    """Connected/disconnected, with a smallest (then lex-least) component as witness."""
-    comps = components(a)
+    """Connected/disconnected, with a smallest (then lex-least) component as witness.
+
+    Components are disjoint, so two of one size compare by their least
+    element: the witness is the least by (size, lowest bit), and only its
+    members are listed."""
+    comps = _components(a.codes)
     if len(comps) == 1:
         return ConnectivityClass(True, None)
-    return ConnectivityClass(False, min(comps, key=lambda c: (len(c), c)))
+    return ConnectivityClass(False, _members(min(comps, key=lambda c: (c.bit_count(), c & -c))))
 
 
 def is_totally_connected(a: PosetMatrix) -> bool:

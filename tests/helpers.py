@@ -9,7 +9,7 @@ from posetmat.compose import COL_AT_MIN, ROW_AT_MAX, _lower_left_wrong, kind_nam
 from posetmat.duality import semi_equidual
 from posetmat.enumeration import IsoClass, _children, _ideals, _parents, canonical_form, generate_all
 from posetmat.core import relabel, submatrix, validate
-from posetmat.errors import PreconditionViolated, ValidationError
+from posetmat.errors import ParseError, PreconditionViolated, ValidationError
 from posetmat.operad import LawReport, Witness, _outer
 from posetmat.structure import (
     _components,
@@ -465,6 +465,85 @@ def semi_equidual_by_definition(a: PosetMatrix, b: PosetMatrix):
             if all(block_b[s][t] == block_a[last - t][last - s] for s in range(size) for t in range(size)):
                 return tuple(q + 1 for q in alpha), block_a, block_b
     return None
+
+
+def covers_by_definition(a: PosetMatrix) -> tuple:
+    """Sorted pairs (i, j), i < j, with j above i and no k strictly between
+    them: a(j, i) = 1 and no i < k < j has a(j, k) = a(k, i) = 1."""
+    n, r = a.n, a.rows
+    return tuple(
+        (i + 1, j + 1)
+        for i in range(n)
+        for j in range(i + 1, n)
+        if r[j][i] and not any(r[j][k] and r[k][i] for k in range(i + 1, j))
+    )
+
+
+def dual_by_formula(a: PosetMatrix) -> tuple:
+    """The dual's row grid, entry by entry: d(i, j) = a(n+1-j, n+1-i)."""
+    n, r = a.n, a.rows
+    return tuple(tuple(r[n - 1 - j][n - 1 - i] for j in range(n)) for i in range(n))
+
+
+def witness_by_definition(a: PosetMatrix):
+    """The smallest component of the comparability graph, then the
+    lexicographically least of that size; None when a is connected."""
+    comps = components_by_search(a)
+    return None if len(comps) == 1 else min(comps, key=lambda c: (len(c), c))
+
+
+def read_pm_by_spec(text: str) -> tuple:
+    """Row codes of a .pm text, or the ParseError the format's rules name,
+    read one character at a time.
+
+    The rules: the text is cut into lines at every line boundary that
+    str.splitlines knows, and whitespace around a line is ignored.  Line 1
+    holds the order n in ASCII digits after at most one minus sign, n >= 1.
+    Lines 2..n+1 hold the rows: an empty row is missing (column 1), a row of
+    fewer than n characters is too short (at the column after its last), one
+    of more is too long (at column n+1), and otherwise the first character
+    other than 0 and 1 is invalid (at its own column).  After the rows, the
+    first line that is not blank is an unexpected extra line (column 1).
+    Faults are reported in line order."""
+    lines = text.splitlines()
+
+    def trimmed(line):
+        lo, hi = 0, len(line)
+        while lo < hi and line[lo].isspace():
+            lo += 1
+        while hi > lo and line[hi - 1].isspace():
+            hi -= 1
+        return line[lo:hi]
+
+    order = trimmed(lines[0]) if lines else ""
+    if not order:
+        raise ParseError(1, 1, "missing order line")
+    digits = order[1:] if order[0] == "-" else order
+    if not digits or any(ch not in "0123456789" for ch in digits):
+        raise ParseError(1, 1, f"order is not an integer: {order!r}")
+    n = int(order)
+    if n < 1:
+        raise ParseError(1, 1, f"order must be positive, got {n}")
+    codes = []
+    for lineno in range(2, n + 2):
+        row = trimmed(lines[lineno - 1]) if lineno <= len(lines) else ""
+        if not row:
+            raise ParseError(lineno, 1, "missing row")
+        if len(row) < n:
+            raise ParseError(lineno, len(row) + 1, "row too short")
+        if len(row) > n:
+            raise ParseError(lineno, n + 1, "row too long")
+        code = 0
+        for c, ch in enumerate(row):
+            if ch == "1":
+                code |= 1 << c
+            elif ch != "0":
+                raise ParseError(lineno, c + 1, f"invalid character {ch!r}")
+        codes.append(code)
+    for lineno in range(n + 2, len(lines) + 1):
+        if trimmed(lines[lineno - 1]):
+            raise ParseError(lineno, 1, "unexpected extra line")
+    return tuple(codes)
 
 
 # The library functions below are called by the tests alone: oracles and

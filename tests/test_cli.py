@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import random
 import tracemalloc
 
 import pytest
@@ -26,7 +27,15 @@ from posetmat.pascal import PASCAL_ENTRY_BUDGET
 from posetmat.structure import classify_connectivity
 from posetmat.errors import ParseError
 
-from helpers import EX_SQUARE, MINMAX_EXAMPLE, chain, pm
+from helpers import (
+    EX_SQUARE,
+    MINMAX_EXAMPLE,
+    chain,
+    covers_by_definition,
+    pm,
+    random_poset_matrix,
+    read_pm_by_spec,
+)
 
 
 # JSON nested deeper than the parser's recursion limit
@@ -158,6 +167,79 @@ def test_non_ascii_input_is_a_positioned_parse_error(tmp_path, monkeypatch, caps
     assert from_file.out == "" and from_file.err == f"parse error: {message}\n"
 
 
+def _plant(rng, rows, fault):
+    """The rows of a .pm text with one fault of the given kind planted."""
+    n, r = len(rows), rng.randrange(len(rows))
+    if fault == "missing row":
+        if rng.random() < 0.5:
+            del rows[r]
+        else:
+            rows[r] = rng.choice(("", "  "))
+    elif fault == "short row":
+        rows[r] = rows[r][: rng.randrange(n)]
+    elif fault == "long row":
+        rows[r] += "".join(rng.choice("01 ") for _ in range(rng.randint(1, 3))) + "1"
+    elif fault == "short and bad":
+        kept = rows[r][: rng.randrange(n - 1)] if n > 1 else ""  # n - 1 characters at most
+        c = rng.randint(0, len(kept))
+        rows[r] = kept[:c] + rng.choice("2x\u0663\udcff") + kept[c:]
+    elif fault == "extra line":
+        rows += [""] * rng.randint(0, 2) + [rng.choice(("0", "1", "x", rows[r]))]
+    else:  # a non-bit character at a random column
+        c = rng.randrange(n)
+        rows[r] = rows[r][:c] + fault + rows[r][c + 1 :]
+    return rows
+
+
+# one planted fault per text: the non-bit characters are a digit, an inner
+# space, an Arabic-Indic three and a lone surrogate (an undecodable byte)
+PLANTED_FAULTS = [
+    "missing row",
+    "short row",
+    "long row",
+    "2",
+    " ",
+    "\u0663",
+    "\udcff",
+    "short and bad",
+    "extra line",
+]
+
+
+@pytest.mark.parametrize("fault", PLANTED_FAULTS)
+def test_reader_diagnostics_match_the_per_character_reader(fault):
+    # the .pm reader checks a row with one C-level test and scans it only
+    # when that fails; a per-character reader of the format names the same
+    # line, column and message
+    rng = random.Random(PLANTED_FAULTS.index(fault))
+    for n in range(1, 41):
+        for _ in range(3):
+            rows = list(random_poset_matrix(rng, n, rng.choice((0.05, 0.2, 0.5))).bit_rows())
+            text = f"{n}\n" + "\n".join(_plant(rng, rows, fault)) + "\n"
+            with pytest.raises(ParseError) as want:
+                read_pm_by_spec(text)
+            with pytest.raises(ParseError) as got:
+                parse_matrix_text(text)
+            assert str(got.value) == str(want.value), repr(text)
+            assert (got.value.line, got.value.column) == (want.value.line, want.value.column)
+
+
+def test_reader_agrees_with_the_per_character_reader_on_valid_texts():
+    rng = random.Random(45)
+    for n in range(1, 41):
+        a = random_poset_matrix(rng, n, rng.choice((0.05, 0.2, 0.5)))
+        pad = rng.choice(("", " ", "\t", " \t "))
+        text = f"{n}\n" + "".join(f"{pad}{row}{pad}\n" for row in a.bit_rows()) + "\n  \n"
+        assert parse_matrix_text(text).codes == read_pm_by_spec(text) == a.codes
+
+
+@pytest.mark.parametrize("row", ["1\u06630", "10", "1000", "1 0", "1\udcff0", "102", 101, None])
+def test_bad_json_row_keeps_its_message(row):
+    with pytest.raises(ParseError) as err:
+        parse_matrix_text(json.dumps({"n": 3, "rows": ["100", row, "111"]}))
+    assert str(err.value) == "line 1, column 1: row 2 is not an n-character bit string"
+
+
 class TestHasseExport:
     def test_worked_example(self):
         dot = export_hasse(MINMAX_EXAMPLE)
@@ -179,6 +261,19 @@ class TestHasseExport:
 
     def test_byte_stable(self):
         assert export_hasse(EX_SQUARE) == export_hasse(EX_SQUARE)
+
+    def test_edges_are_the_covers_by_definition(self, tmp_path, capsys):
+        # the whole output of posetmat hasse, written from the cover definition
+        rng = random.Random(46)
+        pool = list(generate_all(4))
+        pool += [random_poset_matrix(rng, 40, d) for d in (0.05, 0.1, 0.2, 0.35)]
+        for a in pool:
+            path = write(tmp_path, "a.pm", to_pm_text(a))
+            assert run(["hasse", path]) == 0
+            edges = sorted(covers_by_definition(a), key=lambda p: (p[1], p[0]))
+            nodes = "".join(f"  {i};\n" for i in range(1, a.n + 1))
+            want = "digraph {\n" + nodes + "".join(f"  {j} -> {i};\n" for i, j in edges) + "}\n"
+            assert capsys.readouterr().out == want
 
 
 class TestCommands:

@@ -1,3 +1,4 @@
+import random
 from itertools import permutations
 
 import pytest
@@ -25,7 +26,14 @@ from posetmat.errors import (
     ValidationError,
 )
 
-from helpers import MINMAX_EXAMPLE, chain, is_poset_matrix, pm
+from helpers import (
+    MINMAX_EXAMPLE,
+    chain,
+    covers_by_definition,
+    is_poset_matrix,
+    pm,
+    random_poset_matrix,
+)
 
 
 def all_upto(n_max):
@@ -312,6 +320,27 @@ class TestCoverRelation:
             assert closure_of_covers(a.n, cover_relation(a)) == a
         # the pairs may come in any order
         assert closure_of_covers(4, [(3, 4), (2, 3), (1, 2)]) == chain(4)
+
+    def test_matches_the_definition(self):
+        # the cover walk against "j above i, nothing strictly between", on
+        # every matrix of order up to 6 and on random order-40 matrices
+        for a in all_upto(6):
+            assert cover_relation(a) == covers_by_definition(a)
+        rng = random.Random(40)
+        for density in (0.05, 0.1, 0.2, 0.35):
+            for _ in range(4):
+                a = random_poset_matrix(rng, 40, density)
+                covers = cover_relation(a)
+                assert covers == covers_by_definition(a)
+                assert closure_of_covers(40, covers) == a
+
+    def test_a_grid_is_validated_first(self):
+        # the walk drops each cover's down-set, so it needs a unit diagonal
+        assert cover_relation(BinaryMatrix(MINMAX_EXAMPLE.rows)) == cover_relation(MINMAX_EXAMPLE)
+        with pytest.raises(NotReflexive):
+            cover_relation(BinaryMatrix(((1, 0), (1, 0))))
+        with pytest.raises(NotLowerTriangular):
+            cover_relation(BinaryMatrix(((1, 1), (0, 1))))
 
     @pytest.mark.parametrize("pair", [(0, 1), (1, 5), (1, 1), (2, 1), (-1, 2)])
     def test_closure_of_covers_refuses_pairs_outside_the_order(self, pair):

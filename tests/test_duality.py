@@ -1,3 +1,4 @@
+import random
 import tracemalloc
 
 import pytest
@@ -14,12 +15,21 @@ from posetmat import (
     minimal_elements,
     principal_subposet,
     semi_equidual,
+    validate,
 )
 from posetmat.duality import SELF_DUAL_CLOSURE_BUDGET, self_dual_closure_counterexamples
 from posetmat.enumeration import generate_all
-from posetmat.errors import IndexOutOfRange, OrderMismatch, ResourceLimit
+from posetmat.errors import IndexOutOfRange, OrderMismatch, ResourceLimit, ValidationError
+from posetmat.pascal import pascal_matrix
 
-from helpers import chain, pm, semi_equidual_by_definition
+from helpers import (
+    antichain,
+    chain,
+    dual_by_formula,
+    pm,
+    random_poset_matrix,
+    semi_equidual_by_definition,
+)
 
 
 def all_upto(n_max):
@@ -52,6 +62,27 @@ class TestDual:
 class TestSelfDual:
     def test_chain(self):
         assert is_self_dual(chain(5))
+
+    def test_dual_and_self_duality_by_the_entry_formula(self):
+        # d(i, j) = a(n+1-j, n+1-i) on every matrix of order up to 6 and on
+        # random order-40 matrices; is_self_dual stops at the first row that
+        # differs, so it is checked against the whole comparison
+        rng = random.Random(42)
+        pool = [*all_upto(6), chain(40), antichain(40)]
+        pool += [random_poset_matrix(rng, 40, d) for d in (0.05, 0.1, 0.2, 0.35) for _ in range(3)]
+        self_dual = 0
+        for a in pool:
+            d = dual(a)
+            assert d.rows == dual_by_formula(a)
+            assert is_self_dual(a) == (d == a)
+            self_dual += d == a
+        assert self_dual > 100  # both answers are exercised
+
+    def test_chains_and_pascal_matrices_are_self_dual(self):
+        for n in (2, 4, 8, 16, 32, 64):
+            assert is_self_dual(chain(n))
+            assert is_self_dual(pascal_matrix(n))
+            assert dual(pascal_matrix(n)) == pascal_matrix(n)
 
     def test_vee_is_not(self):
         assert not is_self_dual(pm("100;110;101"))
@@ -212,6 +243,30 @@ class TestSemiEquidual:
                     assert got == semi_equidual_by_definition(a, b), (a, b)
                     found += w is not None
         assert found == 96  # pairs with a witness, so the comparison is not all None
+
+    def test_matches_the_definition_on_planted_pairs(self):
+        # b is a with a principal block replaced by its dual, which plants a
+        # witness when the block is disconnected; at orders 6 to 9 the search
+        # returns the definition's least witness
+        rng = random.Random(44)
+        planted = 0
+        for n in (6, 7, 8, 9) * 20:
+            a = random_poset_matrix(rng, n, rng.choice((0.05, 0.1, 0.2)))
+            alpha = sorted(rng.sample(range(1, n + 1), rng.randint(3, 5)))
+            flipped = dual_by_formula(principal_subposet(a, alpha))
+            grid = [list(r) for r in a.rows]
+            for p, r in enumerate(alpha):
+                for q, c in enumerate(alpha):
+                    grid[r - 1][c - 1] = flipped[p][q]
+            try:
+                b = validate(grid)
+            except ValidationError:
+                continue
+            w = semi_equidual(a, b)
+            got = w and (w.alpha, w.block_a.rows, w.block_b.rows)
+            assert got == semi_equidual_by_definition(a, b), (a, b)
+            planted += w is not None and b != a
+        assert planted >= 20
 
     def test_order_mismatch(self):
         with pytest.raises(OrderMismatch):

@@ -38,6 +38,7 @@ from helpers import (
     random_poset_matrix,
     sweep_insertion_invariance,
     sweep_semi_equidual,
+    witness_by_definition,
 )
 
 DISCONNECT_KINDS = (Boxed(0, 1, 0), Boxed(0, 0, 0), Boxed(0, 0, 1), Boxed(1, 0, 0))
@@ -93,6 +94,45 @@ class TestConnectivity:
                 for i in range(1, a.n + 1):
                     if i not in inside:
                         assert a.rows[max(i, k) - 1][min(i, k) - 1] == 0
+
+
+def disjoint_union(rng, sizes):
+    """A random matrix whose components have the given sizes, their labels
+    interleaved at random: each member after the first of a part lies above
+    one or more earlier members of that part, so the part is connected."""
+    n = sum(sizes)
+    labels = rng.sample(range(n), n)
+    codes = [1 << q for q in range(n)]
+    start = 0
+    for size in sizes:
+        part = sorted(labels[start : start + size])
+        start += size
+        for t in range(1, size):
+            for q in rng.sample(part[:t], rng.randint(1, t)):
+                codes[part[t]] |= codes[q]
+    return validate(BinaryMatrix._of(tuple(codes), n))
+
+
+# component sizes of order-40 matrices, the smallest size held by two or more
+TIED_SIZES = [(1, 1, 38), (2, 2, 2, 34), (3, 3, 5, 29), (5, 9, 5, 5, 16), (4,) * 10, (1,) * 40, (20, 20)]
+
+
+class TestConnectivityWitness:
+    def test_least_smallest_component_exhaustive(self):
+        for a in all_upto(6):
+            assert classify_connectivity(a).witness == witness_by_definition(a)
+
+    @pytest.mark.parametrize("sizes", TIED_SIZES)
+    def test_ties_of_size_go_to_the_least_element(self, sizes):
+        # several components share the smallest size, with interleaved labels
+        rng = random.Random(sum(sizes) * len(sizes))
+        for _ in range(5):
+            a = disjoint_union(rng, sizes)
+            comps = components_by_search(a)
+            assert sorted(map(len, comps)) == sorted(sizes)
+            witness = classify_connectivity(a).witness
+            assert witness == witness_by_definition(a)
+            assert [len(c) for c in comps].count(len(witness)) >= 2
 
 
 class TestTotallyConnectedDisconnected:
