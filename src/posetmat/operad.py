@@ -8,15 +8,18 @@ verify_laws sweeps each axiom exhaustively over all poset matrices up to a
 given order (grouped by ascending total order so a reported counterexample
 is minimal), or over seeded random samples drawn from the same pools.  Boxed
 kinds have partial domains; triples whose intermediate composition is
-undefined are skipped and counted.  Before any pool is built, an
-exhaustive sweep past order LAW_EXHAUSTIVE_ORDER, and a random one of more
-than LAW_CASE_BUDGET cases, is refused (_check_budget).
+undefined are skipped and counted.  Before any pool is built, an order past
+the order cap is refused, as by every command, and so is a random run of
+more than LAW_CASE_BUDGET cases.
 
 The law layer works on int row codes (see core) from end to end: the pools
 are the levels of enumeration's walk, taken as code tuples once the order
-cap is checked, and a kind's rule is looked up once.  Each level comes
-ascending in its rows read as bit strings, column 1 first (_levels), which
-within one order is the witness order _enc compares, so no pool is sorted.
+cap is checked, and a kind's rule is looked up once.  PM(1), ..., PM(N-1)
+are listed, and PM(N) is streamed, parent by parent over PM(N-1), as
+matrices_by_parent walks it, so no more than PM(N-1) is held.  Each level
+comes ascending in its rows read as bit strings, column 1 first (_levels,
+which builds each level as this same walk), which within one order is the
+witness order _enc compares, so no pool is sorted.
 All that the rules read of a matrix comes from one pass over its rows
 (_masks): two bit masks, its minimal and maximal elements under minmax,
 and for a boxed kind the positions whose lower-left block has the
@@ -250,6 +253,8 @@ constant fill, so its unit law always holds.
 
 from __future__ import annotations
 
+from itertools import chain
+
 from .compose import (
     COL_AT_MIN,
     ROW_AT_MAX,
@@ -259,7 +264,7 @@ from .compose import (
     parse_kind,
 )
 from .core import PosetMatrix, Record, UNIT
-from .enumeration import DEFAULT_ORDER_CAP, _check_order, _enc, _levels
+from .enumeration import DEFAULT_ORDER_CAP, _check_order, _children, _enc, _levels
 from .errors import (
     IndexOutOfRange,
     RequiresDistinctIndices,
@@ -271,15 +276,11 @@ PARALLEL = "parallel"
 UNIT_LAW = "unit"
 LAWS = (NESTED, PARALLEL, UNIT_LAW)
 
-# Most random-mode cases one verify_laws call may run (3 * trials): a limit
-# on the count, not an estimate of the time.
-LAW_CASE_BUDGET = 10**8
-# Largest order the exhaustive sweep takes.  Its work is one _masks read of
-# every matrix of PM(1), ..., PM(N), whatever the number of cases: up to
-# order 7, 101,659 matrices, in 0.09 s (square, min, max) or 0.16-0.18 s
-# (minmax, boxed) per kind as one process at 25-26 MiB (2-core machine).
-# Order 8 would need all of PM(8), 2.8 M matrices and about 378 MiB.
-LAW_EXHAUSTIVE_ORDER = 7
+# Most random-mode cases one verify_laws call may run (3 * trials), 10**6
+# trials per law: a limit on the count, and so on the memory, as random
+# mode keeps 20 bytes per trial of each law that reads a matrix (see
+# sampling); not an estimate of the time.
+LAW_CASE_BUDGET = 3 * 10**6
 
 
 class Witness(Record):
@@ -472,19 +473,21 @@ class _Tally:
         self.failures = []
 
 
-def _tables(rule, level) -> dict:
-    """One order's table, from one _masks read of each matrix of its level,
-    a level of enumeration's walk and so already in witness order (see
-    _levels).  Matrices with the same masks are counted together, and
-    their _row is made once, kept with the least of them, so the first
-    member met of anything below is the least.  Per law: for NESTED, per signature of an (A, i), which is also
+def _tables(rule, matrices) -> dict:
+    """One order's table, from one _masks read of each of its matrices,
+    an iterable over a level of enumeration's walk and so already in
+    witness order (see _levels); nothing else of it is kept.  Matrices with
+    the same masks are counted together, and their _row is made once, kept
+    with the least of them, so the first member met of anything below is
+    the least.  Per law: for NESTED, per signature of an (A, i), which is also
     that of a (B, j), and for PARALLEL, per pair of signatures of (A, i)
     and (A, j), i < j, [count, least member], the member (X, p) or
     (A, i, j); for UNIT_LAW, the _Tally of the order's unit cases, with its
-    least failing (A, i) if any.  Then "level", and "not antichain", the
-    least matrix that the rule reads as no antichain, or None."""
+    least failing (A, i) if any.  Then the level's "size" and "least"
+    matrix, and "not antichain", the least matrix that the rule reads as
+    no antichain, or None."""
     rows = {}
-    for x in level:
+    for x in matrices:
         rows.setdefault(_masks(rule, x), [0, x])[0] += 1
     nested, parallel, unit, not_antichain = {}, {}, _Tally(), None
     for masks, (count, x) in rows.items():
@@ -504,7 +507,8 @@ def _tables(rule, level) -> dict:
         NESTED: nested,
         PARALLEL: parallel,
         UNIT_LAW: unit,
-        "level": level,
+        "size": sum([count for count, _ in rows.values()]),
+        "least": next(iter(rows.values()))[1],
         "not antichain": not_antichain,
     }
 
@@ -527,9 +531,9 @@ def _groups(rule, law, tables, n, m) -> tuple:
             for sb, (cb, (b, j)) in tables[m][law].items()
         ]
     else:
-        level = tables[m]["level"]
+        size, b = tables[m]["size"], tables[m]["least"]
         groups = [
-            (sig, count * len(level), (a, level[0], i, j))
+            (sig, count * size, (a, b, i, j))
             for sig, (count, (a, i, j)) in tables[n][law].items()
         ]
     verdicts = [(_outer(rule, law, *sig), count, case) for sig, count, case in groups]
@@ -554,10 +558,9 @@ def _sweep(rule, law, tables) -> _Tally:
         for (n, m), (undefined, defined, breaking) in groups.items():
             table = tables.get(total - n - m)
             if table:
-                level = table["level"]
-                tally.skipped += undefined * len(level)
-                tally.checked += defined * len(level)
-                c = level[0] if law == PARALLEL else table["not antichain"]
+                tally.skipped += undefined * table["size"]
+                tally.checked += defined * table["size"]
+                c = table["least"] if law == PARALLEL else table["not antichain"]
                 if c is not None:
                     tally.failures += [(a, b, c, i, j) for a, b, i, j in breaking]
         if tally.failures:
@@ -567,10 +570,10 @@ def _sweep(rule, law, tables) -> _Tally:
 
 def _exhaustive(rule, levels) -> list:
     """One _Tally per law of LAWS, over every case that PM(1), ..., PM(N)
-    make, given as levels of enumeration's walk, each already in witness
-    order (see _levels), so nothing is sorted.  Each matrix is read once,
-    into its order's _tables; the unit law stops at the end of the first
-    order with a failing case."""
+    make, given as levels of enumeration's walk, each an iterable already
+    in witness order (see _levels), so nothing is sorted.  Each matrix is
+    read once, into its order's _tables; the unit law stops at the end of
+    the first order with a failing case."""
     tables = {n: _tables(rule, level) for n, level in enumerate(levels, 1)}
     tallies = [_sweep(rule, law, tables) for law in (NESTED, PARALLEL)]
     unit = _Tally()
@@ -602,41 +605,33 @@ def _report(kind, rule, law, tally) -> LawReport:
     )
 
 
-def _check_budget(max_order, trials) -> None:
-    """Refuse, before any pool is built, an exhaustive sweep past
-    LAW_EXHAUSTIVE_ORDER and random mode of more than LAW_CASE_BUDGET
-    cases (3 * trials)."""
-    if trials is None and max_order > LAW_EXHAUSTIVE_ORDER:
-        raise ResourceLimit(
-            f"exhaustive laws up to order {max_order} exceed the order budget "
-            f"{LAW_EXHAUSTIVE_ORDER}"
-        )
-    if trials is not None and 3 * trials > LAW_CASE_BUDGET:
-        raise ResourceLimit(
-            f"{trials} trials exceed the case budget {LAW_CASE_BUDGET} ({3 * trials} cases)"
-        )
-
-
 def verify_laws(kind, max_order, trials=None, seed=0):
     """One LawReport per axiom; exhaustive when trials is None, else random.
 
     Exhaustive mode enumerates triples by ascending total order and stops a
     law's scan at the end of the first total-order group containing a
     counterexample, so the reported witness is minimal (smallest n+m+k,
-    ties broken lexicographically on the matrix encodings).  Identical
-    seeds give identical reports.  The order cap and then the order or case
-    budget are checked before the kind is looked up and before any pool is
-    built.
+    ties broken lexicographically on the matrix encodings).  It lists
+    PM(1), ..., PM(N-1) and streams PM(N) from them, parent by parent, so
+    the order cap alone bounds it.  Identical seeds give identical reports.
+    The order cap and then the case budget of random mode (LAW_CASE_BUDGET,
+    3 * trials) are checked before the kind is looked up and before any
+    pool is built.
     """
     if max_order < 1:
         raise ValueError("max_order must be at least 1")
     if trials is not None and trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
     _check_order(max_order, DEFAULT_ORDER_CAP)
-    _check_budget(max_order, trials)
+    if trials is not None and 3 * trials > LAW_CASE_BUDGET:
+        raise ResourceLimit(
+            f"{trials} trials exceed the case budget {LAW_CASE_BUDGET} ({3 * trials} cases)"
+        )
     rule = _rule(kind)
     if trials is None:
-        tallies = _exhaustive(rule, _levels(max_order))
+        levels = [[()], *_levels(max_order - 1)]  # PM(0), ..., PM(N-1)
+        top = chain.from_iterable(map(_children, levels[-1]))
+        tallies = _exhaustive(rule, [*levels[1:], top])
     else:
         # sampling imports this module's rule, so it is imported here, when
         # random mode first runs; no other command pays to compile it

@@ -163,17 +163,27 @@ class TestCountAndListWithoutTheLevel:
 
 class TestCanonicalForm:
     def brute_canonical(self, a):
-        n = a.n
+        """The least Q^T A Q over all n! permutations that keep A lower
+        triangular, on row bits: a row is an int with column 1 as its most
+        significant bit, so rows compare as their bit strings do.  sigma
+        puts its q-th element at position q; the result stays lower
+        triangular iff each element comes after everything below it."""
+        n, codes = a.n, a.codes
         best = None
-        for sigma in permutations(range(1, n + 1)):
-            rows = conjugate(a, sigma)
-            try:
-                validate(BinaryMatrix(rows))
-            except Exception:
-                continue
-            if best is None or rows < best:
-                best = rows
-        return PosetMatrix(best)
+        for sigma in permutations(range(n)):
+            weight = [0] * n
+            for q, y in enumerate(sigma):
+                weight[y] = 1 << (n - 1 - q)
+            rows, placed = [], 0
+            for x in sigma:
+                placed |= 1 << x
+                if codes[x] & ~placed:
+                    break
+                rows.append(sum([w for y, w in enumerate(weight) if codes[x] >> y & 1]))
+            else:
+                if best is None or rows < best:
+                    best = rows
+        return PosetMatrix.from_bits([format(row, f"0{n}b") for row in best])
 
     def test_matches_permutation_oracle(self):
         for n in (1, 2, 3, 4, 5):

@@ -24,7 +24,6 @@ from posetmat.errors import (
 )
 from posetmat.operad import (
     LAW_CASE_BUDGET,
-    LAW_EXHAUSTIVE_ORDER,
     LAWS,
     NESTED,
     PARALLEL,
@@ -32,7 +31,6 @@ from posetmat.operad import (
     _case,
     _exhaustive,
     _case_key,
-    _check_budget,
     _groups,
     _masks,
     _outer,
@@ -183,7 +181,7 @@ class TestVerifyLaws:
 
     @pytest.mark.parametrize(
         "max_order, trials",
-        [(8, None), (3, 10**10), (3, LAW_CASE_BUDGET // 3 + 1)],
+        [(8, 10**6 + 1), (3, 10**10), (3, LAW_CASE_BUDGET // 3 + 1)],
     )
     def test_case_budget_refused_before_any_pool_is_built(self, max_order, trials):
         tracemalloc.start()
@@ -195,17 +193,25 @@ class TestVerifyLaws:
             tracemalloc.stop()
         assert peak < 5 << 20
 
-    def test_budget_takes_the_largest_exhaustive_order_and_trials(self):
-        # the exhaustive sweep is bounded by its top order alone: order 7
-        # passes and order 8 does not, whatever the kind
-        assert LAW_EXHAUSTIVE_ORDER == 7
-        _check_budget(LAW_EXHAUSTIVE_ORDER, None)
-        _check_budget(DEFAULT_ORDER_CAP, LAW_CASE_BUDGET // 3)
-        with pytest.raises(ResourceLimit, match="order budget 7"):
-            _check_budget(LAW_EXHAUSTIVE_ORDER + 1, None)
+    def test_budget_takes_the_largest_exhaustive_order_and_trials(self, monkeypatch):
+        # the order cap 8 alone bounds the exhaustive sweep, and random mode
+        # takes 10**6 trials per law and no more; the sweeps themselves are
+        # stubbed, so what is tested is only what gets past the checks
+        runs = []
+        monkeypatch.setattr(operad, "_exhaustive", lambda rule, levels: runs.append(None) or [])
+        monkeypatch.setattr(sampling, "random_tallies", lambda *args: runs.append(args[2]) or [])
+        assert LAW_CASE_BUDGET == 3 * 10**6
+        verify_laws(SQUARE, DEFAULT_ORDER_CAP)
+        verify_laws(SQUARE, DEFAULT_ORDER_CAP, trials=10**6)
+        assert runs == [None, 10**6]
+        with pytest.raises(ResourceLimit, match="above the cap 8"):
+            verify_laws(SQUARE, DEFAULT_ORDER_CAP + 1)
+        with pytest.raises(ResourceLimit, match="1000001 trials exceed the case budget 3000000"):
+            verify_laws(SQUARE, DEFAULT_ORDER_CAP, trials=10**6 + 1)
+        assert len(runs) == 2
 
     def test_argument_errors_in_order(self):
-        # order, then trials, then the cap, then the order budget, then the kind
+        # order, then trials, then the cap, then the case budget, then the kind
         with pytest.raises(ValueError, match="max_order"):
             verify_laws("bogus", 0, trials=0)
         with pytest.raises(ValueError, match="trials"):
@@ -213,7 +219,7 @@ class TestVerifyLaws:
         with pytest.raises(ResourceLimit, match="cap"):
             verify_laws("bogus", 9)
         with pytest.raises(ResourceLimit, match="budget"):
-            verify_laws("bogus", 8)
+            verify_laws("bogus", 8, trials=10**6 + 1)
         with pytest.raises(ValueError, match="unknown"):
             verify_laws("bogus", 2)
 
@@ -544,6 +550,28 @@ def test_order_six_counts_are_the_closed_forms(kind):
     assert [(r.law, r.verdict, r.cases_checked, r.cases_skipped, r.witness) for r in reports] == [
         (law, "pass", totals[law], 0, None) for law in LAWS
     ]
+
+
+def test_order_eight_counts_are_the_closed_forms():
+    # the order cap is the only bound of the exhaustive sweep: square at
+    # order 8, PM(8) streamed parent by parent, passes every case
+    totals = _closed_forms(8)
+    reports = verify_laws(SQUARE, 8)
+    assert [(r.law, r.verdict, r.cases_checked, r.cases_skipped, r.witness) for r in reports] == [
+        (law, "pass", totals[law], 0, None) for law in LAWS
+    ]
+
+
+def test_exhaustive_sweep_holds_no_more_than_the_level_below():
+    # order 7: PM(7) is streamed, so only PM(1..6) (about 0.5 MiB) and one
+    # row per masks key are held; listing PM(7) alone would take about 10 MiB
+    tracemalloc.start()
+    try:
+        verify_laws(MINMAX, 7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 << 20
 
 
 @pytest.mark.parametrize(
