@@ -13,7 +13,7 @@ in every column of B (COL), only in those of B's minimal elements
 (COL_AT_MIN), or a constant.  _lower_left_wrong names the first entry of
 A's lower-left block that breaks the precondition, and compose raises from
 it; the law rules read the precondition at every position of a matrix at
-once (operad._masks).  The same rules read backwards give the one host A
+once (operad._reader).  The same rules read backwards give the one host A
 that could have produced a composite at a given split (_host); this is how
 structure.factor finds its factorizations.
 
@@ -30,7 +30,7 @@ structure.factor finds its factorizations.
 
 from __future__ import annotations
 
-from .core import BinaryMatrix, PosetMatrix, Record, _maximal_mask, _minimal_mask
+from .core import BinaryMatrix, PosetMatrix, Record, _extremal
 from .errors import DimensionMismatch, IndexOutOfRange, PreconditionViolated
 
 SQUARE = "square"
@@ -192,14 +192,14 @@ def _compose(rule, ac, i: int, bc) -> tuple:
     k = i - 1
     low = (1 << k) - 1
     if u_fill == ROW_AT_MAX:
-        u, maxs = ac[k] & low, _maximal_mask(bc)
+        u, maxs = ac[k] & low, _extremal(bc)[2]
         mid = [(u if (maxs >> q) & 1 else 0) | b_q << k for q, b_q in enumerate(bc)]
     else:
         u = ac[k] & low if u_fill == ROW else low if u_fill else 0
         mid = [u | b_q << k for b_q in bc]
     # V_s is `on` where A's entry (s, i) is 1, else `off`: 0, or `on` for a constant
     full = (1 << len(bc)) - 1
-    on = (_minimal_mask(bc) if v_fill == COL_AT_MIN else full if v_fill else 0) << k
+    on = (_extremal(bc)[1] if v_fill == COL_AT_MIN else full if v_fill else 0) << k
     off = on if v_fill in (0, 1) else 0
     shift = k + len(bc)
     return (
@@ -236,7 +236,7 @@ def _host(rule, cc, i: int, bc) -> tuple:
     if u_fill in (0, 1):
         u = low if u_fill else 0
     else:
-        maxs = _maximal_mask(bc)
+        maxs = _extremal(bc)[2]
         u = cc[k + (maxs & -maxs).bit_length() - 1] & low
     keep, v = (low, v_fill << k) if v_fill in (0, 1) else (low | 1 << k, 0)
     below = [(x & keep) | v | (x >> shift) << i for x in cc[shift:]]

@@ -9,7 +9,8 @@ transitivity of the entries.
 A matrix is a tuple of int row codes and a width: bit j of codes[r] is
 entry (r+1, j+1), for BinaryMatrix and its validated subtype PosetMatrix
 alike.  `.rows` is a tuple-of-tuples view built from the codes when read.
-Minimal and maximal elements are bit masks, computed when first needed.
+Minimal and maximal elements are two bit masks, read in one pass over the
+rows (_extremal) when first needed.
 
 Everything here is an immutable value; all operations are pure functions.
 Indices on the public surface are 1-based.
@@ -351,18 +352,17 @@ def relabel(a: PosetMatrix, order) -> PosetMatrix:
 
 # Compositions insert the same B many times: memoise its masks (bounded).
 @lru_cache(maxsize=1 << 10)
-def _minimal_mask(codes) -> int:
-    """Bit q set when element q+1 is minimal: its row is the diagonal alone."""
-    return sum(x for q, x in enumerate(codes) if x == 1 << q)
-
-
-@lru_cache(maxsize=1 << 10)
-def _maximal_mask(codes) -> int:
-    """Bit q set when element q+1 is maximal: no other row has bit q."""
-    below = 0
+def _extremal(codes) -> tuple:
+    """(n, minimal, maximal) of an order-n matrix, from one pass over its
+    rows: bit q of minimal is set when element q+1's row is the diagonal
+    alone, and bit q of maximal when no other row has bit q."""
+    mins = below = 0
     for q, x in enumerate(codes):
+        if x == 1 << q:
+            mins |= x
         below |= x ^ 1 << q
-    return ((1 << len(codes)) - 1) & ~below
+    n = len(codes)
+    return n, mins, ~below & (1 << n) - 1
 
 
 def _members(mask: int) -> tuple:
@@ -378,12 +378,12 @@ def _members(mask: int) -> tuple:
 
 def minimal_elements(a: PosetMatrix) -> tuple:
     """Elements whose sub-diagonal row is empty or all zero."""
-    return _members(_minimal_mask(a.codes))
+    return _members(_extremal(a.codes)[1])
 
 
 def maximal_elements(a: PosetMatrix) -> tuple:
     """Elements whose sub-diagonal column is empty or all zero."""
-    return _members(_maximal_mask(a.codes))
+    return _members(_extremal(a.codes)[2])
 
 
 def cover_relation(a: PosetMatrix) -> tuple:

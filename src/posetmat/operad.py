@@ -20,12 +20,13 @@ matrices_by_parent walks it, so no more than PM(N-1) is held.  Each level
 comes ascending in its rows read as bit strings, column 1 first (_levels,
 which builds each level as this same walk), which within one order is the
 witness order _enc compares, so no pool is sorted.
-All that the rules read of a matrix comes from one pass over its rows
-(_masks): two bit masks, its minimal and maximal elements under minmax,
-and for a boxed kind the positions whose lower-left block has the
-constant a21 and those whose unit case holds; square, min and max read
-nothing.  _row turns the masks into the signature of every position,
-whether the matrix is an antichain, and every unit verdict.  An
+All that the rules read of a matrix comes from one pass over its rows,
+by the reader that _reader chooses once per kind: two bit masks, its
+minimal and maximal elements under minmax (core._extremal), and for a
+boxed kind the positions whose lower-left block has the constant a21 and
+those whose unit case holds; square, min and max read only the order.
+_row turns the masks into the signature of every position, whether the
+matrix is an antichain, and every unit verdict.  An
 associativity case (A, i, B, j, C) is decided without composing anything,
 by the rule proved below.  _outer reads the signatures of two positions,
 (A, i) and (B, j) (nested) or (A, i) and (A, j) (parallel): None when the
@@ -53,8 +54,8 @@ order n+m+k and stops at the end of the first total with a failure, and
 the unit law at the end of the first order with one.  The least failing
 case of a breaking group is its least (A, i) and least (B, j) with the
 least failing C, since the witness order compares A, B and C before i and
-j; the least of a total is the least of these.  The work is one _masks
-read per matrix of PM(1), ..., PM(N), however many cases they make.
+j; the least of a total is the least of these.  The work is one read
+(_reader) per matrix of PM(1), ..., PM(N), however many cases they make.
 
 Random mode (the sampling module) lists no pool: it draws pool indices from
 the pool sizes and reads, once each, only the drawn matrices that the rule
@@ -263,7 +264,7 @@ from .compose import (
     kind_name,
     parse_kind,
 )
-from .core import PosetMatrix, Record, UNIT
+from .core import PosetMatrix, Record, UNIT, _extremal
 from .enumeration import DEFAULT_ORDER_CAP, _check_order, _children, _enc, _levels
 from .errors import (
     IndexOutOfRange,
@@ -350,46 +351,45 @@ def _case(rule, law, a, b, c, i, j):
     return left == right, left, right
 
 
-def _masks(rule, x) -> tuple:
-    """(n, m1, m2), all that the rules read of X, an order-n matrix, from
-    one pass over its rows.  Under minmax, m1 and m2 are the masks of X's
-    minimal and maximal elements.  For a boxed kind, m1 holds the positions
-    p whose lower-left block has the constant a21, and m2 those whose unit
-    case holds (bit p - 1 each).  The other mask kinds read nothing of X,
-    so both masks are 0.
+def _reader(rule):
+    """The reader of the kind's rule, chosen once: it gives (n, m1, m2),
+    all that the rules read of X, an order-n matrix, from one pass over
+    its rows.  Under minmax, m1 and m2 are the masks of X's minimal and
+    maximal elements (core._extremal, uncached, as a sweep reads each
+    matrix once).  For a boxed kind, m1 holds the positions p whose
+    lower-left block has the constant a21, and m2 those whose unit case
+    holds (bit p - 1 each).  The other mask kinds read nothing of X, so
+    both masks are 0.
 
     For a boxed kind the rows are read from the bottom up, keeping the
     columns in which some row below p differs from the constant a21 (bad)
     and from a constant V-fill (off); X's block at p has the constant iff
     bad has none of its first p - 1 columns.  The constant c (0 or 1)
     fills a row with the bits of -c, so a row y differs from it where
-    y ^ -c has a 1.  Under minmax an element is minimal iff its row is its diagonal 1
-    alone, and maximal iff no other row holds it."""
+    y ^ -c has a 1."""
     u_fill, v_fill, a21 = rule
-    n = len(x)
-    m1 = m2 = 0
-    if a21 is not None:
-        bad = off = 0
-        for k in range(n - 1, -1, -1):
+    if a21 is None:
+        if (u_fill, v_fill) == (ROW_AT_MAX, COL_AT_MIN):
+            return _extremal.__wrapped__
+        return lambda x: (len(x), 0, 0)
+
+    def read(x, u=-u_fill, a=-a21, v=-v_fill):  # the fills, bound as locals
+        m1 = m2 = bad = off = 0
+        for k in range(len(x) - 1, -1, -1):
             y, low = x[k], (1 << k) - 1
             if not bad & low:
                 m1 |= 1 << k
-                if not (y ^ -u_fill) & low and not off >> k & 1:
+                if not (y ^ u) & low and not off >> k & 1:
                     m2 |= 1 << k
-            bad |= y ^ -a21
-            off |= y ^ -v_fill
-    elif (u_fill, v_fill) == (ROW_AT_MAX, COL_AT_MIN):
-        below = 0
-        for k, y in enumerate(x):
-            if y == 1 << k:
-                m1 |= y
-            below |= y ^ 1 << k
-        m2 = ~below & (1 << n) - 1
-    return n, m1, m2
+            bad |= y ^ a
+            off |= y ^ v
+        return len(x), m1, m2
+
+    return read
 
 
 def _row(rule, masks) -> tuple:
-    """(sigs, antichain, units) of a matrix with these _masks: the
+    """(sigs, antichain, units) of a matrix with these masks (_reader): the
     signature of each position, all that the associativity rule reads of
     (A, i), (B, j) or (A, j); whether it is an antichain, None where the
     rule reads no C; and whether each unit case holds.
@@ -474,7 +474,7 @@ class _Tally:
 
 
 def _tables(rule, matrices) -> dict:
-    """One order's table, from one _masks read of each of its matrices,
+    """One order's table, from one read (_reader) of each of its matrices,
     an iterable over a level of enumeration's walk and so already in
     witness order (see _levels); nothing else of it is kept.  Matrices with
     the same masks are counted together, and their _row is made once, kept
@@ -486,9 +486,9 @@ def _tables(rule, matrices) -> dict:
     least failing (A, i) if any.  Then the level's "size" and "least"
     matrix, and "not antichain", the least matrix that the rule reads as
     no antichain, or None."""
-    rows = {}
+    rows, read = {}, _reader(rule)
     for x in matrices:
-        rows.setdefault(_masks(rule, x), [0, x])[0] += 1
+        rows.setdefault(read(x), [0, x])[0] += 1
     nested, parallel, unit, not_antichain = {}, {}, _Tally(), None
     for masks, (count, x) in rows.items():
         sigs, antichain, units = _row(rule, masks)

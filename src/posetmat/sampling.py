@@ -12,7 +12,7 @@ draws only to count its skips.  The rest (_reads) record their draws in
 bytes and mark each drawn index that they read with a 1, then walk the
 levels once, the last one parent by parent over PM(N-1) as
 matrices_by_parent does, and read each marked matrix once (_Drawn): its
-two bit masks (operad._masks), of which each distinct key is turned once
+two bit masks (operad._reader), of which each distinct key is turned once
 into a row of signatures, antichain and unit verdicts (operad._row).
 Each case is then decided from those rows, and only the least failing
 case is kept, by the witness order on pool indices (_rank).  Random mode
@@ -32,7 +32,7 @@ from struct import Struct
 
 from .compose import COL_AT_MIN, ROW_AT_MAX
 from .enumeration import _ideals, _levels, matrix_count
-from .operad import LAWS, NESTED, PARALLEL, UNIT_LAW, _masks, _outer, _row, _Tally
+from .operad import LAWS, NESTED, PARALLEL, UNIT_LAW, _outer, _reader, _row, _Tally
 
 # One drawn case (a, b, c, i, j) as five 4-byte ints
 _CASE = Struct("5i")
@@ -114,9 +114,9 @@ class _Drawn:
 
     PM(1), ..., PM(N-1) are listed (_levels); PM(N) is walked once, parent
     by parent over PM(N-1), as matrices_by_parent lists it, and only its
-    marked children are built.  Each marked matrix is read once (_masks),
-    and each distinct masks key is turned into one row: table[g] is the
-    place of index g's row in rows."""
+    marked children are built.  Each marked matrix is read once, by the
+    kind's reader (_reader, chosen once), and each distinct masks key is
+    turned into one row: table[g] is the place of index g's row in rows."""
 
     def __init__(self, rule, max_order, starts, need):
         self.starts = starts
@@ -125,12 +125,12 @@ class _Drawn:
         # the index of each parent's first child, and each index's row
         self.firsts = memoryview(bytearray(4 * len(self.levels[-1]))).cast("I")
         self.table = memoryview(bytearray(4 * starts[-1])).cast("I")
-        ids = {}
+        ids, masks = {}, _reader(rule)
 
         def read(start, end, child):
             g = need.find(1, start, end)
             while g >= 0:
-                self.table[g] = ids.setdefault(_masks(rule, child(g - start)), len(ids))
+                self.table[g] = ids.setdefault(masks(child(g - start)), len(ids))
                 g = need.find(1, g + 1, end)
 
         for level, start in zip(self.levels[1:], self.starts):

@@ -15,7 +15,7 @@ from posetmat import (
     validate,
 )
 from posetmat.compose import insert
-from posetmat.core import _members, closure_of_covers, index_set, relabel
+from posetmat.core import _extremal, _members, closure_of_covers, index_set, relabel
 from posetmat.enumeration import generate_all, linear_extensions
 from posetmat.errors import (
     IndexOutOfRange,
@@ -299,6 +299,19 @@ class TestMinMaxElements:
             assert minimal_elements(a) == mins
             assert maximal_elements(a) == maxs
 
+    def test_extremal_matches_the_per_element_definition(self):
+        # element q is minimal iff its row holds no bit but q, and maximal
+        # iff no other row holds bit q: over PM(<=6) and random matrices of
+        # orders 8-40, cached and uncached alike
+        rng = random.Random(30)
+        drawn = [random_poset_matrix(rng, rng.randint(8, 40)) for _ in range(200)]
+        for a in [*all_upto(6), *drawn]:
+            codes, n = a.codes, a.n
+            mins = sum(1 << q for q in range(n) if not codes[q] & ~(1 << q))
+            maxs = sum(
+                1 << q for q in range(n) if not any(codes[r] >> q & 1 for r in range(n) if r != q)
+            )
+            assert _extremal(codes) == _extremal.__wrapped__(codes) == (n, mins, maxs), codes
 
     def test_members_lists_the_set_bits_ascending(self):
         for mask in range(1 << 10):

@@ -15,7 +15,7 @@ from posetmat.compose import (
     kind_name,
     parse_kind,
 )
-from posetmat.core import _maximal_mask, _minimal_mask
+from posetmat.core import _extremal
 from posetmat.enumeration import DEFAULT_ORDER_CAP, _levels, generate_all, matrix_count
 from posetmat.errors import (
     IndexOutOfRange,
@@ -32,8 +32,8 @@ from posetmat.operad import (
     _exhaustive,
     _case_key,
     _groups,
-    _masks,
     _outer,
+    _reader,
     _row,
     _sweep,
     _tables,
@@ -383,10 +383,11 @@ def _branch(kind, law, a, b, c, i, j):
         k, top = i - 1, (1 << len(c)) - 1
         prefix = a[k] & ((1 << k) - 1) != 0
         below = any(x >> k & 1 for x in a[i:])
-        j_max, j_min = (mask(b) >> (j - 1) & 1 for mask in (_maximal_mask, _minimal_mask))
+        _, mins, maxs = _extremal(b)
+        j_max, j_min = maxs >> (j - 1) & 1, mins >> (j - 1) & 1
         rule_a, rule_b = prefix and not j_max, below and not j_min
         assert breaks == (rule_a or rule_b), (a, b, i, j)
-        return law, rule_a, rule_b, _maximal_mask(c) & _minimal_mask(c) == top
+        return law, rule_a, rule_b, _extremal(c)[1] & _extremal(c)[2] == top
     if law == PARALLEL and kind in ALL_BOXED:
         assert breaks == (kind.u != kind.v), (kind, a, i, j)
         return law, kind.u != kind.v
@@ -656,13 +657,13 @@ class TestBoxedKindsMeasured:
 
 @pytest.mark.parametrize("kind", ALL_KINDS, ids=kind_name)
 def test_signatures_of_a_matrix_are_those_of_its_positions(kind):
-    # _row of a matrix's _masks, which read its rows once, gives the
-    # signature of each position read alone (signature_at) over PM(<=6),
-    # and, under minmax, the one kind whose rule reads C, whether it is an
-    # antichain (None for the other kinds)
+    # _row of a matrix's masks, which its reader reads from its rows once,
+    # gives the signature of each position read alone (signature_at) over
+    # PM(<=6), and, under minmax, the one kind whose rule reads C, whether
+    # it is an antichain (None for the other kinds)
     rule = _rule(kind)
     for a in (a for level in _levels(6) for a in level):
-        sigs, antichain, _ = _row(rule, _masks(rule, a))
+        sigs, antichain, _ = _row(rule, _reader(rule)(a))
         assert sigs == tuple(signature_at(rule, a, p) for p in range(1, len(a) + 1)), a
         assert antichain is (is_antichain(a) if kind == MINMAX else None), a
 
@@ -681,32 +682,38 @@ def test_mask_unit_sweep_is_the_closed_form(kind):
 
 @pytest.mark.parametrize("kind", ALL_KINDS, ids=kind_name)
 def test_units_of_a_matrix_are_those_of_its_positions(kind):
-    # _row of a matrix's _masks, which read its rows once, gives the unit
-    # verdict of each position read alone (unit_at) over PM(<=6)
+    # _row of a matrix's masks, which its reader reads from its rows once,
+    # gives the unit verdict of each position read alone (unit_at) over
+    # PM(<=6)
     rule = _rule(kind)
     for a in (a for level in _levels(6) for a in level):
-        units = _row(rule, _masks(rule, a))[2]
+        units = _row(rule, _reader(rule)(a))[2]
         assert units == tuple(unit_at(rule, a, p) for p in range(1, len(a) + 1)), a
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS, ids=kind_name)
 def test_each_matrix_is_read_once(monkeypatch, kind):
-    # _masks is the one reader of a matrix for the law rules.  Exhaustive
-    # mode reads each matrix of PM(1..5) once; random mode reads none under
-    # square, min and max, and else at most each index it marked.
+    # _reader gives the one reader of a matrix for the law rules.
+    # Exhaustive mode reads each matrix of PM(1..5) once; random mode reads
+    # none under square, min and max, and else at most each index it marked.
     reads, marked = [], []
-    masks, drawn = operad._masks, sampling._Drawn
+    reader, drawn = operad._reader, sampling._Drawn
 
-    def read(rule, x):
-        reads.append(x)
-        return masks(rule, x)
+    def counted(rule):
+        read = reader(rule)
+
+        def count(x):
+            reads.append(x)
+            return read(x)
+
+        return count
 
     def mark(rule, max_order, starts, need):
         marked.append(need.count(1))
         return drawn(rule, max_order, starts, need)
 
-    monkeypatch.setattr(operad, "_masks", read)
-    monkeypatch.setattr(sampling, "_masks", read)
+    monkeypatch.setattr(operad, "_reader", counted)
+    monkeypatch.setattr(sampling, "_reader", counted)
     monkeypatch.setattr(sampling, "_Drawn", mark)
     verify_laws(kind, 5)
     assert len(reads) == len(set(reads)) == 407 == sum(map(matrix_count, range(1, 6)))
