@@ -144,7 +144,7 @@ def _emit(chunks, out_path) -> None:
 
 def _emit_matrix(m, args) -> None:
     text = json.dumps(to_json_obj(m)) + "\n" if args.json else to_pm_text(m)
-    _emit((text,), getattr(args, "output", None))
+    _emit((text,), args.output)
 
 
 def cmd_check(args) -> int:
@@ -316,7 +316,7 @@ def cmd_pascal(args) -> int:
 
 
 def cmd_hasse(args) -> int:
-    _emit((export_hasse(_load_poset(args.matrix)),), getattr(args, "output", None))
+    _emit((export_hasse(_load_poset(args.matrix)),), args.output)
     return 0
 
 
@@ -327,14 +327,14 @@ def _arg(*flags, **kwargs):
 _OUTPUT = _arg("-o", "--output", default=None)
 _JSON = _arg("--json", action="store_true", help="machine-readable output")
 
-# name -> (handler, help, whether it takes --json, its arguments)
+# name -> (handler, help, its arguments), --json first where a command takes it
 COMMANDS = {
-    "check": (cmd_check, "validate a matrix file and report connectivity", True, (_arg("matrix"),)),
+    "check": (cmd_check, "validate a matrix file and report connectivity", (_JSON, _arg("matrix"))),
     "compose": (
         cmd_compose,
         "compose two poset matrices",
-        True,
         (
+            _JSON,
             _arg("--op", required=True, help="square|min|max|minmax|boxed:UAV"),
             _arg("--i", type=_integer, required=True, help="insertion position (1-based)"),
             _OUTPUT,
@@ -345,34 +345,32 @@ COMMANDS = {
     "laws": (
         cmd_laws,
         "check the operad axioms for a composition",
-        True,
         (
+            _JSON,
             _arg("--op", required=True),
             _arg("--max-n", type=_integer, required=True, dest="max_n"),
             _arg("--random", type=_integer, default=None, help="random trials per law"),
             _arg("--seed", type=_integer, default=0),
         ),
     ),
-    "dual": (cmd_dual, "flip-transpose dual", True, (_OUTPUT, _arg("matrix"))),
-    "selfdual": (cmd_selfdual, "is the matrix its own dual?", True, (_arg("matrix"),)),
+    "dual": (cmd_dual, "flip-transpose dual", (_JSON, _OUTPUT, _arg("matrix"))),
+    "selfdual": (cmd_selfdual, "is the matrix its own dual?", (_JSON, _arg("matrix"))),
     "semiequidual": (
         cmd_semiequidual,
         "find a semi-equidual witness block",
-        True,
-        (_arg("a"), _arg("b")),
+        (_JSON, _arg("a"), _arg("b")),
     ),
-    "classify": (cmd_classify, "connected or disconnected", True, (_arg("matrix"),)),
+    "classify": (cmd_classify, "connected or disconnected", (_JSON, _arg("matrix"))),
     "factor": (
         cmd_factor,
         "find all two-factor decompositions",
-        True,
-        (_arg("--op", default="square"), _arg("matrix")),
+        (_JSON, _arg("--op", default="square"), _arg("matrix")),
     ),
     "invariance": (
         cmd_invariance,
         "are insertions over a range identical?",
-        True,
         (
+            _JSON,
             _arg("--alpha", required=True, help="range like 1..3 or list 1,2,3"),
             _arg("a"),
             _arg("b"),
@@ -381,7 +379,6 @@ COMMANDS = {
     "enumerate": (
         cmd_enumerate,
         "generate all poset matrices of an order",
-        False,
         (
             _arg("--n", type=_integer, required=True),
             _arg("--classes", action="store_true", help="one representative per class"),
@@ -394,17 +391,10 @@ COMMANDS = {
     "pascal": (
         cmd_pascal,
         "binary Pascal matrix",
-        True,
-        (_arg("--n", type=_integer, required=True), _OUTPUT),
+        (_JSON, _arg("--n", type=_integer, required=True), _OUTPUT),
     ),
-    "hasse": (cmd_hasse, "export the Hasse diagram as DOT", False, (_OUTPUT, _arg("matrix"))),
+    "hasse": (cmd_hasse, "export the Hasse diagram as DOT", (_OUTPUT, _arg("matrix"))),
 }
-
-
-def _arguments(name):
-    """(flags, kwargs) of each argument of command name, --json first."""
-    _, _, takes_json, arguments = COMMANDS[name]
-    return (_JSON,) + arguments if takes_json else arguments
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -415,10 +405,10 @@ def build_parser() -> argparse.ArgumentParser:
         "structure, enumeration.",
     )
     sub = top.add_subparsers(dest="command", required=True)
-    for name, (fn, help_text, _, _) in COMMANDS.items():
+    for name, (fn, help_text, arguments) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(fn=fn)
-        for flags, kwargs in _arguments(name):
+        for flags, kwargs in arguments:
             p.add_argument(*flags, **kwargs)
     return top
 
@@ -436,7 +426,7 @@ def _plain_args(argv):
     name = argv[0]
     values = {"command": name, "fn": COMMANDS[name][0]}
     options, required, positionals = {}, set(), []
-    for flags, kwargs in _arguments(name):
+    for flags, kwargs in COMMANDS[name][2]:
         if not flags[0].startswith("-"):
             positionals.append(flags[0])
             continue

@@ -15,7 +15,9 @@ A's lower-left block that breaks the precondition, and compose raises from
 it; the law rules read the precondition at every position of a matrix at
 once (operad._reader).  The same rules read backwards give the one host A
 that could have produced a composite at a given split (_host); this is how
-structure.factor finds its factorizations.
+structure.factor finds its factorizations.  _host reads a copied U-fill at
+B's last element and a copied V-fill at B's first, which natural labelling
+makes maximal and minimal, so it reads no extremal mask of B.
 
   square    (ROW, COL), an operad.
   min       (ROW, COL_AT_MIN), an operad.
@@ -225,19 +227,17 @@ def _host(rule, cc, i: int, bc) -> tuple:
     """Row codes of the host A to try for C = _compose(rule, A, i, B): the
     formulas beside _RULES read backwards.  Rows above i are C's.  A
     copied U-fill shows A's row prefix at i in the row of every maximal
-    element of B, so it is read at the first one.  A row below keeps its bits
-    left and right of B, and its bit at i is C's bit at B's first column,
-    which a copied V-fill always fills (element 1 of B is minimal).  A
-    constant fill hides A's entries; the constant stands in their place.
+    element of B, so it is read at B's last row, C's row shift - 1, which a
+    copied U-fill always fills (element m of B is maximal).  A row below
+    keeps its bits left and right of B, and its bit at i is C's bit at B's
+    first column, which a copied V-fill always fills (element 1 of B is
+    minimal).  So neither read needs B's extremal elements.  A constant
+    fill hides A's entries; the constant stands in their place.
     """
     u_fill, v_fill, _ = rule
     k, shift = i - 1, i - 1 + len(bc)
     low = (1 << k) - 1
-    if u_fill in (0, 1):
-        u = low if u_fill else 0
-    else:
-        maxs = _extremal(bc)[2]
-        u = cc[k + (maxs & -maxs).bit_length() - 1] & low
+    u = cc[shift - 1] & low if u_fill in (ROW, ROW_AT_MAX) else low if u_fill else 0
     keep, v = (low, v_fill << k) if v_fill in (0, 1) else (low | 1 << k, 0)
     below = [(x & keep) | v | (x >> shift) << i for x in cc[shift:]]
     return cc[:k] + (u | 1 << k,) + tuple(below)

@@ -29,6 +29,11 @@ from .errors import (
     ValidationError,
 )
 
+# Most matrix entries one command may build or print, as pascal_matrix and
+# factor count them before they start: 10^8 entries are 10^8 characters of
+# text.  Larger inputs are refused with ResourceLimit.
+ENTRY_BUDGET = 10**8
+
 
 class Record:
     """Immutable value with named fields, the base of the result types.

@@ -7,11 +7,14 @@ ideals directly, in ascending row order, so _levels(n), which walks the
 step from the empty matrix and yields PM(1), ..., PM(n) as lists of
 row-code tuples, gives each level with no sorting in ascending order of
 its rows read as bit strings, column 1 first (proved at _levels).
-matrices_by_parent(n) (below) lists the last step one parent at a time,
-and generate_all(n) joins its lists; neither keeps a cache.  verify_laws
-takes its pools from the walk as codes.  matrix_count(n)
-takes the step twice in closed form, from the ideals of the components
-of each matrix of PM(n-2), and lists no matrix of order n-1 or n.
+_below(n) lists the levels below order n, PM(0), ..., PM(n-1), from that
+walk; every caller that needs them takes them from it.
+matrices_by_parent(n) (below) takes the last step from PM(n-1) one parent
+at a time, and generate_all(n) joins its lists; neither keeps a cache.
+verify_laws and random mode take their pools from _below as codes.
+matrix_count(n) takes the step twice in closed form, from the ideals of
+the components of each matrix of PM(n-2), and lists no matrix of order
+n-1 or n.
 
 Two matrices are permutation equivalent (same unlabelled poset) iff one is
 Q^T A Q for a permutation Q keeping the result lower triangular; those Q
@@ -19,7 +22,8 @@ are precisely the linear extensions of the order.  One search, _search,
 walks them from a matrix's own rows: canonical_form takes the least
 relabelling it finds, and classes(n) uses it as a canonicity test, keeping
 the children of the classes of order n-1 that are their own canonical form
-(orderly generation).  classes(n) never visits PM(n).
+(orderly generation).  classes(n) never visits PM(n), and it reads a
+child's connectivity from its parent's components before the search.
 """
 
 from __future__ import annotations
@@ -93,12 +97,10 @@ def _enc(codes) -> str:
     return "" if codes is None else ";".join(PosetMatrix._wrap(codes).bit_rows())
 
 
-def _parents(n: int) -> list:
-    """PM(n-1) as row-code tuples; PM(0) is the empty matrix alone."""
-    level = [()]
-    for level in _levels(n - 1):
-        pass
-    return level
+def _below(n: int) -> list:
+    """PM(0), ..., PM(n-1), the levels below order n, as lists of row-code
+    tuples from one walk (_levels); PM(0) is the empty matrix alone."""
+    return [[()], *_levels(n - 1)]
 
 
 def _check_filter(which: str) -> None:
@@ -160,7 +162,7 @@ def matrix_count(n: int, which: str = "all") -> int:
     if n == 1:
         return 0 if which == "disconnected" else 1
     total = connected = 0
-    for codes in _parents(n - 1):
+    for codes in _below(n - 1)[-1]:
         ks = ps = grow = nest = split = 1
         for comp in _components(codes):
             ideals = _ideals(codes, comp)
@@ -188,7 +190,7 @@ def matrices_by_parent(n: int, which: str = "all"):
     _check_filter(which)
     _check_order(n, DEFAULT_ORDER_CAP)
     want, wrap = which == "connected", PosetMatrix._wrap
-    for codes in _parents(n):
+    for codes in _below(n)[-1]:
         children = _children(codes)
         if which != "all":
             comps = _components(codes)
@@ -351,6 +353,10 @@ def classes(n: int, which: str = "all", order_cap: int = DEFAULT_ORDER_CAP) -> t
     by an automorphism.  For C = D + I, a linear extension of C places the
     new element right after an ideal S of D that contains I, so e(C) sums
     f(S) h(S) from _placements over those S.
+
+    C = D + I is connected iff I meets every component of D (proved at
+    matrix_count), so each parent's components are found once, and a
+    child that which filters out is never searched.
     """
     _check_filter(which)
     _check_order(n, order_cap)
@@ -359,14 +365,14 @@ def classes(n: int, which: str = "all", order_cap: int = DEFAULT_ORDER_CAP) -> t
         level = [c for d in level for c in _children(d) if _search(c, True)[0]]
     out = []
     for d in level:
-        ideals, top = _ideals(d), 1 << len(d)
+        ideals, top, comps = _ideals(d), 1 << len(d), _components(d)
         weights = _placements(d, ideals)
         for s in ideals:
-            codes = d + (s | top,)
-            aut = _search(codes, True)[0]
-            if aut:
-                connected = len(_components(codes)) == 1
-                if which == "all" or connected == (which == "connected"):
+            connected = all(s & c for c in comps)
+            if which == "all" or connected == (which == "connected"):
+                codes = d + (s | top,)
+                aut = _search(codes, True)[0]
+                if aut:
                     count = sum([w for t, w in weights if t & s == s]) // aut
                     out.append(IsoClass(PosetMatrix._wrap(codes), count, connected))
     return tuple(out)

@@ -265,7 +265,7 @@ from .compose import (
     parse_kind,
 )
 from .core import PosetMatrix, Record, UNIT, _extremal
-from .enumeration import DEFAULT_ORDER_CAP, _check_order, _children, _enc, _levels
+from .enumeration import DEFAULT_ORDER_CAP, _below, _check_order, _children, _enc
 from .errors import (
     IndexOutOfRange,
     RequiresDistinctIndices,
@@ -629,7 +629,7 @@ def verify_laws(kind, max_order, trials=None, seed=0):
         )
     rule = _rule(kind)
     if trials is None:
-        levels = [[()], *_levels(max_order - 1)]  # PM(0), ..., PM(N-1)
+        levels = _below(max_order)  # PM(0), ..., PM(N-1)
         top = chain.from_iterable(map(_children, levels[-1]))
         tallies = _exhaustive(rule, [*levels[1:], top])
     else:

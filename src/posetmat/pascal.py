@@ -11,13 +11,9 @@ inserted with its own first row and column deleted.
 
 from __future__ import annotations
 
-from .core import PosetMatrix, principal_subposet
+from .core import ENTRY_BUDGET, PosetMatrix, principal_subposet
 from .compose import SQUARE, compose
 from .errors import ResourceLimit
-
-# Most entries pascal_matrix may build: order 10,000, whose text is 10^8
-# characters.  Larger orders are refused before any row is built.
-PASCAL_ENTRY_BUDGET = 10**8
 
 
 def pascal_matrix(n: int) -> PosetMatrix:
@@ -28,9 +24,9 @@ def pascal_matrix(n: int) -> PosetMatrix:
     the right, starting from row 1 = (1, 0, ..., 0)."""
     if n < 1:
         raise ValueError("order must be at least 1")
-    if n * n > PASCAL_ENTRY_BUDGET:
+    if n * n > ENTRY_BUDGET:
         raise ResourceLimit(
-            f"pascal order {n} exceeds the entry budget {PASCAL_ENTRY_BUDGET} ({n * n} entries)"
+            f"pascal order {n} exceeds the entry budget {ENTRY_BUDGET} ({n * n} entries)"
         )
     codes = [1]
     for _ in range(n - 1):

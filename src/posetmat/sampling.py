@@ -31,7 +31,7 @@ from itertools import accumulate
 from struct import Struct
 
 from .compose import COL_AT_MIN, ROW_AT_MAX
-from .enumeration import _ideals, _levels, matrix_count
+from .enumeration import _below, _ideals, matrix_count
 from .operad import LAWS, NESTED, PARALLEL, UNIT_LAW, _outer, _reader, _row, _Tally
 
 # One drawn case (a, b, c, i, j) as five 4-byte ints
@@ -112,7 +112,7 @@ class _Drawn:
     """The rows (_row) of the matrices marked in need, by pool index, read
     in one walk of the levels, and the row codes of any index.
 
-    PM(1), ..., PM(N-1) are listed (_levels); PM(N) is walked once, parent
+    PM(1), ..., PM(N-1) are listed (_below); PM(N) is walked once, parent
     by parent over PM(N-1), as matrices_by_parent lists it, and only its
     marked children are built.  Each marked matrix is read once, by the
     kind's reader (_reader, chosen once), and each distinct masks key is
@@ -120,7 +120,7 @@ class _Drawn:
 
     def __init__(self, rule, max_order, starts, need):
         self.starts = starts
-        self.levels = [[()], *_levels(max_order - 1)]  # PM(0), ..., PM(N-1)
+        self.levels = _below(max_order)  # PM(0), ..., PM(N-1)
         self.top = 1 << (max_order - 1)
         # the index of each parent's first child, and each index's row
         self.firsts = memoryview(bytearray(4 * len(self.levels[-1]))).cast("I")

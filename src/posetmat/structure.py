@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from .compose import SQUARE, _compose, _host, _rule, compose
 from .core import (
+    ENTRY_BUDGET,
     BinaryMatrix,
     PosetMatrix,
     Record,
@@ -17,7 +18,7 @@ from .core import (
     index_set,
     principal_subposet,
 )
-from .errors import PreconditionViolated, ValidationError
+from .errors import PreconditionViolated, ResourceLimit, ValidationError
 
 
 class ConnectivityClass(Record):
@@ -164,9 +165,19 @@ def factor(c: PosetMatrix, kind) -> tuple:
     fills overwrite A's row prefix and column suffix at i, and only the host
     holding the fill constants there is returned.  An unknown kind raises
     ValueError.
+
+    Before the search, the entries that the factorizations could hold are
+    counted: split (i, m) gives factors of orders big-m+1 and m, at
+    big-m+1 positions i.  Every split of a chain factors, so the count is
+    exact there; above ENTRY_BUDGET, factor raises ResourceLimit.
     """
     rule = _rule(kind)
     cc, big = c.codes, c.n
+    entries = sum([(big - m + 1) * ((big - m + 1) ** 2 + m * m) for m in range(2, big)])
+    if entries > ENTRY_BUDGET:
+        raise ResourceLimit(
+            f"factor order {big} exceeds the entry budget {ENTRY_BUDGET} ({entries} entries)"
+        )
     out = []
     for m in range(2, big):  # factor orders big-m+1 and m are both >= 2
         full = (1 << m) - 1

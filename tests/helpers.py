@@ -7,7 +7,7 @@ from itertools import combinations, product
 from posetmat import SQUARE, UNIT, PosetMatrix, check_nested, check_parallel, check_unit, compose
 from posetmat.compose import COL_AT_MIN, ROW_AT_MAX, _lower_left_wrong, kind_name
 from posetmat.duality import semi_equidual
-from posetmat.enumeration import IsoClass, _children, _ideals, _parents, canonical_form, generate_all
+from posetmat.enumeration import IsoClass, _below, _children, _ideals, canonical_form, generate_all
 from posetmat.core import relabel, submatrix, validate
 from posetmat.errors import ParseError, PreconditionViolated, ValidationError
 from posetmat.operad import LawReport, Witness, _outer
@@ -155,7 +155,7 @@ def matrix_count_by_parent(n: int, which: str = "all") -> int:
     #ideals(M) = prod #ideals(c), and of prod (#ideals(c) - 1) for the
     connected children, over M's components c (proved at matrix_count)."""
     total = connected = 0
-    for codes in _parents(n):
+    for codes in _below(n)[-1]:
         every = joined = 1
         for comp in _components(codes):
             k = len(_ideals(codes, comp))

@@ -20,10 +20,9 @@ from posetmat.cli import (
     to_pm_text,
 )
 from posetmat.compose import ALL_KINDS, kind_name
-from posetmat.core import BinaryMatrix
+from posetmat.core import ENTRY_BUDGET, BinaryMatrix
 from posetmat.enumeration import DEFAULT_ORDER_CAP, generate_all
 from posetmat.operad import LAW_CASE_BUDGET
-from posetmat.pascal import PASCAL_ENTRY_BUDGET
 from posetmat.structure import classify_connectivity
 from posetmat.errors import ParseError
 
@@ -45,6 +44,9 @@ DEEP_ROWS = '{"n": 1, "rows": ' + "[" * 5000 + "]" * 5000 + "}"
 
 def write(tmp_path, name, text):
     path = tmp_path / name
+    # a fresh file: on some file systems truncating a written one costs
+    # tens of milliseconds, and the tests rewrite the same names
+    path.unlink(missing_ok=True)
     path.write_text(text)
     return str(path)
 
@@ -734,7 +736,7 @@ ARGUMENTS = st.one_of(
     st.tuples(st.just("laws --random"), NON_POSITIVE | _above(LAW_CASE_BUDGET // 3)),
     st.tuples(st.just("laws --seed"), st.integers(-BIG, BIG)),
     st.tuples(st.just("enumerate --n"), NON_POSITIVE | _above(DEFAULT_ORDER_CAP)),
-    st.tuples(st.just("pascal --n"), NON_POSITIVE | _above(int(PASCAL_ENTRY_BUDGET**0.5))),
+    st.tuples(st.just("pascal --n"), NON_POSITIVE | _above(int(ENTRY_BUDGET**0.5))),
     st.tuples(st.just("compose --i"), NON_POSITIVE | _above(2)),
     # a range over the order-2 matrix is refused where it starts outside
     # [1, 2] or runs past 2; a list, where an index is outside
@@ -786,7 +788,7 @@ def _integer_argvs(m):
 
 def test_integer_flags_are_all_read_by_the_strict_reader():
     # every flag that takes an integer names the one reader as its type
-    types = {k.get("type") for name in COMMANDS for f, k in cli._arguments(name)}
+    types = {k.get("type") for name in COMMANDS for f, k in COMMANDS[name][2]}
     assert types == {None, cli._integer}
     assert [cli._integer(x) for x in ("0", "7", "-1", "0012")] == [0, 7, -1, 12]
 
@@ -918,7 +920,7 @@ def _pieces(name, odd):
     abbreviated, a flag without its value, a value argparse reads another
     way or refuses, or a stray token."""
     pieces = [st.lists(st.sampled_from(_STRAYS), min_size=1, max_size=2)] if odd else []
-    for flags, kwargs in cli._arguments(name):
+    for flags, kwargs in COMMANDS[name][2]:
         if not flags[0].startswith("-"):
             pieces.append(st.sampled_from([["A"], ["B"], ["-"], [""]] if odd else [["A"]]))
             continue

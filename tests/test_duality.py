@@ -6,7 +6,9 @@ import pytest
 from posetmat import (
     MAX,
     MIN,
+    MINMAX,
     SQUARE,
+    Boxed,
     compose,
     dual,
     dual_index_set,
@@ -16,10 +18,18 @@ from posetmat import (
     principal_subposet,
     semi_equidual,
     validate,
+    verify_laws,
 )
+from posetmat.compose import ALL_KINDS, kind_name
 from posetmat.duality import SELF_DUAL_CLOSURE_BUDGET, self_dual_closure_counterexamples
 from posetmat.enumeration import generate_all
-from posetmat.errors import IndexOutOfRange, OrderMismatch, ResourceLimit, ValidationError
+from posetmat.errors import (
+    IndexOutOfRange,
+    OrderMismatch,
+    PreconditionViolated,
+    ResourceLimit,
+    ValidationError,
+)
 from posetmat.pascal import pascal_matrix
 
 from helpers import (
@@ -155,6 +165,62 @@ class TestDualityTheorems:
         assert left == pm("1000;1100;1010;1011")
         assert right == pm("1000;1100;0010;1111")
         assert dual(left) == right
+
+
+def dual_kind(kind):
+    """K*: the two fills of K swapped and each dualised, a21 kept.  Dualising
+    turns rows into columns and maximal elements into minimal ones, so a
+    copied row prefix (at B's maximal elements) becomes a copied column
+    suffix (at B's minimal elements), and a constant u becomes a constant v."""
+    if isinstance(kind, Boxed):
+        return Boxed(kind.v, kind.a21, kind.u)
+    return {SQUARE: SQUARE, MIN: MAX, MAX: MIN, MINMAX: MINMAX}[kind]
+
+
+DUAL_PAIRS = [k for k in ALL_KINDS if kind_name(k) < kind_name(dual_kind(k))]
+
+
+def _composite(kind, a, i, b):
+    try:
+        return compose(kind, a, i, b)
+    except PreconditionViolated:
+        return None
+
+
+class TestDualityOfKinds:
+    def test_the_dual_pairs(self):
+        # min and max, boxed:110 and boxed:011, boxed:100 and boxed:001;
+        # the other five kinds are their own duals
+        assert all(dual_kind(dual_kind(k)) == k for k in ALL_KINDS)
+        pairs = {kind_name(k): kind_name(dual_kind(k)) for k in DUAL_PAIRS}
+        assert pairs == {"max": "min", "boxed:011": "boxed:110", "boxed:001": "boxed:100"}
+
+    def test_dual_of_every_composition_of_every_kind(self):
+        # dual(A o_i^K B) = dual(A) o_{n+1-i}^{K*} dual(B), with one side
+        # undefined exactly when the other is
+        defined = 0
+        for kind in ALL_KINDS:
+            star = dual_kind(kind)
+            for a in all_upto(4):
+                for b in all_upto(3):
+                    for i in range(1, a.n + 1):
+                        left = _composite(kind, a, i, b)
+                        right = _composite(star, dual(a), a.n + 1 - i, dual(b))
+                        assert (None if left is None else dual(left)) == right, (kind_name(kind), a, i, b)
+                        defined += left is not None
+        assert defined == 16_280
+
+    @pytest.mark.parametrize("kind", DUAL_PAIRS, ids=kind_name)
+    def test_dual_kinds_report_the_same_verdicts_and_counts(self, kind):
+        # duality keeps each case's total order and maps K's cases onto
+        # K*'s; the witnesses may differ, as the witness order is not
+        # invariant under duality
+        for n in range(1, 7):
+            reports = [verify_laws(k, n) for k in (kind, dual_kind(kind))]
+            first, second = (
+                [(r.law, r.verdict, r.cases_checked, r.cases_skipped) for r in rs] for rs in reports
+            )
+            assert first == second, (kind_name(kind), n)
 
 
 class TestSelfDualClosureReport:

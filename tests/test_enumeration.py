@@ -374,6 +374,21 @@ class TestClasses:
         with pytest.raises(ValueError):
             classes(3, "odd")
 
+    @pytest.mark.parametrize("which", ["connected", "disconnected"])
+    def test_a_filter_searches_only_the_children_it_keeps(self, monkeypatch, which):
+        # a child's connectivity is read from its parent's components before
+        # the canonicity test, so no child that the filter drops is searched
+        searched, search = [], enumeration._search
+
+        def spy(codes, test):
+            searched.append(codes)
+            return search(codes, test)
+
+        monkeypatch.setattr(enumeration, "_search", spy)
+        classes(6, which)
+        kinds = {classify_connectivity(PosetMatrix._wrap(c)).kind for c in searched if len(c) == 6}
+        assert kinds == {which}
+
     def test_composition_closure_across_catalogs(self):
         targets = {
             (n, m): {c.canonical for c in classes(n + m - 1)}

@@ -756,7 +756,7 @@ def test_random_operad_trials_build_no_pool(monkeypatch, kind):
         built.append(len(codes) + 1)
         return children(codes)
 
-    monkeypatch.setattr(sampling, "_levels", refuse)
+    monkeypatch.setattr(sampling, "_below", refuse)
     monkeypatch.setattr(sampling, "_ideals", refuse)
     monkeypatch.setattr(enumeration, "_children", spy)
     reports = verify_laws(kind, 8, trials=1000, seed=5)

@@ -1,4 +1,6 @@
 import random
+import re
+import sys
 
 import pytest
 
@@ -18,10 +20,11 @@ from posetmat import (
     submatrix,
     validate,
 )
+from posetmat import structure
 from posetmat.compose import ALL_KINDS
-from posetmat.core import UNIT, BinaryMatrix, block_decompose
+from posetmat.core import ENTRY_BUDGET, UNIT, BinaryMatrix, block_decompose
 from posetmat.enumeration import generate_all
-from posetmat.errors import IndexOutOfRange, PreconditionViolated
+from posetmat.errors import IndexOutOfRange, PreconditionViolated, ResourceLimit
 from posetmat.structure import components
 
 from helpers import (
@@ -375,6 +378,51 @@ class TestFactor:
 
     def test_small_orders_yield_nothing(self):
         assert factor(chain(2), "square") == ()
+
+    def test_host_reads_no_extremal_mask(self, monkeypatch):
+        # a copied U-fill is read at B's last row, whose element is maximal,
+        # so factoring under square reads no extremal mask of any B
+        module = sys.modules["posetmat.compose"]  # posetmat.compose is the function
+        calls, extremal = [], module._extremal
+
+        def spy(codes):
+            calls.append(codes)
+            return extremal(codes)
+
+        monkeypatch.setattr(module, "_extremal", spy)
+        found = [f for c in generate_all(5) for f in factor(c, "square")]
+        assert found and calls == []
+
+    @staticmethod
+    def _entries(n):
+        # what factor counts before its search: factors of orders n-m+1
+        # and m at each of n-m+1 positions, for every m
+        return sum((n - m + 1) * ((n - m + 1) ** 2 + m * m) for m in range(2, n))
+
+    def test_the_entry_count_is_exact_for_a_chain(self):
+        for n in range(1, 18):
+            found = factor(chain(n), "square")
+            assert sum(f.a.n ** 2 + f.b.n ** 2 for f in found) == self._entries(n)
+
+    def test_oversized_input_is_refused_before_the_search(self, monkeypatch):
+        # every split of a chain factors: at order 200 the factorizations
+        # would hold 5.3 * 10**8 entries.  The refusal comes before any host
+        # is read; order 131, under the budget, starts the search.
+        class Searched(Exception):
+            pass
+
+        def host(*args):
+            raise Searched
+
+        monkeypatch.setattr(structure, "_host", host)
+        assert self._entries(131) <= ENTRY_BUDGET < self._entries(132)
+        with pytest.raises(Searched):
+            factor(chain(131), "square")
+        for n in (132, 200):
+            entries = self._entries(n)
+            message = f"factor order {n} exceeds the entry budget {ENTRY_BUDGET} ({entries} entries)"
+            with pytest.raises(ResourceLimit, match=re.escape(message)):
+                factor(chain(n), "square")
 
     def test_disconnected_matrices_factor_through_fill_kinds(self):
         # Up to relabelling: each disconnected matrix, written with its
