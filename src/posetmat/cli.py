@@ -229,20 +229,13 @@ def cmd_classify(args) -> int:
 def cmd_factor(args) -> int:
     kind = parse_kind(args.op)
     facs = structure.factor(_load_poset(args.matrix), kind)
-    if args.json:
-        print(
-            json.dumps(
-                [
-                    {
-                        "a": list(f.a.bit_rows()),
-                        "i": f.i,
-                        "b": list(f.b.bit_rows()),
-                        "op": kind_name(f.kind),
-                    }
-                    for f in facs
-                ]
-            )
-        )
+    if args.json:  # one chunk per factorization, as enumerate writes its listing
+        name = kind_name(kind)
+
+        def item(f):
+            return {"a": list(f.a.bit_rows()), "i": f.i, "b": list(f.b.bit_rows()), "op": name}
+
+        _emit(_json_listing(([f] for f in facs), item), None)
     else:
         if not facs:
             print("no factorization")
@@ -272,13 +265,13 @@ def cmd_invariance(args) -> int:
     return 0
 
 
-def _json_listing(groups):
-    """json.dumps of the groups' matrices as one list, plus a newline, in
-    one chunk per non-empty group."""
+def _json_listing(groups, item):
+    """json.dumps of item(x) for every member x of the groups, as one list,
+    plus a newline, in one chunk per non-empty group."""
     sep = "["
     for group in groups:
         if group:
-            yield sep + json.dumps([to_json_obj(m) for m in group])[1:-1]
+            yield sep + json.dumps([item(x) for x in group])[1:-1]
             sep = ", "
     yield "[]\n" if sep == "[" else "]\n"
 
@@ -299,7 +292,7 @@ def cmd_enumerate(args) -> int:
     body = ()
     if args.output or args.print_matrices:
         if args.format == "json":
-            body = _json_listing(groups)
+            body = _json_listing(groups, to_json_obj)
         else:
             body = ("".join(map(to_pm_text, group)) for group in groups)
     if args.output:  # written before the count line, which would claim success

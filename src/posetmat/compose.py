@@ -12,12 +12,13 @@ maximal elements (ROW_AT_MAX), or a constant; V is A's column suffix at i
 in every column of B (COL), only in those of B's minimal elements
 (COL_AT_MIN), or a constant.  _lower_left_wrong names the first entry of
 A's lower-left block that breaks the precondition, and compose raises from
-it; the law rules read the precondition at every position of a matrix at
-once (operad._reader).  The same rules read backwards give the one host A
-that could have produced a composite at a given split (_host); this is how
-structure.factor finds its factorizations.  _host reads a copied U-fill at
-B's last element and a copied V-fill at B's first, which natural labelling
-makes maximal and minimal, so it reads no extremal mask of B.
+it; the law rules carry the precondition at every position of a matrix as
+one mask, from each matrix to its children (operad._reader).  The same
+rules read backwards give the one host A that could have produced a
+composite at a given split (_host); this is how structure.factor finds its
+factorizations.  _host reads a copied U-fill at B's last element and a
+copied V-fill at B's first, which natural labelling makes maximal and
+minimal, so it reads no extremal mask of B.
 
   square    (ROW, COL), an operad.
   min       (ROW, COL_AT_MIN), an operad.

@@ -20,13 +20,16 @@ matrices_by_parent walks it, so no more than PM(N-1) is held.  Each level
 comes ascending in its rows read as bit strings, column 1 first (_levels,
 which builds each level as this same walk), which within one order is the
 witness order _enc compares, so no pool is sorted.
-All that the rules read of a matrix comes from one pass over its rows,
-by the reader that _reader chooses once per kind: two bit masks, its
-minimal and maximal elements under minmax (core._extremal), and for a
-boxed kind the positions whose lower-left block has the constant a21 and
-those whose unit case holds; square, min and max read only the order.
-_row turns the masks into the signature of every position, whether the
-matrix is an antichain, and every unit verdict.  An
+All that the rules read of a matrix is two bit masks: its minimal and
+maximal elements under minmax, and for a boxed kind the positions whose
+lower-left block has the constant a21 and those whose unit case holds;
+square, min and max read nothing but the order.  The masks of a child
+D + I, one order up, follow from D's masks and the ideal I alone, by the
+kind's extension rule, which _reader chooses once per kind; so the walk
+that lists the levels gives every matrix its masks without reading its
+rows, and a child of PM(N) is built only to be kept.  _row turns the
+masks into the signature of every position, whether the matrix is an
+antichain, and every unit verdict.  An
 associativity case (A, i, B, j, C) is decided without composing anything,
 by the rule proved below.  _outer reads the signatures of two positions,
 (A, i) and (B, j) (nested) or (A, i) and (A, j) (parallel): None when the
@@ -37,29 +40,31 @@ under it every unit case of a mask kind holds.  Random mode and the
 exhaustive sweep compose nothing; both sides are composed (_case) only for
 the check_* functions and the reported witness.
 
-The exhaustive sweep reads each matrix once and visits no case.  Per
-order, _tables counts the matrices by their masks, keeping the least of
-each, and turns that into one table: per signature of (A, i) (nested,
-which is also that of (B, j)) or pair of signatures of (A, i, j)
-(parallel), the count and the least member, in witness order; the order's
-unit tally, with its least failing (A, i); and the least matrix that is
-not an antichain.  Per order pair (n, m), _groups pairs the tables of n
-and m (nested), or scales the table of n by |P_m| (parallel: the parallel
-rule reads no B, so the least B stands for them all), and decides each
-signature group by _outer.  The C that fail a breaking (A, i, B, j) are
-all of them (parallel) or those that are not antichains (nested), the same
-for every (A, i, B, j); of order k the least is the level's first, or the
-least non-antichain (none for k = 1).  The sweep runs by ascending total
-order n+m+k and stops at the end of the first total with a failure, and
-the unit law at the end of the first order with one.  The least failing
-case of a breaking group is its least (A, i) and least (B, j) with the
-least failing C, since the witness order compares A, B and C before i and
-j; the least of a total is the least of these.  The work is one read
-(_reader) per matrix of PM(1), ..., PM(N), however many cases they make.
+The exhaustive sweep makes each matrix's masks once and visits no case.
+Per order, _tables counts the matrices by their masks, keeping the least
+of each (under square, min and max one masks per order, counted by
+matrix_count), and turns that into one table (_table): per signature of
+(A, i) (nested, which is also that of (B, j)) or pair of signatures of
+(A, i, j) (parallel), the count and the least member, in witness order;
+the order's unit tally, with its least failing (A, i); and the least
+matrix that is not an antichain.  Per order pair (n, m), _groups pairs the
+tables of n and m (nested), or scales the table of n by |P_m| (parallel:
+the parallel rule reads no B, so the least B stands for them all), and
+decides each signature group by _outer.  The C that fail a breaking
+(A, i, B, j) are all of them (parallel) or those that are not antichains
+(nested), the same for every (A, i, B, j); of order k the least is the
+level's first, or the least non-antichain (none for k = 1).  The sweep
+runs by ascending total order n+m+k and stops at the end of the first
+total with a failure, and the unit law at the end of the first order with
+one.  The least failing case of a breaking group is its least (A, i) and
+least (B, j) with the least failing C, since the witness order compares A,
+B and C before i and j; the least of a total is the least of these.  The
+work is one step of the extension rule (_reader) per matrix of PM(1), ...,
+PM(N), however many cases they make, and none under square, min and max.
 
 Random mode (the sampling module) lists no pool: it draws pool indices from
-the pool sizes and reads, once each, only the drawn matrices that the rule
-reads.
+the pool sizes and makes, once each, the masks of PM(1), ..., PM(N-1) and
+of only the drawn matrices of PM(N) that the rule reads.
 
 Notation.  By the formulas beside compose._RULES, X o_i Y (X of order x, Y
 of order y) keeps X's rows above i; gives Y's row q the row U_q | y_q << (i-1);
@@ -254,8 +259,6 @@ constant fill, so its unit law always holds.
 
 from __future__ import annotations
 
-from itertools import chain
-
 from .compose import (
     COL_AT_MIN,
     ROW_AT_MAX,
@@ -264,8 +267,8 @@ from .compose import (
     kind_name,
     parse_kind,
 )
-from .core import PosetMatrix, Record, UNIT, _extremal
-from .enumeration import DEFAULT_ORDER_CAP, _below, _check_order, _children, _enc
+from .core import PosetMatrix, Record, UNIT
+from .enumeration import DEFAULT_ORDER_CAP, _below, _check_order, _enc, _ideals, matrix_count
 from .errors import (
     IndexOutOfRange,
     RequiresDistinctIndices,
@@ -352,40 +355,79 @@ def _case(rule, law, a, b, c, i, j):
 
 
 def _reader(rule):
-    """The reader of the kind's rule, chosen once: it gives (n, m1, m2),
-    all that the rules read of X, an order-n matrix, from one pass over
-    its rows.  Under minmax, m1 and m2 are the masks of X's minimal and
-    maximal elements (core._extremal, uncached, as a sweep reads each
-    matrix once).  For a boxed kind, m1 holds the positions p whose
-    lower-left block has the constant a21, and m2 those whose unit case
-    holds (bit p - 1 each).  The other mask kinds read nothing of X, so
-    both masks are 0.
+    """The kind's extension rule, chosen once: extend(masks, ideals) gives,
+    for a matrix D of order n with masks (n, m1, m2) and a list of ideals I
+    of D, the masks (n + 1, m1', m2') of each child D + I (new last row
+    I | 1 << n), from D's masks and I alone, without building the child.
+    The masks are all that the rules read of a matrix.  Under minmax, m1
+    and m2 are the masks of its minimal and maximal elements.  For a boxed
+    kind, m1 holds the positions p whose lower-left block has the constant
+    a21, and m2 those whose unit case holds (bit p - 1 each).  Under
+    square, min and max the rules read nothing of a matrix, whose masks
+    are (n, 0, 0), and the rule is None.
 
-    For a boxed kind the rows are read from the bottom up, keeping the
-    columns in which some row below p differs from the constant a21 (bad)
-    and from a constant V-fill (off); X's block at p has the constant iff
-    bad has none of its first p - 1 columns.  The constant c (0 or 1)
-    fills a row with the bits of -c, so a row y differs from it where
-    y ^ -c has a 1."""
+    The rule, with top = 1 << n and full = top - 1:
+      - minmax: mins' = mins | top if I is empty, else mins, and
+        maxs' = maxs & ~I | top.  D's rows are the child's first n, so an
+        element of D is minimal in both or in neither; the new element is
+        minimal iff I is empty, and maximal, as nothing lies above it; an
+        element of D stays maximal iff I misses it.
+      - a boxed kind (u, a21, v), with A, U and V the rows full or 0 of the
+        constants a21, u and v: m1' keeps m1's bits 0..f, f the lowest set
+        bit of I ^ A (all of them if I = A), and adds top; m2' is
+        m2 & m1' & ~(I ^ V), plus top if I = U.  The child's block at an
+        old position p is D's block and the new row's first p - 1 bits, so
+        it is constant iff D's is and I agrees with A below bit p - 1, iff
+        p - 1 <= f.  The new position has no block.  The unit case at p
+        reads the block, row p's prefix, which is D's, and the entries
+        (s, p) below p, one more of which, bit p - 1 of I, must be v.  At
+        the new position it reads only the new row's prefix, I, against U.
+    Every leading block of a poset matrix is one, and its next row's strict
+    part an ideal of it, so folding the rule along a matrix's rows from the
+    empty matrix's (0, 0, 0) gives its masks (_masks walks the levels so)."""
     u_fill, v_fill, a21 = rule
     if a21 is None:
-        if (u_fill, v_fill) == (ROW_AT_MAX, COL_AT_MIN):
-            return _extremal.__wrapped__
-        return lambda x: (len(x), 0, 0)
+        if (u_fill, v_fill) != (ROW_AT_MAX, COL_AT_MIN):
+            return None
 
-    def read(x, u=-u_fill, a=-a21, v=-v_fill):  # the fills, bound as locals
-        m1 = m2 = bad = off = 0
-        for k in range(len(x) - 1, -1, -1):
-            y, low = x[k], (1 << k) - 1
-            if not bad & low:
-                m1 |= 1 << k
-                if not (y ^ u) & low and not off >> k & 1:
-                    m2 |= 1 << k
-            bad |= y ^ a
-            off |= y ^ v
-        return len(x), m1, m2
+        def extend(masks, ideals):
+            n, mins, maxs = masks
+            top = 1 << n
+            return [(n + 1, mins if s else mins | top, maxs & ~s | top) for s in ideals]
 
-    return read
+        return extend
+
+    def extend(masks, ideals):
+        n, m1, m2 = masks
+        top = 1 << n
+        a, u, v = -a21 & (top - 1), -u_fill & (top - 1), -v_fill & (top - 1)
+        # f ^ (f - 1) holds the bits 0..f of f = I ^ A, and all bits if f = 0
+        return [
+            (n + 1, k1 := m1 & ((f := s ^ a) ^ (f - 1)) | top, m2 & k1 & ~(s ^ v) | (s == u) << n)
+            for s in ideals
+        ]
+
+    return extend
+
+
+def _masks(extend, levels) -> list:
+    """The masks of every matrix of levels, PM(0), ..., PM(n), by the
+    extension rule extend (_reader): one list per level, in its order,
+    from the empty matrix's (0, 0, 0).  Each level of _levels lists the
+    children of the level below parent by parent, each over its ideals in
+    ascending row order (_ideals), so level k + 1's masks are its parents'
+    extended in turn.  Equal masks are one tuple."""
+    out = [[(0, 0, 0)]]
+    for parents in levels[:-1]:
+        same = {}
+        out.append(
+            [
+                same.setdefault(key, key)
+                for parent, masks in zip(parents, out[-1])
+                for key in extend(masks, _ideals(parent))
+            ]
+        )
+    return out
 
 
 def _row(rule, masks) -> tuple:
@@ -473,22 +515,57 @@ class _Tally:
         self.failures = []
 
 
-def _tables(rule, matrices) -> dict:
-    """One order's table, from one read (_reader) of each of its matrices,
-    an iterable over a level of enumeration's walk and so already in
-    witness order (see _levels); nothing else of it is kept.  Matrices with
-    the same masks are counted together, and their _row is made once, kept
-    with the least of them, so the first member met of anything below is
-    the least.  Per law: for NESTED, per signature of an (A, i), which is also
-    that of a (B, j), and for PARALLEL, per pair of signatures of (A, i)
-    and (A, j), i < j, [count, least member], the member (X, p) or
-    (A, i, j); for UNIT_LAW, the _Tally of the order's unit cases, with its
-    least failing (A, i) if any.  Then the level's "size" and "least"
-    matrix, and "not antichain", the least matrix that the rule reads as
-    no antichain, or None."""
-    rows, read = {}, _reader(rule)
-    for x in matrices:
-        rows.setdefault(read(x), [0, x])[0] += 1
+def _tables(rule, max_order) -> dict:
+    """The table (_table) of each order n = 1, ..., N, keyed by n, from
+    each order's matrices counted by their masks, keeping the least of
+    each masks, in witness order (see _levels).
+
+    Under square, min and max the rules read nothing (_reader): each order
+    is one row, of matrix_count(n) matrices, and its least is the
+    antichain, with no walk.  Every level's first matrix is its first
+    parent's child over the empty ideal, first in _ideals, and the first
+    of PM(0) is the empty matrix, so by induction each level's first is
+    the antichain.  Else the masks of PM(1), ..., PM(N-1) come from one
+    walk of their levels by the rule (_masks), and PM(N) is walked parent
+    by parent, as matrices_by_parent lists it: each child's masks come
+    from its parent's and its ideal, and a child is built only when it is
+    the first of its masks.  So no more than PM(N-1) is held."""
+    extend = _reader(rule)
+    if extend is None:
+        return {
+            n: _table(rule, {(n, 0, 0): [matrix_count(n), tuple([1 << q for q in range(n)])]})
+            for n in range(1, max_order + 1)
+        }
+    levels = _below(max_order)  # PM(0), ..., PM(N-1)
+    keys = _masks(extend, levels)
+    tables = {}
+    for n in range(1, max_order):
+        rows = {}
+        for x, masks in zip(levels[n], keys[n]):
+            rows.setdefault(masks, [0, x])[0] += 1
+        tables[n] = _table(rule, rows)
+    rows, top = {}, 1 << (max_order - 1)
+    for parent, masks in zip(levels[-1], keys[-1]):
+        ideals = _ideals(parent)
+        for s, key in zip(ideals, extend(masks, ideals)):
+            row = rows.get(key)
+            if row is None:  # the child is the first of its masks
+                rows[key] = row = [0, parent + (s | top,)]
+            row[0] += 1
+    tables[max_order] = _table(rule, rows)
+    return tables
+
+
+def _table(rule, rows) -> dict:
+    """One order's table from rows, {masks: [count, least]} in witness
+    order of the least, so the first member met of anything below is the
+    least; each masks' _row is made once.  Per law: for NESTED, per
+    signature of an (A, i), which is also that of a (B, j), and for
+    PARALLEL, per pair of signatures of (A, i) and (A, j), i < j, [count,
+    least member], the member (X, p) or (A, i, j); for UNIT_LAW, the
+    _Tally of the order's unit cases, with its least failing (A, i) if
+    any.  Then the level's "size" and "least" matrix, and "not antichain",
+    the least matrix that the rule reads as no antichain, or None."""
     nested, parallel, unit, not_antichain = {}, {}, _Tally(), None
     for masks, (count, x) in rows.items():
         sigs, antichain, units = _row(rule, masks)
@@ -568,13 +645,11 @@ def _sweep(rule, law, tables) -> _Tally:
     return tally
 
 
-def _exhaustive(rule, levels) -> list:
+def _exhaustive(rule, max_order) -> list:
     """One _Tally per law of LAWS, over every case that PM(1), ..., PM(N)
-    make, given as levels of enumeration's walk, each an iterable already
-    in witness order (see _levels), so nothing is sorted.  Each matrix is
-    read once, into its order's _tables; the unit law stops at the end of
-    the first order with a failing case."""
-    tables = {n: _tables(rule, level) for n, level in enumerate(levels, 1)}
+    make, from each order's _tables; the unit law stops at the end of the
+    first order with a failing case."""
+    tables = _tables(rule, max_order)
     tallies = [_sweep(rule, law, tables) for law in (NESTED, PARALLEL)]
     unit = _Tally()
     for table in tables.values():
@@ -629,9 +704,7 @@ def verify_laws(kind, max_order, trials=None, seed=0):
         )
     rule = _rule(kind)
     if trials is None:
-        levels = _below(max_order)  # PM(0), ..., PM(N-1)
-        top = chain.from_iterable(map(_children, levels[-1]))
-        tallies = _exhaustive(rule, [*levels[1:], top])
+        tallies = _exhaustive(rule, max_order)
     else:
         # sampling imports this module's rule, so it is imported here, when
         # random mode first runs; no other command pays to compile it

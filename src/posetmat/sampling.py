@@ -8,12 +8,15 @@ rules, a mask kind holds every unit case, and its parallel cases are
 skipped only where A has order 1 and otherwise hold; square, min and max
 hold every nested case.  So those laws read no matrix: the unit and
 nested ones are counted, checked = trials, without a draw, and parallel
-draws only to count its skips.  The rest (_reads) record their draws in
-bytes and mark each drawn index that they read with a 1, then walk the
-levels once, the last one parent by parent over PM(N-1) as
-matrices_by_parent does, and read each marked matrix once (_Drawn): its
-two bit masks (operad._reader), of which each distinct key is turned once
-into a row of signatures, antichain and unit verdicts (operad._row).
+draws only to count its skips.  Each draw is one getrandbits rejection
+loop, random.py's _randbelow inlined (_draw).  The rest (_reads) record
+their draws in bytes and mark each drawn index that they read with a 1,
+then walk the levels once (_Drawn): the masks of PM(1), ..., PM(N-1) come
+from the kind's extension rule (operad._reader) in one walk
+(operad._masks), and PM(N) is walked parent by parent over PM(N-1), as
+matrices_by_parent does, each marked child's masks made from its parent's
+and its ideal, without building it.  Each distinct masks key is turned
+once into a row of signatures, antichain and unit verdicts (operad._row).
 Each case is then decided from those rows, and only the least failing
 case is kept, by the witness order on pool indices (_rank).  Random mode
 holds at most PM(N-1) and a few bytes per pool index and per trial,
@@ -27,12 +30,12 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_right
-from itertools import accumulate
+from itertools import accumulate, compress, count
 from struct import Struct
 
 from .compose import COL_AT_MIN, ROW_AT_MAX
 from .enumeration import _below, _ideals, matrix_count
-from .operad import LAWS, NESTED, PARALLEL, UNIT_LAW, _outer, _reader, _row, _Tally
+from .operad import LAWS, NESTED, PARALLEL, UNIT_LAW, _masks, _outer, _reader, _row, _Tally
 
 # One drawn case (a, b, c, i, j) as five 4-byte ints
 _CASE = Struct("5i")
@@ -66,42 +69,65 @@ def _draw(law, reads, starts, trials, seed, need):
     A = rng.choice(flat); for the unit law i = rng.randint(1, n_A); else B
     and C by choice, then nested i = randint(1, n_A) and j = randint(1, n_B),
     or parallel, skipped if n_A < 2, i < j = sorted(rng.sample(range(1,
-    n_A + 1), 2)).  On CPython 3.10 and 3.11, random.py makes these calls:
+    n_A + 1), 2)).  On CPython 3.10 to 3.13, random.py makes these calls:
       - choice(seq) is seq[self._randbelow(len(seq))], and randrange(n) is
-        _randbelow(n) for n > 0, so the index of A is randrange(len(flat));
-      - randint(1, n) is randrange(1, n + 1), which is 1 + _randbelow(n),
-        so it is 1 + randrange(n);
+        _randbelow(n) for n > 0, so the index of A is _randbelow(len(flat));
+      - randint(1, n) is randrange(1, n + 1), which is 1 + _randbelow(n);
       - sample(range(1, n + 1), 2) takes its list path for n <= 21 (orders
         stop at the cap 8): it copies the range into pool, takes
         x = _randbelow(n) and pool[x] = 1 + x, moves pool[n - 1] = n into
         slot x, then takes y = _randbelow(n - 1) and pool[y]; that is
-        (1 + x, n if y == x else 1 + y).
-    Each call here makes the same _randbelow calls in the same order, so a
-    seed draws the same cases as before, and a matrix's order is all that
-    is read of it while drawing."""
-    rng = random.Random(seed)
-    randrange, total = rng.randrange, starts[-1]
+        (1 + x, n if y == x else 1 + y);
+      - Random's _randbelow(n) is _randbelow_with_getrandbits: with
+        k = n.bit_length(), it takes r = getrandbits(k) until r < n and
+        returns that r.
+    So every draw is one _randbelow(n) with n > 0, and each loop
+    `while (r := getrandbits(k)) >= n` here is that call inlined: it makes
+    the same getrandbits(k) calls and keeps the same r.  The loops run in
+    the order of the calls above, so a seed draws the same cases as
+    before, and a matrix's order is all that is read of it while
+    drawing."""
+    getrandbits, total = random.Random(seed).getrandbits, starts[-1]
+    width, pack = total.bit_length(), _CASE.pack
     cases = bytearray() if any(reads) else None
     read_a, read_b, read_c = reads
+    unit, nested = law == UNIT_LAW, law == NESTED
     skipped = 0
     for _ in range(trials):
-        a = randrange(total)
+        while (a := getrandbits(width)) >= total:
+            pass
         n = bisect_right(starts, a)
-        if law == UNIT_LAW:
+        k = n.bit_length()
+        if unit:
             b = c = j = 0
-            i = 1 + randrange(n)
+            while (i := getrandbits(k)) >= n:
+                pass
+            i += 1
         else:
-            b, c = randrange(total), randrange(total)
-            if law == NESTED:
-                i, j = 1 + randrange(n), 1 + randrange(bisect_right(starts, b))
+            while (b := getrandbits(width)) >= total:
+                pass
+            while (c := getrandbits(width)) >= total:
+                pass
+            if nested:
+                m = bisect_right(starts, b)
+                while (i := getrandbits(k)) >= n:
+                    pass
+                while (j := getrandbits(m.bit_length())) >= m:
+                    pass
+                i, j = i + 1, j + 1
             elif n < 2:
                 skipped += 1
                 continue
             else:
-                x, y = randrange(n), randrange(n - 1)
-                i, j = sorted((1 + x, n if y == x else 1 + y))
+                while (x := getrandbits(k)) >= n:
+                    pass
+                while (y := getrandbits((n - 1).bit_length())) >= n - 1:
+                    pass
+                i, j = 1 + x, n if y == x else 1 + y
+                if i > j:
+                    i, j = j, i
         if cases is not None:
-            cases += _CASE.pack(a, b, c, i, j)
+            cases += pack(a, b, c, i, j)
             need[a] |= read_a
             need[b] |= read_b
             need[c] |= read_c
@@ -109,14 +135,16 @@ def _draw(law, reads, starts, trials, seed, need):
 
 
 class _Drawn:
-    """The rows (_row) of the matrices marked in need, by pool index, read
-    in one walk of the levels, and the row codes of any index.
+    """The rows (_row) of the matrices marked in need, by pool index, and
+    the row codes of any index.
 
-    PM(1), ..., PM(N-1) are listed (_below); PM(N) is walked once, parent
-    by parent over PM(N-1), as matrices_by_parent lists it, and only its
-    marked children are built.  Each marked matrix is read once, by the
-    kind's reader (_reader, chosen once), and each distinct masks key is
-    turned into one row: table[g] is the place of index g's row in rows."""
+    PM(1), ..., PM(N-1) are listed (_below), and their masks made by the
+    kind's extension rule (_reader, chosen once) in one walk (_masks).
+    PM(N) is walked once, parent by parent over PM(N-1), as
+    matrices_by_parent lists it, and each marked child's masks come from
+    its parent's and its ideal, without building it.  Each distinct masks
+    key is turned into one row: table[g] is the place of index g's row in
+    rows."""
 
     def __init__(self, rule, max_order, starts, need):
         self.starts = starts
@@ -125,26 +153,27 @@ class _Drawn:
         # the index of each parent's first child, and each index's row
         self.firsts = memoryview(bytearray(4 * len(self.levels[-1]))).cast("I")
         self.table = memoryview(bytearray(4 * starts[-1])).cast("I")
-        ids, masks = {}, _reader(rule)
+        ids, extend, table = {}, _reader(rule), self.table
+        keys = _masks(extend, self.levels)
 
-        def read(start, end, child):
-            g = need.find(1, start, end)
-            while g >= 0:
-                self.table[g] = ids.setdefault(masks(child(g - start)), len(ids))
-                g = need.find(1, g + 1, end)
+        def read(start, marks, masks):
+            """Gives each marked index from start its row; masks are the
+            masks of the marked matrices, in turn."""
+            for g, key in zip(compress(count(start), marks), masks):
+                table[g] = ids.setdefault(key, len(ids))
 
-        for level, start in zip(self.levels[1:], self.starts):
-            read(start, start + len(level), level.__getitem__)
-        start = self.starts[-2]
-        for p, parent in enumerate(self.levels[-1]):
+        for level, start in zip(keys[1:], starts):
+            marks = need[start : start + len(level)]
+            read(start, marks, compress(level, marks))
+        start = starts[-2]
+        for p, (parent, masks) in enumerate(zip(self.levels[-1], keys[-1])):
             ideals = _ideals(parent)
             self.firsts[p] = start
-            read(start, start + len(ideals), lambda k: parent + (ideals[k] | self.top,))
+            marks = need[start : start + len(ideals)]
+            if 1 in marks:
+                read(start, marks, extend(masks, list(compress(ideals, marks))))
             start += len(ideals)
         self.rows = [_row(rule, masks) for masks in ids]
-
-    def row(self, g) -> tuple:
-        return self.rows[self.table[g]]
 
     def codes(self, g) -> tuple:
         n = bisect_right(self.starts, g)
@@ -178,21 +207,24 @@ def _decide(rule, law, trials, skipped, cases, drawn) -> _Tally:
         tally.checked = trials - skipped
         return tally
     least = None
-    row = drawn.row
+    rows, table, starts = drawn.rows, drawn.table, drawn.starts
     for a, b, c, i, j in _CASE.iter_unpack(cases):
         if law == UNIT_LAW:
-            holds = row(a)[2][i - 1]
+            holds = rows[table[a]][2][i - 1]
         else:
-            breaks = _outer(rule, law, row(a)[0][i - 1], row(b if law == NESTED else a)[0][j - 1])
-            holds = None if breaks is None else not breaks or law == NESTED and row(c)[1]
+            sb = rows[table[b if law == NESTED else a]][0][j - 1]
+            breaks = _outer(rule, law, rows[table[a]][0][i - 1], sb)
+            holds = None if breaks is None else not breaks or law == NESTED and rows[table[c]][1]
         if holds is None:
             tally.skipped += 1
             continue
         tally.checked += 1
         if not holds:
-            key = tuple(_rank(drawn.starts, g) for g in (a, b, c)) + (i, j)
-            if least is None or key < least[0]:
-                least = key, (a, b, c, i, j)
+            rank = _rank(starts, a)
+            if least is None or rank <= least[0][0]:  # else A alone ranks it above
+                key = rank, _rank(starts, b), _rank(starts, c), i, j
+                if least is None or key < least[0]:
+                    least = key, (a, b, c, i, j)
     if least is not None:
         a, b, c, i, j = least[1]
         b, c = (None, None) if law == UNIT_LAW else (drawn.codes(b), drawn.codes(c))

@@ -8,7 +8,7 @@ from posetmat import SQUARE, UNIT, PosetMatrix, check_nested, check_parallel, ch
 from posetmat.compose import COL_AT_MIN, ROW_AT_MAX, _lower_left_wrong, kind_name
 from posetmat.duality import semi_equidual
 from posetmat.enumeration import IsoClass, _below, _children, _ideals, canonical_form, generate_all
-from posetmat.core import relabel, submatrix, validate
+from posetmat.core import _extremal, relabel, submatrix, validate
 from posetmat.errors import ParseError, PreconditionViolated, ValidationError
 from posetmat.operad import LawReport, Witness, _outer
 from posetmat.structure import (
@@ -249,6 +249,36 @@ def signature_at(rule, x, p):
         return ()
     k = p - 1
     return x[k] != 1 << k, any(y >> k & 1 for y in x[p:])
+
+
+def scan_masks(rule, x):
+    """The masks (n, m1, m2) of the order-n matrix with row codes x, read
+    from its rows in one pass, as operad._reader's extension rule gives
+    them from a parent's masks and an ideal.  Under minmax, the masks of
+    x's minimal and maximal elements (core._extremal, uncached).  For a
+    boxed kind the rows are read from the bottom up, keeping the columns in
+    which some row below p differs from the constant a21 (bad) and from a
+    constant V-fill (off): m1 holds the positions p whose lower-left block
+    has a21 (bad has none of its first p - 1 columns), and m2 those whose
+    unit case holds.  The constant c fills a row with the bits of -c, so a
+    row y differs from it where y ^ -c has a 1.  Under square, min and max
+    both masks are 0."""
+    u_fill, v_fill, a21 = rule
+    if a21 is None:
+        if (u_fill, v_fill) == (ROW_AT_MAX, COL_AT_MIN):
+            return _extremal.__wrapped__(x)
+        return len(x), 0, 0
+    u, a, v = -u_fill, -a21, -v_fill
+    m1 = m2 = bad = off = 0
+    for k in range(len(x) - 1, -1, -1):
+        y, low = x[k], (1 << k) - 1
+        if not bad & low:
+            m1 |= 1 << k
+            if not (y ^ u) & low and not off >> k & 1:
+                m2 |= 1 << k
+        bad |= y ^ a
+        off |= y ^ v
+    return len(x), m1, m2
 
 
 def unit_at(rule, a, i):

@@ -23,7 +23,7 @@ from posetmat.compose import ALL_KINDS, kind_name
 from posetmat.core import ENTRY_BUDGET, BinaryMatrix
 from posetmat.enumeration import DEFAULT_ORDER_CAP, generate_all
 from posetmat.operad import LAW_CASE_BUDGET
-from posetmat.structure import classify_connectivity
+from posetmat.structure import classify_connectivity, factor
 from posetmat.errors import ParseError
 
 from helpers import (
@@ -488,6 +488,36 @@ class TestCommands:
         two = write(files["dir"], "two.pm", "2\n10\n11\n")  # both factors need order 2
         assert run(["factor", two]) == 0
         assert capsys.readouterr().out == "no factorization\n"
+
+    @pytest.mark.parametrize("kind", ALL_KINDS, ids=kind_name)
+    def test_factor_json_is_written_one_factorization_at_a_time(
+        self, monkeypatch, tmp_path, capsys, kind
+    ):
+        # over PM(<=4), none of whose matrices has more than a few
+        # factorizations and some none: --json prints json.dumps of the list
+        # of factorizations, in one chunk per factorization and one that
+        # closes the list, so the whole text is never held at once
+        chunks, emit = [], cli._emit
+
+        def spy(parts, out_path):
+            parts = list(parts)
+            chunks.append(len(parts))
+            emit(parts, out_path)
+
+        monkeypatch.setattr(cli, "_emit", spy)
+        name = kind_name(kind)
+        for n in range(1, 5):
+            for k, m in enumerate(generate_all(n)):
+                path = write(tmp_path, f"m{n}-{k}.pm", to_pm_text(m))
+                assert run(["factor", "--op", name, "--json", path]) == 0
+                facs = factor(m, kind)
+                want = [
+                    {"a": list(f.a.bit_rows()), "i": f.i, "b": list(f.b.bit_rows()), "op": name}
+                    for f in facs
+                ]
+                assert capsys.readouterr().out == json.dumps(want) + "\n", (name, m)
+                assert chunks.pop() == len(facs) + 1
+        assert chunks == []
 
     def test_invariance(self, files, capsys):
         a = write(files["dir"], "inv.pm", to_pm_text(pm("1000;1100;1110;1101")))

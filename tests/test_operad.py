@@ -1,5 +1,6 @@
 import random
 import tracemalloc
+from bisect import bisect_right
 from itertools import accumulate, product
 
 import pytest
@@ -16,7 +17,14 @@ from posetmat.compose import (
     parse_kind,
 )
 from posetmat.core import _extremal
-from posetmat.enumeration import DEFAULT_ORDER_CAP, _levels, generate_all, matrix_count
+from posetmat.enumeration import (
+    DEFAULT_ORDER_CAP,
+    _below,
+    _ideals,
+    _levels,
+    generate_all,
+    matrix_count,
+)
 from posetmat.errors import (
     IndexOutOfRange,
     RequiresDistinctIndices,
@@ -32,6 +40,7 @@ from posetmat.operad import (
     _exhaustive,
     _case_key,
     _groups,
+    _masks,
     _outer,
     _reader,
     _row,
@@ -54,6 +63,7 @@ from helpers import (
     pm,
     random_cases,
     random_laws_by_composing,
+    scan_masks,
     signature_at,
     unit_at,
 )
@@ -426,7 +436,7 @@ def test_grouped_sweep_matches_case_by_case(kind):
     # failing case
     rule = _rule(kind)
     pools = dict(enumerate(_levels(3), 1))
-    tables = {n: _tables(rule, pool) for n, pool in pools.items()}
+    tables = _tables(rule, 3)
     for law in (NESTED, PARALLEL):
         for n, m, k in product(pools, repeat=3):
             undefined, defined, breaking = _groups(rule, law, tables, n, m)
@@ -584,7 +594,7 @@ def test_parallel_sweep_order_five_is_pinned(name, checked, skipped):
     # (A, i, j) once per B: both kinds pass, so checked + skipped is the
     # closed form sum C(n,2)|P_n| * S^2
     rule = _rule(parse_kind(name))
-    tally = _sweep(rule, PARALLEL, {n: _tables(rule, level) for n, level in enumerate(_levels(5), 1)})
+    tally = _sweep(rule, PARALLEL, _tables(rule, 5))
     assert (tally.checked, tally.skipped, tally.failures) == (checked, skipped, [])
     assert checked + skipped == _closed_forms(5)[PARALLEL] == 634_932_617
 
@@ -655,15 +665,27 @@ class TestBoxedKindsMeasured:
                     assert reverify(report)
 
 
+def _walked(rule, top):
+    """(matrix, masks) over PM(1..top), the masks as the law layer makes
+    them: by the extension rule (_reader) in one walk of the levels
+    (_masks), or (n, 0, 0) where the rule reads nothing."""
+    levels, extend = _below(top + 1), _reader(rule)
+    if extend is None:
+        keys = [[(len(x), 0, 0) for x in level] for level in levels]
+    else:
+        keys = _masks(extend, levels)
+    return [pair for level, masks in zip(levels[1:], keys[1:]) for pair in zip(level, masks)]
+
+
 @pytest.mark.parametrize("kind", ALL_KINDS, ids=kind_name)
 def test_signatures_of_a_matrix_are_those_of_its_positions(kind):
-    # _row of a matrix's masks, which its reader reads from its rows once,
-    # gives the signature of each position read alone (signature_at) over
-    # PM(<=6), and, under minmax, the one kind whose rule reads C, whether
-    # it is an antichain (None for the other kinds)
+    # _row of a matrix's masks, which the walk of the levels makes by the
+    # extension rule, gives the signature of each position read alone
+    # (signature_at) over PM(<=6), and, under minmax, the one kind whose
+    # rule reads C, whether it is an antichain (None for the other kinds)
     rule = _rule(kind)
-    for a in (a for level in _levels(6) for a in level):
-        sigs, antichain, _ = _row(rule, _reader(rule)(a))
+    for a, masks in _walked(rule, 6):
+        sigs, antichain, _ = _row(rule, masks)
         assert sigs == tuple(signature_at(rule, a, p) for p in range(1, len(a) + 1)), a
         assert antichain is (is_antichain(a) if kind == MINMAX else None), a
 
@@ -674,7 +696,7 @@ def test_mask_unit_sweep_is_the_closed_form(kind):
     # is what deciding every (A, i) of PM(<=5) with unit_at gives
     rule = _rule(kind)
     pools = dict(enumerate(_levels(5), 1))
-    unit = _exhaustive(rule, pools.values())[2]
+    unit = _exhaustive(rule, 5)[2]
     verdicts = [unit_at(rule, a, i) for n in pools for a in pools[n] for i in range(1, n + 1)]
     assert verdicts == [True] * 1_971
     assert (unit.checked, unit.skipped, unit.failures) == (1_971, 0, [])
@@ -682,31 +704,71 @@ def test_mask_unit_sweep_is_the_closed_form(kind):
 
 @pytest.mark.parametrize("kind", ALL_KINDS, ids=kind_name)
 def test_units_of_a_matrix_are_those_of_its_positions(kind):
-    # _row of a matrix's masks, which its reader reads from its rows once,
-    # gives the unit verdict of each position read alone (unit_at) over
-    # PM(<=6)
+    # _row of a matrix's masks, which the walk of the levels makes by the
+    # extension rule, gives the unit verdict of each position read alone
+    # (unit_at) over PM(<=6)
     rule = _rule(kind)
-    for a in (a for level in _levels(6) for a in level):
-        units = _row(rule, _reader(rule)(a))[2]
+    for a, masks in _walked(rule, 6):
+        units = _row(rule, masks)[2]
         assert units == tuple(unit_at(rule, a, p) for p in range(1, len(a) + 1)), a
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS, ids=kind_name)
+def test_extension_rule_gives_the_masks_of_each_child(kind):
+    # every child D + I in PM(1..6), D in PM(0..5): the masks that the
+    # extension rule (_reader) gives from D's masks and I alone are those
+    # read from the built child in one pass over its rows (scan_masks:
+    # core._extremal under minmax, the bottom-up scan for a boxed kind),
+    # and _row of them gives each position's signature_at and unit_at.
+    # Under square, min and max the rule is None: every masks is (n, 0, 0).
+    rule = _rule(kind)
+    extend = _reader(rule)
+    assert (extend is None) == (kind in OPERAD_KINDS)
+    children = 0
+    for level in _below(6):
+        for d in level:
+            ideals = _ideals(d)
+            built = [d + (s | 1 << len(d),) for s in ideals]
+            if extend is None:
+                got = [(len(d) + 1, 0, 0)] * len(ideals)
+            else:
+                got = extend(scan_masks(rule, d), ideals)
+            assert got == [scan_masks(rule, x) for x in built], d
+            for x, masks in zip(built, got):
+                sigs, _, units = _row(rule, masks)
+                assert sigs == tuple(signature_at(rule, x, p) for p in range(1, len(x) + 1)), x
+                assert units == tuple(unit_at(rule, x, p) for p in range(1, len(x) + 1)), x
+            children += len(ideals)
+    assert children == 5_231 == sum(map(matrix_count, range(1, 7)))
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS, ids=kind_name)
 def test_each_matrix_is_read_once(monkeypatch, kind):
-    # _reader gives the one reader of a matrix for the law rules.
-    # Exhaustive mode reads each matrix of PM(1..5) once; random mode reads
-    # none under square, min and max, and else at most each index it marked.
-    reads, marked = [], []
-    reader, drawn = operad._reader, sampling._Drawn
+    # _reader gives the one reader of a matrix for the law rules, the
+    # extension rule: a matrix's masks are made once, from its parent's
+    # masks and its ideal, each parent's ideals listed once.  Exhaustive
+    # mode makes the masks of the 407 matrices of PM(1..5), each some
+    # parent's child, over the 51 distinct parents of PM(0..4), so none
+    # twice; random mode makes those of PM(1..5) and at most those of each
+    # marked index of PM(6).  Square, min and max read nothing: neither
+    # mode makes a masks or lists an ideal for the law rules.
+    made, parents, marked = [], [], []
+    reader, drawn, ideals = operad._reader, sampling._Drawn, operad._ideals
 
     def counted(rule):
-        read = reader(rule)
+        extend = reader(rule)
+        if extend is None:
+            return None
 
-        def count(x):
-            reads.append(x)
-            return read(x)
+        def count(masks, children):
+            made.extend([masks[0] + 1] * len(children))  # the order of each child
+            return extend(masks, children)
 
         return count
+
+    def listed(codes):
+        parents.append(codes)
+        return ideals(codes)
 
     def mark(rule, max_order, starts, need):
         marked.append(need.count(1))
@@ -714,15 +776,22 @@ def test_each_matrix_is_read_once(monkeypatch, kind):
 
     monkeypatch.setattr(operad, "_reader", counted)
     monkeypatch.setattr(sampling, "_reader", counted)
+    monkeypatch.setattr(operad, "_ideals", listed)
+    monkeypatch.setattr(sampling, "_ideals", listed)
     monkeypatch.setattr(sampling, "_Drawn", mark)
     verify_laws(kind, 5)
-    assert len(reads) == len(set(reads)) == 407 == sum(map(matrix_count, range(1, 6)))
-    reads.clear()
+    if kind in OPERAD_KINDS:
+        assert made == parents == []
+    else:
+        assert len(made) == 407 == sum(map(matrix_count, range(1, 6)))
+        assert len(parents) == len(set(parents)) == 51 == 1 + sum(map(matrix_count, range(1, 5)))
+    made.clear()
     verify_laws(kind, 6, trials=500, seed=2)
     if kind in OPERAD_KINDS:
-        assert reads == marked == []
+        assert made == marked == []
     else:
-        assert 0 < len(reads) <= marked[0], (len(reads), marked)
+        top = made.count(6)
+        assert len(made) - top == 407 and 0 < top <= marked[0], (len(made), top, marked)
 
 
 def test_random_mode_matches_the_composing_oracle():
@@ -739,6 +808,50 @@ def test_random_mode_matches_the_composing_oracle():
                     got = [r.to_json() for r in verify_laws(kind, n, trials=trials, seed=seed)]
                     want = [r.to_json() for r in random_laws_by_composing(kind, prefix)]
                     assert got == want, (kind_name(kind), n, seed, trials)
+
+
+def _index_draws(law, starts, trials, seed):
+    """(skipped, cases) of one law's trials drawn as random_cases draws
+    them, with choice, randint and sample, but on the pool indices
+    range(total), so no matrix is listed; b, c and j are 0 for the unit
+    law."""
+    rng = random.Random(seed)
+    pool, skipped, cases = range(starts[-1]), 0, []
+    for _ in range(trials):
+        a = rng.choice(pool)
+        n = bisect_right(starts, a)
+        if law == UNIT_LAW:
+            cases.append((a, 0, 0, rng.randint(1, n), 0))
+            continue
+        b, c = rng.choice(pool), rng.choice(pool)
+        if law == NESTED:
+            cases.append((a, b, c, rng.randint(1, n), rng.randint(1, bisect_right(starts, b))))
+        elif n < 2:
+            skipped += 1
+        else:
+            cases.append((a, b, c, *sorted(rng.sample(range(1, n + 1), 2))))
+    return skipped, cases
+
+
+@pytest.mark.parametrize("law", LAWS)
+def test_draws_are_those_of_choice_randint_and_sample(law):
+    # _draw takes random.py's _randbelow inlined on getrandbits: over
+    # orders 1-8, four seeds and three trial counts, it draws the cases and
+    # skips of choice, randint and sample on the index ranges, marks the
+    # indices of every case it keeps, and keeps no case where it reads none
+    for top in range(1, DEFAULT_ORDER_CAP + 1):
+        starts = [0, *accumulate(matrix_count(n) for n in range(1, top + 1))]
+        for seed in (0, 1, -3, 2**31 - 1):
+            for trials in (1, 7, 1000):
+                skipped, cases = _index_draws(law, starts, trials, seed)
+                need = bytearray(starts[-1])
+                got = sampling._draw(law, (True, True, True), starts, trials, seed, need)
+                assert (got[0], list(sampling._CASE.iter_unpack(got[1]))) == (skipped, cases)
+                marks = {g for a, b, c, _, _ in cases for g in (a, b, c)}
+                assert need.count(1) == len(marks) and all(need[g] for g in marks)
+                none = bytearray(starts[-1])
+                got = sampling._draw(law, (False,) * 3, starts, trials, seed, none)
+                assert got == (skipped, None) and none.count(0) == len(none)
 
 
 @pytest.mark.parametrize("kind", OPERAD_KINDS)
