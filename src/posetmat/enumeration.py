@@ -18,12 +18,25 @@ n-1 or n.
 
 Two matrices are permutation equivalent (same unlabelled poset) iff one is
 Q^T A Q for a permutation Q keeping the result lower triangular; those Q
-are precisely the linear extensions of the order.  One search, _search,
-walks them from a matrix's own rows: canonical_form takes the least
-relabelling it finds, and classes(n) uses it as a canonicity test, keeping
-the children of the classes of order n-1 that are their own canonical form
-(orderly generation).  classes(n) never visits PM(n), and it reads a
-child's connectivity from its parent's components before the search.
+are precisely the linear extensions of the order.  One search walks them
+from a matrix's own rows: _frame reads the matrix into a search frame
+(each element's strict down-set and up-set, and its weighted row), and
+_walk searches the frame; _search is the two in turn.  canonical_form takes
+the least relabelling it finds, and classes(n) uses the walk as a
+canonicity test, keeping the children of the classes of order n-1 that are
+their own canonical form (orderly generation).  A child's frame is its
+parent's plus one row (_grown).  classes(n) never visits PM(n), and it
+reads a child's connectivity from its parent's components before the walk.
+
+Before its walk, a child C = D + I of a canonical D of order k is dropped
+when one of two certificates names a smaller relabelling of C
+(_unrefuted; proved at classes):
+  twin swap: x < y have the same strict down-set and up-set in D, x is in
+    I and y is not.  Swapping them keeps D and moves column x of the last
+    row to the later column y, so the last row falls.
+  earlier placement: max(I) < p <= k, and I, read from column 1, is below
+    D's strict row p.  Placing the new element at p keeps rows 1..p-1 and
+    makes row p I.
 """
 
 from __future__ import annotations
@@ -33,7 +46,7 @@ from .errors import ResourceLimit
 from .structure import _components
 
 DEFAULT_ORDER_CAP = 8
-# Most search nodes (calls of _search's rec) one _search may visit.  No
+# Most search nodes (calls of _walk's rec) one search may visit.  No
 # canonicity test of classes(9) visits more than 1,237, nor canonical_form
 # over PM(<=7) more than 105; a sparse poset whose tied candidates share a
 # code but not an up-set can need millions.
@@ -212,33 +225,57 @@ def linear_extensions(a: PosetMatrix):
     return rec(0, ())
 
 
-def _search(codes: tuple, test: bool) -> tuple:
-    """(|Aut|, rows) of the least relabelling of the poset matrix with row
-    codes codes; with test, |Aut| is 0 once codes is shown not to be least.
+def _grown(frame: tuple, ideal: int) -> tuple:
+    """The search frame of D + I from D's frame and I's bit mask.
+
+    A frame is (below, above, rows) for a matrix of order k: each element's
+    strict down-set and strict up-set as bit masks, and its strict row in
+    _walk's weights, column q weighing 1 << (k-q).  above has one more
+    entry, 0, the up-set of _walk's phantom element.  The new element k+1
+    is maximal, so it is below nothing and takes that entry, its down-set is
+    I, each x in I gains it above, and one more column doubles every old
+    row's weights."""
+    below, above, rows = frame
+    top, row, rest = 1 << len(below), 0, ideal
+    above = above[:]
+    while rest:
+        bit = rest & -rest
+        rest ^= bit
+        x = bit.bit_length() - 1
+        above[x] |= top
+        row |= top >> x
+    above.append(0)
+    return below + [ideal], above, [r << 1 for r in rows] + [row]
+
+
+def _frame(codes: tuple) -> tuple:
+    """The search frame (see _grown) of the matrix with row codes codes."""
+    frame = ([], [0], [])
+    for y, code in enumerate(codes):
+        frame = _grown(frame, code ^ 1 << y)
+    return frame
+
+
+def _walk(frame: tuple, test: bool) -> tuple:
+    """(|Aut|, rows) of the least relabelling of the matrix whose search
+    frame is frame (see _grown); with test, |Aut| is 0 once the matrix is
+    shown not to be least.
 
     A DFS places the elements along the linear extensions.  Rows are codes
     in fixed weights, position q weighing 1 << (n-1-q), so placing x adds
-    to the codes of x's unplaced up-set alone.  best starts as codes' own
-    rows; a prefix above it is cut, and one below it fails the test or
+    to the codes of x's unplaced up-set alone.  best starts as the frame's
+    own rows; a prefix above it is cut, and one below it fails the test or
     else replaces the rest of best.  (1) Only candidates of least code
     branch: all leaves below a node share its prefix.  (2) Candidates with
     the same code and up-set among the unplaced have the same down-set,
     all placed, so swapping them keeps every relation: they branch once,
     and each leaf equal to best adds the product of its path's group
-    sizes.  The sum counts the extensions relabelling codes onto best, |Aut|.
-    A search past SEARCH_BUDGET nodes is refused with ResourceLimit.
+    sizes.  The sum counts the extensions relabelling the matrix onto best,
+    |Aut|.  A search past SEARCH_BUDGET nodes is refused with ResourceLimit.
     """
-    n = len(codes)
-    big, aut, nodes = 1 << n, 0, 0  # aut is -1 once the test fails
-    below, above, best = [0] * n, [0] * (n + 1), [0] * n
-    for y, code in enumerate(codes):
-        below[y] = rest = code ^ 1 << y
-        while rest:
-            bit = rest & -rest
-            rest ^= bit
-            x = bit.bit_length() - 1
-            above[x] |= 1 << y
-            best[y] |= big >> (x + 1)
+    below, above, rows = frame
+    n = len(below)
+    big, aut, nodes, best = 1 << n, 0, 0, rows[:]  # aut is -1 once the test fails
 
     def rec(p, free, cands, mult, cur, x):
         # place x at position p, then each lone group after it
@@ -300,6 +337,11 @@ def _search(codes: tuple, test: bool) -> tuple:
     return max(aut, 0), best
 
 
+def _search(codes: tuple, test: bool) -> tuple:
+    """_walk over the search frame of the matrix with row codes codes."""
+    return _walk(_frame(codes), test)
+
+
 def canonical_form(a: PosetMatrix) -> PosetMatrix:
     """Lexicographically least member of a's permutation-equivalence class."""
     n, best = a.n, _search(a.codes, False)[1]  # column 1 is best[p]'s top bit
@@ -321,6 +363,54 @@ def _placements(codes: tuple, ideals: list) -> list:
     return [(s, first[s] * rest[s]) for s in ideals]
 
 
+def _unrefuted(frame: tuple, ideals: list) -> list:
+    """The ideals I among ideals, of D with search frame frame, for which
+    neither certificate in classes shows D + I not canonical."""
+    below, above, rows = frame
+    k, twins, seen = len(below), {}, {}
+    for y in range(k):  # consecutive twins x < y, kept by y - x
+        x = seen.get(key := (below[y], above[y]))
+        if x is not None:
+            twins[y - x] = twins.get(y - x, 0) | 1 << x
+        seen[key] = y
+    # bound[t]: the strict code of the greatest of rows t+1, ..., k
+    bound, top, code = [0] * (k + 1), -1, 0
+    for p in range(k - 1, -1, -1):
+        if rows[p] > top:
+            top, code = rows[p], below[p]
+        bound[p] = code
+    twins = list(twins.items())
+    out = []
+    for s in ideals:
+        b = bound[s.bit_length()]
+        low = (s ^ b) & -(s ^ b)  # first column where I and that row differ
+        if b & low:
+            continue
+        for d, xs in twins:
+            if s & xs & ~(s >> d):  # some x in I whose twin x + d is not
+                break
+        else:
+            out.append(s)
+    return out
+
+
+def _orderly(d: tuple, frame: tuple, k: int):
+    """Yield (codes, frame) for each canonical matrix k orders above the
+    canonical d whose leading block is d, in sorted order (see classes).
+
+    Depth first: a level of classes lists each parent's children in turn,
+    parents in the order of the level below, so by induction it is the
+    depth-first order of the classes at that depth."""
+    if not k:
+        yield d, frame
+        return
+    top = 1 << len(d)
+    for s in _unrefuted(frame, _ideals(d)):
+        child = _grown(frame, s)
+        if _walk(child, True)[0]:
+            yield from _orderly(d + (s | top,), child, k - 1)
+
+
 class IsoClass(Record):
     """One permutation-equivalence class of poset matrices."""
 
@@ -339,7 +429,7 @@ def classes(n: int, which: str = "all", order_cap: int = DEFAULT_ORDER_CAP) -> t
     By orderly generation (R. C. Read, "Every one a winner", 1978; B. D.
     McKay, "Isomorph-free exhaustive generation", 1998), the canonical
     forms of order k are the children D + I of those of order k-1 that
-    pass _search's test.  Proof: element k of a matrix X of order k is
+    pass _walk's test.  Proof: element k of a matrix X of order k is
     maximal, so X is uniquely D + I, with D its leading block and I, the
     strict part of its last row, an ideal of D.  Let X be canonical.  Any
     linear extension of D, then k, is one of X and gives X the leading
@@ -347,6 +437,25 @@ def classes(n: int, which: str = "all", order_cap: int = DEFAULT_ORDER_CAP) -> t
     Each class is thus met once, and in sorted order: parents come sorted
     and their children in ascending last row.  Every level keeps all
     classes, as a connected poset can grow from a disconnected one.
+
+    Before its search, C = D + I (D of order k) is dropped when one of two
+    certificates shows a smaller relabelling of C (_unrefuted):
+    (1) Twin swap.  Let x < y be twins of D, with the same strict down-set
+    and up-set, x in I and y not.  Swapping x and y keeps every relation of
+    D, so it relabels C as D + (x y)I: rows 1..k are unchanged, and the
+    last row is smaller, as column x comes before column y.  If some such
+    pair exists, one exists among twins consecutive in label order, so
+    only those pairs are kept.
+    (2) Earlier placement.  Let t = max(I), 0 if I is empty, and t < p <= k.
+    The order 1..p-1, k+1, p..k is a linear extension of C, since I lies in
+    1..t and k+1 is maximal.  It gives C's rows 1..p-1 and, as row p, I and
+    the diagonal, so C is not least if I, read from column 1, is below D's
+    strict row p.  One compare decides all p at once, against the greatest
+    of D's rows t+1..k, kept per parent.
+    Each kept matrix carries its search frame, and a child's frame is its
+    parent's plus one row (_grown), so the certificates cost O(k) per
+    parent and a few bit operations per child.  _orderly walks the
+    classes depth first and holds only the frames along one path.
 
     labeled_count(C) = e(C) / |Aut(C)|: C's class holds its relabellings
     along its e(C) linear extensions, two equal iff the extensions differ
@@ -360,19 +469,15 @@ def classes(n: int, which: str = "all", order_cap: int = DEFAULT_ORDER_CAP) -> t
     """
     _check_filter(which)
     _check_order(n, order_cap)
-    level = [()]
-    for _ in range(n - 1):
-        level = [c for d in level for c in _children(d) if _search(c, True)[0]]
     out = []
-    for d in level:
+    for d, frame in _orderly((), _frame(()), n - 1):
         ideals, top, comps = _ideals(d), 1 << len(d), _components(d)
         weights = _placements(d, ideals)
-        for s in ideals:
+        for s in _unrefuted(frame, ideals):
             connected = all(s & c for c in comps)
             if which == "all" or connected == (which == "connected"):
-                codes = d + (s | top,)
-                aut = _search(codes, True)[0]
+                aut = _walk(_grown(frame, s), True)[0]
                 if aut:
                     count = sum([w for t, w in weights if t & s == s]) // aut
-                    out.append(IsoClass(PosetMatrix._wrap(codes), count, connected))
+                    out.append(IsoClass(PosetMatrix._wrap(d + (s | top,)), count, connected))
     return tuple(out)

@@ -5,7 +5,7 @@ from functools import lru_cache
 from itertools import combinations, product
 
 from posetmat import SQUARE, UNIT, PosetMatrix, check_nested, check_parallel, check_unit, compose
-from posetmat.compose import COL_AT_MIN, ROW_AT_MAX, _lower_left_wrong, kind_name
+from posetmat.compose import COL_AT_MIN, ROW_AT_MAX, _compose, _lower_left_wrong, _rule, kind_name
 from posetmat.duality import semi_equidual
 from posetmat.enumeration import IsoClass, _below, _children, _ideals, canonical_form, generate_all
 from posetmat.core import _extremal, relabel, submatrix, validate
@@ -122,6 +122,28 @@ def brute_force_classes(n: int, which: str = "all") -> tuple:
         if which == "all" or connected == (which == "connected"):
             out.append(IsoClass(canon, counts[canon], connected))
     return tuple(out)
+
+
+def built_from_atoms(kind, n_max: int) -> list:
+    """[G_K(1), ..., G_K(n_max)] as sets of row-code tuples, forward from
+    the atoms: G_K(1) = PM(1), G_K(2) = PM(2), and G_K(n) holds every
+    defined A o_i^K B with A in G_K(a), B in G_K(b), a, b >= 2 and
+    a + b - 1 = n."""
+    rule = _rule(kind)
+    built = [None, {m.codes for m in generate_all(1)}, {m.codes for m in generate_all(2)}]
+    for n in range(3, n_max + 1):
+        level = set()
+        for a in range(2, n):
+            guests = built[n + 1 - a]
+            for ac in built[a]:
+                for i in range(1, a + 1):
+                    for bc in guests:
+                        try:
+                            level.add(_compose(rule, ac, i, bc))
+                        except PreconditionViolated:
+                            break  # the precondition reads A and i alone
+        built.append(level)
+    return built[1 : n_max + 1]
 
 
 def labelled_counts_by_transfer(n: int) -> dict:

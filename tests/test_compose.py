@@ -36,6 +36,7 @@ from helpers import (
     EX_MINMAX,
     EX_SQUARE,
     antichain,
+    built_from_atoms,
     chain,
     pm,
     random_poset_matrix,
@@ -234,6 +235,35 @@ class TestBoxed:
             assert parse_kind(kind_name(kind)) is kind  # the shared kind, not a new one
         with pytest.raises(ValueError, match=r"fill triple \(1,0,1\) is not one of"):
             parse_kind("boxed:101")
+
+
+# |G_K(n)| for n = 1..7, the matrices kind K builds from PM(1) and PM(2)
+# (helpers.built_from_atoms).  square, min and max give the large Schroder
+# numbers (https://oeis.org/A006318), boxed:111, boxed:010 and boxed:000 the
+# Fibonacci numbers (https://oeis.org/A000045); the other two rows are
+# pinned without a published source.
+BUILT_SIZES = {
+    SQUARE: (1, 2, 6, 22, 90, 394, 1806),
+    MIN: (1, 2, 6, 22, 90, 394, 1806),
+    MAX: (1, 2, 6, 22, 90, 394, 1806),
+    MINMAX: (1, 2, 5, 15, 54, 230, 1133),
+    Boxed(1, 1, 1): (1, 2, 3, 5, 8, 13, 21),
+    Boxed(0, 1, 0): (1, 2, 3, 5, 8, 13, 21),
+    Boxed(0, 0, 0): (1, 2, 3, 5, 8, 13, 21),
+    Boxed(1, 1, 0): (1, 2, 4, 12, 40, 144, 552),
+    Boxed(1, 0, 0): (1, 2, 4, 12, 40, 144, 552),
+    Boxed(0, 1, 1): (1, 2, 4, 12, 40, 144, 552),
+    Boxed(0, 0, 1): (1, 2, 4, 12, 40, 144, 552),
+}
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS, ids=kind_name)
+def test_what_each_kind_builds_from_the_atoms(kind):
+    built = built_from_atoms(kind, 7)
+    assert tuple(len(level) for level in built) == BUILT_SIZES[kind]
+    for level in built:
+        for codes in level:
+            validate(BinaryMatrix._of(codes, len(codes)))
 
 
 class TestClosureProperties:

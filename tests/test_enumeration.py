@@ -12,8 +12,12 @@ from posetmat.compose import compose
 from posetmat.core import BinaryMatrix, PosetMatrix, closure_of_covers, relabel
 from posetmat.enumeration import (
     _enc,
+    _frame,
+    _grown,
+    _ideals,
     _levels,
     _search,
+    _unrefuted,
     linear_extensions,
     matrices_by_parent,
     matrix_count,
@@ -374,20 +378,83 @@ class TestClasses:
         with pytest.raises(ValueError):
             classes(3, "odd")
 
+    @pytest.fixture
+    def walked(self, monkeypatch):
+        """Row codes of each matrix whose frame classes hands to _walk."""
+        walked, walk = [], enumeration._walk
+
+        def spy(frame, test):
+            walked.append(tuple([b | 1 << y for y, b in enumerate(frame[0])]))
+            return walk(frame, test)
+
+        monkeypatch.setattr(enumeration, "_walk", spy)
+        return walked
+
     @pytest.mark.parametrize("which", ["connected", "disconnected"])
-    def test_a_filter_searches_only_the_children_it_keeps(self, monkeypatch, which):
+    def test_a_filter_searches_only_the_children_it_keeps(self, walked, which):
         # a child's connectivity is read from its parent's components before
         # the canonicity test, so no child that the filter drops is searched
-        searched, search = [], enumeration._search
-
-        def spy(codes, test):
-            searched.append(codes)
-            return search(codes, test)
-
-        monkeypatch.setattr(enumeration, "_search", spy)
         classes(6, which)
-        kinds = {classify_connectivity(PosetMatrix._wrap(c)).kind for c in searched if len(c) == 6}
+        kinds = {classify_connectivity(PosetMatrix._wrap(c)).kind for c in walked if len(c) == 6}
         assert kinds == {which}
+
+    @pytest.mark.parametrize(
+        "n, which, searches",
+        [(6, "all", 433), (6, "connected", 341), (6, "disconnected", 183), (7, "all", 2671)],
+    )
+    def test_the_certificates_leave_few_searches(self, walked, n, which, searches):
+        # without the certificates classes(6) searched 939 children and
+        # classes(7) 6,378; the 2,450 classes of orders 1 to 7 are the floor
+        classes(n, which)
+        assert len(walked) == searches
+
+    def test_frames_by_definition(self):
+        # below[y] and above[x] are strict down- and up-sets, above ends in
+        # the phantom's 0, and rows[y] weighs column x + 1 as 1 << (n-1-x);
+        # a child's frame is its parent's grown by the child's last row
+        for n in range(1, 7):
+            for a in generate_all(n):
+                c = a.codes
+                below = [c[y] ^ 1 << y for y in range(n)]
+                above = [sum(1 << y for y in range(n) if below[y] >> x & 1) for x in range(n)]
+                rows = [sum(1 << n - 1 - x for x in range(n) if below[y] >> x & 1) for y in range(n)]
+                assert _frame(c) == (below, above + [0], rows), a
+                assert _grown(_frame(c[:-1]), below[-1]) == _frame(c), a
+
+    def test_certificates_by_definition(self):
+        def bit_string(code, k):  # column 1 first
+            return "".join("1" if code >> x & 1 else "0" for x in range(k))
+
+        # for every canonical D of order <= 6 and ideal I of D, D + I
+        # survives _unrefuted iff no twin swap and no earlier placement
+        # applies; each that applies names a smaller relabelling of D + I,
+        # so the search refuses the child too
+        for k in range(1, 7):
+            for cls in classes(k):
+                d = cls.canonical.codes
+                ideals = _ideals(d)
+                kept = set(_unrefuted(_frame(d), ideals))
+                down = [{x for x in range(k) if x != y and d[y] >> x & 1} for y in range(k)]
+                up = [{y for y in range(k) if y != x and d[y] >> x & 1} for x in range(k)]
+                for s in ideals:
+                    c = PosetMatrix._wrap(d + (s | 1 << k,))
+                    smaller = []
+                    for x in range(k):
+                        for y in range(x + 1, k):
+                            twins = down[x] == down[y] and up[x] == up[y]
+                            if twins and s >> x & 1 and not s >> y & 1:
+                                order = list(range(1, k + 2))
+                                order[x], order[y] = y + 1, x + 1
+                                smaller.append(order)
+                    for p in range(s.bit_length() + 1, k + 1):
+                        if bit_string(s, k) < bit_string(d[p - 1] ^ 1 << p - 1, k):
+                            smaller.append([*range(1, p), k + 1, *range(p, k + 1)])
+                    assert (s in kept) == (not smaller), c
+                    for order in smaller:
+                        assert relabel(c, order).rows < c.rows, (c, order)
+                    accepted = _search(c.codes, True)[0] > 0
+                    assert not (smaller and accepted), c
+                    assert s in kept or not accepted, c
 
     def test_composition_closure_across_catalogs(self):
         targets = {
