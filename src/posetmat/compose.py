@@ -100,6 +100,43 @@ _RULES = {
     MINMAX: (ROW_AT_MAX, COL_AT_MIN, None),
 }
 
+# Duality of kinds.  For A of order n, B of order m and 1 <= i <= n,
+#   dual(A o_i^K B) = dual(A) o_{n+1-i}^{K*} dual(B),
+# and one side is defined exactly when the other is.  K* swaps K's two fills
+# and dualises each, keeping a21: ROW <-> COL, ROW_AT_MAX <-> COL_AT_MIN and
+# a constant U-fill u <-> a constant V-fill u.  So min <-> max and
+# boxed(u, a21, v) <-> boxed(v, a21, u); square and minmax are their own duals.
+# Proof.  dual(X), X of order x, has X's entry (r*, c*) at (c, r), where
+# r* = x+1-r.  Let C = A o_i B, of order N = n+m-1, and i* = n+1-i.
+#   - Shape.  C's element i-1+q (B's q) is dual(C)'s N+1-(i-1+q) = i*-1+q*.
+#     C's s < i (A's s) is dual(C)'s s* + m-1, with s* > i*; C's s+m-1
+#     (A's s > i) is dual(C)'s s* < i*.  So dual(C) has the places of
+#     dual(A) o_{i*} dual(B): B's elements at i*, ..., i*+m-1 in reverse.
+#   - Among B's elements C holds B's entries, so dual(C) holds dual(B)'s; among
+#     A's elements other than i, C holds A's, so dual(C) holds dual(A)'s.
+#     Each entry between an element of A and one of B is in C's U block
+#     (B's row q, A's column t < i) or its V block (A's row s > i, B's
+#     column q), or is 0 above the diagonal on both sides.  The U block
+#     lands on dual(A)'s row t* > i* over dual(B)'s column q*, the V block
+#     of dual(C); the V block lands on dual(B)'s row q* over dual(A)'s
+#     column s* < i*, the U block of dual(C).
+#   - U-fill to V-fill.  ROW puts A's entry (i, t) in every row q, and that
+#     is dual(A)'s entry (t*, i*), its column i* at row t*, in every column
+#     q*: COL.  ROW_AT_MAX puts it only in the rows of B's maximal
+#     elements, whose q* are dual(B)'s minimal ones: COL_AT_MIN.  A constant
+#     u stays u in every entry: the constant V-fill u.
+#   - V-fill to U-fill.  COL puts A's entry (s, i) in every column q, and
+#     that is dual(A)'s entry (i*, s*), its row prefix at i*, in every row
+#     q*: ROW.  COL_AT_MIN puts it only in the columns of B's minimal
+#     elements, whose q* are dual(B)'s maximal ones: ROW_AT_MAX.  A constant
+#     v stays v: the constant U-fill v.
+#   - Definedness.  A mask kind has no precondition.  A boxed kind reads A's
+#     lower-left block at i, its entries (s, t) with t < i < s; dual(A)'s
+#     block at i* holds at (t*, s*) the entry (s, t), with s* < i* < t*, so
+#     the two blocks hold the same entries, and one has the constant a21
+#     iff the other has.
+# tests/test_duality.py::TestDualityOfKinds checks the identity for every kind.
+
 
 def kind_name(kind) -> str:
     if isinstance(kind, Boxed):

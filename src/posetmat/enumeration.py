@@ -21,10 +21,10 @@ Q^T A Q for a permutation Q keeping the result lower triangular; those Q
 are precisely the linear extensions of the order.  One search walks them
 from a matrix's own rows: _frame reads the matrix into a search frame
 (each element's strict down-set and up-set, and its weighted row), and
-_walk searches the frame; _search is the two in turn.  canonical_form takes
-the least relabelling it finds, and classes(n) uses the walk as a
-canonicity test, keeping the children of the classes of order n-1 that are
-their own canonical form (orderly generation).  A child's frame is its
+_walk searches the frame.  canonical_form takes the least relabelling it
+finds, and classes(n) uses the walk as a canonicity test, keeping the
+children of the classes of order n-1 that are their own canonical form
+(orderly generation).  A child's frame is its
 parent's plus one row (_grown).  classes(n) never visits PM(n), and it
 reads a child's connectivity from its parent's components before the walk.
 
@@ -337,14 +337,9 @@ def _walk(frame: tuple, test: bool) -> tuple:
     return max(aut, 0), best
 
 
-def _search(codes: tuple, test: bool) -> tuple:
-    """_walk over the search frame of the matrix with row codes codes."""
-    return _walk(_frame(codes), test)
-
-
 def canonical_form(a: PosetMatrix) -> PosetMatrix:
     """Lexicographically least member of a's permutation-equivalence class."""
-    n, best = a.n, _search(a.codes, False)[1]  # column 1 is best[p]'s top bit
+    n, best = a.n, _walk(_frame(a.codes), False)[1]  # column 1 is best[p]'s top bit
     return PosetMatrix._wrap(
         tuple([int(f"{code:0{n}b}"[::-1], 2) | 1 << p for p, code in enumerate(best)])
     )

@@ -16,8 +16,8 @@ from posetmat.enumeration import (
     _grown,
     _ideals,
     _levels,
-    _search,
     _unrefuted,
+    _walk,
     linear_extensions,
     matrices_by_parent,
     matrix_count,
@@ -452,7 +452,7 @@ class TestClasses:
                     assert (s in kept) == (not smaller), c
                     for order in smaller:
                         assert relabel(c, order).rows < c.rows, (c, order)
-                    accepted = _search(c.codes, True)[0] > 0
+                    accepted = _walk(_frame(c.codes), True)[0] > 0
                     assert not (smaller and accepted), c
                     assert s in kept or not accepted, c
 
@@ -525,19 +525,19 @@ class TestLabelledCountOracle:
             assert got == labelled_counts_by_transfer(n), n
 
     def test_canonicity_test_and_automorphism_count(self):
-        # _search's test accepts exactly the canonical forms and counts
+        # _walk's test accepts exactly the canonical forms and counts
         # their automorphisms; from any labelling it finds the least rows
         # and the automorphisms of the class
         for n in range(1, 7):
             for a in generate_all(n):
                 canon = canonical_form(a)
-                aut = _search(a.codes, True)[0]
+                aut = _walk(_frame(a.codes), True)[0]
                 if canon == a:
                     assert aut == automorphism_count(a), a
                 else:
                     assert aut == 0, a
                 if n < 6:
-                    assert _search(a.codes, False)[0] == automorphism_count(canon), a
+                    assert _walk(_frame(a.codes), False)[0] == automorphism_count(canon), a
 
     def test_automorphism_count_is_the_relabelling_definition(self):
         for n in range(1, 6):

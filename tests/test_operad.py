@@ -6,7 +6,7 @@ from itertools import accumulate, product
 import pytest
 
 from posetmat import MINMAX, SQUARE, UNIT, check_nested, check_parallel, check_unit
-from posetmat import enumeration, operad, sampling
+from posetmat import enumeration, operad
 from posetmat.compose import (
     ALL_BOXED,
     ALL_KINDS,
@@ -209,7 +209,7 @@ class TestVerifyLaws:
         # stubbed, so what is tested is only what gets past the checks
         runs = []
         monkeypatch.setattr(operad, "_exhaustive", lambda rule, levels: runs.append(None) or [])
-        monkeypatch.setattr(sampling, "random_tallies", lambda *args: runs.append(args[2]) or [])
+        monkeypatch.setattr(operad, "random_tallies", lambda *args: runs.append(args[2]) or [])
         assert LAW_CASE_BUDGET == 3 * 10**6
         verify_laws(SQUARE, DEFAULT_ORDER_CAP)
         verify_laws(SQUARE, DEFAULT_ORDER_CAP, trials=10**6)
@@ -753,7 +753,7 @@ def test_each_matrix_is_read_once(monkeypatch, kind):
     # marked index of PM(6).  Square, min and max read nothing: neither
     # mode makes a masks or lists an ideal for the law rules.
     made, parents, marked = [], [], []
-    reader, drawn, ideals = operad._reader, sampling._Drawn, operad._ideals
+    reader, drawn, ideals = operad._reader, operad._Drawn, operad._ideals
 
     def counted(rule):
         extend = reader(rule)
@@ -775,10 +775,8 @@ def test_each_matrix_is_read_once(monkeypatch, kind):
         return drawn(rule, max_order, starts, need)
 
     monkeypatch.setattr(operad, "_reader", counted)
-    monkeypatch.setattr(sampling, "_reader", counted)
     monkeypatch.setattr(operad, "_ideals", listed)
-    monkeypatch.setattr(sampling, "_ideals", listed)
-    monkeypatch.setattr(sampling, "_Drawn", mark)
+    monkeypatch.setattr(operad, "_Drawn", mark)
     verify_laws(kind, 5)
     if kind in OPERAD_KINDS:
         assert made == parents == []
@@ -845,12 +843,12 @@ def test_draws_are_those_of_choice_randint_and_sample(law):
             for trials in (1, 7, 1000):
                 skipped, cases = _index_draws(law, starts, trials, seed)
                 need = bytearray(starts[-1])
-                got = sampling._draw(law, (True, True, True), starts, trials, seed, need)
-                assert (got[0], list(sampling._CASE.iter_unpack(got[1]))) == (skipped, cases)
+                got = operad._draw(law, (True, True, True), starts, trials, seed, need)
+                assert (got[0], list(operad._CASE.iter_unpack(got[1]))) == (skipped, cases)
                 marks = {g for a, b, c, _, _ in cases for g in (a, b, c)}
                 assert need.count(1) == len(marks) and all(need[g] for g in marks)
                 none = bytearray(starts[-1])
-                got = sampling._draw(law, (False,) * 3, starts, trials, seed, none)
+                got = operad._draw(law, (False,) * 3, starts, trials, seed, none)
                 assert got == (skipped, None) and none.count(0) == len(none)
 
 
@@ -869,8 +867,8 @@ def test_random_operad_trials_build_no_pool(monkeypatch, kind):
         built.append(len(codes) + 1)
         return children(codes)
 
-    monkeypatch.setattr(sampling, "_below", refuse)
-    monkeypatch.setattr(sampling, "_ideals", refuse)
+    monkeypatch.setattr(operad, "_below", refuse)
+    monkeypatch.setattr(operad, "_ideals", refuse)
     monkeypatch.setattr(enumeration, "_children", spy)
     reports = verify_laws(kind, 8, trials=1000, seed=5)
     assert [(r.verdict, r.cases_checked + r.cases_skipped) for r in reports] == [("pass", 1000)] * 3
@@ -896,7 +894,7 @@ def test_rank_is_the_witness_order_on_pool_indices():
     levels = list(_levels(5))
     flat = [codes for level in levels for codes in level]
     starts = [0, *accumulate(len(level) for level in levels)]
-    by_rank = sorted(range(len(flat)), key=lambda g: sampling._rank(starts, g))
+    by_rank = sorted(range(len(flat)), key=lambda g: operad._rank(starts, g))
     assert [flat[g] for g in by_rank] == sorted(flat, key=lambda x: _case_key((x, x, x, 1, 1)))
-    drawn = sampling._Drawn(_rule(MINMAX), 5, starts, bytearray(len(flat)))
+    drawn = operad._Drawn(_rule(MINMAX), 5, starts, bytearray(len(flat)))
     assert [drawn.codes(g) for g in range(len(flat))] == flat

@@ -212,3 +212,29 @@ def test_cli_import_leaves_no_object_to_the_older_generations():
     probe = "import gc, posetmat.cli; print(gc.get_freeze_count(), len(gc.get_objects(1)), len(gc.get_objects(2)))"
     frozen, older, oldest = map(int, _fresh(probe).split())
     assert frozen > 1000 and older == oldest == 0
+
+
+def test_no_command_imports_a_module(tmp_path):
+    # Every module a command needs comes with posetmat.cli, so no command
+    # compiles or loads one inside cli.run: random and exhaustive laws,
+    # the class listing and the commands on small files.
+    a, b = tmp_path / "a.pm", tmp_path / "b.pm"
+    a.write_text("4\n1000\n1100\n1010\n1111\n")
+    b.write_text("3\n100\n110\n101\n")
+    argvs = [
+        ["laws", "--op", "minmax", "--max-n", "5", "--random", "100", "--seed", "1"],
+        ["laws", "--op", "boxed:110", "--max-n", "3"],
+        ["enumerate", "--n", "4", "--classes", "--format", "json", "--print"],
+        ["factor", str(a)],
+        ["compose", "--op", "square", "--i", "2", str(a), str(b)],
+        ["hasse", str(a)],
+        ["dual", str(a)],
+        ["check", str(a)],
+    ]
+    probe = (
+        "import contextlib, io, sys, posetmat.cli; before = set(sys.modules)\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    codes = [posetmat.cli.run(argv) for argv in {argvs!r}]\n"
+        "print(codes, sorted(set(sys.modules) - before))"
+    )
+    assert _fresh(probe) == "[1, 1, 0, 0, 0, 0, 0, 0] []"
