@@ -1,20 +1,26 @@
 """Generation and canonicalization of poset matrices.
 
-Every enumeration here rests on one step, _children: the largest label is
-maximal, so a matrix of order k+1 is one of order k with a new last row
-whose strict part is a down-set (an ideal) of it.  _ideals lists those
-ideals directly, in ascending row order, so _levels(n), which walks the
-step from the empty matrix and yields PM(1), ..., PM(n) as lists of
-row-code tuples, gives each level with no sorting in ascending order of
-its rows read as bit strings, column 1 first (proved at _levels).
-_below(n) lists the levels below order n, PM(0), ..., PM(n-1), from that
-walk; every caller that needs them takes them from it.
+Every enumeration here rests on one step: the largest label is maximal,
+so a matrix of order k+1 is one of order k with a new last row whose
+strict part is a down-set (an ideal) of it.  _ideals lists those ideals
+directly, in ascending row order.  One level walk, _tree(n), takes the
+step from the empty matrix and carries each matrix's ideal list, grown
+from its parent's (_next_ideals) rather than listed again: the ideals of
+D + J are D's, each followed by itself plus the new element when it
+contains J.  So the walk lists each level with no sorting in ascending
+order of its rows read as bit strings, column 1 first (proved at
+_levels), and holds the ideal lists of at most two levels.  _levels(n)
+and _below(n) give its levels as lists of row-code tuples.
 matrices_by_parent(n) (below) takes the last step from PM(n-1) one parent
-at a time, and generate_all(n) joins its lists; neither keeps a cache.
-verify_laws and random mode take their pools from _below as codes.
+at a time, growing each parent's list as it goes, and generate_all(n)
+joins its lists; neither keeps a cache.  verify_laws and random mode take
+their pools, the lists included, from the same walk (operad._pools).
 matrix_count(n) takes the step twice in closed form, from the ideals of
-the components of each matrix of PM(n-2), and lists no matrix of order
-n-1 or n.
+the components of each matrix of PM(n-2) (_counts), and lists no matrix
+of order n-1 or n; _sizes gives |PM(1)|, ..., |PM(n)| from that one walk
+to PM(n-2).  _ideals itself serves where no parent's list is at hand: the
+components in _counts, classes, and the one parent that operad's _Drawn
+reads back.
 
 Two matrices are permutation equivalent (same unlabelled poset) iff one is
 Q^T A Q for a permutation Q keeping the result lower triangular; those Q
@@ -40,6 +46,8 @@ when one of two certificates names a smaller relabelling of C
 """
 
 from __future__ import annotations
+
+from itertools import islice
 
 from .core import PosetMatrix, Record
 from .errors import ResourceLimit
@@ -80,16 +88,51 @@ def _ideals(codes: tuple, within: int = -1) -> list:
     return ideals
 
 
-def _children(codes: tuple) -> list:
-    """Row codes of every matrix one order up whose leading block is codes:
-    a new last row over each ideal, in ascending row order."""
-    top = 1 << len(codes)
-    return [codes + (s | top,) for s in _ideals(codes)]
+def _next_ideals(level: list, lists):
+    """Yield the ideal list of each child of the matrices of level, whose
+    ideal lists are lists, in turn, in the order of the next level (_tree).
+
+    The ideals of D + S, S an ideal of D of order k, are D's ideals T, each
+    followed by T plus the new element k+1 exactly when S <= T.  That is
+    _ideals' order: _ideals decides k+1 last, right after each set of D's,
+    and may include it iff its strict down-set S is chosen."""
+    for codes, ideals in zip(level, lists):
+        top = 1 << len(codes)
+        for s in ideals:
+            grown = []
+            for t in ideals:
+                grown.append(t)
+                if t & s == s:
+                    grown.append(t | top)
+            yield grown
+
+
+def _tree(n: int):
+    """Yield (level, lists) for PM(0), ..., PM(n): level the matrices of
+    that order as row-code tuples, in order (_levels), and lists the ideal
+    list of each in turn, grown from its parent's (_next_ideals).  lists
+    is a list below PM(n); for PM(n) it is an iterator that grows one list
+    at a time as it is read.
+
+    PM(0) is the empty matrix, whose one ideal is empty, and each level
+    after it lists the children D + S of the level below, parent by parent,
+    each over its ideals S in order.  A level's lists go once the next
+    level's are grown, so the walk holds at most two levels' lists."""
+    level, lists = [()], [[0]]
+    for k in range(n):
+        yield level, lists
+        level, lists = (
+            [codes + (s | 1 << k,) for codes, ideals in zip(level, lists) for s in ideals],
+            _next_ideals(level, lists),
+        )
+        if k < n - 1:
+            lists = list(lists)
+    yield level, lists
 
 
 def _levels(n: int):
     """Yield PM(1), ..., PM(n) as lists of row-code tuples, each ascending
-    in its rows read as bit strings, column 1 first.
+    in its rows read as bit strings, column 1 first, from one walk (_tree).
 
     That is the order of the matrices' rows and, within one order, of
     the witness key _enc below; it is not the order of the code tuples,
@@ -98,10 +141,7 @@ def _levels(n: int):
     decides, so the first-decided element, column 1, is the most
     significant, and a parent's children come in ascending last row.  Parents keep their
     order under the new 0 column, so the level ascends."""
-    level = [()]
-    for _ in range(n):
-        level = [child for codes in level for child in _children(codes)]
-        yield level
+    return (level for level, _ in islice(_tree(n), 1, None))
 
 
 def _enc(codes) -> str:
@@ -112,8 +152,8 @@ def _enc(codes) -> str:
 
 def _below(n: int) -> list:
     """PM(0), ..., PM(n-1), the levels below order n, as lists of row-code
-    tuples from one walk (_levels); PM(0) is the empty matrix alone."""
-    return [[()], *_levels(n - 1)]
+    tuples from one walk (_tree); PM(0) is the empty matrix alone."""
+    return [level for level, _ in _tree(n - 1)]
 
 
 def _check_filter(which: str) -> None:
@@ -174,8 +214,18 @@ def matrix_count(n: int, which: str = "all") -> int:
     _check_order(n, DEFAULT_ORDER_CAP)
     if n == 1:
         return 0 if which == "disconnected" else 1
-    total = connected = 0
-    for codes in _below(n - 1)[-1]:
+    _, total, connected = _counts(_below(n - 1)[-1])
+    if which == "all":
+        return total
+    return connected if which == "connected" else total - connected
+
+
+def _counts(level: list) -> tuple:
+    """(|PM(n-1)|, |PM(n)|, the connected ones of PM(n)) from level, the
+    row codes of PM(n-2), by matrix_count's closed form: |PM(n-1)| sums
+    #ideals(D) = prod k_c over D in level."""
+    parents = total = connected = 0
+    for codes in level:
         ks = ps = grow = nest = split = 1
         for comp in _components(codes):
             ideals = _ideals(codes, comp)
@@ -186,25 +236,36 @@ def matrix_count(n: int, which: str = "all") -> int:
             grow *= k * k - 1
             nest *= p - 1
             split *= 2 * (k - 1)
+        parents += ks
         total += ks * ks + ps
         connected += grow + nest - split
-    if which == "all":
-        return total
-    return connected if which == "connected" else total - connected
+    return parents, total, connected
+
+
+def _sizes(n: int) -> list:
+    """|PM(1)|, ..., |PM(n)| from one walk to PM(n-2) (_below): its
+    levels' lengths, then |PM(n-1)| and |PM(n)| from PM(n-2) (_counts)."""
+    if n == 1:
+        return [1]
+    levels = _below(n - 1)
+    return [*map(len, levels[1:]), *_counts(levels[-1])[:2]]
 
 
 def matrices_by_parent(n: int, which: str = "all"):
     """Yield the poset matrices of order n, all or only the connected or
     disconnected ones, as one list per parent in PM(n-1), in the order of
-    generate_all(n), with one list at a time.  A child is connected iff
-    its new row meets every component of its parent (proved in
-    matrix_count).  As a generator, it checks its arguments when first
+    generate_all(n), with one list at a time.  Each parent's ideals are
+    grown from its own parent's, one parent at a time (_tree).  A child is
+    connected iff its new row meets every component of its parent (proved
+    in matrix_count).  As a generator, it checks its arguments when first
     advanced."""
     _check_filter(which)
     _check_order(n, DEFAULT_ORDER_CAP)
-    want, wrap = which == "connected", PosetMatrix._wrap
-    for codes in _below(n)[-1]:
-        children = _children(codes)
+    want, wrap, top = which == "connected", PosetMatrix._wrap, 1 << (n - 1)
+    for level, lists in _tree(n - 1):
+        pass  # the walk's last level, PM(n-1), and its lists as they grow
+    for codes, ideals in zip(level, lists):
+        children = [codes + (s | top,) for s in ideals]
         if which != "all":
             comps = _components(codes)
             children = [c for c in children if all(c[-1] & comp for comp in comps) == want]

@@ -13,13 +13,15 @@ the order cap is refused, as by every command, and so is a random run of
 more than LAW_CASE_BUDGET cases.
 
 The law layer works on int row codes (see core) from end to end: the pools
-are the levels of enumeration's walk, taken as code tuples once the order
-cap is checked, and a kind's rule is looked up once.  PM(1), ..., PM(N-1)
-are listed, and PM(N) is streamed, parent by parent over PM(N-1), as
-matrices_by_parent walks it, so no more than PM(N-1) is held.  Each level
-comes ascending in its rows read as bit strings, column 1 first (_levels,
-which builds each level as this same walk), which within one order is the
-witness order _enc compares, so no pool is sorted.
+are the levels of enumeration's one walk (_tree), taken as code tuples once
+the order cap is checked, and a kind's rule is looked up once.  The walk
+carries each matrix's ideals, grown from its parent's, and the law layer
+lists ideals itself only to build a random witness (_Drawn.codes).  PM(1),
+..., PM(N-1) are listed, and PM(N) is streamed, parent by parent over
+PM(N-1), as matrices_by_parent walks it, so no more than PM(N-1) is held.
+Each level comes ascending in its rows read as bit strings, column 1 first
+(_levels), which within one order is the witness order _enc compares, so
+no pool is sorted.
 All that the rules read of a matrix is two bit masks: its minimal and
 maximal elements under minmax, and for a boxed kind the positions whose
 lower-left block has the constant a21 and those whose unit case holds;
@@ -43,7 +45,7 @@ the check_* functions and the reported witness.
 The exhaustive sweep makes each matrix's masks once and visits no case.
 Per order, _tables counts the matrices by their masks, keeping the least
 of each (under square, min and max one masks per order, counted by
-matrix_count), and turns that into one table (_table): per signature of
+_sizes), and turns that into one table (_table): per signature of
 (A, i) (nested, which is also that of (B, j)) or pair of signatures of
 (A, i, j) (parallel), the count and the least member, in witness order;
 the order's unit tally, with its least failing (A, i); and the least
@@ -65,10 +67,11 @@ PM(N), however many cases they make, and none under square, min and max.
 Random mode lists no pool either.  Each law draws its trials from its own
 generator (seed + t) as pool indices into PM(1), ..., PM(N) listed in turn,
 each draw one getrandbits rejection loop (_draw), and the draws read only
-the pool sizes (matrix_count) and the order of each drawn matrix.  A law
-that the rules decide without a matrix reads none (_reads): the unit law of
-a mask kind, the nested law of square, min and max, and the parallel law of
-a mask kind, which draws only to count its skips.  The other laws keep
+the pool sizes (_sizes, from one walk to PM(N-2) and matrix_count's
+closed form) and the order of each drawn matrix.  A law that the rules
+decide without a matrix reads none (_reads): the unit law of a mask kind,
+the nested law of square, min and max, and the parallel law of a mask
+kind, which draws only to count its skips.  The other laws keep
 their draws and mark each drawn index that they read; the walk that gives
 the exhaustive sweep its masks (_pools) then gives the marked matrices
 theirs (_Drawn), each distinct masks turned once into a row (_row), and
@@ -284,7 +287,7 @@ from .compose import (
     parse_kind,
 )
 from .core import PosetMatrix, Record, UNIT
-from .enumeration import DEFAULT_ORDER_CAP, _below, _check_order, _enc, _ideals, matrix_count
+from .enumeration import DEFAULT_ORDER_CAP, _check_order, _enc, _ideals, _sizes, _tree
 from .errors import (
     IndexOutOfRange,
     RequiresDistinctIndices,
@@ -403,7 +406,7 @@ def _reader(rule):
         the new position it reads only the new row's prefix, I, against U.
     Every leading block of a poset matrix is one, and its next row's strict
     part an ideal of it, so folding the rule along a matrix's rows from the
-    empty matrix's (0, 0, 0) gives its masks (_masks walks the levels so)."""
+    empty matrix's (0, 0, 0) gives its masks (_pools walks the levels so)."""
     u_fill, v_fill, a21 = rule
     if a21 is None:
         if (u_fill, v_fill) != (ROW_AT_MAX, COL_AT_MIN):
@@ -429,37 +432,36 @@ def _reader(rule):
     return extend
 
 
-def _masks(extend, levels) -> list:
-    """The masks of every matrix of levels, PM(0), ..., PM(n), by the
-    extension rule extend (_reader): one list per level, in its order, the
-    first being the empty matrix's (0, 0, 0).  Each level of _levels lists
-    the children of the level below parent by parent, each over its ideals
-    in ascending row order (_ideals), so level k + 1's masks are its
+def _masks(extend, keys, lists) -> list:
+    """The masks of the matrices one level up, by the extension rule extend
+    (_reader), from keys, the masks of a level's matrices, and lists, their
+    ideal lists (_tree).  The level above lists the children of this one
+    parent by parent, each over its ideals in order, so its masks are the
     parents' extended in turn.  Equal masks are one tuple."""
-    out = [[(0, 0, 0)]]
-    for parents in levels[:-1]:
-        same = {}
-        out.append(
-            [
-                same.setdefault(key, key)
-                for parent, masks in zip(parents, out[-1])
-                for key in extend(masks, _ideals(parent))
-            ]
-        )
-    return out
+    same = {}
+    return [
+        same.setdefault(key, key)
+        for masks, ideals in zip(keys, lists)
+        for key in extend(masks, ideals)
+    ]
 
 
 def _pools(extend, max_order) -> tuple:
-    """What both modes walk, by the extension rule extend (_reader): the
-    levels PM(0), ..., PM(N-1) (_below), the masks of each of their
-    matrices in one walk (_masks), and PM(N) streamed parent by parent over
-    PM(N-1), as matrices_by_parent lists it: (parent, masks, ideals) for
-    each parent in turn, whose children parent + (s | 1 << (N-1),) for s
-    in ideals get their masks from extend(masks, ideals) without being
-    built.  So no more than PM(N-1) is held."""
-    levels = _below(max_order)  # PM(0), ..., PM(N-1)
-    keys = _masks(extend, levels)
-    return levels, keys, ((p, masks, _ideals(p)) for p, masks in zip(levels[-1], keys[-1]))
+    """What both modes walk, by the extension rule extend (_reader), from
+    one walk (_tree): the levels PM(0), ..., PM(N-1), the masks of each of
+    their matrices (_masks of the level below, the empty matrix's being
+    (0, 0, 0)), and PM(N) streamed parent by parent over PM(N-1):
+    (parent, masks, ideals) for each parent in turn, whose children
+    parent + (s | 1 << (N-1),) for s in ideals get their masks from
+    extend(masks, ideals) without being built.  Each parent's ideals are
+    grown from its own parent's as the stream reaches it, so no more than
+    PM(N-1), and the ideal lists of PM(N-2), are held."""
+    levels, keys = [], [[(0, 0, 0)]]
+    for level, lists in _tree(max_order - 1):
+        levels.append(level)
+        if len(levels) < max_order:
+            keys.append(_masks(extend, keys[-1], lists))
+    return levels, keys, zip(levels[-1], keys[-1], lists)
 
 
 def _row(rule, masks) -> tuple:
@@ -553,17 +555,17 @@ def _tables(rule, max_order) -> dict:
     each masks, in witness order (see _levels).
 
     Under square, min and max the rules read nothing (_reader): each order
-    is one row, of matrix_count(n) matrices, and its least is the
-    antichain, with no walk.  Every level's first matrix is its first
-    parent's child over the empty ideal, first in _ideals, and the first
-    of PM(0) is the empty matrix, so by induction each level's first is
-    the antichain.  Else the levels and their masks come from _pools, and
+    is one row, of |PM(n)| matrices (_sizes), and its least is the
+    antichain, with no walk of PM(N-1).  Every level's first matrix is its
+    first parent's child over the empty ideal, first in _ideals, and the
+    first of PM(0) is the empty matrix, so by induction each level's first
+    is the antichain.  Else the levels and their masks come from _pools, and
     a child of PM(N) is built only when it is the first of its masks."""
     extend = _reader(rule)
     if extend is None:
         return {
-            n: _table(rule, {(n, 0, 0): [matrix_count(n), tuple([1 << q for q in range(n)])]})
-            for n in range(1, max_order + 1)
+            n: _table(rule, {(n, 0, 0): [size, tuple([1 << q for q in range(n)])]})
+            for n, size in enumerate(_sizes(max_order), 1)
         }
     levels, keys, last = _pools(extend, max_order)
     tables = {}
@@ -787,8 +789,10 @@ class _Drawn:
 
     The levels and their masks come from _pools, by the kind's extension
     rule (_reader, chosen once); of PM(N), only the marked children's
-    masks are made.  Each distinct masks key is turned into one row:
-    table[g] is the place of index g's row in rows."""
+    masks are made, but every parent's ideal list is grown, to find where
+    its children start (firsts).  Each distinct masks key is turned into
+    one row: table[g] is the place of index g's row in rows.  codes lists
+    the ideals of the one parent it reads (_ideals)."""
 
     def __init__(self, rule, max_order, starts, need):
         ids, extend = {}, _reader(rule)
@@ -877,7 +881,7 @@ def random_tallies(rule, max_order, trials, seed) -> list:
     """One _Tally per law of LAWS over seeded random cases, each law from
     its own generator (seed + t): drawn from the pool sizes (_draw), then
     decided from the drawn matrices that the rule reads (_Drawn)."""
-    starts = [0, *accumulate(matrix_count(n) for n in range(1, max_order + 1))]
+    starts = [0, *accumulate(_sizes(max_order))]
     reads = [_reads(rule, law) for law in LAWS]
     need = bytearray(starts[-1]) if any(map(any, reads)) else None
     draws = [  # a parallel law that reads nothing still draws, to count its skips

@@ -7,7 +7,7 @@ from itertools import combinations, product
 from posetmat import SQUARE, UNIT, PosetMatrix, check_nested, check_parallel, check_unit, compose
 from posetmat.compose import COL_AT_MIN, ROW_AT_MAX, _compose, _lower_left_wrong, _rule, kind_name
 from posetmat.duality import semi_equidual
-from posetmat.enumeration import IsoClass, _below, _children, _ideals, canonical_form, generate_all
+from posetmat.enumeration import IsoClass, _below, _ideals, canonical_form, generate_all
 from posetmat.core import _extremal, relabel, submatrix, validate
 from posetmat.errors import ParseError, PreconditionViolated, ValidationError
 from posetmat.operad import LawReport, Witness, _outer
@@ -165,11 +165,30 @@ def labelled_counts_by_transfer(n: int) -> dict:
     for _ in range(1, n):
         grown = {}
         for parent, weight in counts.items():
-            for codes in _children(parent.codes):
-                child = canonical_form(PosetMatrix._wrap(codes))
+            top = 1 << parent.n
+            for s in _ideals(parent.codes):
+                child = canonical_form(PosetMatrix._wrap(parent.codes + (s | top,)))
                 grown[child] = grown.get(child, 0) + weight
         counts = grown
     return counts
+
+
+def pools_by_ideals(extend, max_order: int) -> tuple:
+    """operad._pools(extend, max_order) with each parent's ideals listed
+    by _ideals: the levels PM(0), ..., PM(N-1), each the children of the
+    one below, parent by parent over its ideals; their masks by the
+    extension rule extend, the empty matrix's being (0, 0, 0); and
+    (parent, masks, ideals) for each parent of PM(N-1), as a list."""
+    levels, keys = [[()]], [[(0, 0, 0)]]
+    for _ in range(max_order - 1):
+        level, masks = [], []
+        for d, m in zip(levels[-1], keys[-1]):
+            ideals = _ideals(d)
+            level += [d + (s | 1 << len(d),) for s in ideals]
+            masks += extend(m, ideals)
+        levels.append(level)
+        keys.append(masks)
+    return levels, keys, [(p, m, _ideals(p)) for p, m in zip(levels[-1], keys[-1])]
 
 
 def matrix_count_by_parent(n: int, which: str = "all") -> int:

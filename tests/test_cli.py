@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -986,6 +987,11 @@ def _command_lines(draw):
     return [name, *(token for piece in draw(st.permutations(pieces)) for token in piece)]
 
 
+# one full parser for every example below, since parsing leaves a parser as
+# it was (test_parsing_leaves_the_parser_unchanged)
+_PARSER = build_parser()
+
+
 @settings(max_examples=400, deadline=None)
 @given(argv=_command_lines())
 def test_plain_reader_agrees_with_the_full_parser(argv):
@@ -995,7 +1001,7 @@ def test_plain_reader_agrees_with_the_full_parser(argv):
         err = io.StringIO()
         with contextlib.redirect_stderr(err):
             try:
-                parsed = build_parser().parse_args(argv)
+                parsed = _PARSER.parse_args(argv)
             except SystemExit:
                 pytest.fail(f"argparse refuses {argv!r}: {err.getvalue()}")
         assert vars(plain) == vars(parsed)
@@ -1023,6 +1029,40 @@ PLAIN_ARGVS = [
     ["laws", "--op", "minmax", "--max-n", "3"],
     ["pascal", "--n", "1000000000000"],
 ]
+
+
+def _parser_state(obj, seen):
+    """Everything argparse keeps in obj: a parser, argument group or action
+    as the state of each of its attributes, lists, tuples and dicts item by
+    item, each parser, group or action once (then by its place in seen),
+    and any other value as itself."""
+    if isinstance(obj, (argparse._ActionsContainer, argparse.Action)):
+        if id(obj) in seen:
+            return seen[id(obj)]
+        seen[id(obj)] = len(seen)
+        return type(obj), {k: _parser_state(v, seen) for k, v in vars(obj).items()}
+    if isinstance(obj, (list, tuple)):
+        return type(obj), [_parser_state(x, seen) for x in obj]
+    if isinstance(obj, dict):
+        return {k: _parser_state(v, seen) for k, v in obj.items()}
+    return obj
+
+
+def test_parsing_leaves_the_parser_unchanged():
+    # every command line of PARSER_CASES (valid, missing an argument and
+    # malformed), the benchmark's and CI's, and unknown commands: parsing
+    # each, or refusing it, leaves the parser's whole state as it was
+    parser = build_parser()
+    before = _parser_state(parser, {})
+    argvs = [[name, *argv] for name, cases in PARSER_CASES.items() for argv in cases]
+    argvs += [*PLAIN_ARGVS, ["lawz"], ["-h"], []]
+    with contextlib.redirect_stderr(io.StringIO()), contextlib.redirect_stdout(io.StringIO()):
+        for argv in argvs:
+            try:
+                parser.parse_args(argv)
+            except SystemExit:
+                pass
+            assert _parser_state(parser, {}) == before, argv
 
 
 @pytest.mark.parametrize("argv", PLAIN_ARGVS, ids=" ".join)

@@ -285,16 +285,16 @@ class TestMinMaxElements:
 
     def test_matches_brute_force(self):
         for a in all_upto(6):
-            n = a.n
+            n, rows = a.n, a.rows
             mins = tuple(
                 i
                 for i in range(1, n + 1)
-                if not any(a.rows[i - 1][j - 1] for j in range(1, n + 1) if j != i)
+                if not any(rows[i - 1][j - 1] for j in range(1, n + 1) if j != i)
             )
             maxs = tuple(
                 i
                 for i in range(1, n + 1)
-                if not any(a.rows[j - 1][i - 1] for j in range(1, n + 1) if j != i)
+                if not any(rows[j - 1][i - 1] for j in range(1, n + 1) if j != i)
             )
             assert minimal_elements(a) == mins
             assert maximal_elements(a) == maxs

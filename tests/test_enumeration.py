@@ -16,6 +16,8 @@ from posetmat.enumeration import (
     _grown,
     _ideals,
     _levels,
+    _sizes,
+    _tree,
     _unrefuted,
     _walk,
     linear_extensions,
@@ -147,6 +149,22 @@ class TestCountAndListWithoutTheLevel:
                 groups = list(matrices_by_parent(n, which))
                 assert len(groups) == parents
                 assert [m for g in groups for m in g] == listing, (n, which)
+
+    def test_each_matrix_grows_the_ideals_that_ideals_lists(self):
+        # every matrix of PM(1..7), a child of PM(0..6), gets from the walk
+        # the list that _ideals makes for it, in the same order, and so
+        # does the empty matrix; PM(7)'s lists grow as they are read
+        for n, (level, lists) in enumerate(_tree(7)):
+            assert isinstance(lists, list) == (n < 7)
+            lists = list(lists)
+            assert len(lists) == len(level) == (matrix_count(n) if n else 1), n
+            for codes, ideals in zip(level, lists):
+                assert ideals == _ideals(codes), codes
+
+    def test_pool_sizes_are_the_counts(self):
+        # one walk to PM(N-2) gives |PM(1)|, ..., |PM(N)|
+        for top in range(1, 9):
+            assert _sizes(top) == [matrix_count(n) for n in range(1, top + 1)], top
 
     def test_generate_all_is_the_last_level_of_the_walk(self):
         # generate_all joins the lists of matrices_by_parent, so the test

@@ -40,8 +40,8 @@ from posetmat.operad import (
     _exhaustive,
     _case_key,
     _groups,
-    _masks,
     _outer,
+    _pools,
     _reader,
     _row,
     _sweep,
@@ -61,6 +61,7 @@ from helpers import (
     holds_by_signatures,
     is_antichain,
     pm,
+    pools_by_ideals,
     random_cases,
     random_laws_by_composing,
     scan_masks,
@@ -668,13 +669,26 @@ class TestBoxedKindsMeasured:
 def _walked(rule, top):
     """(matrix, masks) over PM(1..top), the masks as the law layer makes
     them: by the extension rule (_reader) in one walk of the levels
-    (_masks), or (n, 0, 0) where the rule reads nothing."""
-    levels, extend = _below(top + 1), _reader(rule)
+    (_pools), or (n, 0, 0) where the rule reads nothing."""
+    extend = _reader(rule)
     if extend is None:
+        levels = _below(top + 1)
         keys = [[(len(x), 0, 0) for x in level] for level in levels]
     else:
-        keys = _masks(extend, levels)
+        levels, keys, _ = _pools(extend, top + 1)
     return [pair for level, masks in zip(levels[1:], keys[1:]) for pair in zip(level, masks)]
+
+
+@pytest.mark.parametrize("kind", [k for k in ALL_KINDS if k not in OPERAD_KINDS], ids=kind_name)
+def test_pools_are_those_of_each_parents_ideals(kind):
+    # _pools grows each matrix's ideals from its parent's in one walk; for
+    # N = 1..6 it gives the levels, the masks and the stream of PM(N) that
+    # listing every parent's ideals with _ideals gives.  Square, min and
+    # max have no extension rule and walk no pool.
+    extend = _reader(_rule(kind))
+    for top in range(1, 7):
+        levels, keys, last = _pools(extend, top)
+        assert (levels, keys, list(last)) == pools_by_ideals(extend, top), top
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS, ids=kind_name)
@@ -746,14 +760,15 @@ def test_extension_rule_gives_the_masks_of_each_child(kind):
 def test_each_matrix_is_read_once(monkeypatch, kind):
     # _reader gives the one reader of a matrix for the law rules, the
     # extension rule: a matrix's masks are made once, from its parent's
-    # masks and its ideal, each parent's ideals listed once.  Exhaustive
+    # masks and its ideal, each parent's ideals read once from the walk
+    # (_tree), which grows them, and never listed by _ideals.  Exhaustive
     # mode makes the masks of the 407 matrices of PM(1..5), each some
     # parent's child, over the 51 distinct parents of PM(0..4), so none
     # twice; random mode makes those of PM(1..5) and at most those of each
     # marked index of PM(6).  Square, min and max read nothing: neither
-    # mode makes a masks or lists an ideal for the law rules.
-    made, parents, marked = [], [], []
-    reader, drawn, ideals = operad._reader, operad._Drawn, operad._ideals
+    # mode makes a masks or reads an ideal for the law rules.
+    made, parents, listed, marked = [], [], [], []
+    reader, drawn, ideals, tree = operad._reader, operad._Drawn, operad._ideals, operad._tree
 
     def counted(rule):
         extend = reader(rule)
@@ -766,18 +781,29 @@ def test_each_matrix_is_read_once(monkeypatch, kind):
 
         return count
 
-    def listed(codes):
-        parents.append(codes)
+    def listing(codes):
+        listed.append(codes)
         return ideals(codes)
+
+    def read(level, lists):
+        for codes, grown in zip(level, lists):
+            parents.append(codes)
+            yield grown
+
+    def walk(n):
+        for level, lists in tree(n):
+            yield level, read(level, lists)
 
     def mark(rule, max_order, starts, need):
         marked.append(need.count(1))
         return drawn(rule, max_order, starts, need)
 
     monkeypatch.setattr(operad, "_reader", counted)
-    monkeypatch.setattr(operad, "_ideals", listed)
+    monkeypatch.setattr(operad, "_ideals", listing)
+    monkeypatch.setattr(operad, "_tree", walk)
     monkeypatch.setattr(operad, "_Drawn", mark)
     verify_laws(kind, 5)
+    assert listed == []
     if kind in OPERAD_KINDS:
         assert made == parents == []
     else:
@@ -854,22 +880,22 @@ def test_draws_are_those_of_choice_randint_and_sample(law):
 
 @pytest.mark.parametrize("kind", OPERAD_KINDS)
 def test_random_operad_trials_build_no_pool(monkeypatch, kind):
-    # square, min and max read no matrix: random mode lists no level and
-    # walks none, and the one enumeration it makes, matrix_count's, builds
-    # no matrix of order N-1 or N
+    # square, min and max read no matrix: random mode walks no pool, and
+    # the one walk it makes, for the pool sizes (_sizes), builds no matrix
+    # of order N-1 or N
     def refuse(*args):
         raise AssertionError("random mode built a pool")
 
     built = []
-    children = enumeration._children
+    tree = enumeration._tree
 
-    def spy(codes):
-        built.append(len(codes) + 1)
-        return children(codes)
+    def spy(n):
+        built.append(n)
+        return tree(n)
 
-    monkeypatch.setattr(operad, "_below", refuse)
+    monkeypatch.setattr(operad, "_tree", refuse)
     monkeypatch.setattr(operad, "_ideals", refuse)
-    monkeypatch.setattr(enumeration, "_children", spy)
+    monkeypatch.setattr(enumeration, "_tree", spy)
     reports = verify_laws(kind, 8, trials=1000, seed=5)
     assert [(r.verdict, r.cases_checked + r.cases_skipped) for r in reports] == [("pass", 1000)] * 3
     assert built and max(built) <= 6

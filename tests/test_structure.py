@@ -69,13 +69,13 @@ class TestConnectivity:
         from itertools import combinations
 
         for a in all_upto(6):
-            n = a.n
+            n, rows = a.n, a.rows
             isolated = False
             for size in range(1, n):
                 for alpha in combinations(range(1, n + 1), size):
                     inside = set(alpha)
                     if all(
-                        not a.rows[max(i, k) - 1][min(i, k) - 1]
+                        not rows[max(i, k) - 1][min(i, k) - 1]
                         for k in alpha
                         for i in range(1, n + 1)
                         if i not in inside
