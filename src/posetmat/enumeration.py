@@ -2,25 +2,24 @@
 
 Every enumeration here rests on one step: the largest label is maximal,
 so a matrix of order k+1 is one of order k with a new last row whose
-strict part is a down-set (an ideal) of it.  _ideals lists those ideals
-directly, in ascending row order.  One level walk, _tree(n), takes the
-step from the empty matrix and carries each matrix's ideal list, grown
-from its parent's (_next_ideals) rather than listed again: the ideals of
-D + J are D's, each followed by itself plus the new element when it
-contains J.  So the walk lists each level with no sorting in ascending
-order of its rows read as bit strings, column 1 first (proved at
-_levels), and holds the ideal lists of at most two levels.  _levels(n)
-and _below(n) give its levels as lists of row-code tuples.
+strict part is a down-set (an ideal) of it.  _grow writes the step once,
+on ideal lists in ascending row order: the ideals of D + J are D's, each
+followed by itself plus the new element when it contains J.  Every list
+comes from it along a walk, grown from the parent's, never listed again.
+One level walk, _tree(n), takes the step from the empty matrix and
+carries each matrix's ideal list, so it lists each level with no sorting
+in ascending order of its rows read as bit strings, column 1 first
+(proved at _tree), and holds the ideal lists of at most two levels.
 matrices_by_parent(n) (below) takes the last step from PM(n-1) one parent
 at a time, growing each parent's list as it goes, and generate_all(n)
 joins its lists; neither keeps a cache.  verify_laws and random mode take
 their pools, the lists included, from the same walk (operad._pools).
-matrix_count(n) takes the step twice in closed form, from the ideals of
-the components of each matrix of PM(n-2) (_counts), and lists no matrix
-of order n-1 or n; _sizes gives |PM(1)|, ..., |PM(n)| from that one walk
-to PM(n-2).  _ideals itself serves where no parent's list is at hand: the
-components in _counts, classes, and the one parent that operad's _Drawn
-reads back.
+matrix_count(n) takes the step twice in closed form, from the lists of
+PM(n-2) split per component (_counts), and lists no matrix of order n-1
+or n; _sizes gives |PM(1)|, ..., |PM(n)| from that one walk to PM(n-2).
+The class walk (_orderly) carries each canonical matrix's list, grown
+from its parent's.  _ideals, _grow folded over a matrix's rows, serves
+only the one parent that operad's _Drawn reads back.
 
 Two matrices are permutation equivalent (same unlabelled poset) iff one is
 Q^T A Q for a permutation Q keeping the result lower triangular; those Q
@@ -47,7 +46,7 @@ when one of two certificates names a smaller relabelling of C
 
 from __future__ import annotations
 
-from itertools import islice
+from operator import index
 
 from .core import PosetMatrix, Record
 from .errors import ResourceLimit
@@ -62,98 +61,77 @@ SEARCH_BUDGET = 10**5
 
 
 def _check_order(n: int, order_cap: int) -> None:
-    if n < 1:
+    """An order that is not an integer (2.5, "3") raises TypeError."""
+    if index(n) < 1:
         raise ValueError("order must be at least 1")
     if n > order_cap:
         raise ResourceLimit(f"order {n} above the cap {order_cap}")
 
 
-def _ideals(codes: tuple, within: int = -1) -> list:
-    """Bitmasks of the ideals of codes inside the down-closed mask within
-    (every element by default), in ascending row order.
+def _grow(ideals: list, down: int, bit: int) -> list:
+    """The ideals of D + J in ascending row order, from ideals, D's in that
+    order: each of D's ideals T, followed by T plus the new element bit
+    exactly when T contains down, the bit mask of J.
 
-    Elements are decided in label order, "exclude" before "include"; j may
-    be included only when it lies in within and its strict down-set is
-    chosen."""
+    The new element is maximal with strict down-set J, so the ideals of
+    D + J are D's ideals T and, for each T containing J, T plus it.  Its
+    column is the last, so read as a bit string, column 1 first, T plus it
+    comes right after T and before the next of D's ideals, which differs
+    from T in an earlier column."""
+    grown = []
+    for t in ideals:
+        grown.append(t)
+        if t & down == down:
+            grown.append(t | bit)
+    return grown
+
+
+def _ideals(codes: tuple) -> list:
+    """Bitmasks of the ideals of the matrix with row codes codes, in
+    ascending row order: _grow folded over its rows from the empty
+    matrix's one ideal."""
     ideals = [0]
     for j, code in enumerate(codes):
-        if within >> j & 1:
-            bit = 1 << j
-            step = []
-            for s in ideals:
-                step.append(s)
-                if code & ~s == bit:  # j's strict down-set is chosen
-                    step.append(s | bit)
-            ideals = step
+        bit = 1 << j
+        ideals = _grow(ideals, code ^ bit, bit)
     return ideals
-
-
-def _next_ideals(level: list, lists):
-    """Yield the ideal list of each child of the matrices of level, whose
-    ideal lists are lists, in turn, in the order of the next level (_tree).
-
-    The ideals of D + S, S an ideal of D of order k, are D's ideals T, each
-    followed by T plus the new element k+1 exactly when S <= T.  That is
-    _ideals' order: _ideals decides k+1 last, right after each set of D's,
-    and may include it iff its strict down-set S is chosen."""
-    for codes, ideals in zip(level, lists):
-        top = 1 << len(codes)
-        for s in ideals:
-            grown = []
-            for t in ideals:
-                grown.append(t)
-                if t & s == s:
-                    grown.append(t | top)
-            yield grown
 
 
 def _tree(n: int):
     """Yield (level, lists) for PM(0), ..., PM(n): level the matrices of
-    that order as row-code tuples, in order (_levels), and lists the ideal
-    list of each in turn, grown from its parent's (_next_ideals).  lists
-    is a list below PM(n); for PM(n) it is an iterator that grows one list
-    at a time as it is read.
+    that order as row-code tuples, and lists the ideal list of each in
+    turn, grown from its parent's (_grow).  lists is a list below PM(n);
+    for PM(n) it is an iterator that grows one list at a time as it is
+    read.
 
     PM(0) is the empty matrix, whose one ideal is empty, and each level
     after it lists the children D + S of the level below, parent by parent,
     each over its ideals S in order.  A level's lists go once the next
-    level's are grown, so the walk holds at most two levels' lists."""
+    level's are grown, so the walk holds at most two levels' lists.
+
+    Each level ascends in its rows read as bit strings, column 1 first.
+    That is the order of the matrices' rows and, within one order, of the
+    witness key _enc below; it is not the order of the code tuples, whose
+    column 1 is the least significant bit.  Proof, by induction: a
+    parent's ideal list ascends (_grow), so its children come in ascending
+    last row, and parents keep their order under the new 0 column."""
     level, lists = [()], [[0]]
     for k in range(n):
         yield level, lists
+        bit = 1 << k
         level, lists = (
-            [codes + (s | 1 << k,) for codes, ideals in zip(level, lists) for s in ideals],
-            _next_ideals(level, lists),
+            [codes + (s | bit,) for codes, ideals in zip(level, lists) for s in ideals],
+            (_grow(ideals, s, bit) for ideals in lists for s in ideals),
         )
         if k < n - 1:
             lists = list(lists)
     yield level, lists
 
 
-def _levels(n: int):
-    """Yield PM(1), ..., PM(n) as lists of row-code tuples, each ascending
-    in its rows read as bit strings, column 1 first, from one walk (_tree).
-
-    That is the order of the matrices' rows and, within one order, of
-    the witness key _enc below; it is not the order of the code tuples,
-    whose column 1 is the least significant bit.  Proof, by induction:
-    _ideals follows each set at once with that set plus the element it
-    decides, so the first-decided element, column 1, is the most
-    significant, and a parent's children come in ascending last row.  Parents keep their
-    order under the new 0 column, so the level ascends."""
-    return (level for level, _ in islice(_tree(n), 1, None))
-
-
 def _enc(codes) -> str:
     """The ;-joined bit rows of a matrix given by row codes, "" for None:
-    the law sweep's witness key, ascending along each level of _levels."""
+    the law sweep's witness key, ascending along each level of _tree."""
     return "" if codes is None else ";".join(PosetMatrix._wrap(codes).bit_rows())
-
-
-def _below(n: int) -> list:
-    """PM(0), ..., PM(n-1), the levels below order n, as lists of row-code
-    tuples from one walk (_tree); PM(0) is the empty matrix alone."""
-    return [level for level, _ in _tree(n - 1)]
 
 
 def _check_filter(which: str) -> None:
@@ -163,7 +141,7 @@ def _check_filter(which: str) -> None:
 
 def generate_all(n: int) -> tuple:
     """All poset matrices of order n, ascending in their rows read as bit
-    strings, column 1 first (see _levels); nothing is cached.
+    strings, column 1 first (see _tree); nothing is cached.
 
     The lists of matrices_by_parent(n), joined: each child is wrapped as it
     is made, since wrapping PM(8)'s finished code list afterwards made the
@@ -214,21 +192,25 @@ def matrix_count(n: int, which: str = "all") -> int:
     _check_order(n, DEFAULT_ORDER_CAP)
     if n == 1:
         return 0 if which == "disconnected" else 1
-    _, total, connected = _counts(_below(n - 1)[-1])
+    for level, lists in _tree(n - 2):
+        pass  # the walk's last level, PM(n-2), and its lists as they grow
+    _, total, connected = _counts(level, lists)
     if which == "all":
         return total
     return connected if which == "connected" else total - connected
 
 
-def _counts(level: list) -> tuple:
+def _counts(level: list, lists) -> tuple:
     """(|PM(n-1)|, |PM(n)|, the connected ones of PM(n)) from level, the
-    row codes of PM(n-2), by matrix_count's closed form: |PM(n-1)| sums
-    #ideals(D) = prod k_c over D in level."""
+    row codes of PM(n-2), and lists, their ideal lists (_tree), by
+    matrix_count's closed form: |PM(n-1)| sums #ideals(D) = prod k_c over
+    D in level.  The ideals of a component c are D's ideals inside c, by
+    the bijection (2) proved at matrix_count."""
     parents = total = connected = 0
-    for codes in level:
+    for codes, every in zip(level, lists):
         ks = ps = grow = nest = split = 1
         for comp in _components(codes):
-            ideals = _ideals(codes, comp)
+            ideals = [s for s in every if s & comp == s]
             k = len(ideals)
             p = sum([1 for s in ideals for j in ideals if j & s == j])
             ks *= k
@@ -243,12 +225,14 @@ def _counts(level: list) -> tuple:
 
 
 def _sizes(n: int) -> list:
-    """|PM(1)|, ..., |PM(n)| from one walk to PM(n-2) (_below): its
+    """|PM(1)|, ..., |PM(n)| from one walk to PM(n-2) (_tree): its
     levels' lengths, then |PM(n-1)| and |PM(n)| from PM(n-2) (_counts)."""
     if n == 1:
         return [1]
-    levels = _below(n - 1)
-    return [*map(len, levels[1:]), *_counts(levels[-1])[:2]]
+    sizes = []
+    for level, lists in _tree(n - 2):
+        sizes.append(len(level))
+    return [*sizes[1:], *_counts(level, lists)[:2]]
 
 
 def matrices_by_parent(n: int, which: str = "all"):
@@ -450,21 +434,23 @@ def _unrefuted(frame: tuple, ideals: list) -> list:
     return out
 
 
-def _orderly(d: tuple, frame: tuple, k: int):
-    """Yield (codes, frame) for each canonical matrix k orders above the
-    canonical d whose leading block is d, in sorted order (see classes).
+def _orderly(d: tuple, frame: tuple, ideals: list, k: int):
+    """Yield (codes, frame, ideals) for each canonical matrix k orders above
+    the canonical d whose leading block is d, with its search frame and
+    its ideal list, in sorted order (see classes); frame and ideals are
+    d's own.
 
     Depth first: a level of classes lists each parent's children in turn,
     parents in the order of the level below, so by induction it is the
     depth-first order of the classes at that depth."""
     if not k:
-        yield d, frame
+        yield d, frame, ideals
         return
     top = 1 << len(d)
-    for s in _unrefuted(frame, _ideals(d)):
+    for s in _unrefuted(frame, ideals):
         child = _grown(frame, s)
         if _walk(child, True)[0]:
-            yield from _orderly(d + (s | top,), child, k - 1)
+            yield from _orderly(d + (s | top,), child, _grow(ideals, s, top), k - 1)
 
 
 class IsoClass(Record):
@@ -508,10 +494,11 @@ def classes(n: int, which: str = "all", order_cap: int = DEFAULT_ORDER_CAP) -> t
     the diagonal, so C is not least if I, read from column 1, is below D's
     strict row p.  One compare decides all p at once, against the greatest
     of D's rows t+1..k, kept per parent.
-    Each kept matrix carries its search frame, and a child's frame is its
-    parent's plus one row (_grown), so the certificates cost O(k) per
-    parent and a few bit operations per child.  _orderly walks the
-    classes depth first and holds only the frames along one path.
+    Each kept matrix carries its search frame and its ideal list, and a
+    child's frame is its parent's plus one row (_grown), its list grown
+    from its parent's (_grow), so the certificates cost O(k) per parent
+    and a few bit operations per child.  _orderly walks the classes depth
+    first and holds only the frames and lists along one path.
 
     labeled_count(C) = e(C) / |Aut(C)|: C's class holds its relabellings
     along its e(C) linear extensions, two equal iff the extensions differ
@@ -526,8 +513,8 @@ def classes(n: int, which: str = "all", order_cap: int = DEFAULT_ORDER_CAP) -> t
     _check_filter(which)
     _check_order(n, order_cap)
     out = []
-    for d, frame in _orderly((), _frame(()), n - 1):
-        ideals, top, comps = _ideals(d), 1 << len(d), _components(d)
+    for d, frame, ideals in _orderly((), _frame(()), [0], n - 1):
+        top, comps = 1 << len(d), _components(d)
         weights = _placements(d, ideals)
         for s in _unrefuted(frame, ideals):
             connected = all(s & c for c in comps)

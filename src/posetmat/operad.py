@@ -20,7 +20,7 @@ lists ideals itself only to build a random witness (_Drawn.codes).  PM(1),
 ..., PM(N-1) are listed, and PM(N) is streamed, parent by parent over
 PM(N-1), as matrices_by_parent walks it, so no more than PM(N-1) is held.
 Each level comes ascending in its rows read as bit strings, column 1 first
-(_levels), which within one order is the witness order _enc compares, so
+(_tree), which within one order is the witness order _enc compares, so
 no pool is sorted.
 All that the rules read of a matrix is two bit masks: its minimal and
 maximal elements under minmax, and for a boxed kind the positions whose
@@ -552,14 +552,14 @@ class _Tally:
 def _tables(rule, max_order) -> dict:
     """The table (_table) of each order n = 1, ..., N, keyed by n, from
     each order's matrices counted by their masks, keeping the least of
-    each masks, in witness order (see _levels).
+    each masks, in witness order (see _tree).
 
     Under square, min and max the rules read nothing (_reader): each order
     is one row, of |PM(n)| matrices (_sizes), and its least is the
     antichain, with no walk of PM(N-1).  Every level's first matrix is its
-    first parent's child over the empty ideal, first in _ideals, and the
-    first of PM(0) is the empty matrix, so by induction each level's first
-    is the antichain.  Else the levels and their masks come from _pools, and
+    first parent's child over the empty ideal, first in every ideal list
+    (_grow), and the first of PM(0) is the empty matrix, so by induction
+    each level's first is the antichain.  Else the levels and their masks come from _pools, and
     a child of PM(N) is built only when it is the first of its masks."""
     extend = _reader(rule)
     if extend is None:
@@ -832,7 +832,7 @@ class _Drawn:
 def _rank(starts, g) -> tuple:
     """The witness order (_case_key) on pool indices: PM(1), then PM(N),
     PM(N-1), ..., PM(2), each in its own order.  Within an order the key
-    _enc ascends along the level (_levels).  Across orders, every matrix's
+    _enc ascends along the level (_tree).  Across orders, every matrix's
     first row is 1 and then zeros: the one matrix of order 1 has the key
     "1", a prefix of every other key, and for 2 <= n < m a matrix of order
     n has ";" where one of order m has "0", at place n of the key, and

@@ -7,7 +7,7 @@ from itertools import combinations, product
 from posetmat import SQUARE, UNIT, PosetMatrix, check_nested, check_parallel, check_unit, compose
 from posetmat.compose import COL_AT_MIN, ROW_AT_MAX, _compose, _lower_left_wrong, _rule, kind_name
 from posetmat.duality import semi_equidual
-from posetmat.enumeration import IsoClass, _below, _ideals, canonical_form, generate_all
+from posetmat.enumeration import IsoClass, _ideals, _tree, canonical_form, generate_all
 from posetmat.core import _extremal, relabel, submatrix, validate
 from posetmat.errors import ParseError, PreconditionViolated, ValidationError
 from posetmat.operad import LawReport, Witness, _outer
@@ -191,15 +191,34 @@ def pools_by_ideals(extend, max_order: int) -> tuple:
     return levels, keys, [(p, m, _ideals(p)) for p, m in zip(levels[-1], keys[-1])]
 
 
+@lru_cache(maxsize=None)
+def ideals_by_definition(codes: tuple) -> list:
+    """The ideals of the matrix with row codes codes, by definition: the
+    down-closed subsets among all 2^n, as bit masks, sorted by their bit
+    strings, column 1 first.  Cached: the count checks read each matrix
+    once per filter."""
+    n = len(codes)
+    closed = [
+        s
+        for s in range(1 << n)
+        if all(codes[x] & s == codes[x] for x in range(n) if s >> x & 1)
+    ]
+    return sorted(closed, key=lambda s: [s >> x & 1 for x in range(n)])
+
+
 def matrix_count_by_parent(n: int, which: str = "all") -> int:
     """matrix_count(n, which) one order down: sum over M in PM(n-1) of
     #ideals(M) = prod #ideals(c), and of prod (#ideals(c) - 1) for the
-    connected children, over M's components c (proved at matrix_count)."""
+    connected children, over M's components c (proved at matrix_count).
+    The ideals of c are M's ideals inside c, by definition."""
     total = connected = 0
-    for codes in _below(n)[-1]:
+    for level, _ in _tree(n - 1):
+        pass  # PM(n-1)
+    for codes in level:
+        ideals = ideals_by_definition(codes)
         every = joined = 1
         for comp in _components(codes):
-            k = len(_ideals(codes, comp))
+            k = sum([1 for s in ideals if s & comp == s])
             every *= k
             joined *= k - 1
         total += every

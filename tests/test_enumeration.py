@@ -1,13 +1,21 @@
 import random
 import tracemalloc
-from itertools import permutations, product
+from itertools import islice, permutations, product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from posetmat import canonical_form, classes, classify_connectivity, generate_all, validate
-from posetmat import enumeration
+from posetmat import (
+    MINMAX,
+    canonical_form,
+    classes,
+    classify_connectivity,
+    generate_all,
+    validate,
+    verify_laws,
+)
+from posetmat import enumeration, operad
 from posetmat.compose import compose
 from posetmat.core import BinaryMatrix, PosetMatrix, closure_of_covers, relabel
 from posetmat.enumeration import (
@@ -15,7 +23,6 @@ from posetmat.enumeration import (
     _frame,
     _grown,
     _ideals,
-    _levels,
     _sizes,
     _tree,
     _unrefuted,
@@ -35,6 +42,7 @@ from helpers import (
     brute_force_classes,
     chain,
     conjugate,
+    ideals_by_definition,
     labelled_counts_by_transfer,
     matrix_count_by_parent,
     pm,
@@ -88,7 +96,7 @@ class TestGenerateAll:
             assert rows == sorted(rows)
         # so each level of the walk is in the law sweep's witness order,
         # which is not the order of the code tuples from order 3 on
-        for n, level in enumerate(_levels(7), 1):
+        for n, (level, _) in enumerate(islice(_tree(7), 1, None), 1):
             assert level == sorted(level, key=_enc), n
             assert (level == sorted(level)) == (n < 3), n
 
@@ -161,6 +169,61 @@ class TestCountAndListWithoutTheLevel:
             for codes, ideals in zip(level, lists):
                 assert ideals == _ideals(codes), codes
 
+    def test_ideals_are_the_down_closed_subsets(self):
+        # _ideals, the step (_grow) folded over a matrix's rows, against the
+        # definition for every matrix of PM(<=6), order included; the walks
+        # grow their lists by the same step
+        for level, _ in _tree(6):
+            for codes in level:
+                assert _ideals(codes) == ideals_by_definition(codes), codes
+
+    def test_no_walk_lists_ideals_afresh(self, monkeypatch):
+        # the class walk, the counts, the sizes and the listings grow every
+        # ideal list from the parent's and never call _ideals; their answers
+        # are the published counts (A000112, A000608, A006455), and each
+        # filter's labelled class counts sum to its matrix count
+        def refuse(codes):
+            raise AssertionError(f"the ideals of {codes} were listed afresh")
+
+        monkeypatch.setattr(enumeration, "_ideals", refuse)
+        published = {
+            "all": [1, 2, 5, 16, 63, 318, 2045],
+            "connected": [1, 1, 3, 10, 44, 238, 1650],
+        }
+        published["disconnected"] = [a - c for a, c in zip(*published.values())]
+        for which, counts in published.items():
+            for n, count in enumerate(counts, 1):
+                cls = classes(n, which)
+                assert len(cls) == count, (n, which)
+                assert sum(c.labeled_count for c in cls) == matrix_count(n, which), (n, which)
+        eight = {"all": 2800472, "connected": 2020256, "disconnected": 780216}
+        assert {which: matrix_count(8, which) for which in eight} == eight
+        assert _sizes(8) == [1, 2, 7, 40, 357, 4824, 96428, 2800472]
+        *_, (level, _) = _tree(6)
+        assert generate_all(6) == tuple(map(PosetMatrix._wrap, level))
+
+    def test_orders_that_are_not_integers_raise(self, monkeypatch):
+        # a float order passes the comparisons with 1 and the cap, and the
+        # class walk would then descend without end; it is refused before
+        # any walk starts.  True is the order 1.
+        def refuse(*args):
+            raise AssertionError("a walk started")
+
+        calls = (
+            classes,
+            matrix_count,
+            lambda n: list(matrices_by_parent(n)),
+            generate_all,
+            lambda n: verify_laws(MINMAX, n),
+        )
+        assert classes(True) == classes(1)
+        for module, name in [(enumeration, "_tree"), (enumeration, "_orderly"), (operad, "_tree")]:
+            monkeypatch.setattr(module, name, refuse)
+        monkeypatch.setattr(operad, "_sizes", refuse)
+        for call in calls:
+            with pytest.raises(TypeError):
+                call(2.5)
+
     def test_pool_sizes_are_the_counts(self):
         # one walk to PM(N-2) gives |PM(1)|, ..., |PM(N)|
         for top in range(1, 9):
@@ -170,7 +233,7 @@ class TestCountAndListWithoutTheLevel:
         # generate_all joins the lists of matrices_by_parent, so the test
         # above compares it with itself for "all"; the walk is independent
         for n in range(1, 8):
-            *_, level = _levels(n)
+            *_, (level, _) = _tree(n)
             assert generate_all(n) == tuple(map(PosetMatrix._wrap, level)), n
 
     def test_order_and_filter_errors(self):

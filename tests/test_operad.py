@@ -1,7 +1,7 @@
 import random
 import tracemalloc
 from bisect import bisect_right
-from itertools import accumulate, product
+from itertools import accumulate, islice, product
 
 import pytest
 
@@ -19,9 +19,8 @@ from posetmat.compose import (
 from posetmat.core import _extremal
 from posetmat.enumeration import (
     DEFAULT_ORDER_CAP,
-    _below,
     _ideals,
-    _levels,
+    _tree,
     generate_all,
     matrix_count,
 )
@@ -328,7 +327,7 @@ def test_order_four_reports_are_pinned(name):
 
 def _small_cases():
     """Every nested and parallel case over PM(<=3), as (law, a, b, c, i, j)."""
-    pool = [c for level in _levels(3) for c in level]
+    pool = [c for level, _ in islice(_tree(3), 1, None) for c in level]
     for a, b, c in product(pool, repeat=3):
         for i in range(1, len(a) + 1):
             for j in range(1, len(b) + 1):
@@ -341,7 +340,7 @@ def _random_cases(count=1000, seed=14):
     """count seeded random nested cases and as many parallel ones, each of
     A, B and C drawn from PM(5) or PM(6)."""
     rng = random.Random(seed)
-    levels = list(_levels(6))[4:]
+    levels = [level for level, _ in _tree(6)][5:]
     for _ in range(count):
         a, b, c = (rng.choice(rng.choice(levels)) for _ in range(3))
         yield NESTED, a, b, c, rng.randint(1, len(a)), rng.randint(1, len(b))
@@ -354,7 +353,7 @@ def _mixed_cases(count=1000, seed=15):
     A, B and C drawn from PM(n) for an n drawn from 1..6 (a parallel A
     from 2..6), so C and B of order 1 and i or j at either end all occur."""
     rng = random.Random(seed)
-    levels = list(_levels(6))
+    levels = [level for level, _ in _tree(6)][1:]
     for _ in range(count):
         a, b, c = (rng.choice(rng.choice(levels)) for _ in range(3))
         yield NESTED, a, b, c, rng.randint(1, len(a)), rng.randint(1, len(b))
@@ -436,7 +435,7 @@ def test_grouped_sweep_matches_case_by_case(kind):
     # be paired with the least C that fails it; each of those is itself a
     # failing case
     rule = _rule(kind)
-    pools = dict(enumerate(_levels(3), 1))
+    pools = {n: level for n, (level, _) in enumerate(_tree(3)) if n}
     tables = _tables(rule, 3)
     for law in (NESTED, PARALLEL):
         for n, m, k in product(pools, repeat=3):
@@ -605,7 +604,7 @@ def test_unit_rule_matches_both_sides():
     # both sides, and None exactly where that is undefined.  Undefined
     # cases, each constant fill alone wrong, both wrong, neither, and the
     # mask kinds, whose unit law always holds, all occur.
-    pool = [a for level in _levels(5) for a in level]
+    pool = [a for level, _ in islice(_tree(5), 1, None) for a in level]
     seen, count = set(), 0
     for kind in ALL_KINDS:
         rule = _rule(kind)
@@ -672,7 +671,7 @@ def _walked(rule, top):
     (_pools), or (n, 0, 0) where the rule reads nothing."""
     extend = _reader(rule)
     if extend is None:
-        levels = _below(top + 1)
+        levels = [level for level, _ in _tree(top)]
         keys = [[(len(x), 0, 0) for x in level] for level in levels]
     else:
         levels, keys, _ = _pools(extend, top + 1)
@@ -709,7 +708,7 @@ def test_mask_unit_sweep_is_the_closed_form(kind):
     # a mask kind's exhaustive unit tally, counted without visiting a case,
     # is what deciding every (A, i) of PM(<=5) with unit_at gives
     rule = _rule(kind)
-    pools = dict(enumerate(_levels(5), 1))
+    pools = {n: level for n, (level, _) in enumerate(_tree(5)) if n}
     unit = _exhaustive(rule, 5)[2]
     verdicts = [unit_at(rule, a, i) for n in pools for a in pools[n] for i in range(1, n + 1)]
     assert verdicts == [True] * 1_971
@@ -739,7 +738,7 @@ def test_extension_rule_gives_the_masks_of_each_child(kind):
     extend = _reader(rule)
     assert (extend is None) == (kind in OPERAD_KINDS)
     children = 0
-    for level in _below(6):
+    for level, _ in _tree(5):
         for d in level:
             ideals = _ideals(d)
             built = [d + (s | 1 << len(d),) for s in ideals]
@@ -917,7 +916,7 @@ def test_random_mode_holds_only_what_it_draws(name):
 def test_rank_is_the_witness_order_on_pool_indices():
     # over PM(1..5) listed in turn: ordering the indices by _rank orders
     # the matrices by the witness key, and _Drawn gives each index's codes
-    levels = list(_levels(5))
+    levels = [level for level, _ in _tree(5)][1:]
     flat = [codes for level in levels for codes in level]
     starts = [0, *accumulate(len(level) for level in levels)]
     by_rank = sorted(range(len(flat)), key=lambda g: operad._rank(starts, g))
