@@ -14,9 +14,11 @@ matrices_by_parent(n) (below) takes the last step from PM(n-1) one parent
 at a time, growing each parent's list as it goes, and generate_all(n)
 joins its lists; neither keeps a cache.  verify_laws and random mode take
 their pools, the lists included, from the same walk (operad._pools).
-matrix_count(n) takes the step twice in closed form, from the lists of
-PM(n-2) split per component (_counts), and lists no matrix of order n-1
-or n; _sizes gives |PM(1)|, ..., |PM(n)| from that one walk to PM(n-2).
+_sizes gives |PM(1)|, ..., |PM(n)| from one walk to PM(n-2), taking the
+step twice by counting, from the lists of PM(n-2) split per component,
+and lists no matrix of order n-1 or n.  matrix_count(n) reads it and
+gets the connected counts from the totals by the exponential formula
+(a poset matrix is a set of connected ones).
 The class walk (_orderly) carries each canonical matrix's list, grown
 from its parent's.  _ideals, _grow folded over a matrix's rows, serves
 only the one parent that operad's _Drawn reads back.
@@ -46,6 +48,7 @@ when one of two certificates names a smaller relabelling of C
 
 from __future__ import annotations
 
+from math import comb
 from operator import index
 
 from .core import PosetMatrix, Record
@@ -151,16 +154,15 @@ def generate_all(n: int) -> tuple:
 
 def matrix_count(n: int, which: str = "all") -> int:
     """Number of poset matrices of order n, all or only the connected or
-    disconnected ones, counted in closed form over PM(n-2) without
-    building any matrix of order n-1 or n.
+    disconnected ones, from |PM(1)|, ..., |PM(n)| (_sizes), counted over
+    PM(n-2) without building any matrix of order n-1 or n.
 
     Every matrix of order n is M + I, one new maximal element over an ideal
     I of a unique M in PM(n-1) (see classes), and M is D + J for a unique D
     in PM(n-2).  For each D, over its components c, with k_c the number of
     ideals of c and P_c the number of nested pairs J <= S among them,
 
-        #{D + J + I} = (prod k_c)^2 + prod P_c,
-        #{D + J + I connected} = prod (k_c^2 - 1) + prod (P_c - 1) - prod 2(k_c - 1).
+        #{D + J + I} = (prod k_c)^2 + prod P_c.
 
     Proof.  (1) M + I is connected iff I meets every component of M: the
     new element joins exactly the elements of I, so it merges the
@@ -173,66 +175,50 @@ def matrix_count(n: int, which: str = "all") -> int:
     (3) The ideals of M = D + J are the ideals S of D, and S plus the new
     element for each S containing J, so #ideals(D + J) = prod k_c + prod
     #{S_c >= J_c}, the second product by (2) with J_c = J & c.  Summed over
-    the prod k_c ideals J, this gives the first line.
-    (4) By (1) the components of D + J are the c that J misses and one
-    more, the new element with the c that J meets, whose ideals (3) counts
-    over those c alone.  So D + J has
+    the prod k_c ideals J, this gives the count above.  At n = 2, D is
+    empty, the products are empty, and the count is 2.
+    (4) With a_m = |PM(m)|, a_0 = 1, and c_m the connected ones,
 
-        prod_missed (k_c - 1) * (prod_met k_c + prod_met #{S_c >= J_c} - 1)
+        a_m = sum_{k=1..m} C(m-1, k-1) c_k a_{m-k},
 
-    connected children.  Each of the three terms is a product over c of a
-    factor chosen by whether J_c is empty, so its sum over the tuples
-    (J_c) is the product over c of the factor summed over J_c: (k_c - 1) +
-    (k_c - 1) k_c, (k_c - 1) + (P_c - k_c) and (k_c - 1) + (k_c - 1).  This
-    gives the second line.  At n = 2, D is empty, all products are empty,
-    and the counts are 2 and 1; at n = 1 the single point is connected.
-    The disconnected count is the difference.
+    which gives c_m from c_1, ..., c_{m-1}.  Proof: the component holding
+    element 1 has some k-1 of the other m-1 labels.  Relabelled in order,
+    it and the rest stay naturally labelled, a connected matrix of order k
+    and any matrix of order m-k, and any two such matrices placed on those
+    labels give back a naturally labelled union, whose component holding
+    element 1 is the first.  The disconnected count is the difference.
     """
     _check_filter(which)
     _check_order(n, DEFAULT_ORDER_CAP)
-    if n == 1:
-        return 0 if which == "disconnected" else 1
-    for level, lists in _tree(n - 2):
-        pass  # the walk's last level, PM(n-2), and its lists as they grow
-    _, total, connected = _counts(level, lists)
+    totals = [1, *_sizes(n)]
     if which == "all":
-        return total
-    return connected if which == "connected" else total - connected
-
-
-def _counts(level: list, lists) -> tuple:
-    """(|PM(n-1)|, |PM(n)|, the connected ones of PM(n)) from level, the
-    row codes of PM(n-2), and lists, their ideal lists (_tree), by
-    matrix_count's closed form: |PM(n-1)| sums #ideals(D) = prod k_c over
-    D in level.  The ideals of a component c are D's ideals inside c, by
-    the bijection (2) proved at matrix_count."""
-    parents = total = connected = 0
-    for codes, every in zip(level, lists):
-        ks = ps = grow = nest = split = 1
-        for comp in _components(codes):
-            ideals = [s for s in every if s & comp == s]
-            k = len(ideals)
-            p = sum([1 for s in ideals for j in ideals if j & s == j])
-            ks *= k
-            ps *= p
-            grow *= k * k - 1
-            nest *= p - 1
-            split *= 2 * (k - 1)
-        parents += ks
-        total += ks * ks + ps
-        connected += grow + nest - split
-    return parents, total, connected
+        return totals[n]
+    connected = [0]
+    for m in range(1, n + 1):
+        split = sum([comb(m - 1, k - 1) * connected[k] * totals[m - k] for k in range(1, m)])
+        connected.append(totals[m] - split)
+    return connected[n] if which == "connected" else totals[n] - connected[n]
 
 
 def _sizes(n: int) -> list:
-    """|PM(1)|, ..., |PM(n)| from one walk to PM(n-2) (_tree): its
-    levels' lengths, then |PM(n-1)| and |PM(n)| from PM(n-2) (_counts)."""
+    """|PM(1)|, ..., |PM(n)| from one walk to PM(n-2) (_tree): its levels'
+    lengths, then |PM(n-1)|, the sum of #ideals(D) over D in PM(n-2), and
+    |PM(n)| by matrix_count's count.  The ideals of a component c are D's
+    ideals inside c, by the bijection (2) proved at matrix_count."""
     if n == 1:
         return [1]
     sizes = []
     for level, lists in _tree(n - 2):
         sizes.append(len(level))
-    return [*sizes[1:], *_counts(level, lists)[:2]]
+    parents = total = 0
+    for codes, every in zip(level, lists):
+        k, nested = len(every), 1
+        for comp in _components(codes):
+            ideals = [s for s in every if s & comp == s]
+            nested *= sum([1 for s in ideals for j in ideals if j & s == j])
+        parents += k
+        total += k * k + nested
+    return [*sizes[1:], parents, total]
 
 
 def matrices_by_parent(n: int, which: str = "all"):

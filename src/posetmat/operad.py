@@ -67,13 +67,14 @@ PM(N), however many cases they make, and none under square, min and max.
 Random mode lists no pool either.  Each law draws its trials from its own
 generator (seed + t) as pool indices into PM(1), ..., PM(N) listed in turn,
 each draw one getrandbits rejection loop (_draw), and the draws read only
-the pool sizes (_sizes, from one walk to PM(N-2) and matrix_count's
-closed form) and the order of each drawn matrix.  A law that the rules
-decide without a matrix reads none (_reads): the unit law of a mask kind,
-the nested law of square, min and max, and the parallel law of a mask
-kind, which draws only to count its skips.  The other laws keep
-their draws and mark each drawn index that they read; the walk that gives
-the exhaustive sweep its masks (_pools) then gives the marked matrices
+the pool sizes (_sizes, from one walk to PM(N-2) that counts PM(N-1)
+and PM(N) from its ideal lists) and the order of each drawn matrix.  A
+law that the rules decide without a matrix reads none (_reads): the unit
+law of a mask kind, the nested law of square, min and max, and the
+parallel law of a mask kind, which draws only to count its skips.  The
+other laws keep their draws and mark each drawn index that they read; the
+walk that gives the exhaustive sweep its masks (_pools) then gives the
+marked matrices
 theirs (_Drawn), each distinct masks turned once into a row (_row), and
 each case is decided from the rows of its matrices.  Only the least failing
 case is kept, by the witness order on pool indices (_rank).  So random mode
@@ -276,6 +277,7 @@ from __future__ import annotations
 import random
 from bisect import bisect_right
 from itertools import accumulate, compress, count
+from operator import index
 from struct import Struct
 
 from .compose import (
@@ -555,12 +557,13 @@ def _tables(rule, max_order) -> dict:
     each masks, in witness order (see _tree).
 
     Under square, min and max the rules read nothing (_reader): each order
-    is one row, of |PM(n)| matrices (_sizes), and its least is the
-    antichain, with no walk of PM(N-1).  Every level's first matrix is its
-    first parent's child over the empty ideal, first in every ideal list
-    (_grow), and the first of PM(0) is the empty matrix, so by induction
-    each level's first is the antichain.  Else the levels and their masks come from _pools, and
-    a child of PM(N) is built only when it is the first of its masks."""
+    is one row, of |PM(n)| matrices (_sizes, counted from PM(N-2)), and
+    its least is the antichain, with no walk of PM(N-1).  Every level's
+    first matrix is its first parent's child over the empty ideal, first
+    in every ideal list (_grow), and the first of PM(0) is the empty
+    matrix, so by induction each level's first is the antichain.  Else the
+    levels and their masks come from _pools, and a child of PM(N) is built
+    only when it is the first of its masks."""
     extend = _reader(rule)
     if extend is None:
         return {
@@ -922,11 +925,12 @@ def verify_laws(kind, max_order, trials=None, seed=0):
     the order cap alone bounds it.  Identical seeds give identical reports.
     The order cap and then the case budget of random mode (LAW_CASE_BUDGET,
     3 * trials) are checked before the kind is looked up and before any
-    pool is built.
+    pool is built; an order or trial count that is not an integer (2.5,
+    1e5) raises TypeError.
     """
     if max_order < 1:
         raise ValueError("max_order must be at least 1")
-    if trials is not None and trials < 1:
+    if trials is not None and index(trials) < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
     _check_order(max_order, DEFAULT_ORDER_CAP)
     if trials is not None and 3 * trials > LAW_CASE_BUDGET:

@@ -179,6 +179,19 @@ class TestVerifyLaws:
             with pytest.raises(ValueError):
                 verify_laws(SQUARE, 3, trials=trials)
 
+    def test_trial_counts_that_are_not_integers_raise(self, monkeypatch):
+        # a float trial count passes the comparisons with 1 and the case
+        # budget, and range() would refuse it only after the pool sizes'
+        # walk; it is refused before any walk starts
+        def refuse(*args):
+            raise AssertionError("a walk started")
+
+        monkeypatch.setattr(operad, "_sizes", refuse)
+        monkeypatch.setattr(operad, "_tree", refuse)
+        for trials in (2.5, 1e5, "3"):
+            with pytest.raises(TypeError):
+                verify_laws(MINMAX, 8, trials=trials)
+
     def test_order_cap_refused_before_any_pool_is_built(self):
         tracemalloc.start()
         try:
