@@ -278,13 +278,13 @@ def _json_listing(groups, item):
 
 def cmd_enumerate(args) -> int:
     if args.classes:
-        classes = enumeration.classes(args.n, args.filter)
-        n_conn = sum(1 for c in classes if c.connected)
+        forms = enumeration.canonical_forms(args.n, args.filter)
+        n_conn = sum(1 for _, connected in forms if connected)
         header = (
-            f"order {args.n}: {len(classes)} classes "
-            f"({n_conn} connected, {len(classes) - n_conn} disconnected)"
+            f"order {args.n}: {len(forms)} classes "
+            f"({n_conn} connected, {len(forms) - n_conn} disconnected)"
         )
-        groups = [[c.canonical for c in classes]]
+        groups = [[canonical for canonical, _ in forms]]
     else:
         count = enumeration.matrix_count(args.n, args.filter)
         header = f"order {args.n}: {count} matrices ({args.filter})"

@@ -29,11 +29,16 @@ are precisely the linear extensions of the order.  One search walks them
 from a matrix's own rows: _frame reads the matrix into a search frame
 (each element's strict down-set and up-set, and its weighted row), and
 _walk searches the frame.  canonical_form takes the least relabelling it
-finds, and classes(n) uses the walk as a canonicity test, keeping the
-children of the classes of order n-1 that are their own canonical form
-(orderly generation).  A child's frame is its
-parent's plus one row (_grown).  classes(n) never visits PM(n), and it
-reads a child's connectivity from its parent's components before the walk.
+finds, and the class walk uses the search as a canonicity test, keeping
+the children of the classes of order n-1 that are their own canonical
+form (orderly generation).  A child's frame is its parent's plus one row
+(_grown).  The walk never visits PM(n), and it reads a child's
+connectivity from its parent's components before the search.  Its last
+level is written once, in _last_level, which yields each class with its
+parent, the parent's ideal list and |Aut|: classes(n) adds the labelled
+counts from them, and canonical_forms(n), the listing that enumerate
+--classes prints, takes only each class's canonical matrix and
+connectivity.
 
 Before its walk, a child C = D + I of a canonical D of order k is dropped
 when one of two certificates names a smaller relabelling of C
@@ -51,7 +56,7 @@ from __future__ import annotations
 from math import comb
 from operator import index
 
-from .core import PosetMatrix, Record
+from .core import PosetMatrix, Record, validate
 from .errors import ResourceLimit
 from .structure import _components
 
@@ -369,7 +374,11 @@ def _walk(frame: tuple, test: bool) -> tuple:
 
 
 def canonical_form(a: PosetMatrix) -> PosetMatrix:
-    """Lexicographically least member of a's permutation-equivalence class."""
+    """Lexicographically least member of a's permutation-equivalence class.
+
+    A matrix that is not a PosetMatrix is validated first, as the walk
+    reads its rows as a poset's."""
+    a = a if isinstance(a, PosetMatrix) else validate(a)
     n, best = a.n, _walk(_frame(a.codes), False)[1]  # column 1 is best[p]'s top bit
     return PosetMatrix._wrap(
         tuple([int(f"{code:0{n}b}"[::-1], 2) | 1 << p for p, code in enumerate(best)])
@@ -439,6 +448,25 @@ def _orderly(d: tuple, frame: tuple, ideals: list, k: int):
             yield from _orderly(d + (s | top,), child, _grow(ideals, s, top), k - 1)
 
 
+def _last_level(n: int, which: str, order_cap: int):
+    """Yield (d, ideals, s, aut, connected) for each class of order n that
+    which keeps, in sorted order: the canonical d + I of classes, with d of
+    order n-1, ideals d's ideal list, s the bit mask of I, aut |Aut(d + I)|
+    from _walk's test, and connected whether d + I is connected.  The
+    children of one parent come together.  As a generator, it checks the
+    filter and then the order when first advanced, before any walk."""
+    _check_filter(which)
+    _check_order(n, order_cap)
+    for d, frame, ideals in _orderly((), _frame(()), [0], n - 1):
+        comps = _components(d)
+        for s in _unrefuted(frame, ideals):
+            connected = all(s & c for c in comps)
+            if which == "all" or connected == (which == "connected"):
+                aut = _walk(_grown(frame, s), True)[0]
+                if aut:
+                    yield d, ideals, s, aut, connected
+
+
 class IsoClass(Record):
     """One permutation-equivalence class of poset matrices."""
 
@@ -490,23 +518,30 @@ def classes(n: int, which: str = "all", order_cap: int = DEFAULT_ORDER_CAP) -> t
     along its e(C) linear extensions, two equal iff the extensions differ
     by an automorphism.  For C = D + I, a linear extension of C places the
     new element right after an ideal S of D that contains I, so e(C) sums
-    f(S) h(S) from _placements over those S.
+    f(S) h(S) from _placements over those S.  The last level of the walk
+    (_last_level, shared with canonical_forms) yields each class with D,
+    D's ideal list and |Aut(C)|, and D's children come together, so
+    _placements runs once per D that has a class among its children.
 
     C = D + I is connected iff I meets every component of D (proved at
     matrix_count), so each parent's components are found once, and a
     child that which filters out is never searched.
     """
-    _check_filter(which)
-    _check_order(n, order_cap)
-    out = []
-    for d, frame, ideals in _orderly((), _frame(()), [0], n - 1):
-        top, comps = 1 << len(d), _components(d)
-        weights = _placements(d, ideals)
-        for s in _unrefuted(frame, ideals):
-            connected = all(s & c for c in comps)
-            if which == "all" or connected == (which == "connected"):
-                aut = _walk(_grown(frame, s), True)[0]
-                if aut:
-                    count = sum([w for t, w in weights if t & s == s]) // aut
-                    out.append(IsoClass(PosetMatrix._wrap(d + (s | top,)), count, connected))
+    out, parent = [], None
+    for d, ideals, s, aut, connected in _last_level(n, which, order_cap):
+        if d is not parent:  # the children of one parent come together
+            parent, weights = d, _placements(d, ideals)
+        count = sum([w for t, w in weights if t & s == s]) // aut
+        out.append(IsoClass(PosetMatrix._wrap(d + (s | 1 << len(d),)), count, connected))
     return tuple(out)
+
+
+def canonical_forms(n: int, which: str = "all") -> list:
+    """(canonical, connected) for each class of order n, all or only the
+    connected or disconnected ones, in the order of classes(n, which):
+    the same walk, with no labelled count."""
+    wrap = PosetMatrix._wrap
+    return [
+        (wrap(d + (s | 1 << len(d),)), connected)
+        for d, _, s, _, connected in _last_level(n, which, DEFAULT_ORDER_CAP)
+    ]

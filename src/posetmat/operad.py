@@ -925,11 +925,12 @@ def verify_laws(kind, max_order, trials=None, seed=0):
     the order cap alone bounds it.  Identical seeds give identical reports.
     The order cap and then the case budget of random mode (LAW_CASE_BUDGET,
     3 * trials) are checked before the kind is looked up and before any
-    pool is built; an order or trial count that is not an integer (2.5,
-    1e5) raises TypeError.
+    pool is built; an order, trial count or seed that is not an integer
+    (2.5, 1e5) raises TypeError.
     """
     if max_order < 1:
         raise ValueError("max_order must be at least 1")
+    index(seed)
     if trials is not None and index(trials) < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
     _check_order(max_order, DEFAULT_ORDER_CAP)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from posetmat import cli
+from posetmat import cli, enumeration
 from posetmat.cli import (
     COMMANDS,
     build_parser,
@@ -640,6 +640,34 @@ class TestCommands:
                     assert run(argv + ["-o", str(target)]) == 0
                     assert capsys.readouterr() == (header, "")
                     assert target.read_text() == body
+
+    def test_enumerate_classes_computes_no_labelled_count(self, files, capsys, monkeypatch):
+        # the listing prints no labelled count, so it places no ideal
+        filters = ("all", "connected", "disconnected")
+        listings = {which: enumeration.classes(6, which) for which in filters}
+
+        def refuse(*args):
+            raise AssertionError("labelled counts computed")
+
+        monkeypatch.setattr(enumeration, "_placements", refuse)
+        for which, cls in listings.items():
+            n_conn = sum(1 for c in cls if c.connected)
+            header = (
+                f"order 6: {len(cls)} classes "
+                f"({n_conn} connected, {len(cls) - n_conn} disconnected)\n"
+            )
+            bodies = {
+                "pm": "".join(to_pm_text(c.canonical) for c in cls),
+                "json": json.dumps([to_json_obj(c.canonical) for c in cls]) + "\n",
+            }
+            for fmt, body in bodies.items():
+                argv = ["enumerate", "--n", "6", "--classes", "--filter", which, "--format", fmt]
+                assert run(argv + ["--print"]) == 0
+                assert capsys.readouterr() == (header + body, "")
+                target = files["dir"] / f"classes.{fmt}"
+                assert run(argv + ["-o", str(target)]) == 0
+                assert capsys.readouterr() == (header, "")
+                assert target.read_text() == body
 
     def test_enumerate_count_builds_no_level(self, capsys):
         # PM(7) alone, as generate_all builds it, takes tens of MiB

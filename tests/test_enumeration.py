@@ -27,11 +27,17 @@ from posetmat.enumeration import (
     _tree,
     _unrefuted,
     _walk,
+    canonical_forms,
     linear_extensions,
     matrices_by_parent,
     matrix_count,
 )
-from posetmat.errors import ResourceLimit
+from posetmat.errors import (
+    NotLowerTriangular,
+    NotReflexive,
+    ResourceLimit,
+    TransitivityViolation,
+)
 
 from helpers import (
     CONNECTED_3,
@@ -278,6 +284,19 @@ class TestCanonicalForm:
             for a in generate_all(n):
                 assert canonical_form(a) == self.brute_canonical(a)
 
+    def test_a_grid_is_validated_first(self):
+        # the walk reads a poset's rows, and would take "10;00" for "10;01"
+        assert canonical_form(BinaryMatrix.from_bits("10;11")) == PosetMatrix.from_bits("10;11")
+        assert canonical_form(BinaryMatrix.from_bits("100;010;011")) == canonical_form(
+            PosetMatrix.from_bits("100;010;011")
+        )
+        with pytest.raises(NotReflexive):
+            canonical_form(BinaryMatrix.from_bits("10;00"))
+        with pytest.raises(NotLowerTriangular):
+            canonical_form(BinaryMatrix.from_bits("11;01"))
+        with pytest.raises(TransitivityViolation):
+            canonical_form(BinaryMatrix.from_bits("100;110;011"))
+
     @staticmethod
     def relabellings(codes):
         """The rows of A relabelled along each of its linear extensions, by
@@ -461,6 +480,26 @@ class TestClasses:
         assert len(classes(4, "disconnected")) == 6
         with pytest.raises(ValueError):
             classes(3, "odd")
+
+    @pytest.mark.parametrize("which", ["all", "connected", "disconnected"])
+    def test_canonical_forms_are_those_of_classes(self, which):
+        for n in range(1, 8):
+            got = canonical_forms(n, which)
+            assert got == [(c.canonical, c.connected) for c in classes(n, which)]
+
+    def test_canonical_forms_check_their_arguments_first(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a walk started")
+
+        monkeypatch.setattr(enumeration, "_orderly", refuse)
+        with pytest.raises(ValueError, match="unknown filter"):
+            canonical_forms(9, "odd")
+        with pytest.raises(ResourceLimit):
+            canonical_forms(9)
+        with pytest.raises(ValueError, match="at least 1"):
+            canonical_forms(0)
+        with pytest.raises(TypeError):
+            canonical_forms(2.5)
 
     @pytest.fixture
     def walked(self, monkeypatch):

@@ -192,6 +192,19 @@ class TestVerifyLaws:
             with pytest.raises(TypeError):
                 verify_laws(MINMAX, 8, trials=trials)
 
+    def test_seeds_that_are_not_integers_raise(self, monkeypatch):
+        # a float seed would seed random.Random(seed + t), and a string one
+        # fail in seed + t only after the pool sizes' walk; both are
+        # refused before any walk starts
+        def refuse(*args):
+            raise AssertionError("a walk started")
+
+        monkeypatch.setattr(operad, "_sizes", refuse)
+        monkeypatch.setattr(operad, "_tree", refuse)
+        for seed in (1.5, "a", None):
+            with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+                verify_laws(MINMAX, 8, trials=10, seed=seed)
+
     def test_order_cap_refused_before_any_pool_is_built(self):
         tracemalloc.start()
         try:
