@@ -33,7 +33,7 @@ minimal, so it reads no extremal mask of B.
 
 from __future__ import annotations
 
-from .core import BinaryMatrix, PosetMatrix, Record, _extremal
+from .core import BinaryMatrix, PosetMatrix, Record, _extremal, validate
 from .errors import DimensionMismatch, IndexOutOfRange, PreconditionViolated
 
 SQUARE = "square"
@@ -256,8 +256,12 @@ def compose(kind, a: PosetMatrix, i: int, b: PosetMatrix) -> PosetMatrix:
     V-fill and precondition (_rule) and builds nothing else.  An
     unknown kind raises ValueError, then a position outside [1, n]
     IndexOutOfRange, then a failed precondition PreconditionViolated,
-    which names the first wrong entry (_lower_left_wrong).
+    which names the first wrong entry (_lower_left_wrong).  Before all of
+    these, a factor that is not a PosetMatrix is validated, as the rule
+    reads its rows as a poset's.
     """
+    a = a if isinstance(a, PosetMatrix) else validate(a)
+    b = b if isinstance(b, PosetMatrix) else validate(b)
     return PosetMatrix._wrap(_compose(_rule(kind), a.codes, i, b.codes))
 
 

@@ -12,7 +12,7 @@ from itertools import combinations, repeat
 from math import comb
 
 from .compose import SQUARE, compose
-from .core import PosetMatrix, Record, _gather, _members, index_set
+from .core import PosetMatrix, Record, _gather, _members, index_set, validate
 from .enumeration import generate_all, matrix_count
 from .errors import OrderMismatch, ResourceLimit
 from .structure import _components
@@ -36,7 +36,10 @@ def _dual_codes(codes) -> tuple:
 
 
 def dual(a: PosetMatrix) -> PosetMatrix:
-    """Flip-transpose; entry (i,j) becomes a(n+1-j, n+1-i)."""
+    """Flip-transpose; entry (i,j) becomes a(n+1-j, n+1-i).  A matrix that
+    is not a PosetMatrix is validated first, as the dual of a poset matrix
+    is one."""
+    a = a if isinstance(a, PosetMatrix) else validate(a)
     return PosetMatrix._wrap(_dual_codes(a.codes))
 
 

@@ -14,11 +14,13 @@ matrices_by_parent(n) (below) takes the last step from PM(n-1) one parent
 at a time, growing each parent's list as it goes, and generate_all(n)
 joins its lists; neither keeps a cache.  verify_laws and random mode take
 their pools, the lists included, from the same walk (operad._pools).
-_sizes gives |PM(1)|, ..., |PM(n)| from one walk to PM(n-2), taking the
-step twice by counting, from the lists of PM(n-2) split per component,
-and lists no matrix of order n-1 or n.  matrix_count(n) reads it and
-gets the connected counts from the totals by the exponential formula
-(a poset matrix is a set of connected ones).
+_sizes gives |PM(1)|, ..., |PM(n)| from one walk to PM(n-3), taking the
+step three times by counting: it packs each list of PM(n-3) into 16-bit
+lanes of one integer, one lane per subset, and counts its children's
+ideals and nested ideal pairs by shifts and masks (_pairs), listing no
+matrix of order n-2 or above.  matrix_count(n) reads it and gets the
+connected counts from the totals by the exponential formula (a poset
+matrix is a set of connected ones).
 The class walk (_orderly) carries each canonical matrix's list, grown
 from its parent's.  _ideals, _grow folded over a matrix's rows, serves
 only the one parent that operad's _Drawn reads back.
@@ -159,15 +161,15 @@ def generate_all(n: int) -> tuple:
 
 def matrix_count(n: int, which: str = "all") -> int:
     """Number of poset matrices of order n, all or only the connected or
-    disconnected ones, from |PM(1)|, ..., |PM(n)| (_sizes), counted over
-    PM(n-2) without building any matrix of order n-1 or n.
+    disconnected ones, from |PM(1)|, ..., |PM(n)| (_sizes), counted from
+    PM(n-3) without listing any matrix of order n-2 or above.
 
     Every matrix of order n is M + I, one new maximal element over an ideal
     I of a unique M in PM(n-1) (see classes), and M is D + J for a unique D
-    in PM(n-2).  For each D, over its components c, with k_c the number of
-    ideals of c and P_c the number of nested pairs J <= S among them,
+    in PM(n-2).  For each D, with k_D the number of its ideals and P_D the
+    number of nested pairs J <= S among them,
 
-        #{D + J + I} = (prod k_c)^2 + prod P_c.
+        #{D + J + I} = k_D^2 + P_D.
 
     Proof.  (1) M + I is connected iff I meets every component of M: the
     new element joins exactly the elements of I, so it merges the
@@ -178,10 +180,10 @@ def matrix_count(n: int, which: str = "all") -> int:
     has #ideals(M) = prod #ideals(c) children, and by (1) prod
     (#ideals(c) - 1) connected ones, over M's components c.
     (3) The ideals of M = D + J are the ideals S of D, and S plus the new
-    element for each S containing J, so #ideals(D + J) = prod k_c + prod
-    #{S_c >= J_c}, the second product by (2) with J_c = J & c.  Summed over
-    the prod k_c ideals J, this gives the count above.  At n = 2, D is
-    empty, the products are empty, and the count is 2.
+    element for each S containing J, so #ideals(D + J) = k_D + #{S >= J},
+    over D's whole ideal list.  Summed over the k_D ideals J of D, the
+    first terms give k_D^2 and the second P_D, the count above.  At n = 2,
+    D is empty, its one ideal is the empty set, and the count is 2.
     (4) With a_m = |PM(m)|, a_0 = 1, and c_m the connected ones,
 
         a_m = sum_{k=1..m} C(m-1, k-1) c_k a_{m-k},
@@ -205,25 +207,58 @@ def matrix_count(n: int, which: str = "all") -> int:
     return connected[n] if which == "connected" else totals[n] - connected[n]
 
 
+def _pairs(x: int, low: list) -> tuple:
+    """(k, P) of a matrix of order m = len(low) from x, its ideals packed
+    in lanes: k its number of ideals and P its number of nested pairs
+    J <= S of ideals.
+
+    Lane S of x, the 16 bits from bit 16 S, holds 1 if the subset S of the
+    matrix's elements (as a bit mask) is an ideal, else 0; low[i] has all
+    16 bits set in the lanes of the subsets without element i.  As
+    2^16 = 1 (mod 2^16 - 1), a number taken mod 2^16 - 1 is the sum of its
+    lanes while that sum stays below 2^16 - 1, so k = x mod 2^16 - 1.  The
+    subset sum z adds each lane S without i to lane S + i, for i = 0, ...,
+    m-1, after which lane T of z counts the ideals inside T.  Keeping the
+    lanes of the ideals T and summing gives P.  No lane of z passes 2^m and
+    P <= 3^m, the pairs of subsets, so both stay exact up to m = 10."""
+    z = x
+    for i, mask in enumerate(low):
+        z += (z & mask) << (16 << i)
+    return x % 0xFFFF, (z & x * 0xFFFF) % 0xFFFF
+
+
 def _sizes(n: int) -> list:
-    """|PM(1)|, ..., |PM(n)| from one walk to PM(n-2) (_tree): its levels'
-    lengths, then |PM(n-1)|, the sum of #ideals(D) over D in PM(n-2), and
-    |PM(n)| by matrix_count's count.  The ideals of a component c are D's
-    ideals inside c, by the bijection (2) proved at matrix_count."""
-    if n == 1:
-        return [1]
-    sizes = []
-    for level, lists in _tree(n - 2):
+    """|PM(1)|, ..., |PM(n)| from one walk to PM(n-3) (_tree): its levels'
+    lengths, then |PM(n-2)|, the sum of #ideals(E) over E in PM(n-3),
+    |PM(n-1)|, the sum of #ideals(D) over the children D = E + J, and
+    |PM(n)|, the sum of #ideals(D)^2 + P_D by matrix_count's count.
+
+    The children are never listed: each E's ideals are packed in lanes
+    (_pairs), and D's follow from them by the step of _grow.  With m = n-2,
+    the ideals of D are E's, in the lanes below 2^(m-1), and each ideal S
+    of E that contains J plus the new element m, in lane S + 2^(m-1).  So
+    x_D = x_E | (x_E & sup[J]) << 16 2^(m-1), with sup[J] the full lanes
+    at the supersets of J among the subsets of E's m-1 elements."""
+    if n < 3:
+        return [1, 2][:n]
+    m = n - 2
+    # 16-bit lanes, one per subset of D's m elements: exact while every
+    # lane sum stays below 2^16 - 1, so up to m = 10, order n = 12, above
+    # the cap 8 (see _pairs)
+    half = 1 << m - 1
+    sup = [sum([0xFFFF << 16 * s for s in range(half) if s & j == j]) for j in range(half)]
+    low = [sum([0xFFFF << 16 * s for s in range(2 * half) if not s >> i & 1]) for i in range(m)]
+    sizes, grand, parents, total = [], 0, 0, 0
+    for level, lists in _tree(n - 3):
         sizes.append(len(level))
-    parents = total = 0
-    for codes, every in zip(level, lists):
-        k, nested = len(every), 1
-        for comp in _components(codes):
-            ideals = [s for s in every if s & comp == s]
-            nested *= sum([1 for s in ideals for j in ideals if j & s == j])
-        parents += k
-        total += k * k + nested
-    return [*sizes[1:], parents, total]
+    for ideals in lists:
+        x = sum([1 << 16 * s for s in ideals])
+        grand += len(ideals)
+        for j in ideals:
+            k, nested = _pairs(x | (x & sup[j]) << 16 * half, low)
+            parents += k
+            total += k * k + nested
+    return [*sizes[1:], grand, parents, total]
 
 
 def matrices_by_parent(n: int, which: str = "all"):

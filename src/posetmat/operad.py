@@ -67,19 +67,18 @@ PM(N), however many cases they make, and none under square, min and max.
 Random mode lists no pool either.  Each law draws its trials from its own
 generator (seed + t) as pool indices into PM(1), ..., PM(N) listed in turn,
 each draw one getrandbits rejection loop (_draw), and the draws read only
-the pool sizes (_sizes, from one walk to PM(N-2) that counts PM(N-1)
-and PM(N) from its ideal lists) and the order of each drawn matrix.  A
-law that the rules decide without a matrix reads none (_reads): the unit
-law of a mask kind, the nested law of square, min and max, and the
-parallel law of a mask kind, which draws only to count its skips.  The
-other laws keep their draws and mark each drawn index that they read; the
-walk that gives the exhaustive sweep its masks (_pools) then gives the
-marked matrices
-theirs (_Drawn), each distinct masks turned once into a row (_row), and
-each case is decided from the rows of its matrices.  Only the least failing
-case is kept, by the witness order on pool indices (_rank).  So random mode
-holds PM(N-1) and a few bytes per pool index and per trial, however large
-PM(N) is.
+the pool sizes (_sizes, from one walk to PM(N-3) that counts PM(N-2),
+PM(N-1) and PM(N) from its ideal lists) and the order of each drawn
+matrix.  A law that the rules decide without a matrix reads none
+(_reads): the unit law of a mask kind, the nested law of square, min and
+max, and the parallel law of a mask kind, which draws only to count its
+skips.  The other laws keep their draws and mark each drawn index that
+they read; the walk that gives the exhaustive sweep its masks (_pools)
+then gives the marked matrices theirs (_Drawn), each distinct masks
+turned once into a row (_row), and each case is decided from the rows
+of its matrices.  Only the least failing case is kept, by the witness
+order on pool indices (_rank).  So random mode holds PM(N-1) and a few
+bytes per pool index and per trial, however large PM(N) is.
 
 Notation.  By the formulas beside compose._RULES, X o_i Y (X of order x, Y
 of order y) keeps X's rows above i; gives Y's row q the row U_q | y_q << (i-1);
@@ -557,7 +556,7 @@ def _tables(rule, max_order) -> dict:
     each masks, in witness order (see _tree).
 
     Under square, min and max the rules read nothing (_reader): each order
-    is one row, of |PM(n)| matrices (_sizes, counted from PM(N-2)), and
+    is one row, of |PM(n)| matrices (_sizes, counted from PM(N-3)), and
     its least is the antichain, with no walk of PM(N-1).  Every level's
     first matrix is its first parent's child over the empty ideal, first
     in every ideal list (_grow), and the first of PM(0) is the empty

@@ -17,6 +17,7 @@ from .core import (
     _members,
     index_set,
     principal_subposet,
+    validate,
 )
 from .errors import PreconditionViolated, ResourceLimit, ValidationError
 
@@ -163,14 +164,16 @@ def factor(c: PosetMatrix, kind) -> tuple:
     a poset matrix.  Under the four mask kinds the host is determined by c,
     so the search is complete.  Under a boxed kind it is not: the constant
     fills overwrite A's row prefix and column suffix at i, and only the host
-    holding the fill constants there is returned.  An unknown kind raises
-    ValueError.
+    holding the fill constants there is returned.  A c that is not a
+    PosetMatrix is validated first, as the hosts are read from its rows;
+    then an unknown kind raises ValueError.
 
     Before the search, the entries that the factorizations could hold are
     counted: split (i, m) gives factors of orders big-m+1 and m, at
     big-m+1 positions i.  Every split of a chain factors, so the count is
     exact there; above ENTRY_BUDGET, factor raises ResourceLimit.
     """
+    c = c if isinstance(c, PosetMatrix) else validate(c)
     rule = _rule(kind)
     cc, big = c.codes, c.n
     entries = sum([(big - m + 1) * ((big - m + 1) ** 2 + m * m) for m in range(2, big)])

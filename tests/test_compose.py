@@ -26,7 +26,12 @@ from posetmat import (
 )
 from posetmat.core import block_decompose
 from posetmat.enumeration import generate_all
-from posetmat.errors import DimensionMismatch, IndexOutOfRange, PreconditionViolated
+from posetmat.errors import (
+    DimensionMismatch,
+    IndexOutOfRange,
+    NotReflexive,
+    PreconditionViolated,
+)
 
 from helpers import (
     EX_A,
@@ -152,6 +157,17 @@ class TestUnitLaws:
                 assert compose(MIN, a, i, b) == sq
                 assert compose(MAX, a, i, b) == sq
                 assert compose(MINMAX, a, i, b) == sq
+
+
+def test_a_grid_is_validated_first():
+    # the rule reads a poset's rows, and would wrap "10;00" unchecked
+    grid = BinaryMatrix.from_bits("10;11")
+    assert compose(SQUARE, grid, 1, UNIT) == chain(2)
+    assert compose(SQUARE, UNIT, 1, grid) == chain(2)
+    bad = BinaryMatrix.from_bits("10;00")
+    for a, b in [(bad, UNIT), (UNIT, bad), (bad, chain(2))]:
+        with pytest.raises(NotReflexive):
+            compose(SQUARE, a, 1, b)
 
 
 class TestBoxed:

@@ -21,10 +21,12 @@ from posetmat import (
     verify_laws,
 )
 from posetmat.compose import ALL_KINDS, kind_name
+from posetmat.core import BinaryMatrix
 from posetmat.duality import SELF_DUAL_CLOSURE_BUDGET, self_dual_closure_counterexamples
 from posetmat.enumeration import generate_all
 from posetmat.errors import (
     IndexOutOfRange,
+    NotReflexive,
     OrderMismatch,
     PreconditionViolated,
     ResourceLimit,
@@ -67,6 +69,13 @@ class TestDual:
             assert minimal_elements(dual(a)) == dual_index_set(
                 maximal_elements(a), a.n
             )
+
+    def test_a_grid_is_validated_first(self):
+        # the flip-transpose of "10;00" is "00;01", no poset matrix either
+        grid = BinaryMatrix.from_bits("1000;1100;1010;1011")
+        assert dual(grid) == pm("1000;1100;0010;1111")
+        with pytest.raises(NotReflexive):
+            dual(BinaryMatrix.from_bits("10;00"))
 
 
 class TestSelfDual:

@@ -23,6 +23,7 @@ from posetmat.enumeration import (
     _frame,
     _grown,
     _ideals,
+    _pairs,
     _sizes,
     _tree,
     _unrefuted,
@@ -230,8 +231,41 @@ class TestCountAndListWithoutTheLevel:
             with pytest.raises(TypeError):
                 call(2.5)
 
+    def test_lane_count_of_each_matrix(self):
+        # _pairs reads a matrix's (k, P), its number of ideals and of nested
+        # ideal pairs J <= S, from one 16-bit lane per subset; checked
+        # against pairs of ideals by definition over PM(<=6), the orders of
+        # the children _sizes counts up to the cap
+        for m, (level, _) in enumerate(_tree(6)):
+            low = [sum(0xFFFF << 16 * s for s in range(1 << m) if not s >> i & 1) for i in range(m)]
+            for codes in level:
+                ideals = ideals_by_definition(codes)
+                x = sum([1 << 16 * s for s in ideals])
+                pairs = sum([1 for s in ideals for j in ideals if j & s == j])
+                assert _pairs(x, low) == (len(ideals), pairs), codes
+        # the order-6 antichain (low is order 6's): every subset is an
+        # ideal, and its 3^6 pairs are the largest lane sum at the cap
+        assert _pairs(sum([1 << 16 * s for s in range(64)]), low) == (64, 3**6)
+
+    def test_sizes_walk_to_three_orders_below(self, monkeypatch):
+        # _sizes(n) walks to PM(n-3) and splits no matrix into components
+        walked, tree = [], enumeration._tree
+
+        def spy(n):
+            walked.append(n)
+            return tree(n)
+
+        def refuse(codes):
+            raise AssertionError(f"{codes} was split into components")
+
+        monkeypatch.setattr(enumeration, "_tree", spy)
+        monkeypatch.setattr(enumeration, "_components", refuse)
+        for n in range(1, 9):
+            _sizes(n)
+        assert walked == [0, 1, 2, 3, 4, 5]
+
     def test_pool_sizes_are_the_counts(self):
-        # one walk to PM(N-2) gives |PM(1)|, ..., |PM(N)|; matrix_count reads
+        # one walk to PM(N-3) gives |PM(1)|, ..., |PM(N)|; matrix_count reads
         # _sizes, so the counts are the level lengths of one walk to PM(7),
         # and at order 8 A006455
         sizes = [len(level) for level, _ in islice(_tree(7), 1, None)] + [2800472]

@@ -24,7 +24,12 @@ from posetmat import structure
 from posetmat.compose import ALL_KINDS
 from posetmat.core import ENTRY_BUDGET, UNIT, BinaryMatrix, block_decompose
 from posetmat.enumeration import generate_all
-from posetmat.errors import IndexOutOfRange, PreconditionViolated, ResourceLimit
+from posetmat.errors import (
+    IndexOutOfRange,
+    NotReflexive,
+    PreconditionViolated,
+    ResourceLimit,
+)
 from posetmat.structure import components
 
 from helpers import (
@@ -334,6 +339,15 @@ class TestFactor:
         assert (pm("100;010;111"), 2, chain(2)) in {(f.a, f.i, f.b) for f in found}
         for f in found:
             assert f.recompose() == c
+
+    def test_a_grid_is_validated_first(self):
+        # the hosts are read from a poset's rows: "10;00" would give ()
+        grid = BinaryMatrix.from_bits("100;110;111")
+        assert factor(grid, "square") == factor(chain(3), "square")
+        with pytest.raises(NotReflexive):
+            factor(BinaryMatrix.from_bits("10;00"), "square")
+        with pytest.raises(NotReflexive):
+            factor(BinaryMatrix.from_bits("100;110;110"), "square")
 
     def test_every_factorization_recomposes(self):
         for c in all_upto(5, start=3):
